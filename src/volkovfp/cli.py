@@ -113,7 +113,7 @@ def _require(cfg: dict, key: str, kind, what: str = "config"):
         raise ConfigError(f"{what} is missing required key {key!r}")
     value = cfg[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ConfigError(f"{what}[{key!r}] must be a number")
         return float(value)
     if kind is int:
@@ -123,6 +123,18 @@ def _require(cfg: dict, key: str, kind, what: str = "config"):
     if not isinstance(value, kind):
         raise ConfigError(f"{what}[{key!r}] must be of type {kind.__name__}")
     return value
+
+
+def _require_count(cfg: dict, key: str) -> int:
+    """A positive integer: a run over zero draws would pass with nothing measured."""
+    value = _require(cfg, key, int)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1")
+    return value
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -184,11 +196,13 @@ def parallel_map(fn, items: list, workers: int, chunk_size: int = 32) -> list:
 
 
 class Check:
+    """One named assertion; a non-finite measured value always fails."""
+
     def __init__(self, name: str, measured: float, tolerance: float, passed: bool):
         self.name = name
         self.measured = measured
         self.tolerance = tolerance
-        self.passed = bool(passed)
+        self.passed = bool(passed) and bool(np.isfinite(measured))
 
     def as_dict(self) -> dict:
         return {
@@ -205,6 +219,22 @@ def _leq(name: str, measured: float, tol: float) -> Check:
 
 def _geq(name: str, measured: float, bound: float) -> Check:
     return Check(name, float(measured), float(bound), float(measured) >= float(bound))
+
+
+def _worst(values) -> float:
+    """Largest value, 0 for none; NaN if any value is NaN (builtin max drops it)."""
+    return float(np.max(np.asarray(list(values), dtype=float), initial=0.0))
+
+
+def _json_safe(value):
+    """Copy of a summary with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
@@ -249,7 +279,7 @@ def _residual_chunk(args):
 def run_dirac_residual(cfg: dict, outdir: Path, workers: int) -> tuple[list[Check], list[str]]:
     pot_desc = _require(cfg, "potential", dict)
     _potential(cfg)
-    n_modes = _require(cfg, "n_modes", int)
+    n_modes = _require_count(cfg, "n_modes")
     tol = _require(cfg, "tolerance", float)
     rng = np.random.default_rng(_require(cfg, "seed", int))
     draws = _draw_modes(cfg, rng, n_modes)
@@ -265,7 +295,7 @@ def run_dirac_residual(cfg: dict, outdir: Path, workers: int) -> tuple[list[Chec
                ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z",
                 "residual", "norm", "relative"],
                rows, chash)
-    worst = max(r[-1] for r in rows)
+    worst = _worst(r[-1] for r in rows)
     return [_leq("max_relative_dirac_residual", worst, tol)], [csv_path.name]
 
 
@@ -293,13 +323,12 @@ def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
 
 def run_null_product_invariance(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    n_packets = _require(cfg, "n_packets", int)
-    n_nodes = _require(cfg, "nodes_per_packet", int)
+    n_packets = _require_count(cfg, "n_packets")
+    n_nodes = _require_count(cfg, "nodes_per_packet")
     tol = _require(cfg, "tolerance", float)
     s_values = [float(s) for s in _require(cfg, "s_values", list)]
     rng = np.random.default_rng(_require(cfg, "seed", int))
     rows = []
-    worst = 0.0
     for p in range(n_packets):
         psi = _random_packet(rng, 1.0, n_nodes)
         phi = WavePacket(m=psi.m, u=psi.u, k2=psi.k2, k3=psi.k3,
@@ -310,22 +339,20 @@ def run_null_product_invariance(cfg, outdir: Path, workers: int):
         for s in s_values:
             val = null_scalar_product(psi, phi, pot, s)
             dev = abs(val - base) / max(abs(base), 1e-300)
-            worst = max(worst, dev)
             rows.append((p, s, val.real, val.imag, dev))
     chash = _config_hash(cfg)
     csv_path = outdir / "null_product.csv"
     _write_csv(csv_path, ["packet", "s", "re_value", "im_value", "relative_deviation"],
                rows, chash)
-    return [_leq("max_s_dependence", worst, tol)], [csv_path.name]
+    return [_leq("max_s_dependence", _worst(r[-1] for r in rows), tol)], [csv_path.name]
 
 
 def run_mass_pairing(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    n_draws = _require(cfg, "n_draws", int)
+    n_draws = _require_count(cfg, "n_draws")
     tol = _require(cfg, "tolerance", float)
     rng = np.random.default_rng(_require(cfg, "seed", int))
     rows = []
-    worst = 0.0
     for i in range(n_draws):
         k2 = float(rng.normal(0.0, 0.7))
         k3 = float(rng.normal(0.0, 0.7))
@@ -339,7 +366,6 @@ def run_mass_pairing(cfg, outdir: Path, workers: int):
             amp_a, ModeParams(k2, k3, u, m), amp_b, ModeParams(k2, k3, u, mp), pot, s
         )
         gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        worst = max(worst, gap)
         rows.append((i, k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))
     chash = _config_hash(cfg)
     csv_path = outdir / "mass_pairing.csv"
@@ -347,12 +373,24 @@ def run_mass_pairing(cfg, outdir: Path, workers: int):
                ["draw", "k2", "k3", "u", "m", "m_prime", "s",
                 "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"],
                rows, chash)
-    return [_leq("max_relative_gap", worst, tol)], [csv_path.name]
+    return [_leq("max_relative_gap", _worst(r[-1] for r in rows), tol)], [csv_path.name]
+
+
+def _mass_interval(cfg) -> tuple[float, float]:
+    interval = _require(cfg, "mass_interval", list)
+    if len(interval) != 2 or not all(_is_number(x) for x in interval):
+        raise ConfigError("mass_interval must be [lo, hi]")
+    lo, hi = float(interval[0]), float(interval[1])
+    if not 0 < lo < hi < np.inf:
+        raise ConfigError("mass_interval must satisfy 0 < lo < hi")
+    return lo, hi
 
 
 def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
-    interval = tuple(float(x) for x in _require(cfg, "mass_interval", list))
+    interval = _mass_interval(cfg)
     n_masses = _require(cfg, "n_masses", int)
+    if n_masses < 2:
+        raise ConfigError("n_masses must be at least 2")
     masses = np.linspace(interval[0], interval[1], n_masses)
     mass_w = np.full(n_masses, (interval[1] - interval[0]) / (n_masses - 1))
     u_n, u_w = _gl_grid(_require(cfg, "u_grid", list), "u_grid")
@@ -377,11 +415,15 @@ def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
 
 def run_mass_oscillation(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    epsilons = [float(e) for e in _require(cfg, "epsilons", list)]
+    epsilons = _require(cfg, "epsilons", list)
+    if not epsilons or not all(_is_number(e) and 0 < e < np.inf for e in epsilons):
+        raise ConfigError("epsilons must be a nonempty list of positive numbers")
+    epsilons = [float(e) for e in epsilons]
+    if len(set(epsilons)) != len(epsilons):
+        raise ConfigError("epsilons must be distinct")
     tol = _require(cfg, "tolerance", float)
     rng = np.random.default_rng(_require(cfg, "seed", int))
-    interval = tuple(float(x) for x in _require(cfg, "mass_interval", list))
-    fam, _ = _grid_family(cfg, interval, rng)
+    fam, _ = _grid_family(cfg, _mass_interval(cfg), rng)
     result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
     checks = [_leq("relative_gap", result.relative_gap, tol)]
 
@@ -479,9 +521,7 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
     tol = _require(cfg, "tolerance", float)
 
     samples = []
-    worst_sym = 0.0
-    worst_consistency = 0.0
-    worst_coincidence = 0.0
+    sym_gaps, consistency_gaps, coincidence_gaps = [], [], []
     for u in u_vals:
         for k2 in k2_vals:
             for k3 in k3_vals:
@@ -489,7 +529,7 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
                 scale = 1.0 / (2.0 * np.pi) ** 4
                 for s in s_vals:
                     coin = abs(complex(fp_scalar_a(mode, pot, s, s)) - scale) / scale
-                    worst_coincidence = max(worst_coincidence, coin)
+                    coincidence_gaps.append(coin)
                     for st in st_vals:
                         kernel = fp_kernel_momentum(mode, pot, s, st)
                         samples.append(KernelSample(mode, s, st, kernel))
@@ -498,15 +538,15 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
                         causal = causal_fundamental_momentum(mode, pot, s, st)
                         cons = np.max(np.abs(kernel - (-signature_sign(u)) * causal))
                         norm = max(np.max(np.abs(kernel)), 1e-300)
-                        worst_sym = max(worst_sym, sym / norm)
-                        worst_consistency = max(worst_consistency, cons / norm)
+                        sym_gaps.append(sym / norm)
+                        consistency_gaps.append(cons / norm)
     chash = _config_hash(cfg)
     csv_path = outdir / "fp_kernel.csv"
     write_kernel_csv(csv_path, samples, comment=f"config_sha256={chash}")
     checks = [
-        _leq("spin_adjoint_symmetry", worst_sym, tol),
-        _leq("projector_vs_causal_consistency", worst_consistency, tol),
-        _leq("coincidence_scalar", worst_coincidence, tol),
+        _leq("spin_adjoint_symmetry", _worst(sym_gaps), tol),
+        _leq("projector_vs_causal_consistency", _worst(consistency_gaps), tol),
+        _leq("coincidence_scalar", _worst(coincidence_gaps), tol),
     ]
     return checks, [csv_path.name]
 
@@ -514,8 +554,8 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
 def run_sidebands(cfg, outdir: Path, workers: int):
     lam = _require(cfg, "amplitude", float)
     omega = _require(cfg, "frequency", float)
-    mode = ModeParams(_require(cfg, "k2", float), _require(cfg, "k3", float),
-                      _require(cfg, "u", float), _require(cfg, "m", float))
+    k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
+    u, m = _require(cfg, "u", float), _require(cfg, "m", float)
     n_max = _require(cfg, "n_max", int)
     n_compare = _require(cfg, "n_compare", int)
     periods = _require(cfg, "periods", int)
@@ -525,7 +565,11 @@ def run_sidebands(cfg, outdir: Path, workers: int):
 
     from .potential import HarmonicPotential
 
-    pot = HarmonicPotential(lam, omega)
+    try:
+        mode = ModeParams(k2, k3, u, m)
+        pot = HarmonicPotential(lam, omega)
+    except ValueError as exc:
+        raise ConfigError(f"bad sidebands mode or wave: {exc}") from exc
     v0 = harmonic_carrier(mode, lam, omega)
     lines_an = harmonic_sidebands_analytic(mode, lam, omega, n_max)
     total_sq = sum(abs(l.amplitude) ** 2 for l in lines_an)
@@ -541,33 +585,27 @@ def run_sidebands(cfg, outdir: Path, workers: int):
 
     an_by_n = {l.n: l for l in lines_an}
     bin_width = 2.0 * np.pi / span
-    worst_amp = 0.0
-    worst_pos = 0.0
-    rows_fft = []
-    for lf in lines_fft:
-        la = an_by_n[lf.n]
-        worst_amp = max(worst_amp, abs(lf.amplitude - la.amplitude) / abs(la.amplitude))
-        worst_pos = max(worst_pos, abs(lf.v - la.v) / bin_width)
-        rows_fft.append(lf)
+    amp_gaps = [abs(lf.amplitude - an_by_n[lf.n].amplitude) / abs(an_by_n[lf.n].amplitude)
+                for lf in lines_fft]
+    pos_offsets = [abs(lf.v - an_by_n[lf.n].v) / bin_width for lf in lines_fft]
 
     # amplitude off: spectrum collapses to the single dispersion line
     lines_zero = harmonic_sidebands_analytic(mode, 0.0, omega, n_max)
     zero_carrier = [l for l in lines_zero if l.n == 0][0]
     v_disp = (mode.k2 ** 2 + mode.k3 ** 2 + mode.m ** 2) / (4.0 * mode.u)
-    collapse_err = max(
-        abs(zero_carrier.amplitude - 1.0),
-        max(abs(l.amplitude) for l in lines_zero if l.n != 0),
-        abs(zero_carrier.v - v_disp),
+    collapse_err = _worst(
+        [abs(zero_carrier.amplitude - 1.0), abs(zero_carrier.v - v_disp)]
+        + [abs(l.amplitude) for l in lines_zero if l.n != 0]
     )
 
     chash = _config_hash(cfg)
     an_path = outdir / "sidebands_analytic.csv"
     fft_path = outdir / "sidebands_fft.csv"
     write_lines_csv(an_path, lines_an, comment=f"config_sha256={chash}")
-    write_lines_csv(fft_path, rows_fft, comment=f"config_sha256={chash}")
+    write_lines_csv(fft_path, lines_fft, comment=f"config_sha256={chash}")
     checks = [
-        _leq("max_amplitude_relative_gap", worst_amp, amp_tol),
-        _leq("max_position_offset_bins", worst_pos, 1.0),
+        _leq("max_amplitude_relative_gap", _worst(amp_gaps), amp_tol),
+        _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),
         _leq("sum_sq_deficit", abs(1.0 - total_sq), sum_tol),
         _leq("zero_amplitude_collapse", collapse_err, 1e-12),
     ]
@@ -687,9 +725,14 @@ def run_scenario(scenario: str, cfg: dict, outdir: Path, workers: int) -> dict:
         "artifacts": artifacts,
     }
     summary.update(extra)
+    summary = _json_safe(summary)
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+        json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
     return summary
+
+
+def _show(x) -> str:
+    return "non-finite" if x is None else f"{x:.6g}"
 
 
 def main(argv=None) -> int:
@@ -720,8 +763,8 @@ def main(argv=None) -> int:
 
     for check in summary["checks"]:
         state = "PASS" if check["passed"] else "FAIL"
-        print(f"[{state}] {check['name']}: measured={check['measured']:.6g} "
-              f"tolerance={check['tolerance']:.6g}")
+        print(f"[{state}] {check['name']}: measured={_show(check['measured'])} "
+              f"tolerance={_show(check['tolerance'])}")
     print(f"summary: {'PASS' if summary['passed'] else 'FAIL'} "
           f"({Path(args.out) / 'summary.json'})")
     return EXIT_PASS if summary["passed"] else EXIT_ASSERTION

@@ -58,6 +58,12 @@ class PotentialDomainError(ValueError):
     """Raised when a potential is queried outside its sampled domain."""
 
 
+def _require_finite(**fields) -> None:
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"potential {name} must be finite")
+
+
 @dataclass(frozen=True)
 class PhaseQuery:
     """Transverse momenta and mass entering the phase integrand."""
@@ -127,6 +133,7 @@ class HarmonicPotential(PlaneWavePotential):
     frequency: float
 
     def __post_init__(self):
+        _require_finite(amplitude=self.amplitude, frequency=self.frequency)
         if self.frequency == 0:
             raise ValueError("harmonic frequency must be nonzero")
 
@@ -169,6 +176,7 @@ class PulsePotential(PlaneWavePotential):
     width: float
 
     def __post_init__(self):
+        _require_finite(amplitude=self.amplitude, frequency=self.frequency, width=self.width)
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
 
@@ -219,6 +227,7 @@ class TabulatedPotential(PlaneWavePotential):
         a3 = np.asarray(a3, dtype=float)
         if a3.shape != s.shape:
             raise ValueError("a3 samples must match s samples")
+        _require_finite(s=s, a2=a2, a3=a3)
         self._s = s
         self._a2_samples = a2
         self._a3_samples = a3

@@ -79,6 +79,8 @@ _TWO_PI_4 = (2.0 * np.pi) ** 4
 
 _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS = lightcone_operators()
 _GAMMA0 = dirac_gamma(0)
+_N_PLUS_G2 = _N_PLUS @ dirac_gamma(2)
+_N_PLUS_G3 = _N_PLUS @ dirac_gamma(3)
 _ID4 = np.eye(4, dtype=complex)
 
 
@@ -237,6 +239,8 @@ def extrapolate_to_zero(xs, ys):
     n = len(table)
     if n != len(xs) or n == 0:
         raise ValueError("need matching, nonempty sample lists")
+    if len(set(xs)) != n:
+        raise ValueError("sample abscissae must be distinct")
     for level in range(1, n):
         for i in range(n - level):
             x0, x1 = xs[i], xs[i + level]
@@ -267,13 +271,6 @@ class MassOscillationResult:
         }
 
 
-def _family_node_arrays(family: MassFamily, node: int):
-    """Per-mass (chi0, weight) arrays of one node across the family."""
-    chi0 = np.array([pkt.chi0[node] for pkt in family.packets])
-    weights = np.array([pkt.weights[node] for pkt in family.packets])
-    return chi0, weights
-
-
 def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
     if not np.array_equal(fam_psi.masses, fam_phi.masses) or not np.array_equal(
         fam_psi.mass_quad_weights, fam_phi.mass_quad_weights
@@ -287,6 +284,17 @@ def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
                 "mass profile must vanish at the interval ends "
                 "(smooth, compactly supported weights required)"
             )
+
+
+def _completion_basis(chi0: np.ndarray, masses: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(m, node, 3, 4) stack of static_m, N+ gamma2 chi0_m and N+ gamma3 chi0_m.
+
+    The completion X_m(s) = [1 - N+ (Aslash(s) - m) / 2u] chi0_m equals
+    static_m - c2(s) N+ gamma2 chi0_m - c3(s) N+ gamma3 chi0_m with
+    c_j(s) = (k_j + a_j(s)) / 2u and static_m = chi0_m + m N+ chi0_m / 2u.
+    """
+    static = chi0 + (masses[:, None, None] / (2.0 * u[:, None])) * (chi0 @ _N_PLUS.T)
+    return np.stack([static, chi0 @ _N_PLUS_G2.T, chi0 @ _N_PLUS_G3.T], axis=2)
 
 
 def mass_oscillation_check(
@@ -310,41 +318,54 @@ def mass_oscillation_check(
     tail and spacing set by the largest mass-beat frequency; for a
     Gaussian-enveloped trigonometric integrand the trapezoid rule is
     spectrally accurate.
+
+    The double mass sum factors: at each node and s the completed spinors
+    of each family are summed over masses first, Psi(s) = sum_m c_m(s)
+    X_m(s), and only the two sums are paired, <Psi(s)| gamma0 Phi(s)>.
+    The completion X_m(s) is affine in the s-dependent coefficients
+    (k2 + a2(s))/2u and (k3 + a3(s))/2u, so each sum costs a few
+    (s, m) @ (m, 4) products and the whole epsilon schedule is one
+    (n_eps, s) @ (s,) product per node.
     """
     _check_family_pair(fam_psi, fam_phi)
     epsilons = tuple(float(e) for e in epsilons)
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ValueError("regulator schedule must be positive")
+    if len(set(epsilons)) != len(epsilons):
+        raise ValueError("regulator schedule must not repeat an epsilon")
 
     masses = fam_psi.masses
     mw = fam_psi.mass_quad_weights
-    eta_psi = fam_psi.eta
-    eta_phi = fam_phi.eta
     grid = fam_psi.node_packet
-    n_m = masses.shape[0]
+    eps_col = np.asarray(epsilons)[:, None]
 
     eps_min = min(epsilons)
     half_width = float(np.sqrt(np.log(1.0 / tail) / eps_min))
 
-    # rhs: mass-diagonal, fixed-s (s = 0) expression.
+    # per-mass amplitudes and weights of every node, (m, node, 4) and (m, node)
+    chi_psi = np.stack([pkt.chi0 for pkt in fam_psi.packets])
+    chi_phi = np.stack([pkt.chi0 for pkt in fam_phi.packets])
+    w_psi = np.stack([pkt.weights for pkt in fam_psi.packets])
+    w_phi = np.stack([pkt.weights for pkt in fam_phi.packets])
+    basis_psi = _completion_basis(chi_psi, masses, grid.u)
+    basis_phi = _completion_basis(chi_phi, masses, grid.u)
+    amp_psi = (mw * fam_psi.eta)[:, None] * w_psi
+    amp_phi = (mw * fam_phi.eta)[:, None] * w_phi
+    diag_pref = mw * fam_psi.eta * fam_phi.eta
+
     rhs = 0.0 + 0.0j
     lhs_by_eps = np.zeros(len(epsilons), dtype=complex)
-
-    n_plus_g2 = _N_PLUS @ dirac_gamma(2)
-    n_plus_g3 = _N_PLUS @ dirac_gamma(3)
 
     for i in range(grid.n_nodes):
         u = float(grid.u[i])
         k2 = float(grid.k2[i])
         k3 = float(grid.k3[i])
         qw = float(grid.quad_weights[i])
-        chi_psi, w_psi = _family_node_arrays(fam_psi, i)
-        chi_phi, w_phi = _family_node_arrays(fam_phi, i)
 
         # fixed-s side
-        diag = np.einsum("mc,mc->m", np.conj(w_psi[:, None] * chi_psi),
-                         w_phi[:, None] * chi_phi)
-        rhs += _TWO_PI_4 * qw * signature_sign(u) * np.sum(mw * eta_psi * eta_phi * diag)
+        diag = np.einsum("mc,mc->m", np.conj(w_psi[:, i, None] * chi_psi[:, i]),
+                         w_phi[:, i, None] * chi_phi[:, i])
+        rhs += _TWO_PI_4 * qw * signature_sign(u) * np.sum(diag_pref * diag)
 
         # regulated spacetime side
         beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * abs(u))
@@ -356,34 +377,21 @@ def mass_oscillation_check(
         osc = np.exp(
             -1j * (base[None, :] + np.square(masses)[:, None] * s_grid[None, :]) / (4.0 * u)
         )
-        sc_psi = w_psi[:, None] * osc
-        sc_phi = w_phi[:, None] * osc
+        # (s, 3) coefficients of the completion basis: 1, -c2(s), -c3(s)
+        completion = np.stack([
+            np.ones_like(s_grid),
+            -(k2 + np.asarray(pot.a2(s_grid), dtype=float)) / (2.0 * u),
+            -(k3 + np.asarray(pot.a3(s_grid), dtype=float)) / (2.0 * u),
+        ], axis=1)
+        # sum_m amp_m osc_m(s) X_m(s) for each family, then the gamma0 pairing
+        psi = np.einsum("sk,skc->sc", completion,
+                        np.tensordot((amp_psi[:, i, None] * osc).T, basis_psi[:, i], axes=1))
+        phi = np.einsum("sk,skc->sc", completion,
+                        np.tensordot((amp_phi[:, i, None] * osc).T, basis_phi[:, i], axes=1))
+        pairing = np.sum((np.conj(psi) @ _GAMMA0) * phi, axis=1)
 
-        a2 = np.asarray(pot.a2(s_grid), dtype=float)
-        a3 = np.asarray(pot.a3(s_grid), dtype=float)
-        # completion X_m(s) = [1 - N+ (Aslash(s) - m) / 2u] chi0_m
-        def completed(chi0):
-            y2 = chi0 @ n_plus_g2.T
-            y3 = chi0 @ n_plus_g3.T
-            y_plus = chi0 @ _N_PLUS.T
-            slash = (
-                np.einsum("s,mc->msc", k2 + a2, y2)
-                + np.einsum("s,mc->msc", k3 + a3, y3)
-            )
-            static = chi0 + (masses[:, None] / (2.0 * u)) * y_plus
-            return static[:, None, :] - slash / (2.0 * u)
-
-        x_psi = completed(chi_psi)
-        x_phi = completed(chi_phi)
-        pairing = np.einsum("msc,cd,nsd->mns", np.conj(x_psi), _GAMMA0, x_phi)
-
-        left = (mw * eta_psi)[:, None] * np.conj(sc_psi)
-        right = (mw * eta_phi)[:, None] * sc_phi
-        for j, eps in enumerate(epsilons):
-            s_weights = ds * np.exp(-eps * np.square(s_grid))
-            lhs_by_eps[j] += 4.0 * np.pi ** 3 * qw * np.einsum(
-                "ms,ns,mns,s->", left, right, pairing, s_weights
-            )
+        s_weights = ds * np.exp(-eps_col * np.square(s_grid))
+        lhs_by_eps += 4.0 * np.pi ** 3 * qw * (s_weights @ pairing)
 
     lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])
     scale = max(abs(rhs), 1e-300)

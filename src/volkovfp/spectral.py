@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import trapezoid
 from scipy.special import jv
 
 from .modes import ModeParams
@@ -305,7 +306,7 @@ def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
 def transform_l2(v_grid, f_values) -> float:
     """Trapezoid integral of |F|^2 over the sampled v grid."""
     v_grid = np.asarray(v_grid, dtype=float)
-    return float(np.trapezoid(np.abs(np.asarray(f_values)) ** 2, v_grid))
+    return float(trapezoid(np.abs(np.asarray(f_values)) ** 2, v_grid))
 
 
 def plancherel_reference(window, weight_sq_integral: float | None = None) -> float:

@@ -190,8 +190,8 @@ def test_criterion_5_mass_oscillation():
     ok = result.relative_gap <= 1e-2 and null_lhs <= 1e-3 and null_rhs <= 1e-3
     report(5, "mass-oscillation", ok,
            f"gap {result.relative_gap:.2e} <= 1e-2, null lhs/rhs "
-           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-3", 600.0, elapsed)
-    assert ok and elapsed < 600.0
+           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-3", 60.0, elapsed)
+    assert ok and elapsed < 60.0
 
 
 def test_criterion_6_kernel_consistency():

@@ -72,6 +72,16 @@ def test_scenario_mismatch_rejected(tmp_path):
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    {"u": 0.0}, {"m": -1.0}, {"frequency": 0.0}, {"amplitude": float("nan")},
+], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude"])
+def test_bad_sidebands_mode_or_wave_rejected(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
+    assert cli.main(["sidebands", "--config", cfg_path, "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_assertion_failure_exit_code(tmp_path):
     cfg_path = write_config(tmp_path, "cfg.json",
                             sidebands_config(amplitude_tolerance=1e-17))
@@ -201,3 +211,74 @@ def test_mass_oscillation_with_disjoint_null(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     names = {c["name"] for c in summary["checks"]}
     assert {"relative_gap", "null_lhs_over_diagonal", "null_rhs_over_diagonal"} <= names
+
+
+@pytest.mark.parametrize("override", [
+    {"n_masses": 1},
+    {"epsilons": [0.1, 0.1, 0.05]},
+    {"epsilons": []},
+    {"epsilons": [0.1, 0.0]},
+    {"epsilons": [0.1, -0.05]},
+    {"mass_interval": [1.2, 0.8]},
+], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
+        "negative-epsilon", "reversed-interval"])
+def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
+    cfg = small_configs()["mass-oscillation"]
+    cfg.update(override)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code = cli.main(["mass-oscillation", "--config", cfg_path, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("scenario, key", [
+    ("dirac-residual", "n_modes"),
+    ("null-product-invariance", "n_packets"),
+    ("null-product-invariance", "nodes_per_packet"),
+    ("mass-pairing", "n_draws"),
+])
+def test_zero_draws_is_config_error(tmp_path, scenario, key):
+    cfg = small_configs()[scenario]
+    cfg[key] = 0
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    code = cli.main([scenario, "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("scenario", ["null-product-invariance", "mass-pairing"])
+def test_nan_amplitude_is_config_error(tmp_path, scenario):
+    cfg = small_configs()[scenario]
+    cfg["potential"] = {"kind": "harmonic", "amplitude": float("nan"), "frequency": 1.0}
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    code = cli.main([scenario, "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_measurement_fails_with_strict_json_summary(tmp_path):
+    # u this close to 0 overflows the kernel phase: every kernel entry is NaN
+    cfg = small_configs()["fp-kernel-export"]
+    cfg["u_values"] = [-1e-320]
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code = cli.main(["fp-kernel-export", "--config", cfg_path, "--out", str(out)])
+    assert code == cli.EXIT_ASSERTION
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["spin_adjoint_symmetry"]["measured"] is None
+    assert checks["spin_adjoint_symmetry"]["passed"] is False
+    assert summary["passed"] is False
+
+
+def test_checks_fail_on_non_finite_measurements():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        assert not cli._leq("x", bad, 1.0).passed
+        assert not cli._geq("x", bad, -1.0).passed
+    assert np.isnan(cli._worst([1.0, float("nan"), 2.0]))
+    assert cli._worst([]) == 0.0

@@ -173,3 +173,17 @@ def test_bad_inputs_rejected():
         TabulatedPotential([0, 1], [0, 1])
     with pytest.raises(ValueError):
         potential_from_descriptor({"kind": "nope"})
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "harmonic", "amplitude": float("nan"), "frequency": 1.0},
+    {"kind": "harmonic", "amplitude": 0.2, "frequency": float("inf")},
+    {"kind": "pulse", "amplitude": 0.1, "frequency": float("nan"), "width": 1.0},
+    {"kind": "pulse", "amplitude": 0.1, "frequency": 2.0, "width": float("inf")},
+    {"kind": "tabulated", "s": [0.0, 1.0, 2.0, 3.0], "a2": [0.0, float("nan"), 0.0, 0.0]},
+    {"kind": "tabulated", "s": [0.0, 1.0, 2.0, 3.0], "a2": [0.0] * 4,
+     "a3": [0.0, 0.0, float("-inf"), 0.0]},
+])
+def test_non_finite_descriptor_fields_rejected(desc):
+    with pytest.raises(ValueError, match="finite"):
+        potential_from_descriptor(desc)

@@ -6,7 +6,12 @@ import pytest
 from conftest import gl_grid, random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
 from volkovfp.modes import MassFamily, ModeParams, WavePacket, smooth_bump
-from volkovfp.potential import HarmonicPotential, ZeroPotential, phase_integrand
+from volkovfp.potential import (
+    HarmonicPotential,
+    ZeroPotential,
+    phase_integrand,
+    transverse_phase,
+)
 from volkovfp.projector import (
     KernelSample,
     SmearedProfile,
@@ -201,6 +206,14 @@ def test_extrapolate_to_zero_polynomial():
     assert extrapolate_to_zero(xs, ys) == pytest.approx(7.0, rel=1e-12)
 
 
+def test_repeated_abscissae_rejected(rng):
+    with pytest.raises(ValueError, match="distinct"):
+        extrapolate_to_zero([0.1, 0.1, 0.05], [1.0, 1.0, 2.0])
+    fam = _family(rng, (0.8, 1.2), n_masses=5, nk=1)
+    with pytest.raises(ValueError, match="repeat"):
+        mass_oscillation_check(fam, fam, POT, epsilons=(0.1, 0.1, 0.05))
+
+
 # ---------------------------------------------------------------------------
 # mass oscillation
 
@@ -280,6 +293,65 @@ def test_mass_oscillation_epsilon_path_matches_analytic(rng):
         total += 4.0 * np.pi ** 3 * grid.quad_weights[i] * np.einsum(
             "mn,mn,mn,mn->", pref, mass_sum, inner, gaussian)
     assert result.lhs_by_epsilon[0] == pytest.approx(total, rel=1e-10)
+
+
+def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc=8):
+    """Regulated spacetime pairing from the full (m, n, s) pairing tensor."""
+    masses = fam_psi.masses
+    mw = fam_psi.mass_quad_weights
+    grid = fam_psi.node_packet
+    half_width = np.sqrt(np.log(1.0 / tail) / min(epsilons))
+    out = np.zeros(len(epsilons), dtype=complex)
+    for i in range(grid.n_nodes):
+        u, k2, k3 = grid.u[i], grid.k2[i], grid.k3[i]
+        beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * abs(u))
+        ds = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
+        n_half = int(np.ceil(half_width / ds))
+        s_grid = ds * np.arange(-n_half, n_half + 1)
+        base = transverse_phase(pot, k2, k3, 0.0, s_grid)
+        osc = np.exp(-1j * (base[None, :] + np.square(masses)[:, None] * s_grid) / (4.0 * u))
+        slash = np.array([transverse_slash(k2, k3, pot.a2(s), pot.a3(s)) for s in s_grid])
+
+        def completed(family):
+            chi0 = np.array([pkt.chi0[i] for pkt in family.packets])
+            ops = ID4 - N_PLUS @ (slash[None] - masses[:, None, None, None] * ID4) / (2.0 * u)
+            return np.einsum("mscd,md->msc", ops, chi0)
+
+        pairing = np.einsum("msc,cd,nsd->mns", np.conj(completed(fam_psi)),
+                            dirac_gamma(0), completed(fam_phi))
+        w_psi = np.array([pkt.weights[i] for pkt in fam_psi.packets])
+        w_phi = np.array([pkt.weights[i] for pkt in fam_phi.packets])
+        left = (mw * fam_psi.eta * np.conj(w_psi))[:, None] * np.conj(osc)
+        right = (mw * fam_phi.eta * w_phi)[:, None] * osc
+        for j, eps in enumerate(epsilons):
+            s_w = ds * np.exp(-eps * np.square(s_grid))
+            out[j] += 4.0 * np.pi ** 3 * grid.quad_weights[i] * np.einsum(
+                "ms,ns,mns,s->", left, right, pairing, s_w)
+    return out
+
+
+def test_mass_oscillation_matches_brute_force_contraction(rng):
+    masses = np.linspace(0.8, 1.2, 7)
+    n = 6
+    u = -rng.uniform(0.06, 0.2, n)
+    k2 = rng.normal(0.0, 0.3, n)
+    k3 = rng.normal(0.0, 0.3, n)
+    qw = rng.uniform(0.1, 1.0, n)
+
+    def family(eta):
+        packets = [WavePacket(m=float(m), u=u, k2=k2, k3=k3, chi0=random_pi_minus(rng, n),
+                              weights=rng.normal(size=n) + 1j * rng.normal(size=n),
+                              quad_weights=qw) for m in masses]
+        return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+                          mass_quad_weights=np.full(masses.size, 0.4 / 6), packets=packets)
+
+    bump = smooth_bump(masses, 0.8, 1.2)
+    fam_psi = family(bump)
+    fam_phi = family(bump * (1.0 + 2.0 * masses))
+    epsilons = (0.1, 0.3, 0.15)
+    result = mass_oscillation_check(fam_psi, fam_phi, POT, epsilons=epsilons)
+    expected = _brute_force_lhs(fam_psi, fam_phi, POT, epsilons)
+    np.testing.assert_allclose(result.lhs_by_epsilon, expected, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

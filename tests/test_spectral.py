@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from volkovfp.modes import ModeParams
 from volkovfp.potential import HarmonicPotential, transverse_phase
@@ -250,7 +251,7 @@ def test_windows():
     w = h.sample(s)
     assert w[0] == 0.0 and w[-1] == 0.0
     assert np.max(w) == pytest.approx(1.0, abs=1e-4)
-    assert np.trapezoid(w ** 2, s) == pytest.approx(h.sq_integral(), rel=1e-6)
+    assert trapezoid(w ** 2, s) == pytest.approx(h.sq_integral(), rel=1e-6)
     for win in (g, h):
         clone = window_from_descriptor(win.descriptor())
         assert np.allclose(clone.sample(s), win.sample(s))
