@@ -14,6 +14,7 @@ clifford    fixed Dirac matrices, light-cone operators, spin inner product
 potential   plane-wave potential profiles and their cumulative phase
 modes       single modes, wavepackets, null-surface scalar products
 projector   Green's functions, signature sign, projector kernel
+quadrature  the checked Gauss-Legendre panel rule for the s integrals
 spectral    sidebands, windowed transforms, decay-order fits
 cli         batch scenario runner
 """

@@ -10,9 +10,10 @@ Every run reads a single versioned JSON config, writes CSV artifacts
 (each carrying a comment line with the config hash) plus a
 machine-readable summary.json with one pass/fail entry per assertion,
 and exits 0 on pass, 1 on assertion failure, 2 on config errors and 3
-on numerical-domain errors.  Worker fan-out never changes results: work
-is split into fixed-size chunks and reduced in chunk order, so CSV
-output is byte-identical for any worker count.
+on numerical-domain errors.  Only dirac-residual fans out to worker
+processes, never more than the CPU count, and fan-out never changes
+results: work is split into fixed-size chunks and reduced in chunk
+order, so CSV output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .projector import (
     signature_sign,
     write_kernel_csv,
 )
+from .quadrature import gl_panels
 from .spectral import (
     GaussianWindow,
     UndersampledGridError,
@@ -66,6 +68,7 @@ from .spectral import (
     spectrum_fft,
     tail_decay_orders,
     transform_l2,
+    transform_rule,
     window_from_descriptor,
     windowed_phase_transform,
     write_lines_csv,
@@ -172,8 +175,7 @@ def _gl_grid(triple, what: str):
     lo, hi, n = float(triple[0]), float(triple[1]), int(triple[2])
     if not (lo < hi and n >= 1):
         raise ConfigError(f"{what} must satisfy lo < hi and n >= 1")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+    return gl_panels(lo, hi, n)
 
 
 def _chunks(items, size: int):
@@ -181,8 +183,12 @@ def _chunks(items, size: int):
 
 
 def parallel_map(fn, items: list, workers: int, chunk_size: int = 32) -> list:
-    """Map fn over fixed-size chunks; reduction order never depends on workers."""
+    """Map fn over fixed-size chunks; reduction order never depends on workers.
+
+    The pool never gets more processes than there are CPUs.
+    """
     chunks = _chunks(items, chunk_size)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(chunks) <= 1:
         parts = [fn(chunk) for chunk in chunks]
     else:
@@ -612,18 +618,37 @@ def run_sidebands(cfg, outdir: Path, workers: int):
     return checks, [an_path.name, fft_path.name]
 
 
+def _v_fit(cfg) -> tuple[float, float, int]:
+    bounds = _require(cfg, "v_fit", list)
+    if (len(bounds) != 3 or not all(_is_number(x) for x in bounds)
+            or not float(bounds[2]).is_integer()):
+        raise ConfigError("v_fit must be [lo, hi, n] with an integer n")
+    lo, hi, n = float(bounds[0]), float(bounds[1]), int(bounds[2])
+    if not (0 < lo < hi < np.inf and n >= 8):
+        raise ConfigError("v_fit must satisfy 0 < lo < hi and n >= 8")
+    return lo, hi, n
+
+
 def run_wavefront_probe(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    mode = ModeParams(_require(cfg, "k2", float), _require(cfg, "k3", float),
-                      _require(cfg, "u", float), _require(cfg, "m", float))
-    window = window_from_descriptor(_require(cfg, "window", dict))
-    fit_bounds = _require(cfg, "v_fit", list)
-    v_lo, v_hi, n_fit = float(fit_bounds[0]), float(fit_bounds[1]), int(fit_bounds[2])
+    k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
+    u, m = _require(cfg, "u", float), _require(cfg, "m", float)
+    window_desc = _require(cfg, "window", dict)
+    try:
+        mode = ModeParams(k2, k3, u, m)
+        window = window_from_descriptor(window_desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad wavefront-probe mode or window: {exc}") from exc
+    v_lo, v_hi, n_fit = _v_fit(cfg)
     order_min = _require(cfg, "order_min", float)
     pl_cfg = _require(cfg, "plancherel", dict)
     v_max = _require(pl_cfg, "v_max", float, "plancherel")
     dv = _require(pl_cfg, "dv", float, "plancherel")
     pl_tol = _require(pl_cfg, "tolerance", float, "plancherel")
+    if not 0 < v_max < np.inf:
+        raise ConfigError("plancherel v_max must be positive")
+    if not 0 < dv < v_max:
+        raise ConfigError("plancherel dv must satisfy 0 < dv < v_max")
 
     v_fit = np.geomspace(v_lo, v_hi, n_fit)
     f_fit = windowed_phase_transform(mode, pot, window, v_fit)
@@ -634,17 +659,22 @@ def run_wavefront_probe(cfg, outdir: Path, workers: int):
     l2 = transform_l2(v_dense, f_dense)
     ref = plancherel_reference(window)
     pl_err = abs(l2 - ref) / ref
+    rules = {"fit": transform_rule(mode, pot, window, v_fit),
+             "plancherel": transform_rule(mode, pot, window, v_dense)}
 
     asym_cfg = cfg.get("asymmetry_report")
     asym = None
     if asym_cfg:
-        asym_mode = ModeParams(
-            float(asym_cfg.get("k2", mode.k2)), float(asym_cfg.get("k3", mode.k3)),
-            float(asym_cfg.get("u", mode.u)), float(asym_cfg.get("m", mode.m)))
-        asym_pot = (potential_from_descriptor(asym_cfg["potential"])
-                    if "potential" in asym_cfg else pot)
-        asym_window = (window_from_descriptor(asym_cfg["window"])
-                       if "window" in asym_cfg else window)
+        try:
+            asym_mode = ModeParams(
+                float(asym_cfg.get("k2", mode.k2)), float(asym_cfg.get("k3", mode.k3)),
+                float(asym_cfg.get("u", mode.u)), float(asym_cfg.get("m", mode.m)))
+            asym_pot = (potential_from_descriptor(asym_cfg["potential"])
+                        if "potential" in asym_cfg else pot)
+            asym_window = (window_from_descriptor(asym_cfg["window"])
+                           if "window" in asym_cfg else window)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad asymmetry_report: {exc}") from exc
         asym = tail_decay_orders(asym_mode, asym_pot, asym_window, v_lo, v_hi)
 
     chash = _config_hash(cfg)
@@ -656,7 +686,11 @@ def run_wavefront_probe(cfg, outdir: Path, workers: int):
         _geq("positive_tail_decay_order", order, order_min),
         _leq("plancherel_relative_error", pl_err, pl_tol),
     ]
-    extra = {"fit_residual": resid}
+    extra = {
+        "fit_residual": resid,
+        "transform_error_estimate": _worst(r.error_estimate for r in rules.values()),
+        "s_nodes": {name: int(r.nodes.size) for name, r in rules.items()},
+    }
     if asym is not None:
         extra["asymmetry_report"] = asym
     return checks, [fit_path.name, dense_path.name], extra
@@ -731,6 +765,19 @@ def run_scenario(scenario: str, cfg: dict, outdir: Path, workers: int) -> dict:
     return summary
 
 
+def _worker_count(requested) -> int:
+    """--workers, else VOLKOV_FP_WORKERS, else 1; it must be a positive integer."""
+    if requested is None:
+        env = os.environ.get("VOLKOV_FP_WORKERS", "1")
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ConfigError(f"VOLKOV_FP_WORKERS must be an integer, got {env!r}") from None
+    if requested < 1:
+        raise ConfigError(f"worker count must be at least 1, got {requested}")
+    return requested
+
+
 def _show(x) -> str:
     return "non-finite" if x is None else f"{x:.6g}"
 
@@ -745,15 +792,16 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("VOLKOV_FP_WORKERS", "1")),
-        help="worker processes (default from VOLKOV_FP_WORKERS, else 1)",
+        "--workers", type=int, default=None,
+        help="worker processes for dirac-residual, at most the CPU count "
+             "(default from VOLKOV_FP_WORKERS, else 1)",
     )
     args = parser.parse_args(argv)
 
     try:
+        workers = _worker_count(args.workers)
         cfg = _load_config(args.config, args.scenario)
-        summary = run_scenario(args.scenario, cfg, Path(args.out), args.workers)
+        summary = run_scenario(args.scenario, cfg, Path(args.out), workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -56,6 +56,7 @@ import numpy as np
 from .clifford import dirac_gamma, lightcone_operators, transverse_slash
 from .modes import GridMismatchError, MassFamily, ModeParams
 from .potential import PlaneWavePotential, phase, transverse_phase
+from .quadrature import checked_panels, phase_rate
 
 __all__ = [
     "GreenAB",
@@ -450,25 +451,15 @@ class SmearedProfile:
         return ModeParams(float(self.k2[i]), float(self.k3[i]), float(self.u[i]), self.m)
 
 
-def _gl_panel_rule(lo: float, hi: float, max_width: float, order: int = 32):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(np.ceil((hi - lo) / max_width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    s = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    w = (half[:, None] * weights[None, :]).reshape(-1)
-    return s, w
-
-
 def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
-                    pot: PlaneWavePotential, *, gl_order: int = 32) -> complex:
+                    pot: PlaneWavePotential) -> complex:
     """Projector pairing of two test profiles over a shared (u<0, k2, k3) grid.
 
     Computes sum_i qw_i  double-integral  conj(f_phi(s)) f_psi(s~)
     <chi_phi | P_i(s,s~) chi_psi>  ds ds~.  The kernel phase factorises
     as E(s~,s) = e(s) conj(e(s~)), so the double integral splits into
-    products of single s-integrals evaluated on Gauss-Legendre panels.
+    products of single s-integrals, all evaluated on one checked
+    Gauss-Legendre panel rule per node (``volkovfp.quadrature``).
     """
     if profile_phi.m != profile_psi.m or not (
         np.array_equal(profile_phi.u, profile_psi.u)
@@ -481,48 +472,35 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
     m = profile_phi.m
     lo = min(profile_phi.s_support[0], profile_psi.s_support[0])
     hi = max(profile_phi.s_support[1], profile_psi.s_support[1])
+    g2, g3 = dirac_gamma(2), dirac_gamma(3)
     total = 0.0 + 0.0j
     for i in range(profile_phi.u.shape[0]):
         mode = profile_phi.node_mode(i)
         u = mode.u
-        # local oscillation rate of e(s) bounds the panel width
-        probe = np.linspace(lo, hi, 64)
-        q_max = float(np.max(
-            (mode.k2 + np.asarray(pot.a2(probe))) ** 2
-            + (mode.k3 + np.asarray(pot.a3(probe))) ** 2
-        )) + m * m
-        freq = q_max / (4.0 * abs(u))
-        width = min((hi - lo) / 8.0, 2.0 * np.pi / (8.0 * max(freq, 1.0)))
-        s_nodes, s_w = _gl_panel_rule(lo, hi, width, gl_order)
-
-        zeta_vals = transverse_phase(pot, mode.k2, mode.k3, 0.0, s_nodes) + m * m * s_nodes
-        e_vals = np.exp(-1j * zeta_vals / (4.0 * u))
-
-        a2 = np.asarray(pot.a2(s_nodes), dtype=float)
-        a3 = np.asarray(pot.a3(s_nodes), dtype=float)
-        g2, g3 = dirac_gamma(2), dirac_gamma(3)
-        aslash = (
-            np.multiply.outer(mode.k2 + a2, g2) + np.multiply.outer(mode.k3 + a3, g3)
-        )
-        front = (aslash + m * _ID4) / (2.0 * u)
-        u_mat = _N_MINUS[None, :, :] + front @ _PI_PLUS
-        v_mat = _PI_MINUS[None, :, :] + front @ _N_PLUS
-
-        chi_phi = profile_phi.spinors[i]
+        bra = np.conj(profile_phi.spinors[i]) @ _GAMMA0
         chi_psi = profile_psi.spinors[i]
-        f_phi = np.asarray(profile_phi.envelopes[i](s_nodes), dtype=complex)
-        f_psi = np.asarray(profile_psi.envelopes[i](s_nodes), dtype=complex)
+        env_phi, env_psi = profile_phi.envelopes[i], profile_psi.envelopes[i]
 
-        left_weight = s_w * np.conj(f_phi) * e_vals
-        bra = np.conj(chi_phi) @ _GAMMA0
-        i_u = np.einsum("s,sd->d", left_weight, np.einsum("c,scd->sd", bra, u_mat))
-        i_v = np.einsum("s,sd->d", left_weight, np.einsum("c,scd->sd", bra, v_mat))
+        def integrands(s):
+            """(s, 13) integrands of i_u (4), i_v (4), j_0 (1) and j_a (4)."""
+            zeta_vals = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + m * m * s
+            e_vals = np.exp(-1j * zeta_vals / (4.0 * u))
+            a2 = np.asarray(pot.a2(s), dtype=float)
+            a3 = np.asarray(pot.a3(s), dtype=float)
+            slash_m = (np.multiply.outer(mode.k2 + a2, g2) + np.multiply.outer(mode.k3 + a3, g3)
+                       + m * _ID4)
+            front = slash_m / (2.0 * u)
+            left = np.conj(np.asarray(env_phi(s), dtype=complex)) * e_vals
+            right = np.asarray(env_psi(s), dtype=complex) * np.conj(e_vals)
+            return np.concatenate([
+                left[:, None] * (bra @ (_N_MINUS + front @ _PI_PLUS)),
+                left[:, None] * (bra @ (_PI_MINUS + front @ _N_PLUS)),
+                right[:, None],
+                right[:, None] * (slash_m @ chi_psi),
+            ], axis=1)
 
-        right_weight = s_w * f_psi * np.conj(e_vals)
-        j_0 = np.sum(right_weight)
-        j_a = np.einsum("s,sc->c", right_weight,
-                        np.einsum("scd,d->sc", aslash + m * _ID4, chi_psi))
-
-        node_val = (i_u @ chi_psi) * j_0 + (i_v @ j_a) / (2.0 * u)
+        rule = checked_panels(lo, hi, phase_rate(mode, pot, lo, hi), integrands)
+        i_u, i_v, j_0, j_a = np.split(rule.weights @ rule.values, [4, 8, 9])
+        node_val = (i_u @ chi_psi) * j_0[0] + (i_v @ j_a) / (2.0 * u)
         total += profile_phi.quad_weights[i] * node_val / _TWO_PI_4
     return complex(total)

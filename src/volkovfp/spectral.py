@@ -27,11 +27,13 @@ coherent gain divided out.
 
     F(v) = int f(s) g(s) e^{-i Phi(0,s)/4u} e^{i v s} ds        (g = 1)
 
-by Gauss-Legendre panels sized to the oscillation, for the one-sided
-rapid-decay diagnostic: for u < 0 the phase derivative of the integrand
-never vanishes once v > m^2/(8u), so F decays rapidly towards positive
-v while Plancherel, int |F|^2 dv = 2 pi int |f g|^2 ds, rules out any
-spurious global smallness.
+with the checked Gauss-Legendre panel rule of ``volkovfp.quadrature``
+(panels a few wavelengths of the fastest oscillation wide, accepted only
+when halving them leaves F unchanged), for the one-sided rapid-decay
+diagnostic: for u < 0 the phase derivative of the integrand never
+vanishes once v > m^2/(8u), so F decays rapidly towards positive v while
+Plancherel, int |F|^2 dv = 2 pi int |f g|^2 ds, rules out any spurious
+global smallness.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from scipy.special import jv
 
 from .modes import ModeParams
 from .potential import PlaneWavePotential, transverse_phase
+from .quadrature import PanelRule, UndersampledGridError, checked_panels, phase_rate
 
 __all__ = [
     "SpectrumLine",
@@ -54,6 +57,7 @@ __all__ = [
     "harmonic_sidebands_analytic",
     "spectrum_fft",
     "windowed_phase_transform",
+    "transform_rule",
     "transform_l2",
     "plancherel_reference",
     "decay_order_fit",
@@ -61,10 +65,6 @@ __all__ = [
     "write_lines_csv",
     "write_transform_csv",
 ]
-
-
-class UndersampledGridError(ValueError):
-    """Raised when an FFT grid cannot resolve the requested spectrum."""
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class GaussianWindow:
     _CUT = 9.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("window width must be positive")
+        if not (np.isfinite(self.center) and 0 < self.width < np.inf):
+            raise ValueError("window center must be finite and width positive")
 
     def sample(self, s):
         s = np.asarray(s, dtype=float)
@@ -256,44 +256,47 @@ def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
 # windowed phase transform
 
 
-def _gl_panels(lo: float, hi: float, max_width: float, order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_panels = max(1, int(np.ceil((hi - lo) / max_width)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    s = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    w = (half[:, None] * weights[None, :]).reshape(-1)
-    return s, w
+def _transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
+                    weight) -> PanelRule:
+    lo, hi = window.support()
+
+    def core(s):
+        zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + mode.m ** 2 * s
+        f = np.asarray(window.sample(s), dtype=complex) * np.exp(-1j * zeta / (4.0 * mode.u))
+        if weight is not None:
+            f = f * np.asarray(weight(s), dtype=complex)
+        return f
+
+    v_ends = (v_grid.min(), v_grid.max()) if v_grid.size else (0.0,)
+    return checked_panels(lo, hi, phase_rate(mode, pot, lo, hi), core, v_ends)
+
+
+def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
+                   weight=None) -> PanelRule:
+    """The checked panel rule windowed_phase_transform integrates with.
+
+    Its nodes, weights and error_estimate (the halving estimate at the two
+    ends of the v grid) report how a transform was obtained.
+    """
+    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
+    return _transform_rule(mode, pot, window, v_grid, weight)
 
 
 def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
-                             v_grid, *, gl_order: int = 32,
-                             weight=None) -> np.ndarray:
+                             v_grid, *, weight=None) -> np.ndarray:
     """F(v) = int f(s) g(s) e^{-i Phi(0,s)/4u} e^{i v s} ds on the given v grid.
 
     weight is the optional smooth scalar channel g(s) (default 1).  The
-    quadrature uses Gauss-Legendre panels no wider than an eighth of the
-    fastest oscillation among the phase factor and the largest |v|.
+    quadrature is the checked Gauss-Legendre panel rule of
+    ``volkovfp.quadrature``: panels a few wavelengths of the fastest
+    oscillation wide (phase rate plus the largest |v|), accepted only
+    when halving them changes F at both ends of the v grid by at most
+    1e-12 of sum |w f g|; otherwise UndersampledGridError is raised.
     """
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    lo, hi = window.support()
-    probe = np.linspace(lo, hi, 128)
-    q_max = float(np.max(
-        (mode.k2 + np.asarray(pot.a2(probe))) ** 2
-        + (mode.k3 + np.asarray(pot.a3(probe))) ** 2
-    )) + mode.m ** 2
-    phase_freq = q_max / (4.0 * abs(mode.u))
-    v_max = float(np.max(np.abs(v_grid))) if v_grid.size else 1.0
-    fastest = max(phase_freq, v_max, 1e-9)
-    width = min((hi - lo) / 8.0, 2.0 * np.pi / (8.0 * fastest))
-    s, w = _gl_panels(lo, hi, width, gl_order)
-
-    zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + mode.m ** 2 * s
-    core = np.asarray(window.sample(s), dtype=complex) * np.exp(-1j * zeta / (4.0 * mode.u))
-    if weight is not None:
-        core = core * np.asarray(weight(s), dtype=complex)
-    core = core * w
+    rule = _transform_rule(mode, pot, window, v_grid, weight)
+    s = rule.nodes
+    core = rule.weights * rule.values
 
     out = np.empty(v_grid.shape, dtype=complex)
     chunk = max(1, int(2_000_000 // max(s.size, 1)))

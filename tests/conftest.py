@@ -40,11 +40,6 @@ def companion_packet(rng, packet):
     )
 
 
-def gl_grid(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -282,3 +282,94 @@ def test_checks_fail_on_non_finite_measurements():
         assert not cli._geq("x", bad, -1.0).passed
     assert np.isnan(cli._worst([1.0, float("nan"), 2.0]))
     assert cli._worst([]) == 0.0
+
+
+@pytest.mark.parametrize("override", [
+    {"v_fit": [5.0, 50.0]},
+    {"v_fit": [5.0, 50.0, 4]},
+    {"v_fit": [-5.0, 50.0, 25]},
+    {"v_fit": [50.0, 5.0, 25]},
+    {"v_fit": [5.0, 50.0, 12.5]},
+    {"plancherel": {"v_max": 60.0, "dv": 0.0, "tolerance": 1e-6}},
+    {"plancherel": {"v_max": 60.0, "dv": 80.0, "tolerance": 1e-6}},
+    {"plancherel": {"v_max": -1.0, "dv": 0.2, "tolerance": 1e-6}},
+    {"u": 0.0},
+    {"window": {"kind": "boxcar"}},
+    {"window": {"kind": "gaussian", "center": 0.0, "width": float("nan")}},
+    {"window": {"kind": "hann", "lo": 1.0, "hi": -1.0}},
+    {"asymmetry_report": {"u": 0.0}},
+], ids=["two-element-v-fit", "too-few-fit-points", "negative-v-fit", "reversed-v-fit",
+        "fractional-fit-count", "zero-dv", "dv-above-v-max", "negative-v-max", "zero-u",
+        "unknown-window", "nan-gaussian-width", "empty-hann-support", "zero-u-asymmetry"])
+def test_bad_wavefront_probe_config_is_config_error(tmp_path, capsys, override):
+    cfg = small_configs()["wavefront-probe"]
+    cfg.update(override)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code = cli.main(["wavefront-probe", "--config", cfg_path, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_wavefront_probe_summary_reports_its_quadrature(tmp_path):
+    cfg_path = write_config(tmp_path, "cfg.json", small_configs()["wavefront-probe"])
+    out = tmp_path / "out"
+    assert cli.main(["wavefront-probe", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_PASS
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["transform_error_estimate"] <= 1e-12
+    assert set(summary["s_nodes"]) == {"fit", "plancherel"}
+    assert all(n > 0 and n % 32 == 0 for n in summary["s_nodes"].values())
+    header = (out / "wavefront_dense.csv").read_text().splitlines()[1]
+    assert header == "v,re_F,im_F"
+
+
+class _RecordingContext:
+    """Stands in for a multiprocessing context: records pool sizes, maps inline."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return [fn(chunk) for chunk in chunks]
+
+
+@pytest.mark.parametrize("requested, expected", [(64, 2), (2, 2), (1, None)])
+def test_workers_clamped_to_cpu_count(tmp_path, monkeypatch, requested, expected):
+    ctx = _RecordingContext()
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    cfg_path = write_config(tmp_path, "cfg.json", small_configs()["dirac-residual"])
+    code = cli.main(["dirac-residual", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--workers", str(requested)])
+    assert code == cli.EXIT_PASS
+    assert ctx.pool_sizes == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("argv_workers, env", [
+    (["--workers", "0"], None),
+    (["--workers", "-3"], None),
+    ([], "two"),
+    ([], "0"),
+])
+def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, argv_workers, env):
+    if env is None:
+        monkeypatch.delenv("VOLKOV_FP_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("VOLKOV_FP_WORKERS", env)
+    cfg_path = write_config(tmp_path, "cfg.json", small_configs()["dirac-residual"])
+    code = cli.main(["dirac-residual", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     *argv_workers])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")

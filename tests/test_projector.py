@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import gl_grid, random_pi_minus
+from conftest import random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
 from volkovfp.modes import MassFamily, ModeParams, WavePacket, smooth_bump
 from volkovfp.potential import (
@@ -25,6 +25,7 @@ from volkovfp.projector import (
     signature_sign,
     write_kernel_csv,
 )
+from volkovfp.quadrature import UndersampledGridError, gl_panels
 
 TWO_PI_3 = (2.0 * np.pi) ** 3
 TWO_PI_4 = (2.0 * np.pi) ** 4
@@ -222,9 +223,9 @@ def _family(rng, eta_support, interval=(0.8, 1.2), n_masses=13,
             u_window=(-0.1, -0.05), nk=2):
     masses = np.linspace(interval[0], interval[1], n_masses)
     mass_w = np.full(n_masses, (interval[1] - interval[0]) / (n_masses - 1))
-    u, uw = gl_grid(u_window[0], u_window[1], 5)
-    k2, k2w = gl_grid(-0.3, 0.3, nk)
-    k3, k3w = gl_grid(-0.3, 0.3, nk)
+    u, uw = gl_panels(u_window[0], u_window[1], 5)
+    k2, k2w = gl_panels(-0.3, 0.3, nk)
+    k3, k3w = gl_panels(-0.3, 0.3, nk)
     uu, kk2, kk3 = np.meshgrid(u, k2, k3, indexing="ij")
     qw = np.einsum("i,j,k->ijk", uw, k2w, k3w).ravel()
     chi0 = random_pi_minus(rng, uu.size)
@@ -411,6 +412,15 @@ def test_fp_pair_smeared_quadratic_scaling(rng):
     base = fp_pair_smeared(phi, phi, POT)
     big = fp_pair_smeared(scaled, scaled, POT)
     assert big == pytest.approx(2.5 ** 2 * base, rel=1e-12)
+
+
+def test_fp_pair_smeared_raises_when_check_cannot_be_met(rng):
+    phi, psi = _profiles(rng)
+    stepped = SmearedProfile(phi.m, phi.u, phi.k2, phi.k3, phi.quad_weights, phi.spinors,
+                             [lambda s: np.where(np.asarray(s) > 1.0 / np.pi, 1.0, 0.0)] * 2,
+                             phi.s_support)
+    with pytest.raises(UndersampledGridError):
+        fp_pair_smeared(stepped, psi, POT)
 
 
 def test_smeared_profile_requires_negative_u(rng):

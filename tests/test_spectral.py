@@ -6,6 +6,7 @@ from scipy.integrate import trapezoid
 
 from volkovfp.modes import ModeParams
 from volkovfp.potential import HarmonicPotential, transverse_phase
+from volkovfp import quadrature
 from volkovfp.spectral import (
     GaussianWindow,
     HannWindow,
@@ -17,6 +18,7 @@ from volkovfp.spectral import (
     spectrum_fft,
     tail_decay_orders,
     transform_l2,
+    transform_rule,
     window_from_descriptor,
     windowed_phase_transform,
     write_lines_csv,
@@ -182,6 +184,69 @@ def test_windowed_transform_plancherel_hann():
     l2 = transform_l2(v_grid, f_vals)
     ref = plancherel_reference(window)
     assert l2 == pytest.approx(ref, rel=1e-6)
+
+
+def reference_transform(mode, pot, window, v_grid):
+    """F(v) by the former rule: 32-point Gauss-Legendre panels an eighth of
+    the fastest wavelength wide (phase rate or largest |v|), at most 1/8 of
+    the support, with no a-posteriori check."""
+    lo, hi = window.support()
+    probe = np.linspace(lo, hi, 128)
+    q_max = np.max((mode.k2 + pot.a2(probe)) ** 2 + (mode.k3 + pot.a3(probe)) ** 2) + mode.m ** 2
+    fastest = max(q_max / (4.0 * abs(mode.u)), np.max(np.abs(v_grid)))
+    width = min((hi - lo) / 8.0, 2.0 * np.pi / (8.0 * fastest))
+    n_panels = int(np.ceil((hi - lo) / width))
+    x, wx = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    s = (mid + half * x).ravel()
+    w = (half * wx).ravel()
+    zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + mode.m ** 2 * s
+    core = w * window.sample(s) * np.exp(-1j * zeta / (4.0 * mode.u))
+    return np.exp(1j * np.outer(v_grid, s)) @ core
+
+
+@pytest.mark.parametrize("window", [GaussianWindow(0.0, 0.155), HannWindow(-4.0, 4.0)],
+                         ids=["gaussian", "hann"])
+def test_windowed_transform_matches_reference_rule(window):
+    v = np.linspace(-30.0, 30.0, 121)
+    got = windowed_phase_transform(MODE, POT, window, v)
+    ref = reference_transform(MODE, POT, window, v)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    rule = transform_rule(MODE, POT, window, v)
+    assert rule.error_estimate <= quadrature.TOLERANCE
+    # four wavelengths per panel, not the reference's eighth of one
+    lo, hi = window.support()
+    wavelengths = (hi - lo) * (quadrature.phase_rate(MODE, POT, lo, hi) + 30.0) / (2.0 * np.pi)
+    assert rule.nodes.size == quadrature.ORDER * np.ceil(wavelengths / 4.0)
+
+
+def test_windowed_transform_refines_fast_wave_at_high_v():
+    """A strong fast wave puts sidebands far beyond the phase rate plus |v|;
+    the first panels miss them and the halving check must refine."""
+    pot = HarmonicPotential(5.0, 500.0)
+    window = HannWindow(-1.5, 1.5)
+    v = np.linspace(-400.0, 400.0, 81)
+    rule = transform_rule(MODE, pot, window, v)
+    rate = quadrature.phase_rate(MODE, pot, -1.5, 1.5)
+    first = quadrature.ORDER * np.ceil(
+        3.0 * (rate + 400.0) / (2.0 * np.pi * quadrature.WAVELENGTHS_PER_PANEL))
+    assert rule.nodes.size >= 2 * first
+    assert rule.error_estimate <= quadrature.TOLERANCE
+    got = windowed_phase_transform(MODE, pot, window, v)
+    ref = reference_transform(MODE, pot, window, v)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_windowed_transform_raises_when_check_cannot_be_met():
+    # a jump inside a panel: halving only gains one order, never 1e-12
+    def step(s):
+        return np.where(np.asarray(s) > 1.0 / np.pi, 1.0, 0.0)
+
+    with pytest.raises(UndersampledGridError):
+        windowed_phase_transform(MODE, POT, GaussianWindow(0.0, 0.155),
+                                 np.linspace(-10.0, 10.0, 21), weight=step)
 
 
 def test_windowed_transform_tail_beats_order_eight():
