@@ -140,6 +140,30 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _numbers(cfg: dict, key: str, length: int | None = None) -> list[float]:
+    """A nonempty list of finite numbers, exactly `length` of them when given."""
+    values = _require(cfg, key, list)
+    if (not values or (length is not None and len(values) != length)
+            or not all(_is_number(x) and abs(x) <= sys.float_info.max for x in values)):
+        what = f"{length} finite numbers" if length else "a nonempty list of finite numbers"
+        raise ConfigError(f"{key} must be {what}")
+    return [float(x) for x in values]
+
+
+def _positive_interval(cfg: dict, key: str) -> tuple[float, float]:
+    lo, hi = _numbers(cfg, key, 2)
+    if not 0 < lo < hi:
+        raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi")
+    return lo, hi
+
+
+def _grid_triple(cfg: dict, key: str, n_min: int) -> tuple[float, float, int]:
+    lo, hi, n = _numbers(cfg, key, 3)
+    if not (n.is_integer() and n >= n_min):
+        raise ConfigError(f"{key} must be [lo, hi, n] with an integer n >= {n_min}")
+    return lo, hi, int(n)
+
+
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -168,13 +192,11 @@ def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gl_grid(triple, what: str):
+def _gl_grid(cfg: dict, key: str):
     """[lo, hi, n] -> Gauss-Legendre nodes/weights on [lo, hi]."""
-    if (not isinstance(triple, list)) or len(triple) != 3:
-        raise ConfigError(f"{what} must be [lo, hi, n]")
-    lo, hi, n = float(triple[0]), float(triple[1]), int(triple[2])
-    if not (lo < hi and n >= 1):
-        raise ConfigError(f"{what} must satisfy lo < hi and n >= 1")
+    lo, hi, n = _grid_triple(cfg, key, 1)
+    if not lo < hi:
+        raise ConfigError(f"{key} must satisfy lo < hi")
     return gl_panels(lo, hi, n)
 
 
@@ -332,7 +354,7 @@ def run_null_product_invariance(cfg, outdir: Path, workers: int):
     n_packets = _require_count(cfg, "n_packets")
     n_nodes = _require_count(cfg, "nodes_per_packet")
     tol = _require(cfg, "tolerance", float)
-    s_values = [float(s) for s in _require(cfg, "s_values", list)]
+    s_values = _numbers(cfg, "s_values")
     rng = np.random.default_rng(_require(cfg, "seed", int))
     rows = []
     for p in range(n_packets):
@@ -382,26 +404,16 @@ def run_mass_pairing(cfg, outdir: Path, workers: int):
     return [_leq("max_relative_gap", _worst(r[-1] for r in rows), tol)], [csv_path.name]
 
 
-def _mass_interval(cfg) -> tuple[float, float]:
-    interval = _require(cfg, "mass_interval", list)
-    if len(interval) != 2 or not all(_is_number(x) for x in interval):
-        raise ConfigError("mass_interval must be [lo, hi]")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not 0 < lo < hi < np.inf:
-        raise ConfigError("mass_interval must satisfy 0 < lo < hi")
-    return lo, hi
-
-
 def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
-    interval = _mass_interval(cfg)
+    interval = _positive_interval(cfg, "mass_interval")
     n_masses = _require(cfg, "n_masses", int)
     if n_masses < 2:
         raise ConfigError("n_masses must be at least 2")
     masses = np.linspace(interval[0], interval[1], n_masses)
     mass_w = np.full(n_masses, (interval[1] - interval[0]) / (n_masses - 1))
-    u_n, u_w = _gl_grid(_require(cfg, "u_grid", list), "u_grid")
-    k2_n, k2_w = _gl_grid(_require(cfg, "k2_grid", list), "k2_grid")
-    k3_n, k3_w = _gl_grid(_require(cfg, "k3_grid", list), "k3_grid")
+    u_n, u_w = _gl_grid(cfg, "u_grid")
+    k2_n, k2_w = _gl_grid(cfg, "k2_grid")
+    k3_n, k3_w = _gl_grid(cfg, "k3_grid")
     if np.any(u_n >= 0):
         raise ConfigError("u_grid must be strictly negative for mass-oscillation runs")
     uu, kk2, kk3 = np.meshgrid(u_n, k2_n, k3_n, indexing="ij")
@@ -421,15 +433,14 @@ def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
 
 def run_mass_oscillation(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    epsilons = _require(cfg, "epsilons", list)
-    if not epsilons or not all(_is_number(e) and 0 < e < np.inf for e in epsilons):
-        raise ConfigError("epsilons must be a nonempty list of positive numbers")
-    epsilons = [float(e) for e in epsilons]
+    epsilons = _numbers(cfg, "epsilons")
+    if not all(e > 0 for e in epsilons):
+        raise ConfigError("epsilons must be positive")
     if len(set(epsilons)) != len(epsilons):
         raise ConfigError("epsilons must be distinct")
     tol = _require(cfg, "tolerance", float)
     rng = np.random.default_rng(_require(cfg, "seed", int))
-    fam, _ = _grid_family(cfg, _mass_interval(cfg), rng)
+    fam, _ = _grid_family(cfg, _positive_interval(cfg, "mass_interval"), rng)
     result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
     checks = [_leq("relative_gap", result.relative_gap, tol)]
 
@@ -440,12 +451,12 @@ def run_mass_oscillation(cfg, outdir: Path, workers: int):
 
     if cfg.get("disjoint_null_check", False):
         null_tol = _require(cfg, "null_tolerance", float)
-        lo_sup = [float(x) for x in _require(cfg, "disjoint_support_low", list)]
-        hi_sup = [float(x) for x in _require(cfg, "disjoint_support_high", list)]
+        lo_sup = _positive_interval(cfg, "disjoint_support_low")
+        hi_sup = _positive_interval(cfg, "disjoint_support_high")
         rng_null = np.random.default_rng(_require(cfg, "seed", int))
-        fam_lo, _ = _grid_family(cfg, tuple(lo_sup), rng_null)
+        fam_lo, _ = _grid_family(cfg, lo_sup, rng_null)
         rng_null = np.random.default_rng(_require(cfg, "seed", int))
-        fam_hi, _ = _grid_family(cfg, tuple(hi_sup), rng_null)
+        fam_hi, _ = _grid_family(cfg, hi_sup, rng_null)
         null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=epsilons)
         scale = max(abs(result.lhs), 1e-300)
         checks.append(_leq("null_lhs_over_diagonal", abs(null.lhs) / scale, null_tol))
@@ -464,37 +475,40 @@ def run_mass_oscillation(cfg, outdir: Path, workers: int):
 
 def run_decay_scan(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    u_bounds = _require(cfg, "u_grid", list)
-    if len(u_bounds) != 3:
-        raise ConfigError("u_grid must be [lo, hi, n]")
-    u = np.linspace(float(u_bounds[0]), float(u_bounds[1]), int(u_bounds[2]))
+    u_lo, u_hi, n = _grid_triple(cfg, "u_grid", 2)
+    u = np.linspace(u_lo, u_hi, n)
     if np.any(u == 0):
         raise ConfigError("u grid must avoid u = 0")
     weight_cfg = _require(cfg, "weight", dict)
     center = _require(weight_cfg, "center", float, "weight")
     sigma = _require(weight_cfg, "sigma", float, "weight")
+    if not 0 < sigma < np.inf:
+        raise ConfigError("weight sigma must be positive")
     k2 = _require(cfg, "k2", float)
     k3 = _require(cfg, "k3", float)
     m = _require(cfg, "m", float)
-    l_bounds = _require(cfg, "l_range", list)
+    l_lo, l_hi = _positive_interval(cfg, "l_range")
     n_l = _require(cfg, "n_l", int)
-    s_values = [float(s) for s in _require(cfg, "s_values", list)]
+    if n_l < 8:
+        raise ConfigError("n_l must be at least 8")
+    s_values = _numbers(cfg, "s_values")
     order_min = _require(cfg, "order_min", float)
     rng = np.random.default_rng(_require(cfg, "seed", int))
 
-    n = u.size
     chi0 = np.tile(_random_pi_minus(rng)[0], (n, 1))
     weights = np.exp(-np.square((u - center) / sigma) / 2.0).astype(complex)
-    du = abs(u[1] - u[0]) if n > 1 else 1.0
-    packet = WavePacket(m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
-                        chi0=chi0, weights=weights, quad_weights=np.full(n, du))
-    l_grid = np.geomspace(float(l_bounds[0]), float(l_bounds[1]), n_l)
+    du = abs(u[1] - u[0])
+    try:
+        packet = WavePacket(m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
+                            chi0=chi0, weights=weights, quad_weights=np.full(n, du))
+        single = WavePacket(m=m, u=np.array([u[n // 2]]), k2=np.array([k2]),
+                            k3=np.array([k3]), chi0=chi0[:1],
+                            weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
+    except ValueError as exc:
+        raise ConfigError(f"bad decay-scan packet: {exc}") from exc
+    l_grid = np.geomspace(l_lo, l_hi, n_l)
     l_both = np.concatenate([l_grid, -l_grid])
     report = null_decay_scan(packet, pot, s_values, l_both)
-
-    single = WavePacket(m=m, u=np.array([u[n // 2]]), k2=np.array([k2]),
-                        k3=np.array([k3]), chi0=chi0[:1],
-                        weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
     single_report = null_decay_scan(single, pot, s_values[:1], l_both)
 
     rows = []
@@ -516,36 +530,37 @@ def run_decay_scan(cfg, outdir: Path, workers: int):
 
 def run_fp_kernel_export(cfg, outdir: Path, workers: int):
     pot = _potential(cfg)
-    u_vals = [float(x) for x in _require(cfg, "u_values", list)]
+    u_vals = _numbers(cfg, "u_values")
     if any(x >= 0 for x in u_vals):
         raise ConfigError("u_values must be negative for projector kernels")
-    k2_vals = [float(x) for x in _require(cfg, "k2_values", list)]
-    k3_vals = [float(x) for x in _require(cfg, "k3_values", list)]
+    k2_vals = _numbers(cfg, "k2_values")
+    k3_vals = _numbers(cfg, "k3_values")
     m = _require(cfg, "m", float)
-    s_vals = [float(x) for x in _require(cfg, "s_values", list)]
-    st_vals = [float(x) for x in _require(cfg, "s_tilde_values", list)]
+    s_vals = _numbers(cfg, "s_values")
+    st_vals = _numbers(cfg, "s_tilde_values")
     tol = _require(cfg, "tolerance", float)
+    try:
+        modes = [ModeParams(k2, k3, u, m) for u in u_vals for k2 in k2_vals for k3 in k3_vals]
+    except ValueError as exc:
+        raise ConfigError(f"bad fp-kernel-export mode: {exc}") from exc
 
     samples = []
     sym_gaps, consistency_gaps, coincidence_gaps = [], [], []
-    for u in u_vals:
-        for k2 in k2_vals:
-            for k3 in k3_vals:
-                mode = ModeParams(k2, k3, u, m)
-                scale = 1.0 / (2.0 * np.pi) ** 4
-                for s in s_vals:
-                    coin = abs(complex(fp_scalar_a(mode, pot, s, s)) - scale) / scale
-                    coincidence_gaps.append(coin)
-                    for st in st_vals:
-                        kernel = fp_kernel_momentum(mode, pot, s, st)
-                        samples.append(KernelSample(mode, s, st, kernel))
-                        mirrored = fp_kernel_momentum(mode, pot, st, s)
-                        sym = np.max(np.abs(spin_adjoint(kernel) - mirrored))
-                        causal = causal_fundamental_momentum(mode, pot, s, st)
-                        cons = np.max(np.abs(kernel - (-signature_sign(u)) * causal))
-                        norm = max(np.max(np.abs(kernel)), 1e-300)
-                        sym_gaps.append(sym / norm)
-                        consistency_gaps.append(cons / norm)
+    scale = 1.0 / (2.0 * np.pi) ** 4
+    for mode in modes:
+        for s in s_vals:
+            coin = abs(complex(fp_scalar_a(mode, pot, s, s)) - scale) / scale
+            coincidence_gaps.append(coin)
+            for st in st_vals:
+                kernel = fp_kernel_momentum(mode, pot, s, st)
+                samples.append(KernelSample(mode, s, st, kernel))
+                mirrored = fp_kernel_momentum(mode, pot, st, s)
+                sym = np.max(np.abs(spin_adjoint(kernel) - mirrored))
+                causal = causal_fundamental_momentum(mode, pot, s, st)
+                cons = np.max(np.abs(kernel - (-signature_sign(mode.u)) * causal))
+                norm = max(np.max(np.abs(kernel)), 1e-300)
+                sym_gaps.append(sym / norm)
+                consistency_gaps.append(cons / norm)
     chash = _config_hash(cfg)
     csv_path = outdir / "fp_kernel.csv"
     write_kernel_csv(csv_path, samples, comment=f"config_sha256={chash}")
@@ -564,8 +579,8 @@ def run_sidebands(cfg, outdir: Path, workers: int):
     u, m = _require(cfg, "u", float), _require(cfg, "m", float)
     n_max = _require(cfg, "n_max", int)
     n_compare = _require(cfg, "n_compare", int)
-    periods = _require(cfg, "periods", int)
-    per = _require(cfg, "samples_per_period", int)
+    periods = _require_count(cfg, "periods")
+    per = _require_count(cfg, "samples_per_period")
     amp_tol = _require(cfg, "amplitude_tolerance", float)
     sum_tol = _require(cfg, "sum_sq_tolerance", float)
 
@@ -619,13 +634,9 @@ def run_sidebands(cfg, outdir: Path, workers: int):
 
 
 def _v_fit(cfg) -> tuple[float, float, int]:
-    bounds = _require(cfg, "v_fit", list)
-    if (len(bounds) != 3 or not all(_is_number(x) for x in bounds)
-            or not float(bounds[2]).is_integer()):
-        raise ConfigError("v_fit must be [lo, hi, n] with an integer n")
-    lo, hi, n = float(bounds[0]), float(bounds[1]), int(bounds[2])
-    if not (0 < lo < hi < np.inf and n >= 8):
-        raise ConfigError("v_fit must satisfy 0 < lo < hi and n >= 8")
+    lo, hi, n = _grid_triple(cfg, "v_fit", 8)
+    if not 0 < lo < hi:
+        raise ConfigError("v_fit must satisfy 0 < lo < hi")
     return lo, hi, n
 
 

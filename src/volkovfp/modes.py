@@ -93,6 +93,8 @@ class ModeParams:
     m: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.k2, self.k3, self.u, self.m])):
+            raise ValueError("mode k2, k3, u and m must be finite")
         if self.u == 0:
             raise ValueError("null momentum u must be nonzero")
         if not self.m > 0:
@@ -222,14 +224,14 @@ class WavePacket:
     quad_weights: np.ndarray
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError("packet mass must be positive")
+        if not 0 < self.m < np.inf:
+            raise ValueError("packet mass must be positive and finite")
         u = np.asarray(self.u, dtype=float)
         n = u.shape[0]
         if u.ndim != 1 or n == 0:
             raise ValueError("packet needs at least one node")
-        if np.any(u == 0):
-            raise ValueError("u = 0 is excluded from packet grids")
+        if not np.all(np.isfinite(u)) or np.any(u == 0):
+            raise ValueError("packet u must be finite and nonzero")
         k2 = _as_node_array(self.k2, n, "k2")
         k3 = _as_node_array(self.k3, n, "k3")
         nodes = {(float(a), float(b), float(c)) for a, b, c in zip(u, k2, k3)}
@@ -275,13 +277,7 @@ def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s: float) -> np
 
     Returns an (n_nodes, 4) array w_i exp(-i Phi_i(0,s)/4u_i) chi0_i.
     """
-    m2 = packet.m * packet.m
-    phases = np.array(
-        [
-            transverse_phase(pot, float(k2), float(k3), 0.0, s) + m2 * s
-            for k2, k3 in zip(packet.k2, packet.k3)
-        ]
-    )
+    phases = transverse_phase(pot, packet.k2, packet.k3, 0.0, s) + packet.m * packet.m * s
     factors = packet.weights * np.exp(-1j * phases / (4.0 * packet.u))
     return factors[:, None] * packet.chi0
 

@@ -20,10 +20,10 @@ TabulatedPotential  cubic interpolation of sampled (s, a2, a3); evaluation
                     outside the sample range is a hard error, never an
                     extrapolation
 
-Zero and Harmonic phases are evaluated in closed form; Pulse and
-Tabulated phases fall back to adaptive Gauss-Kronrod quadrature with
-absolute tolerance 1e-12 (the integrand is smooth and non-oscillatory,
-all oscillation lives in complex exponentials applied downstream).
+q is quadratic in the momenta, so each profile enters only through its
+exact moments A2 = int a2, A3 = int a3, B = int (a2^2 + a3^2) (elementary,
+Gaussian, or spline antiderivatives), and the mass-free phase is
+(k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
+from scipy.special import wofz
 
 __all__ = [
     "PotentialDomainError",
@@ -50,8 +50,6 @@ __all__ = [
     "phase",
     "zeta",
 ]
-
-_QUAD_ABS_TOL = 1e-12
 
 
 class PotentialDomainError(ValueError):
@@ -99,13 +97,13 @@ class PlaneWavePotential:
         if not np.all(np.isfinite(s)):
             raise PotentialDomainError("potential queried at non-finite s")
 
+    def moments(self, s):
+        """(A2, A3, B) at s: antiderivatives of a2, a3 and a2^2 + a3^2."""
+        raise NotImplementedError
+
     def descriptor(self) -> dict:
         """JSON-serialisable description of the profile."""
         raise NotImplementedError
-
-    # Closed-form transverse phase; None means "integrate numerically".
-    def _transverse_phase_closed(self, k2, k3, s_from, s_to):
-        return None
 
 
 class ZeroPotential(PlaneWavePotential):
@@ -118,11 +116,12 @@ class ZeroPotential(PlaneWavePotential):
     da2 = a2
     da3 = a2
 
+    def moments(self, s):
+        zero = np.zeros_like(np.asarray(s, dtype=float))
+        return zero, zero, zero
+
     def descriptor(self) -> dict:
         return {"kind": "zero"}
-
-    def _transverse_phase_closed(self, k2, k3, s_from, s_to):
-        return (k2 * k2 + k3 * k3) * (np.asarray(s_to, dtype=float) - s_from)
 
 
 @dataclass(frozen=True)
@@ -151,16 +150,11 @@ class HarmonicPotential(PlaneWavePotential):
     def descriptor(self) -> dict:
         return {"kind": "harmonic", "amplitude": self.amplitude, "frequency": self.frequency}
 
-    def _transverse_phase_closed(self, k2, k3, s_from, s_to):
-        # int (k2 + lam cos(w s))^2 + k3^2
-        #   = (k2^2 + k3^2 + lam^2/2) ds + (2 k2 lam / w) d(sin w s)
-        #     + (lam^2 / 4w) d(sin 2 w s)
+    def moments(self, s):
         lam, w = self.amplitude, self.frequency
-        s_to = np.asarray(s_to, dtype=float)
-        mean = (k2 * k2 + k3 * k3 + 0.5 * lam * lam) * (s_to - s_from)
-        first = (2.0 * k2 * lam / w) * (np.sin(w * s_to) - np.sin(w * s_from))
-        second = (lam * lam / (4.0 * w)) * (np.sin(2.0 * w * s_to) - np.sin(2.0 * w * s_from))
-        return mean + first + second
+        s = np.asarray(s, dtype=float)
+        return ((lam / w) * np.sin(w * s), np.zeros_like(s),
+                0.5 * lam * lam * (s + np.sin(2.0 * w * s) / (2.0 * w)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ class PulsePotential(PlaneWavePotential):
     """Gaussian-enveloped harmonic pulse, a3 = 0.
 
     a2(s) = amplitude * exp(-s^2 / (2 width^2)) * cos(frequency * s).
-    Smooth and rapidly decaying; the phase integral is done by quadrature.
+    Smooth and rapidly decaying; its moments are Gaussian integrals.
     """
 
     amplitude: float
@@ -196,6 +190,14 @@ class PulsePotential(PlaneWavePotential):
         return self._envelope(s) * (-(s / self.width ** 2) * np.cos(w * s) - w * np.sin(w * s))
 
     da3 = a3
+
+    def moments(self, s):
+        # a2^2 is the envelope at width / sqrt(2) times (1 + cos(2 frequency s)) / 2
+        lam, w, f = self.amplitude, self.width, self.frequency
+        s = np.asarray(s, dtype=float)
+        b = 0.5 * lam * lam * (_gaussian_cosine_integral(s, w / np.sqrt(2.0), 0.0)
+                               + _gaussian_cosine_integral(s, w / np.sqrt(2.0), 2.0 * f))
+        return lam * _gaussian_cosine_integral(s, w, f), np.zeros_like(s), b
 
     def descriptor(self) -> dict:
         return {
@@ -235,6 +237,13 @@ class TabulatedPotential(PlaneWavePotential):
         self._a3 = CubicSpline(s, a3)
         self._da2 = self._a2.derivative()
         self._da3 = self._a3.derivative()
+        self._int_a2 = self._a2.antiderivative()
+        self._int_a3 = self._a3.antiderivative()
+        # Square each interval's cubic exactly: degree-6 coefficients sum_{i+j=k} c_i c_j.
+        sq = np.zeros((7, s.size - 1))
+        for i in range(4):
+            sq[i:i + 4] += self._a2.c[i] * self._a2.c + self._a3.c[i] * self._a3.c
+        self._int_sq = PPoly(sq, s).antiderivative()
 
     @property
     def s_min(self) -> float:
@@ -269,6 +278,11 @@ class TabulatedPotential(PlaneWavePotential):
         self.check_domain(s)
         return self._da3(s)
 
+    def moments(self, s):
+        # The antiderivatives vanish at s_min; only differences enter a phase.
+        self.check_domain(s)
+        return self._int_a2(s), self._int_a3(s), self._int_sq(s)
+
     def descriptor(self) -> dict:
         return {
             "kind": "tabulated",
@@ -276,6 +290,21 @@ class TabulatedPotential(PlaneWavePotential):
             "a2": self._a2_samples.tolist(),
             "a3": self._a3_samples.tolist(),
         }
+
+
+def _gaussian_cosine_integral(s, width: float, frequency: float):
+    """int_0^s exp(-t^2 / (2 width^2)) cos(frequency t) dt, scalar or array s.
+
+    With z = |s| / (sqrt(2) width) and b = frequency width / sqrt(2) it is
+    sign(s) width sqrt(pi/2) Re[e^{-b^2} - e^{-z^2 + i frequency |s|} w(b + i z)],
+    w the Faddeeva function.  w stays bounded for z >= 0, so nothing
+    overflows where e^{-b^2} underflows.
+    """
+    s = np.asarray(s, dtype=float)
+    z = np.abs(s) / (np.sqrt(2.0) * width)
+    b = frequency * width / np.sqrt(2.0)
+    tail = np.exp(-z * z + 1j * frequency * np.abs(s)) * wofz(b + 1j * z)
+    return np.sign(s) * width * np.sqrt(0.5 * np.pi) * (np.exp(-b * b) - tail.real)
 
 
 def potential_from_descriptor(desc: dict) -> PlaneWavePotential:
@@ -327,44 +356,19 @@ def phase_integrand(pot: PlaneWavePotential, q: PhaseQuery, s):
     return t2 * t2 + t3 * t3 + q.m * q.m
 
 
-def transverse_phase(pot: PlaneWavePotential, k2: float, k3: float, s_from: float, s_to):
-    """Mass-free part of the phase, int (k2+a2)^2 + (k3+a3)^2 ds.
+def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
+    """Mass-free part of the phase, int_{s_from}^{s_to} (k2+a2)^2 + (k3+a3)^2 ds.
 
-    Accepts scalar or array s_to.  Closed forms for Zero/Harmonic,
-    adaptive quadrature otherwise.
+    (k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB over the profile moments
+    at the two endpoints; momenta and endpoints broadcast against each
+    other (array s_to, or arrays of k2 and k3 at one s).
     """
     pot.check_domain(s_from)
     pot.check_domain(s_to)
-    closed = pot._transverse_phase_closed(k2, k3, s_from, s_to)
-    if closed is not None:
-        return closed
-
-    def integrand(s):
-        t2 = k2 + pot.a2(s)
-        t3 = k3 + pot.a3(s)
-        return t2 * t2 + t3 * t3
-
-    s_to_arr = np.asarray(s_to, dtype=float)
-    if s_to_arr.ndim == 0:
-        val, _ = quad(integrand, s_from, float(s_to_arr), epsabs=_QUAD_ABS_TOL,
-                      epsrel=1e-12, limit=400)
-        return val
-    # Integrate once along the sorted endpoints and accumulate, so an
-    # n-point evaluation costs n quadratures over short subintervals.
-    order = np.argsort(s_to_arr, kind="stable")
-    sorted_s = s_to_arr[order]
-    out_sorted = np.empty_like(sorted_s)
-    prev_s, prev_val = s_from, 0.0
-    for i, s_i in enumerate(sorted_s):
-        if s_i != prev_s:
-            inc, _ = quad(integrand, prev_s, s_i, epsabs=_QUAD_ABS_TOL,
-                          epsrel=1e-12, limit=400)
-            prev_val += inc
-            prev_s = s_i
-        out_sorted[i] = prev_val
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
-    return out
+    a2_to, a3_to, b_to = pot.moments(s_to)
+    a2_from, a3_from, b_from = pot.moments(s_from)
+    return ((k2 * k2 + k3 * k3) * (np.asarray(s_to, dtype=float) - s_from)
+            + 2.0 * k2 * (a2_to - a2_from) + 2.0 * k3 * (a3_to - a3_from) + (b_to - b_from))
 
 
 def phase(pot: PlaneWavePotential, q: PhaseQuery, s_from: float, s_to):

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .potential import phase_integrand
+
 __all__ = [
     "ORDER",
     "WAVELENGTHS_PER_PANEL",
@@ -77,10 +79,7 @@ def phase_rate(mode, pot, lo: float, hi: float) -> float:
     check of ``checked_panels``.
     """
     probe = np.linspace(lo, hi, _RATE_PROBE_POINTS)
-    q_max = float(np.max(
-        (mode.k2 + np.asarray(pot.a2(probe))) ** 2
-        + (mode.k3 + np.asarray(pot.a3(probe))) ** 2
-    )) + mode.m ** 2
+    q_max = float(np.max(phase_integrand(pot, mode.query, probe)))
     return q_max / (4.0 * abs(mode.u))
 
 

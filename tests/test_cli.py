@@ -74,7 +74,9 @@ def test_scenario_mismatch_rejected(tmp_path):
 
 @pytest.mark.parametrize("override", [
     {"u": 0.0}, {"m": -1.0}, {"frequency": 0.0}, {"amplitude": float("nan")},
-], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude"])
+    {"periods": 0}, {"samples_per_period": 0},
+], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude", "zero-periods",
+        "zero-samples-per-period"])
 def test_bad_sidebands_mode_or_wave_rejected(tmp_path, capsys, override):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
     assert cli.main(["sidebands", "--config", cfg_path, "--out", str(tmp_path / "o")]) \
@@ -220,8 +222,10 @@ def test_mass_oscillation_with_disjoint_null(tmp_path):
     {"epsilons": [0.1, 0.0]},
     {"epsilons": [0.1, -0.05]},
     {"mass_interval": [1.2, 0.8]},
+    {"disjoint_null_check": True, "null_tolerance": 1e-3,
+     "disjoint_support_low": [0.8], "disjoint_support_high": [1.12, 1.2]},
 ], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
-        "negative-epsilon", "reversed-interval"])
+        "negative-epsilon", "reversed-interval", "one-number-disjoint-support"])
 def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["mass-oscillation"]
     cfg.update(override)
@@ -245,6 +249,36 @@ def test_zero_draws_is_config_error(tmp_path, scenario, key):
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     code = cli.main([scenario, "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("scenario, override", [
+    ("decay-scan", {"k2": float("nan")}),
+    ("decay-scan", {"m": 0.0}),
+    ("decay-scan", {"u_grid": [-2.0, -0.2, 2.5]}),
+    ("decay-scan", {"u_grid": [-2.0, -0.2, "x"]}),
+    ("decay-scan", {"l_range": [0.0, 10.0]}),
+    ("decay-scan", {"l_range": [5.0]}),
+    ("decay-scan", {"n_l": 7}),
+    ("decay-scan", {"weight": {"center": -1.1, "sigma": 0.0}}),
+    ("fp-kernel-export", {"m": 0.0}),
+    ("fp-kernel-export", {"k2_values": [float("nan")]}),
+    ("fp-kernel-export", {"s_tilde_values": ["a"]}),
+    ("fp-kernel-export", {"s_values": [10 ** 400]}),
+    ("null-product-invariance", {"s_values": [float("nan")]}),
+], ids=["decay-nan-k2", "decay-zero-m", "decay-fractional-u-count", "decay-text-u-count",
+        "decay-zero-l", "decay-one-number-l-range", "decay-few-l", "decay-zero-sigma",
+        "kernel-zero-m", "kernel-nan-k2", "kernel-text-s-tilde", "kernel-huge-s",
+        "null-product-nan-s"])
+def test_bad_grid_or_mode_is_config_error(tmp_path, capsys, scenario, override):
+    cfg = small_configs()[scenario]
+    cfg.update(override)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    code = cli.main([scenario, "--config", cfg_path, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("scenario", ["null-product-invariance", "mass-pairing"])
@@ -298,9 +332,11 @@ def test_checks_fail_on_non_finite_measurements():
     {"window": {"kind": "gaussian", "center": 0.0, "width": float("nan")}},
     {"window": {"kind": "hann", "lo": 1.0, "hi": -1.0}},
     {"asymmetry_report": {"u": 0.0}},
+    {"k2": float("nan")},
 ], ids=["two-element-v-fit", "too-few-fit-points", "negative-v-fit", "reversed-v-fit",
         "fractional-fit-count", "zero-dv", "dv-above-v-max", "negative-v-max", "zero-u",
-        "unknown-window", "nan-gaussian-width", "empty-hann-support", "zero-u-asymmetry"])
+        "unknown-window", "nan-gaussian-width", "empty-hann-support", "zero-u-asymmetry",
+        "nan-k2"])
 def test_bad_wavefront_probe_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["wavefront-probe"]
     cfg.update(override)

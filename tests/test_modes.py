@@ -56,6 +56,24 @@ def test_mode_params_validation():
         ModeParams(0.0, 0.0, -0.5, 0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    (float("nan"), 0.0, -0.5, 1.0), (0.0, float("inf"), -0.5, 1.0),
+    (0.0, 0.0, float("-inf"), 1.0), (0.0, 0.0, -0.5, float("inf")),
+], ids=["nan-k2", "inf-k3", "inf-u", "inf-m"])
+def test_mode_params_reject_non_finite_fields(fields):
+    with pytest.raises(ValueError, match="finite"):
+        ModeParams(*fields)
+
+
+@pytest.mark.parametrize("m, u", [(float("inf"), -0.5), (1.0, float("nan"))],
+                         ids=["inf-mass", "nan-u"])
+def test_packet_rejects_non_finite_mass_or_u(rng, m, u):
+    with pytest.raises(ValueError, match="finite"):
+        WavePacket(m=m, u=np.array([u]), k2=np.zeros(1), k3=np.zeros(1),
+                   chi0=random_pi_minus(rng, 1), weights=np.ones(1, complex),
+                   quad_weights=np.ones(1))
+
+
 def test_amplitude_must_be_pi_minus():
     vec = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     if np.linalg.norm(PI_MINUS @ vec - vec) > 1e-12:

@@ -18,6 +18,7 @@ from volkovfp.potential import (
     phase_integrand,
     potential_from_descriptor,
     tabulated_from_csv,
+    transverse_phase,
     zeta,
 )
 
@@ -102,6 +103,54 @@ def test_pulse_phase_additivity_and_quadrature():
     assert total == pytest.approx(phase(pot, q, -1.0, 0.4) + phase(pot, q, 0.4, 2.0),
                                   rel=1e-12)
     assert total == pytest.approx(quad_phase(pot, q, -1.0, 2.0), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=finite, omega=st.floats(-40.0, 40.0), width=st.floats(0.1, 5.0),
+       k2=finite, k3=finite, m=st.floats(0.3, 2.0),
+       a=st.floats(-15.0, 15.0), b=st.floats(-15.0, 15.0))
+def test_pulse_moments_match_quadrature(lam, omega, width, k2, k3, m, a, b):
+    pot = PulsePotential(lam, omega, width)
+    q = PhaseQuery(k2, k3, m)
+    assert phase(pot, q, a, b) == pytest.approx(quad_phase(pot, q, a, b), rel=1e-10, abs=1e-12)
+
+
+def test_pulse_moments_finite_where_gaussian_factor_underflows():
+    # exp(-(frequency width)^2 / 2) underflows; the moments must not overflow
+    amp, width = 0.7, 30.0
+    pot = PulsePotential(amp, 200.0, width)
+    a2, a3, b = pot.moments(np.array([-300.0, 0.0, 300.0]))
+    assert np.all(np.isfinite(a2)) and np.all(np.isfinite(b)) and np.all(a3 == 0.0)
+    assert b[2] - b[0] == pytest.approx(amp ** 2 * width * np.sqrt(np.pi) / 2.0, rel=1e-12)
+
+
+def test_tabulated_moments_exact_for_the_spline():
+    s = np.linspace(-4.0, 4.0, 33)
+    tab = TabulatedPotential(s, 0.3 * np.cos(1.7 * s) + 0.05 * s, 0.2 * np.sin(s))
+    q = PhaseQuery(0.4, -0.2, 1.0)
+    for a, b in [(-4.0, 4.0), (-3.3, 1.25), (2.9, -0.4), (0.1, 0.1 + 1e-3)]:
+        inner = s[(s > min(a, b)) & (s < max(a, b))]
+        ref, _ = quad(lambda x: phase_integrand(tab, q, x), a, b, points=inner,
+                      epsabs=1e-13, epsrel=1e-13, limit=500)
+        assert phase(tab, q, a, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    with pytest.raises(PotentialDomainError):
+        phase(tab, q, -4.5, 0.0)
+    with pytest.raises(PotentialDomainError):
+        tab.moments(4.01)
+
+
+@pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
+    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25)),
+                       0.1 * np.linspace(-3.0, 3.0, 25)),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+def test_transverse_phase_broadcasts_over_momenta(pot):
+    k2 = np.array([-0.7, 0.0, 0.3, 1.1])
+    k3 = np.array([0.2, -0.4, 0.0, 0.5])
+    vec = transverse_phase(pot, k2, k3, -0.5, 2.2)
+    scalar = [transverse_phase(pot, float(a), float(b), -0.5, 2.2) for a, b in zip(k2, k3)]
+    assert vec.shape == k2.shape
+    assert np.array_equal(vec, scalar)
 
 
 def test_phase_vectorised_endpoints():
