@@ -10,10 +10,10 @@ Every run reads a single versioned JSON config, writes CSV artifacts
 (each carrying a comment line with the config hash) plus a
 machine-readable summary.json with one pass/fail entry per assertion,
 and exits 0 on pass, 1 on assertion failure, 2 on config errors and 3
-on numerical-domain errors.  Only dirac-residual fans out to worker
-processes, never more than the CPU count, and fan-out never changes
-results: work is split into fixed-size chunks and reduced in chunk
-order, so CSV output is byte-identical for any worker count.
+on numerical-domain errors.  Random draws are sequential; each
+per-mode scenario then evaluates all its modes in one array call, so no
+scenario fans out to worker processes.  --workers is still accepted and
+validated, starts no process and never changes results.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -116,8 +115,8 @@ def _require(cfg: dict, key: str, kind, what: str = "config"):
         raise ConfigError(f"{what} is missing required key {key!r}")
     value = cfg[key]
     if kind is float:
-        if not _is_number(value):
-            raise ConfigError(f"{what}[{key!r}] must be a number")
+        if not (_is_number(value) and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{what}[{key!r}] must be a finite number")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
@@ -126,6 +125,14 @@ def _require(cfg: dict, key: str, kind, what: str = "config"):
     if not isinstance(value, kind):
         raise ConfigError(f"{what}[{key!r}] must be of type {kind.__name__}")
     return value
+
+
+def _seed(cfg: dict) -> int:
+    """The config's random seed, an integer >= 0 as numpy requires."""
+    seed = _require(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    return seed
 
 
 def _require_count(cfg: dict, key: str) -> int:
@@ -200,29 +207,6 @@ def _gl_grid(cfg: dict, key: str):
     return gl_panels(lo, hi, n)
 
 
-def _chunks(items, size: int):
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def parallel_map(fn, items: list, workers: int, chunk_size: int = 32) -> list:
-    """Map fn over fixed-size chunks; reduction order never depends on workers.
-
-    The pool never gets more processes than there are CPUs.
-    """
-    chunks = _chunks(items, chunk_size)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1 or len(chunks) <= 1:
-        parts = [fn(chunk) for chunk in chunks]
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(fn, chunks)
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
 class Check:
     """One named assertion; a non-finite measured value always fails."""
 
@@ -276,7 +260,9 @@ def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
 # scenarios
 
 
-def _draw_modes(cfg: dict, rng, n: int):
+def _draw_modes(rng, n: int):
+    """n modes drawn one after another, returned as columns:
+    u, k2, k3, m (n,), points (n, 4) and chi0 (n, 4)."""
     u_lo, u_hi = 0.1, 2.0
     draws = []
     for _ in range(n):
@@ -284,57 +270,32 @@ def _draw_modes(cfg: dict, rng, n: int):
         k2 = float(rng.normal(0.0, 0.7))
         k3 = float(rng.normal(0.0, 0.7))
         m = float(rng.uniform(0.5, 1.5))
-        point = tuple(rng.uniform(-3.0, 3.0, size=4))
+        point = rng.uniform(-3.0, 3.0, size=4)
         chi0 = _random_pi_minus(rng)[0]
         draws.append((u, k2, k3, m, point, chi0))
-    return draws
+    return [np.array(column) for column in zip(*draws)]
 
 
-def _residual_chunk(args):
-    pot_desc, chunk = args
-    pot = potential_from_descriptor(pot_desc)
-    rows = []
-    for idx, (u, k2, k3, m, point, chi0_re, chi0_im) in chunk:
-        chi0 = np.asarray(chi0_re) + 1j * np.asarray(chi0_im)
-        mode = ModeParams(k2=k2, k3=k3, u=u, m=m)
-        amp = ModeAmplitude(chi0)
-        resid = dirac_residual(amp, mode, pot, point)
-        norm = float(np.linalg.norm(mode_wavefunction(amp, mode, pot, point)))
-        rows.append((idx, u, k2, k3, m, *point, resid, norm, resid / norm))
-    return rows
-
-
-def run_dirac_residual(cfg: dict, outdir: Path, workers: int) -> tuple[list[Check], list[str]]:
-    pot_desc = _require(cfg, "potential", dict)
-    _potential(cfg)
+def run_dirac_residual(cfg: dict, outdir: Path) -> tuple[list[Check], list[str]]:
+    pot = _potential(cfg)
     n_modes = _require_count(cfg, "n_modes")
     tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_require(cfg, "seed", int))
-    draws = _draw_modes(cfg, rng, n_modes)
-    items = [
-        (i, (u, k2, k3, m, point, chi0.real.tolist(), chi0.imag.tolist()))
-        for i, (u, k2, k3, m, point, chi0) in enumerate(draws)
-    ]
-    rows = parallel_map(_ResidualWorker(pot_desc), items, workers)
-    rows.sort(key=lambda r: r[0])
+    rng = np.random.default_rng(_seed(cfg))
+    u, k2, k3, m, points, chi0 = _draw_modes(rng, n_modes)
+    mode = ModeParams(k2=k2, k3=k3, u=u, m=m)
+    amp = ModeAmplitude(chi0)
+    resid = dirac_residual(amp, mode, pot, points.T)
+    norm = np.linalg.norm(mode_wavefunction(amp, mode, pot, points.T), axis=-1)
+    relative = resid / norm
+    rows = [(i, *cols) for i, cols in
+            enumerate(zip(u, k2, k3, m, *points.T, resid, norm, relative))]
     chash = _config_hash(cfg)
     csv_path = outdir / "dirac_residual.csv"
     _write_csv(csv_path,
                ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z",
                 "residual", "norm", "relative"],
                rows, chash)
-    worst = _worst(r[-1] for r in rows)
-    return [_leq("max_relative_dirac_residual", worst, tol)], [csv_path.name]
-
-
-class _ResidualWorker:
-    """Picklable chunk worker carrying the potential descriptor."""
-
-    def __init__(self, pot_desc):
-        self.pot_desc = pot_desc
-
-    def __call__(self, chunk):
-        return _residual_chunk((self.pot_desc, chunk))
+    return [_leq("max_relative_dirac_residual", _worst(relative), tol)], [csv_path.name]
 
 
 def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
@@ -349,13 +310,14 @@ def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
                       weights=weights, quad_weights=qw)
 
 
-def run_null_product_invariance(cfg, outdir: Path, workers: int):
+def run_null_product_invariance(cfg, outdir: Path):
     pot = _potential(cfg)
     n_packets = _require_count(cfg, "n_packets")
     n_nodes = _require_count(cfg, "nodes_per_packet")
     tol = _require(cfg, "tolerance", float)
     s_values = _numbers(cfg, "s_values")
-    rng = np.random.default_rng(_require(cfg, "seed", int))
+    rng = np.random.default_rng(_seed(cfg))
+    surfaces = np.array([0.0] + s_values)  # the s = 0 value is the reference
     rows = []
     for p in range(n_packets):
         psi = _random_packet(rng, 1.0, n_nodes)
@@ -363,11 +325,9 @@ def run_null_product_invariance(cfg, outdir: Path, workers: int):
                          chi0=_random_pi_minus(rng, n_nodes),
                          weights=rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes),
                          quad_weights=psi.quad_weights)
-        base = null_scalar_product(psi, phi, pot, 0.0)
-        for s in s_values:
-            val = null_scalar_product(psi, phi, pot, s)
-            dev = abs(val - base) / max(abs(base), 1e-300)
-            rows.append((p, s, val.real, val.imag, dev))
+        base, *values = null_scalar_product(psi, phi, pot, surfaces)
+        dev = np.abs(np.array(values) - base) / max(abs(base), 1e-300)
+        rows.extend((p, s, val.real, val.imag, d) for s, val, d in zip(s_values, values, dev))
     chash = _config_hash(cfg)
     csv_path = outdir / "null_product.csv"
     _write_csv(csv_path, ["packet", "s", "re_value", "im_value", "relative_deviation"],
@@ -375,33 +335,37 @@ def run_null_product_invariance(cfg, outdir: Path, workers: int):
     return [_leq("max_s_dependence", _worst(r[-1] for r in rows), tol)], [csv_path.name]
 
 
-def run_mass_pairing(cfg, outdir: Path, workers: int):
+def run_mass_pairing(cfg, outdir: Path):
     pot = _potential(cfg)
     n_draws = _require_count(cfg, "n_draws")
     tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_require(cfg, "seed", int))
-    rows = []
-    for i in range(n_draws):
+    rng = np.random.default_rng(_seed(cfg))
+    draws = []
+    for _ in range(n_draws):
         k2 = float(rng.normal(0.0, 0.7))
         k3 = float(rng.normal(0.0, 0.7))
         u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
         m = float(rng.uniform(0.6, 1.4))
         mp = float(rng.uniform(0.6, 1.4))
         s = float(rng.uniform(-5.0, 5.0))
-        amp_a = ModeAmplitude(_random_pi_minus(rng)[0])
-        amp_b = ModeAmplitude(_random_pi_minus(rng)[0])
-        lhs, rhs = mass_pairing_identity(
-            amp_a, ModeParams(k2, k3, u, m), amp_b, ModeParams(k2, k3, u, mp), pot, s
-        )
-        gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        rows.append((i, k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))
+        chi_a = _random_pi_minus(rng)[0]
+        chi_b = _random_pi_minus(rng)[0]
+        draws.append((k2, k3, u, m, mp, s, chi_a, chi_b))
+    k2, k3, u, m, mp, s, chi_a, chi_b = (np.array(column) for column in zip(*draws))
+    lhs, rhs = mass_pairing_identity(
+        ModeAmplitude(chi_a), ModeParams(k2, k3, u, m),
+        ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), pot, s,
+    )
+    gap = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    rows = [(i, *cols) for i, cols in enumerate(
+        zip(k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))]
     chash = _config_hash(cfg)
     csv_path = outdir / "mass_pairing.csv"
     _write_csv(csv_path,
                ["draw", "k2", "k3", "u", "m", "m_prime", "s",
                 "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"],
                rows, chash)
-    return [_leq("max_relative_gap", _worst(r[-1] for r in rows), tol)], [csv_path.name]
+    return [_leq("max_relative_gap", _worst(gap), tol)], [csv_path.name]
 
 
 def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
@@ -431,7 +395,7 @@ def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
     return family, eta
 
 
-def run_mass_oscillation(cfg, outdir: Path, workers: int):
+def run_mass_oscillation(cfg, outdir: Path):
     pot = _potential(cfg)
     epsilons = _numbers(cfg, "epsilons")
     if not all(e > 0 for e in epsilons):
@@ -439,7 +403,7 @@ def run_mass_oscillation(cfg, outdir: Path, workers: int):
     if len(set(epsilons)) != len(epsilons):
         raise ConfigError("epsilons must be distinct")
     tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_require(cfg, "seed", int))
+    rng = np.random.default_rng(_seed(cfg))
     fam, _ = _grid_family(cfg, _positive_interval(cfg, "mass_interval"), rng)
     result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
     checks = [_leq("relative_gap", result.relative_gap, tol)]
@@ -453,9 +417,9 @@ def run_mass_oscillation(cfg, outdir: Path, workers: int):
         null_tol = _require(cfg, "null_tolerance", float)
         lo_sup = _positive_interval(cfg, "disjoint_support_low")
         hi_sup = _positive_interval(cfg, "disjoint_support_high")
-        rng_null = np.random.default_rng(_require(cfg, "seed", int))
+        rng_null = np.random.default_rng(_seed(cfg))
         fam_lo, _ = _grid_family(cfg, lo_sup, rng_null)
-        rng_null = np.random.default_rng(_require(cfg, "seed", int))
+        rng_null = np.random.default_rng(_seed(cfg))
         fam_hi, _ = _grid_family(cfg, hi_sup, rng_null)
         null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=epsilons)
         scale = max(abs(result.lhs), 1e-300)
@@ -473,7 +437,7 @@ def run_mass_oscillation(cfg, outdir: Path, workers: int):
     return checks, [csv_path.name]
 
 
-def run_decay_scan(cfg, outdir: Path, workers: int):
+def run_decay_scan(cfg, outdir: Path):
     pot = _potential(cfg)
     u_lo, u_hi, n = _grid_triple(cfg, "u_grid", 2)
     u = np.linspace(u_lo, u_hi, n)
@@ -493,7 +457,7 @@ def run_decay_scan(cfg, outdir: Path, workers: int):
         raise ConfigError("n_l must be at least 8")
     s_values = _numbers(cfg, "s_values")
     order_min = _require(cfg, "order_min", float)
-    rng = np.random.default_rng(_require(cfg, "seed", int))
+    rng = np.random.default_rng(_seed(cfg))
 
     chi0 = np.tile(_random_pi_minus(rng)[0], (n, 1))
     weights = np.exp(-np.square((u - center) / sigma) / 2.0).astype(complex)
@@ -528,7 +492,7 @@ def run_decay_scan(cfg, outdir: Path, workers: int):
     return checks, [csv_path.name]
 
 
-def run_fp_kernel_export(cfg, outdir: Path, workers: int):
+def run_fp_kernel_export(cfg, outdir: Path):
     pot = _potential(cfg)
     u_vals = _numbers(cfg, "u_values")
     if any(x >= 0 for x in u_vals):
@@ -539,28 +503,26 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
     s_vals = _numbers(cfg, "s_values")
     st_vals = _numbers(cfg, "s_tilde_values")
     tol = _require(cfg, "tolerance", float)
+    # one mode per (u, k2, k3) on axis 0, s on axis 1, s~ on axis 2
+    u, k2, k3 = (x.ravel()[:, None, None] for x in
+                 np.meshgrid(u_vals, k2_vals, k3_vals, indexing="ij"))
     try:
-        modes = [ModeParams(k2, k3, u, m) for u in u_vals for k2 in k2_vals for k3 in k3_vals]
+        modes = ModeParams(k2, k3, u, m)
     except ValueError as exc:
         raise ConfigError(f"bad fp-kernel-export mode: {exc}") from exc
+    s = np.array(s_vals)[:, None]
+    st = np.array(st_vals)
 
-    samples = []
-    sym_gaps, consistency_gaps, coincidence_gaps = [], [], []
     scale = 1.0 / (2.0 * np.pi) ** 4
-    for mode in modes:
-        for s in s_vals:
-            coin = abs(complex(fp_scalar_a(mode, pot, s, s)) - scale) / scale
-            coincidence_gaps.append(coin)
-            for st in st_vals:
-                kernel = fp_kernel_momentum(mode, pot, s, st)
-                samples.append(KernelSample(mode, s, st, kernel))
-                mirrored = fp_kernel_momentum(mode, pot, st, s)
-                sym = np.max(np.abs(spin_adjoint(kernel) - mirrored))
-                causal = causal_fundamental_momentum(mode, pot, s, st)
-                cons = np.max(np.abs(kernel - (-signature_sign(mode.u)) * causal))
-                norm = max(np.max(np.abs(kernel)), 1e-300)
-                sym_gaps.append(sym / norm)
-                consistency_gaps.append(cons / norm)
+    coincidence_gaps = np.abs(fp_scalar_a(modes, pot, s, s) - scale) / scale
+    kernel = fp_kernel_momentum(modes, pot, s, st)
+    mirrored = fp_kernel_momentum(modes, pot, st, s)
+    causal = causal_fundamental_momentum(modes, pot, s, st)
+    sign = signature_sign(modes.u)[..., None, None]
+    norm = np.maximum(np.max(np.abs(kernel), axis=(-2, -1)), 1e-300)
+    sym_gaps = np.max(np.abs(spin_adjoint(kernel) - mirrored), axis=(-2, -1)) / norm
+    consistency_gaps = np.max(np.abs(kernel - (-sign) * causal), axis=(-2, -1)) / norm
+    samples = [KernelSample(modes, s, st, kernel)]
     chash = _config_hash(cfg)
     csv_path = outdir / "fp_kernel.csv"
     write_kernel_csv(csv_path, samples, comment=f"config_sha256={chash}")
@@ -572,13 +534,16 @@ def run_fp_kernel_export(cfg, outdir: Path, workers: int):
     return checks, [csv_path.name]
 
 
-def run_sidebands(cfg, outdir: Path, workers: int):
+def run_sidebands(cfg, outdir: Path):
     lam = _require(cfg, "amplitude", float)
     omega = _require(cfg, "frequency", float)
     k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
     u, m = _require(cfg, "u", float), _require(cfg, "m", float)
     n_max = _require(cfg, "n_max", int)
     n_compare = _require(cfg, "n_compare", int)
+    if not 0 <= n_compare <= n_max:
+        raise ConfigError(f"need 0 <= n_compare <= n_max, got n_compare={n_compare}, "
+                          f"n_max={n_max}")
     periods = _require_count(cfg, "periods")
     per = _require_count(cfg, "samples_per_period")
     amp_tol = _require(cfg, "amplitude_tolerance", float)
@@ -640,7 +605,7 @@ def _v_fit(cfg) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def run_wavefront_probe(cfg, outdir: Path, workers: int):
+def run_wavefront_probe(cfg, outdir: Path):
     pot = _potential(cfg)
     k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
     u, m = _require(cfg, "u", float), _require(cfg, "m", float)
@@ -753,9 +718,14 @@ _SCENARIOS = {
 
 
 def run_scenario(scenario: str, cfg: dict, outdir: Path, workers: int) -> dict:
+    """Run one scenario and write its artifacts and summary.json.
+
+    workers is the validated --workers count; no scenario fans out, so
+    it does not change what runs or what is written.
+    """
     runner, identity = _SCENARIOS[scenario]
     outdir.mkdir(parents=True, exist_ok=True)
-    result = runner(cfg, outdir, workers)
+    result = runner(cfg, outdir)
     if len(result) == 2:
         checks, artifacts = result
         extra = {}
@@ -804,8 +774,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for dirac-residual, at most the CPU count "
-             "(default from VOLKOV_FP_WORKERS, else 1)",
+        help="accepted for compatibility and validated; no scenario starts worker "
+             "processes (default from VOLKOV_FP_WORKERS, else 1)",
     )
     args = parser.parse_args(argv)
 

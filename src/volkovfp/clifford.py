@@ -95,26 +95,34 @@ def lightcone_operators() -> tuple[SpinMatrix, SpinMatrix, SpinMatrix, SpinMatri
     return _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS
 
 
-def spin_inner(psi: Spinor, phi: Spinor) -> complex:
+def spin_inner(psi: Spinor, phi: Spinor):
     """Indefinite spin inner product psi^dag gamma0 phi (signature (2, 2)).
 
     Conjugate linear in the first argument, conjugate symmetric; the
-    gamma matrices are symmetric with respect to this product.
+    gamma matrices are symmetric with respect to this product.  Leading
+    axes broadcast (one product per row); two spinors give a complex.
     """
     psi = np.asarray(psi)
     phi = np.asarray(phi)
-    return complex(np.conj(psi) @ (_GAMMA[0] @ phi))
+    value = np.sum(np.conj(psi) * (phi @ _GAMMA[0].T), axis=-1)
+    return complex(value) if value.ndim == 0 else value
 
 
 def spin_adjoint(mat: SpinMatrix) -> SpinMatrix:
-    """Adjoint gamma0 M^dag gamma0 with respect to the spin inner product."""
-    return _GAMMA[0] @ np.conj(np.asarray(mat)).T @ _GAMMA[0]
+    """Adjoint gamma0 M^dag gamma0 with respect to the spin inner product.
+
+    A (..., 4, 4) stack gives the adjoint of each matrix.
+    """
+    return _GAMMA[0] @ np.conj(np.swapaxes(np.asarray(mat), -1, -2)) @ _GAMMA[0]
 
 
-def transverse_slash(k2: float, k3: float, a2: float = 0.0, a3: float = 0.0) -> SpinMatrix:
+def transverse_slash(k2, k3, a2=0.0, a3=0.0) -> SpinMatrix:
     """Transverse slash gamma2 (k2 + a2) + gamma3 (k3 + a3).
 
     Squares to -((k2+a2)^2 + (k3+a3)^2) times the identity and
     anticommutes with gamma0, gamma1 (hence with N_pm, commutes with Pi_pm).
+    Array arguments broadcast and give a (..., 4, 4) stack of matrices.
     """
-    return (k2 + a2) * _GAMMA[2] + (k3 + a3) * _GAMMA[3]
+    t2 = np.asarray(k2 + a2)[..., None, None]
+    t3 = np.asarray(k3 + a3)[..., None, None]
+    return t2 * _GAMMA[2] + t3 * _GAMMA[3]

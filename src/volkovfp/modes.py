@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .clifford import dirac_gamma, lightcone_operators, spin_inner, transverse_s
 from .potential import (
     PhaseQuery,
     PlaneWavePotential,
+    _broadcast_fields,
     phase,
     phase_integrand,
     potential_from_descriptor,
@@ -77,6 +79,7 @@ _TWO_PI_4 = (2.0 * np.pi) ** 4
 
 _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS = lightcone_operators()
 _GAMMA0 = dirac_gamma(0)
+_ID4 = np.eye(4, dtype=complex)
 
 
 class GridMismatchError(ValueError):
@@ -85,44 +88,54 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Separation constants of a single mode; u != 0 and m > 0."""
+    """Separation constants of a single mode; u != 0 and m > 0.
 
-    k2: float
-    k3: float
-    u: float
-    m: float
+    Arrays (broadcast to one shape) give a batch with one mode per entry;
+    every function below then returns one result per mode, along leading
+    axes of that shape.
+    """
+
+    k2: float | np.ndarray
+    k3: float | np.ndarray
+    u: float | np.ndarray
+    m: float | np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.k2, self.k3, self.u, self.m])):
+        fields = np.array(_broadcast_fields(self, ("k2", "k3", "u", "m")), dtype=float)
+        if not np.isfinite(fields).all():
             raise ValueError("mode k2, k3, u and m must be finite")
-        if self.u == 0:
+        if (fields[2] == 0).any():
             raise ValueError("null momentum u must be nonzero")
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        if not (fields[3] > 0).all():
+            raise ValueError(f"mass must be positive, got {fields[3].min()}")
 
-    @property
+    @cached_property
     def query(self) -> PhaseQuery:
         return PhaseQuery(self.k2, self.k3, self.m)
 
 
 def project_pi_minus(spinor) -> np.ndarray:
-    """Project a spinor onto the range of Pi_minus."""
-    return _PI_MINUS @ np.asarray(spinor, dtype=complex)
+    """Project a spinor (or each row of a stack) onto the range of Pi_minus."""
+    return np.asarray(spinor, dtype=complex) @ _PI_MINUS.T
 
 
 @dataclass(frozen=True)
 class ModeAmplitude:
-    """Pi_minus-projected amplitude at the reference null surface s = 0."""
+    """Pi_minus-projected amplitude at the reference null surface s = 0.
+
+    chi0 is one spinor, or a (..., 4) stack with one spinor per mode.
+    """
 
     chi0: np.ndarray
 
     def __post_init__(self):
         chi0 = np.asarray(self.chi0, dtype=complex)
-        if chi0.shape != (4,):
-            raise ValueError("amplitude must be a 4-component spinor")
-        if not np.all(np.isfinite(chi0)):
+        if chi0.ndim == 0 or chi0.shape[-1] != 4:
+            raise ValueError("amplitude must be a 4-component spinor or a stack of them")
+        if not np.isfinite(chi0).all():
             raise ValueError("amplitude must be finite")
-        if np.linalg.norm(_PI_MINUS @ chi0 - chi0) > 1e-12 * max(1.0, np.linalg.norm(chi0)):
+        off_range = np.linalg.norm(chi0 @ _PI_MINUS.T - chi0, axis=-1)
+        if (off_range > 1e-12 * np.maximum(1.0, np.linalg.norm(chi0, axis=-1))).any():
             raise ValueError("amplitude must lie in the range of Pi_minus; "
                              "use project_pi_minus first")
         object.__setattr__(self, "chi0", chi0)
@@ -132,36 +145,62 @@ class ModeAmplitude:
         return cls(project_pi_minus(spinor))
 
 
+def _vec(x) -> np.ndarray:
+    """Per-mode scalars as a factor of (..., 4) spinors."""
+    return np.asarray(x)[..., None]
+
+
+def _mat(x) -> np.ndarray:
+    """Per-mode scalars as a factor of (..., 4, 4) spin matrices."""
+    return np.asarray(x)[..., None, None]
+
+
+def _apply(mat, spinor) -> np.ndarray:
+    """Spin matrices times spinors, broadcast over leading axes."""
+    return (mat @ spinor[..., None])[..., 0]
+
+
 def evolve_pi_minus(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
-                    s: float, s_from: float = 0.0) -> np.ndarray:
+                    s, s_from=0.0) -> np.ndarray:
     """Propagate the Pi_minus amplitude from s_from to s (a pure phase)."""
     phi = phase(pot, mode.query, s_from, s)
-    return np.exp(-1j * phi / (4.0 * mode.u)) * amp.chi0
+    return _vec(np.exp(-1j * phi / (4.0 * mode.u))) * amp.chi0
+
+
+def _completion(mode: ModeParams, aslash) -> np.ndarray:
+    """1 - N_plus (Aslash - m) / 2u, mapping Pi_minus chi to the full spinor."""
+    return _ID4 - (_N_PLUS @ (aslash - _mat(mode.m) * _ID4)) / _mat(2.0 * mode.u)
 
 
 def reconstruct_full(pi_minus_chi, mode: ModeParams, pot: PlaneWavePotential,
-                     s: float) -> np.ndarray:
+                     s) -> np.ndarray:
     """Complete a Pi_minus value to the full solution spinor at s.
 
     The Pi_plus component is fixed by the algebraic constraint
     2u N_minus chi = -(Aslash(s) - m) Pi_minus chi.
     """
-    chi_minus = np.asarray(pi_minus_chi, dtype=complex)
-    aslash = transverse_slash(mode.k2, mode.k3, float(pot.a2(s)), float(pot.a3(s)))
-    chi_plus = -(1.0 / (2.0 * mode.u)) * (_N_PLUS @ ((aslash - mode.m * np.eye(4)) @ chi_minus))
-    return chi_minus + chi_plus
+    aslash = transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s))
+    return _apply(_completion(mode, aslash), np.asarray(pi_minus_chi, dtype=complex))
+
+
+def _plane_factor(mode: ModeParams, l, y, z) -> np.ndarray:
+    """exp(-i (k2 y + k3 z + u l)), the unit-modulus transverse/longitudinal factor."""
+    return np.exp(-1j * (mode.k2 * y + mode.k3 * z + mode.u * l))
 
 
 def mode_wavefunction(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
                       point) -> np.ndarray:
-    """Evaluate the full mode at a point (s, l, y, z) in null coordinates."""
+    """Evaluate the full mode at a point (s, l, y, z) in null coordinates.
+
+    Each coordinate is a scalar or an array over the modes of a batch.
+    """
     s, l, y, z = point
     chi = reconstruct_full(evolve_pi_minus(amp, mode, pot, s), mode, pot, s)
-    return np.exp(-1j * (mode.k2 * y + mode.k3 * z + mode.u * l)) * chi
+    return _vec(_plane_factor(mode, l, y, z)) * chi
 
 
 def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
-                   point) -> float:
+                   point):
     """Euclidean norm of the Dirac operator applied to the mode at a point.
 
     Uses the analytic s-derivative of the closed-form solution; in null
@@ -170,27 +209,26 @@ def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential
 
         [2i N_plus d_s + 2u N_minus + Aslash(s) - m] chi(s)
 
-    times unit-modulus phase factors.
+    times unit-modulus phase factors.  A float for one mode, an array
+    of norms for a batch (point coordinates as in mode_wavefunction).
     """
     s, l, y, z = point
     u, m = mode.u, mode.m
-    a2 = float(pot.a2(s))
-    a3 = float(pot.a3(s))
-    aslash = transverse_slash(mode.k2, mode.k3, a2, a3)
-    aslash_prime = transverse_slash(0.0, 0.0, float(pot.da2(s)), float(pot.da3(s)))
+    aslash = transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s))
+    aslash_prime = transverse_slash(0.0, 0.0, pot.da2(s), pot.da3(s))
 
     v = evolve_pi_minus(amp, mode, pot, s)
-    v_prime = (-1j / (4.0 * u)) * float(phase_integrand(pot, mode.query, s)) * v
-    completion = np.eye(4) - (1.0 / (2.0 * u)) * (_N_PLUS @ (aslash - m * np.eye(4)))
-    chi = completion @ v
-    chi_prime = completion @ v_prime - (1.0 / (2.0 * u)) * (_N_PLUS @ (aslash_prime @ v))
+    v_prime = _vec((-1j / (4.0 * u)) * phase_integrand(pot, mode.query, s)) * v
+    completion = _completion(mode, aslash)
+    chi = _apply(completion, v)
+    chi_prime = _apply(completion, v_prime) - _apply(_N_PLUS @ aslash_prime, v) / _vec(2.0 * u)
 
-    residual = 2j * (_N_PLUS @ chi_prime) + 2.0 * u * (_N_MINUS @ chi) \
-        + (aslash @ chi) - m * chi
+    residual = 2j * _apply(_N_PLUS, chi_prime) + _vec(2.0 * u) * _apply(_N_MINUS, chi) \
+        + _apply(aslash, chi) - _vec(m) * chi
     # The transverse/longitudinal plane-wave factors are unit modulus and
     # do not change the norm, but keep the evaluation at the requested point.
-    factor = np.exp(-1j * (mode.k2 * y + mode.k3 * z + u * l))
-    return float(np.linalg.norm(factor * residual))
+    norms = np.linalg.norm(_vec(_plane_factor(mode, l, y, z)) * residual, axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +310,16 @@ class WavePacket:
         return self.m == other.m and self.same_grid_nodes(other)
 
 
-def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s: float) -> np.ndarray:
+def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s) -> np.ndarray:
     """Weighted, evolved Pi_minus values of all packet nodes at surface s.
 
-    Returns an (n_nodes, 4) array w_i exp(-i Phi_i(0,s)/4u_i) chi0_i.
+    Returns an (n_nodes, 4) array w_i exp(-i Phi_i(0,s)/4u_i) chi0_i; an
+    array of surfaces gives one such block per surface, (..., n_nodes, 4).
     """
+    s = np.asarray(s, dtype=float)[..., None]
     phases = transverse_phase(pot, packet.k2, packet.k3, 0.0, s) + packet.m * packet.m * s
     factors = packet.weights * np.exp(-1j * phases / (4.0 * packet.u))
-    return factors[:, None] * packet.chi0
+    return factors[..., None] * packet.chi0
 
 
 def packet_pi_minus_field(packet: WavePacket, pot: PlaneWavePotential,
@@ -295,12 +335,13 @@ def packet_pi_minus_field(packet: WavePacket, pot: PlaneWavePotential,
 
 
 def null_scalar_product(psi: WavePacket, phi: WavePacket, pot: PlaneWavePotential,
-                        s: float) -> complex:
+                        s):
     """Fixed-s scalar product of two packets sharing mass and grid.
 
     (2 pi)^4 sum_i qw_i <Pi- chi^psi_i(s) | gamma0 Pi- chi^phi_i(s)>.
     On the range of Pi_minus the gamma0 pairing is the Euclidean one, so
-    the result is positive for psi = phi != 0 and independent of s.
+    the result is positive for psi = phi != 0 and independent of s.  A
+    complex for one surface, an array for an array of surfaces.
     """
     if not psi.same_grid(phi):
         raise GridMismatchError("packets must share mass and (u, k2, k3) grid")
@@ -308,21 +349,23 @@ def null_scalar_product(psi: WavePacket, phi: WavePacket, pot: PlaneWavePotentia
     b = packet_pi_minus(phi, pot, s)
     # <a | gamma0 b> = a^dag gamma0 gamma0 b: the gamma0 pairing on the
     # Pi_minus range is the plain Euclidean one.
-    pairing = np.einsum("ic,ic->i", np.conj(a), b)
-    return complex(_TWO_PI_4 * np.sum(psi.quad_weights * pairing))
+    pairing = np.sum(np.conj(a) * b, axis=-1)
+    value = _TWO_PI_4 * np.sum(psi.quad_weights * pairing, axis=-1)
+    return complex(value) if value.ndim == 0 else value
 
 
 def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
                           amp_b: ModeAmplitude, mode_b: ModeParams,
-                          pot: PlaneWavePotential, s: float) -> tuple[complex, complex]:
+                          pot: PlaneWavePotential, s):
     """Two-mass pairing identity at surface s, computed both ways.
 
     lhs: 2u <chi^m(s) | chi^m'(s)> from the fully reconstructed spinors.
     rhs: (m + m') exp(i (m^2 - m'^2) s / 4u) <chi0^m | gamma0 chi0^m'>
     from the initial data alone.  The two runs share only the phase
-    integral; everything else is an independent code path.
+    integral; everything else is an independent code path.  Complex
+    values for one pair of modes, arrays for a batch.
     """
-    if (mode_a.k2, mode_a.k3, mode_a.u) != (mode_b.k2, mode_b.k3, mode_b.u):
+    if not all(np.array_equal(getattr(mode_a, f), getattr(mode_b, f)) for f in ("k2", "k3", "u")):
         raise ValueError("modes must share (k2, k3, u)")
     u = mode_a.u
     chi_a = reconstruct_full(evolve_pi_minus(amp_a, mode_a, pot, s), mode_a, pot, s)
@@ -331,7 +374,7 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
 
     m, mp = mode_a.m, mode_b.m
     osc = np.exp(1j * (m * m - mp * mp) * s / (4.0 * u))
-    rhs = (m + mp) * osc * spin_inner(amp_a.chi0, _GAMMA0 @ amp_b.chi0)
+    rhs = (m + mp) * osc * spin_inner(amp_a.chi0, amp_b.chi0 @ _GAMMA0.T)
     return lhs, rhs
 
 

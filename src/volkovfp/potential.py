@@ -62,17 +62,35 @@ def _require_finite(**fields) -> None:
             raise ValueError(f"potential {name} must be finite")
 
 
+def _broadcast_fields(obj, names) -> list:
+    """Values of a frozen dataclass's fields, stored as one-shape float arrays.
+
+    Scalars stay as given; if any field is an array, every field is
+    broadcast to the common shape, so each entry names one mode.
+    """
+    values = [getattr(obj, name) for name in names]
+    if not all(np.isscalar(v) for v in values):
+        values = [np.array(v, dtype=float) for v in np.broadcast_arrays(*values)]
+        for name, value in zip(names, values):
+            object.__setattr__(obj, name, value)
+    return values
+
+
 @dataclass(frozen=True)
 class PhaseQuery:
-    """Transverse momenta and mass entering the phase integrand."""
+    """Transverse momenta and mass entering the phase integrand.
 
-    k2: float
-    k3: float
-    m: float
+    Scalars, or arrays with one query per entry (see _broadcast_fields).
+    """
+
+    k2: float | np.ndarray
+    k3: float | np.ndarray
+    m: float | np.ndarray
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
+        m = _broadcast_fields(self, ("k2", "k3", "m"))[2]
+        if not (np.asarray(m) > 0).all():
+            raise ValueError(f"mass must be positive, got {np.min(self.m)}")
 
 
 class PlaneWavePotential:
@@ -371,11 +389,11 @@ def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
             + 2.0 * k2 * (a2_to - a2_from) + 2.0 * k3 * (a3_to - a3_from) + (b_to - b_from))
 
 
-def phase(pot: PlaneWavePotential, q: PhaseQuery, s_from: float, s_to):
+def phase(pot: PlaneWavePotential, q: PhaseQuery, s_from, s_to):
     """Cumulative phase Phi(s_from, s_to) = int of phase_integrand.
 
     Additive in the endpoints and strictly increasing in s_to with
-    slope >= m^2.  Scalar or array s_to.
+    slope >= m^2.  Endpoints and query fields broadcast against each other.
     """
     return transverse_phase(pot, q.k2, q.k3, s_from, s_to) + q.m * q.m * (
         np.asarray(s_to, dtype=float) - s_from

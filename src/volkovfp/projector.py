@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import dirac_gamma, lightcone_operators, transverse_slash
-from .modes import GridMismatchError, MassFamily, ModeParams
+from .modes import GridMismatchError, MassFamily, ModeParams, _mat
 from .potential import PlaneWavePotential, phase, transverse_phase
 from .quadrature import checked_panels, phase_rate
 
@@ -92,55 +92,60 @@ class GreenAB:
     delta_n_plus is the coefficient of the symbolic N_plus delta(s-s~)
     term of the full kernel; it is reported for completeness but never
     sampled (point values of a delta are meaningless), and it drops out
-    of every assembled difference kernel.
+    of every assembled difference kernel.  For a batch of modes or
+    points each field carries the batch shape as leading axes.
     """
 
-    a: complex
+    a: complex | np.ndarray
     b: np.ndarray
-    delta_n_plus: float
+    delta_n_plus: float | np.ndarray
 
 
-def _phase_factor(mode: ModeParams, pot: PlaneWavePotential, s: float, s_tilde: float) -> complex:
-    return complex(np.exp(-1j * phase(pot, mode.query, s_tilde, s) / (4.0 * mode.u)))
+def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, s) -> np.ndarray:
+    """Aslash(s) + m, the matrix factor of every b coefficient and completion."""
+    return transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s)) + _mat(mode.m) * _ID4
 
 
-def green_ab(mode: ModeParams, pot: PlaneWavePotential, s: float, s_tilde: float,
+def _phase_factor(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
+    return np.exp(-1j * phase(pot, mode.query, s_tilde, s) / (4.0 * mode.u))
+
+
+def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde,
              which: str) -> GreenAB:
     """Retarded or advanced Green's coefficients (a, b) at (s, s~).
 
     The support convention at coincidence is the one-sided limit: both
-    kinds report their limiting value at s = s~.
+    kinds report their limiting value at s = s~.  Modes, s and s~
+    broadcast against each other.
     """
-    if mode.u == 0:
+    if np.any(np.asarray(mode.u) == 0):
         raise ValueError("u = 0 has no separated Green's function")
     if which == "retarded":
-        supported = s >= s_tilde
+        supported = np.asarray(s) >= s_tilde
         sign = 1.0
     elif which == "advanced":
-        supported = s <= s_tilde
+        supported = np.asarray(s) <= s_tilde
         sign = -1.0
     else:
         raise ValueError(f"which must be 'retarded' or 'advanced', got {which!r}")
     delta_coeff = 2.0 / (_TWO_PI_3 * 2.0 * mode.u)
-    if not supported:
-        return GreenAB(0.0, np.zeros((4, 4), dtype=complex), delta_coeff)
-    env = _phase_factor(mode, pot, s, s_tilde)
+    env = np.where(supported, _phase_factor(mode, pot, s, s_tilde), 0.0)
     a = sign * (-1j) * env / _TWO_PI_3
-    aslash_tilde = transverse_slash(mode.k2, mode.k3, float(pot.a2(s_tilde)), float(pot.a3(s_tilde)))
-    b = sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env * (aslash_tilde + mode.m * _ID4)
-    return GreenAB(a, b, delta_coeff)
+    b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env) \
+        * _slash_plus_m(mode, pot, s_tilde)
+    return GreenAB(complex(a) if a.ndim == 0 else a, b, delta_coeff)
 
 
-def assemble_kernel(a: complex, b: np.ndarray, mode: ModeParams,
-                    pot: PlaneWavePotential, s: float) -> np.ndarray:
+def assemble_kernel(a, b: np.ndarray, mode: ModeParams,
+                    pot: PlaneWavePotential, s) -> np.ndarray:
     """Algebraic completion N- a + Pi- b + (Aslash(s)+m)(N+ b + Pi+ a)/2u."""
-    aslash = transverse_slash(mode.k2, mode.k3, float(pot.a2(s)), float(pot.a3(s)))
-    front = (aslash + mode.m * _ID4) / (2.0 * mode.u)
+    front = _slash_plus_m(mode, pot, s) / _mat(2.0 * mode.u)
+    a = _mat(a)
     return _N_MINUS * a + _PI_MINUS @ b + front @ (_N_PLUS @ b + _PI_PLUS * a)
 
 
 def causal_fundamental_momentum(mode: ModeParams, pot: PlaneWavePotential,
-                                s: float, s_tilde: float) -> np.ndarray:
+                                s, s_tilde) -> np.ndarray:
     """Momentum-space causal fundamental kernel (advanced - retarded)/(2 pi i).
 
     Off the diagonal this samples both Green's functions and subtracts;
@@ -148,68 +153,72 @@ def causal_fundamental_momentum(mode: ModeParams, pot: PlaneWavePotential,
     exact coincidence the two step functions sum to one, which is the
     continuous value E/(2 pi)^4 used directly.
     """
-    if mode.u == 0:
+    if np.any(np.asarray(mode.u) == 0):
         raise ValueError("u = 0 has no separated kernel")
-    if s == s_tilde:
-        a = 1.0 / _TWO_PI_4
-        aslash_tilde = transverse_slash(mode.k2, mode.k3, float(pot.a2(s_tilde)),
-                                        float(pot.a3(s_tilde)))
-        b = (aslash_tilde + mode.m * _ID4) / (2.0 * mode.u * _TWO_PI_4)
-        return assemble_kernel(a, b, mode, pot, s)
+    coincident = np.asarray(s) == s_tilde
     adv = green_ab(mode, pot, s, s_tilde, "advanced")
     ret = green_ab(mode, pot, s, s_tilde, "retarded")
-    a = (adv.a - ret.a) / (2j * np.pi)
-    b = (adv.b - ret.b) / (2j * np.pi)
+    a = np.where(coincident, 1.0 / _TWO_PI_4, (adv.a - ret.a) / (2j * np.pi))
+    b_coincident = _slash_plus_m(mode, pot, s_tilde) / _mat(2.0 * mode.u * _TWO_PI_4)
+    b = np.where(_mat(coincident), b_coincident, (adv.b - ret.b) / (2j * np.pi))
     return assemble_kernel(a, b, mode, pot, s)
 
 
-def signature_sign(u: float) -> int:
-    """Sign of the null separation constant, the action of the signature operator."""
-    if u == 0:
+def signature_sign(u):
+    """Sign of the null separation constant, the action of the signature operator.
+
+    An int for one u, an integer array for an array of them.
+    """
+    u = np.asarray(u)
+    if np.any(u == 0):
         raise ValueError("u = 0 is excluded (measure zero, no separated mode)")
-    return 1 if u > 0 else -1
+    sign = np.where(u > 0, 1, -1)
+    return int(sign) if sign.ndim == 0 else sign
 
 
-def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde: float):
+def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
     """Scalar coefficient a(s, s~) = E(s~,s)/(2 pi)^4 of the projector kernel.
 
-    Vectorised over s; this is the scalar channel analysed by the
-    spectral diagnostics.
+    Modes, s and s~ broadcast; this is the scalar channel analysed by
+    the spectral diagnostics.
     """
-    if not mode.u < 0:
+    if not np.all(np.asarray(mode.u) < 0):
         raise ValueError("projector kernel requires u < 0")
     phi = phase(pot, mode.query, s_tilde, s)
     return np.exp(-1j * phi / (4.0 * mode.u)) / _TWO_PI_4
 
 
 def fp_kernel_momentum(mode: ModeParams, pot: PlaneWavePotential,
-                       s: float, s_tilde: float) -> np.ndarray:
+                       s, s_tilde) -> np.ndarray:
     """Momentum-space kernel of the fermionic projector (u < 0 only)."""
-    if not mode.u < 0:
+    if not np.all(np.asarray(mode.u) < 0):
         raise ValueError("projector kernel requires u < 0")
-    a = complex(fp_scalar_a(mode, pot, s, s_tilde))
+    a = fp_scalar_a(mode, pot, s, s_tilde)
     env = a * _TWO_PI_4
-    aslash_tilde = transverse_slash(mode.k2, mode.k3, float(pot.a2(s_tilde)),
-                                    float(pot.a3(s_tilde)))
-    b = env * (aslash_tilde + mode.m * _ID4) / (2.0 * mode.u * _TWO_PI_4)
+    b = _mat(env) * _slash_plus_m(mode, pot, s_tilde) / _mat(2.0 * mode.u * _TWO_PI_4)
     return assemble_kernel(a, b, mode, pot, s)
 
 
 @dataclass(frozen=True)
 class KernelSample:
-    """One evaluated momentum-space kernel value."""
+    """Evaluated momentum-space kernel values.
+
+    One value, or a batch: mode fields, s and s~ broadcast to the
+    leading axes of value, (..., 4, 4).
+    """
 
     mode: ModeParams
-    s: float
-    s_tilde: float
+    s: float | np.ndarray
+    s_tilde: float | np.ndarray
     value: np.ndarray
 
-    def row(self) -> list:
-        flat = np.asarray(self.value, dtype=complex).reshape(-1)
-        cells = [self.mode.u, self.mode.k2, self.mode.k3, self.s, self.s_tilde]
-        for entry in flat:
-            cells.extend((entry.real, entry.imag))
-        return cells
+    def rows(self) -> list[list]:
+        """One CSV row (u, k2, k3, s, s~, re/im of each entry) per value."""
+        value = np.asarray(self.value, dtype=complex)
+        head = np.broadcast_arrays(self.mode.u, self.mode.k2, self.mode.k3,
+                                   self.s, self.s_tilde, value[..., 0, 0].real)[:5]
+        entries = np.stack([value.real, value.imag], axis=-1).reshape(-1, 32)
+        return np.column_stack([np.ravel(h) for h in head] + [entries]).tolist()
 
 
 KERNEL_CSV_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
@@ -224,7 +233,7 @@ def write_kernel_csv(path, samples, comment: str | None = None) -> None:
         lines.append(f"# {comment}")
     lines.append(",".join(KERNEL_CSV_HEADER))
     for sample in samples:
-        lines.append(",".join(f"{cell:.17g}" for cell in sample.row()))
+        lines.extend(",".join(f"{cell:.17g}" for cell in row) for row in sample.rows())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

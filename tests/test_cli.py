@@ -1,6 +1,9 @@
 """Scenario runner: exit codes, artifacts, determinism across worker counts."""
 
 import json
+import multiprocessing.pool
+import multiprocessing.process
+import os
 
 import numpy as np
 import pytest
@@ -75,8 +78,10 @@ def test_scenario_mismatch_rejected(tmp_path):
 @pytest.mark.parametrize("override", [
     {"u": 0.0}, {"m": -1.0}, {"frequency": 0.0}, {"amplitude": float("nan")},
     {"periods": 0}, {"samples_per_period": 0},
+    {"n_max": -1}, {"n_max": 0}, {"n_compare": 20}, {"n_compare": -1},
 ], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude", "zero-periods",
-        "zero-samples-per-period"])
+        "zero-samples-per-period", "negative-n-max", "n-max-below-n-compare",
+        "n-compare-above-n-max", "negative-n-compare"])
 def test_bad_sidebands_mode_or_wave_rejected(tmp_path, capsys, override):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
     assert cli.main(["sidebands", "--config", cfg_path, "--out", str(tmp_path / "o")]) \
@@ -265,10 +270,18 @@ def test_zero_draws_is_config_error(tmp_path, scenario, key):
     ("fp-kernel-export", {"s_tilde_values": ["a"]}),
     ("fp-kernel-export", {"s_values": [10 ** 400]}),
     ("null-product-invariance", {"s_values": [float("nan")]}),
+    ("fp-kernel-export", {"tolerance": 10 ** 400}),
+    ("dirac-residual", {"seed": -1}),
+    ("mass-pairing", {"seed": -1}),
+    ("null-product-invariance", {"seed": -1}),
+    ("decay-scan", {"seed": -1}),
+    ("mass-oscillation", {"seed": -1}),
 ], ids=["decay-nan-k2", "decay-zero-m", "decay-fractional-u-count", "decay-text-u-count",
         "decay-zero-l", "decay-one-number-l-range", "decay-few-l", "decay-zero-sigma",
         "kernel-zero-m", "kernel-nan-k2", "kernel-text-s-tilde", "kernel-huge-s",
-        "null-product-nan-s"])
+        "null-product-nan-s", "kernel-huge-tolerance", "dirac-negative-seed",
+        "pairing-negative-seed", "null-product-negative-seed", "decay-negative-seed",
+        "oscillation-negative-seed"])
 def test_bad_grid_or_mode_is_config_error(tmp_path, capsys, scenario, override):
     cfg = small_configs()[scenario]
     cfg.update(override)
@@ -361,36 +374,25 @@ def test_wavefront_probe_summary_reports_its_quadrature(tmp_path):
     assert header == "v,re_F,im_F"
 
 
-class _RecordingContext:
-    """Stands in for a multiprocessing context: records pool sizes, maps inline."""
-
-    def __init__(self):
-        self.pool_sizes = []
-
-    def Pool(self, processes):
-        self.pool_sizes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, chunks):
-        return [fn(chunk) for chunk in chunks]
+def _refuse_process(*args, **kwargs):
+    raise AssertionError("a worker process was started")
 
 
-@pytest.mark.parametrize("requested, expected", [(64, 2), (2, 2), (1, None)])
-def test_workers_clamped_to_cpu_count(tmp_path, monkeypatch, requested, expected):
-    ctx = _RecordingContext()
-    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+@pytest.mark.parametrize("requested", [64, 2, 1])
+def test_worker_count_starts_no_process(tmp_path, monkeypatch, requested):
+    """--workers is validated but starts nothing: no pool, no child
+    process, and the CSV bytes of the default single-worker run."""
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _refuse_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_process)
+    monkeypatch.setattr(os, "fork", _refuse_process)
+    monkeypatch.delenv("VOLKOV_FP_WORKERS", raising=False)
     cfg_path = write_config(tmp_path, "cfg.json", small_configs()["dirac-residual"])
-    code = cli.main(["dirac-residual", "--config", cfg_path, "--out", str(tmp_path / "o"),
-                     "--workers", str(requested)])
-    assert code == cli.EXIT_PASS
-    assert ctx.pool_sizes == ([] if expected is None else [expected])
+    runs = {}
+    for name, extra in (("default", []), ("requested", ["--workers", str(requested)])):
+        assert cli.main(["dirac-residual", "--config", cfg_path,
+                         "--out", str(tmp_path / name), *extra]) == cli.EXIT_PASS
+        runs[name] = _csv_bytes(tmp_path / name)
+    assert runs["requested"] == runs["default"] and runs["default"]
 
 
 @pytest.mark.parametrize("argv_workers, env", [

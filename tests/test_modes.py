@@ -388,3 +388,107 @@ def test_smooth_bump_properties():
     assert eta[10] == pytest.approx(1.0)
     assert np.all(eta >= 0.0)
     assert np.all(smooth_bump(np.array([0.79, 1.21]), 0.8, 1.2) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation: one call over a leading mode axis equals per-mode calls
+
+
+def random_batch(rng, n=40):
+    """n random modes of both signs of u as one batch, plus amplitudes and points."""
+    u = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(np.log(0.1), np.log(2.0), n))
+    mode = ModeParams(k2=rng.normal(0, 0.7, n), k3=rng.normal(0, 0.7, n), u=u,
+                      m=rng.uniform(0.5, 1.5, n))
+    amp = ModeAmplitude(random_pi_minus(rng, n))
+    points = rng.uniform(-3.0, 3.0, size=(4, n))
+    return mode, amp, points
+
+
+def split(mode, amp):
+    """The batch as per-mode scalar ModeParams / ModeAmplitude pairs."""
+    for i in range(mode.u.shape[0]):
+        yield (ModeParams(float(mode.k2[i]), float(mode.k3[i]), float(mode.u[i]),
+                          float(mode.m[i])), ModeAmplitude(amp.chi0[i]))
+
+
+@pytest.mark.parametrize("pot", [HarmonicPotential(0.2, 1.0), PulsePotential(0.3, 1.0, 2.0)],
+                         ids=["harmonic", "pulse"])
+def test_batched_mode_functions_match_scalar_calls(rng, pot):
+    mode, amp, points = random_batch(rng)
+    assert np.any(mode.u < 0) and np.any(mode.u > 0)
+    s = points[0]
+    evolved = evolve_pi_minus(amp, mode, pot, s)
+    full = reconstruct_full(evolved, mode, pot, s)
+    wave = mode_wavefunction(amp, mode, pot, points)
+    resid = dirac_residual(amp, mode, pot, points)
+    assert evolved.shape == full.shape == wave.shape == (40, 4) and resid.shape == (40,)
+    for i, (mode_i, amp_i) in enumerate(split(mode, amp)):
+        point = tuple(points[:, i])
+        evolved_i = evolve_pi_minus(amp_i, mode_i, pot, point[0])
+        assert np.max(np.abs(evolved[i] - evolved_i)) <= 1e-13
+        assert np.max(np.abs(full[i] - reconstruct_full(evolved_i, mode_i, pot, point[0]))) \
+            <= 1e-13
+        assert np.max(np.abs(wave[i] - mode_wavefunction(amp_i, mode_i, pot, point))) <= 1e-13
+        resid_i = dirac_residual(amp_i, mode_i, pot, point)
+        assert isinstance(resid_i, float)
+        assert abs(resid[i] - resid_i) <= 1e-13
+
+
+def test_batched_mass_pairing_matches_scalar_calls(rng):
+    pot = HarmonicPotential(0.5, 1.0)
+    mode_a, amp_a, points = random_batch(rng)
+    mode_b = ModeParams(mode_a.k2, mode_a.k3, mode_a.u, rng.uniform(0.6, 1.4, 40))
+    amp_b = ModeAmplitude(random_pi_minus(rng, 40))
+    s = 5.0 * points[0] / 3.0
+    lhs, rhs = mass_pairing_identity(amp_a, mode_a, amp_b, mode_b, pot, s)
+    for i, ((ma, aa), (mb, ab)) in enumerate(zip(split(mode_a, amp_a), split(mode_b, amp_b))):
+        lhs_i, rhs_i = mass_pairing_identity(aa, ma, ab, mb, pot, float(s[i]))
+        assert abs(lhs[i] - lhs_i) <= 1e-13 and abs(rhs[i] - rhs_i) <= 1e-13
+    with pytest.raises(ValueError, match="share"):
+        shifted = ModeParams(mode_a.k2 + 1e-3, mode_a.k3, mode_a.u, mode_b.m)
+        mass_pairing_identity(amp_a, mode_a, amp_b, shifted, pot, s)
+
+
+def test_null_product_over_an_array_of_surfaces(rng):
+    pot = HarmonicPotential(0.3, 1.0)
+    psi = random_packet(rng, n_nodes=8)
+    phi = companion_packet(rng, psi)
+    surfaces = np.array([0.0, -7.5, 2.5, 10.0])
+    values = null_scalar_product(psi, phi, pot, surfaces)
+    assert values.shape == (4,)
+    for s, value in zip(surfaces, values):
+        single = null_scalar_product(psi, phi, pot, float(s))
+        assert isinstance(single, complex)
+        assert abs(value - single) <= 1e-13 * abs(single)
+
+
+@pytest.mark.parametrize("bad_u", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+def test_batch_with_one_bad_u_is_rejected(rng, bad_u):
+    mode, _, _ = random_batch(rng, n=5)
+    u = mode.u.copy()
+    u[3] = bad_u
+    with pytest.raises(ValueError, match="nonzero|finite"):
+        ModeParams(mode.k2, mode.k3, u, mode.m)
+
+
+def test_batch_amplitudes_validated_per_row(rng):
+    chi0 = random_pi_minus(rng, 5)
+    assert ModeAmplitude(chi0).chi0.shape == (5, 4)
+    chi0[2] = [1.0, 0.0, 0.0, 0.0]  # leaves the range of Pi_minus
+    with pytest.raises(ValueError, match="Pi_minus"):
+        ModeAmplitude(chi0)
+    with pytest.raises(ValueError, match="4-component"):
+        ModeAmplitude(np.zeros((5, 3)))
+
+
+def test_tabulated_batch_with_one_point_out_of_range_raises(rng):
+    from volkovfp.potential import PotentialDomainError, TabulatedPotential
+
+    grid = np.linspace(-2.0, 2.0, 41)
+    pot = TabulatedPotential(grid, 0.1 * np.cos(grid))
+    mode, amp, points = random_batch(rng, n=6)
+    points[0] = np.linspace(-1.5, 1.5, 6)
+    assert dirac_residual(amp, mode, pot, points).shape == (6,)
+    points[0, 4] = 2.5
+    with pytest.raises(PotentialDomainError):
+        dirac_residual(amp, mode, pot, points)

@@ -428,3 +428,65 @@ def test_smeared_profile_requires_negative_u(rng):
         SmearedProfile(1.0, np.array([0.5]), np.zeros(1), np.zeros(1), np.ones(1),
                        rng.normal(size=(1, 4)) + 0j,
                        [_gaussian_envelope(0.0, 1.0)], (-5.0, 5.0))
+
+
+def test_batched_kernels_match_scalar_calls(rng):
+    """One call over modes and (s, s~) pairs equals the per-sample calls,
+    including s == s~ entries (the coincidence branch) inside the batch."""
+    from volkovfp.projector import assemble_kernel
+
+    n = 30
+    mode = ModeParams(rng.normal(0, 0.7, n), rng.normal(0, 0.7, n),
+                      -np.exp(rng.uniform(np.log(0.1), np.log(2.0), n)), rng.uniform(0.5, 1.5, n))
+    s, s_tilde = rng.uniform(-3, 3, size=(2, n))
+    s_tilde[::4] = s[::4]
+    kernel = fp_kernel_momentum(mode, POT, s, s_tilde)
+    causal = causal_fundamental_momentum(mode, POT, s, s_tilde)
+    scalar_a = fp_scalar_a(mode, POT, s, s_tilde)
+    greens = {which: green_ab(mode, POT, s, s_tilde, which) for which in ("retarded", "advanced")}
+    assembled = assemble_kernel(greens["advanced"].a, greens["advanced"].b, mode, POT, s)
+    assert kernel.shape == causal.shape == assembled.shape == (n, 4, 4)
+    for i in range(n):
+        mode_i = ModeParams(float(mode.k2[i]), float(mode.k3[i]), float(mode.u[i]),
+                            float(mode.m[i]))
+        si, sti = float(s[i]), float(s_tilde[i])
+        assert np.max(np.abs(kernel[i] - fp_kernel_momentum(mode_i, POT, si, sti))) <= 1e-13
+        assert np.max(np.abs(causal[i] - causal_fundamental_momentum(mode_i, POT, si, sti))) \
+            <= 1e-13
+        assert abs(scalar_a[i] - fp_scalar_a(mode_i, POT, si, sti)) <= 1e-13
+        for which, batch in greens.items():
+            single = green_ab(mode_i, POT, si, sti, which)
+            assert isinstance(single.a, complex)
+            assert abs(batch.a[i] - single.a) <= 1e-13
+            assert np.max(np.abs(batch.b[i] - single.b)) <= 1e-13
+            assert batch.delta_n_plus[i] == single.delta_n_plus
+        adv_i = greens["advanced"]
+        assert np.max(np.abs(assembled[i] - assemble_kernel(
+            complex(adv_i.a[i]), adv_i.b[i], mode_i, POT, si))) <= 1e-13
+    coincident = causal[::4]
+    expected = fp_kernel_momentum(ModeParams(mode.k2[::4], mode.k3[::4], mode.u[::4],
+                                             mode.m[::4]), POT, s[::4], s[::4])
+    assert np.max(np.abs(coincident - expected)) <= 1e-13  # P = -sign(u) K = K for u < 0
+
+
+def test_signature_sign_broadcasts():
+    assert np.array_equal(signature_sign(np.array([-0.5, 2.0])), [-1, 1])
+    with pytest.raises(ValueError):
+        signature_sign(np.array([-0.5, 0.0]))
+
+
+def test_batched_kernel_csv_rows_follow_the_batch(tmp_path):
+    # two modes on axis 0, two surfaces s on axis 1: rows run mode-major
+    modes = ModeParams(np.array([[0.3], [-0.1]]), 0.0, np.array([[-0.5], [-1.0]]), 1.0)
+    s = np.array([0.0, 1.1])
+    kernel = fp_kernel_momentum(modes, POT, s, -0.2)
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(path, [KernelSample(modes, s, -0.2, kernel)])
+    rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 4 and all(len(r) == 37 for r in rows)
+    for row, (i, j) in zip(rows, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        mode = ModeParams(float(modes.k2[i, 0]), 0.0, float(modes.u[i, 0]), 1.0)
+        single = fp_kernel_momentum(mode, POT, float(s[j]), -0.2)
+        assert row[:5] == [mode.u, mode.k2, 0.0, s[j], -0.2]
+        assert np.max(np.abs(np.array(row[5::2]) + 1j * np.array(row[6::2])
+                             - single.ravel())) <= 1e-13
