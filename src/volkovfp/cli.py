@@ -6,7 +6,9 @@ Scenarios: dirac-residual, null-product-invariance, mass-pairing,
 mass-oscillation, decay-scan, fp-kernel-export, sidebands,
 wavefront-probe.
 
-Every run reads a single versioned JSON config, writes CSV artifacts
+Every run reads a single versioned JSON config, validates it against the
+scenario's key table in CONFIG_TABLES (unknown keys, missing keys and
+values of the wrong kind are config errors), writes CSV artifacts
 (each carrying a comment line with the config hash) plus a
 machine-readable summary.json with one pass/fail entry per assertion,
 and exits 0 on pass, 1 on assertion failure, 2 on config errors and 3
@@ -23,7 +25,11 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .modes import (
     smooth_bump,
 )
 from .potential import (
-    PlaneWavePotential,
+    HarmonicPotential,
     PotentialDomainError,
     potential_from_descriptor,
     transverse_phase,
@@ -88,100 +94,218 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config and artifact plumbing
+# config schema: one key table per scenario, read by one validator
+
+_REQUIRED = object()
 
 
-def _load_config(path: str, scenario: str) -> dict:
+class Key(NamedTuple):
+    """One config key: `kind` parses its JSON value or raises ConfigError,
+    `check` constrains the parsed value as `rule` states, and a key with a
+    default may be left out."""
+
+    kind: Callable[[object, str], object]
+    check: Callable[[object], bool] | None = None
+    rule: str = ""
+    default: object = _REQUIRED
+
+
+class Table(NamedTuple):
+    """The keys of one JSON object, and rules that relate several of them."""
+
+    keys: dict[str, Key]
+    rules: tuple[tuple[Callable[[Mapping], bool], str], ...] = ()
+
+
+def _finite(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _kind(test, what: str, convert=lambda value: value):
+    """Kind of a JSON value that passes `test`."""
+    def parse(value, name: str):
+        if not test(value):
+            raise ConfigError(f"{name} must be {what}")
+        return convert(value)
+    return parse
+
+
+def _finite_list(value, length: int | None = None) -> bool:
+    return (isinstance(value, list) and len(value) > 0 and length in (None, len(value))
+            and all(_finite(x) for x in value))
+
+
+_float = _kind(_finite, "a finite number", float)
+_integer = _kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_bool = _kind(lambda v: isinstance(v, bool), "true or false")
+_numbers = _kind(_finite_list, "a nonempty list of finite numbers",
+                 lambda v: tuple(float(x) for x in v))
+_grid = _kind(lambda v: _finite_list(v, 3) and float(v[2]).is_integer(),
+              "[lo, hi, n] with an integer n", lambda v: (float(v[0]), float(v[1]), int(v[2])))
+
+
+def _validate(table: Table, raw, where: str) -> Mapping:
+    """Read-only parsed values of every key of `table` in the JSON object
+    `raw`, defaults filled in."""
+    label = where or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = sorted(set(raw) - set(table.keys))
+    if unknown:
+        raise ConfigError(f"{label} has unknown key {unknown[0]!r}")
+    parsed = {}
+    for key, spec in table.keys.items():
+        name = f"{where}.{key}" if where else key
+        if key not in raw and spec.default is _REQUIRED:
+            raise ConfigError(f"{label} is missing required key {key!r}")
+        parsed[key] = spec.kind(raw[key], name) if key in raw else spec.default
+        if key in raw and spec.check is not None and not spec.check(parsed[key]):
+            raise ConfigError(f"{name} must be {spec.rule}")
+    for holds, rule in table.rules:
+        if not holds(parsed):
+            raise ConfigError(f"{label}: {rule}")
+    return MappingProxyType(parsed)
+
+
+def _build(what: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), with the library's own domain checks
+    reported as config errors."""
+    try:
+        return factory(*args, **kwargs)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _described(kinds: dict[str, dict[str, Key]], factory):
+    """Kind of a {"kind": ..., fields} descriptor whose fields depend on its
+    kind, built into a library object by `factory`."""
+    def parse(value, name: str):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not (isinstance(kind, str) and kind in kinds):
+            raise ConfigError(f"{name} must be an object with kind one of {sorted(kinds)}")
+        fields = {k: v for k, v in value.items() if k != "kind"}
+        return _build(name, factory, {"kind": kind, **_validate(Table(kinds[kind]), fields, name)})
+    return parse
+
+
+_FINITE = Key(_float)
+_POSITIVE = Key(_float, lambda x: x > 0, "positive")
+_COUNT = Key(_integer, lambda n: n >= 1, "at least 1")
+_NATURAL = Key(_integer, lambda n: n >= 0, "a nonnegative integer")
+_NUMBERS = Key(_numbers)
+_POSITIVE_INTERVAL = Key(_numbers, lambda v: len(v) == 2 and 0 < v[0] < v[1],
+                         "[lo, hi] with 0 < lo < hi")
+_GL_GRID = Key(_grid, lambda g: g[0] < g[1] and g[2] >= 1, "[lo, hi, n] with lo < hi, n >= 1")
+_POTENTIAL = Key(_described({
+    "zero": {},
+    "harmonic": dict.fromkeys(("amplitude", "frequency"), _FINITE),
+    "pulse": dict.fromkeys(("amplitude", "frequency", "width"), _FINITE),
+    "tabulated": {"s": _NUMBERS, "a2": _NUMBERS, "a3": _NUMBERS._replace(default=None)},
+}, potential_from_descriptor))
+_WINDOW = Key(_described({
+    "gaussian": dict.fromkeys(("center", "width"), _FINITE),
+    "hann": dict.fromkeys(("lo", "hi"), _FINITE),
+}, window_from_descriptor))
+_MODE = dict.fromkeys(("k2", "k3", "u", "m"), _FINITE)
+_DRAWN = {"seed": _NATURAL, "potential": _POTENTIAL}
+
+CONFIG_TABLES = {
+    "dirac-residual": Table({**_DRAWN, "n_modes": _COUNT, "tolerance": _FINITE}),
+    "null-product-invariance": Table({
+        **_DRAWN,
+        **dict.fromkeys(("n_packets", "nodes_per_packet"), _COUNT),
+        "s_values": _NUMBERS,
+        "tolerance": _FINITE,
+    }),
+    "mass-pairing": Table({**_DRAWN, "n_draws": _COUNT, "tolerance": _FINITE}),
+    "mass-oscillation": Table({
+        **_DRAWN,
+        "mass_interval": _POSITIVE_INTERVAL,
+        "n_masses": Key(_integer, lambda n: n >= 2, "at least 2"),
+        "u_grid": Key(_grid, lambda g: g[0] < g[1] <= 0 and g[2] >= 1,
+                      "[lo, hi, n] with lo < hi <= 0, n >= 1"),
+        **dict.fromkeys(("k2_grid", "k3_grid"), _GL_GRID),
+        "epsilons": Key(_numbers, lambda e: min(e) > 0 and len(set(e)) == len(e),
+                        "distinct positive numbers"),
+        "tolerance": _FINITE,
+        "disjoint_null_check": Key(_bool, default=False),
+        "null_tolerance": _FINITE._replace(default=None),
+        **dict.fromkeys(("disjoint_support_low", "disjoint_support_high"),
+                        _POSITIVE_INTERVAL._replace(default=None)),
+    }, rules=((lambda c: not c["disjoint_null_check"] or None not in (
+        c["null_tolerance"], c["disjoint_support_low"], c["disjoint_support_high"]),
+        "disjoint_null_check needs null_tolerance and both disjoint supports"),)),
+    "decay-scan": Table({
+        **_DRAWN,
+        "u_grid": Key(_grid, lambda g: g[2] >= 2 and not np.any(np.linspace(*g) == 0),
+                      "[lo, hi, n] with n >= 2 whose points avoid u = 0"),
+        "weight": Key(partial(_validate, Table({"center": _FINITE, "sigma": _POSITIVE}))),
+        **dict.fromkeys(("k2", "k3", "m", "order_min"), _FINITE),
+        "l_range": _POSITIVE_INTERVAL,
+        "n_l": Key(_integer, lambda n: n >= 8, "at least 8"),
+        "s_values": _NUMBERS,
+    }),
+    "fp-kernel-export": Table({
+        "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
+        "potential": _POTENTIAL,
+        "u_values": Key(_numbers, lambda v: max(v) < 0, "negative numbers"),
+        **dict.fromkeys(("k2_values", "k3_values", "s_values", "s_tilde_values"), _NUMBERS),
+        **dict.fromkeys(("m", "tolerance"), _FINITE),
+    }),
+    "sidebands": Table({
+        **dict.fromkeys(("amplitude", "frequency", "amplitude_tolerance", "sum_sq_tolerance"),
+                        _FINITE),
+        **_MODE,
+        **dict.fromkeys(("n_max", "n_compare"), _NATURAL),
+        **dict.fromkeys(("periods", "samples_per_period"), _COUNT),
+    }, rules=((lambda c: c["n_compare"] <= c["n_max"], "need n_compare <= n_max"),)),
+    "wavefront-probe": Table({
+        "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
+        "potential": _POTENTIAL,
+        **_MODE,
+        "window": _WINDOW,
+        "v_fit": Key(_grid, lambda g: 0 < g[0] < g[1] and g[2] >= 8,
+                     "[lo, hi, n] with 0 < lo < hi, n >= 8"),
+        "order_min": _FINITE,
+        "plancherel": Key(partial(_validate, Table(
+            {"v_max": _POSITIVE, "dv": _POSITIVE, "tolerance": _FINITE},
+            rules=((lambda p: p["dv"] < p["v_max"], "need dv < v_max"),)))),
+        # a field left out takes the probe's own value
+        "asymmetry_report": Key(partial(_validate, Table({
+            **dict.fromkeys(_MODE, _FINITE._replace(default=None)),
+            "potential": _POTENTIAL._replace(default=None),
+            "window": _WINDOW._replace(default=None),
+        })), default=None),
+    }),
+}
+_SCHEMA_VERSION = Key(_integer, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
+
+
+def validate_config(scenario: str, raw) -> Mapping:
+    """The read-only config of one scenario run: its key table plus the
+    keys every config has, schema_version and an optional scenario name."""
+    keys, rules = CONFIG_TABLES[scenario]
+    named = Key(lambda v, name: v, lambda v: v == scenario, repr(scenario), scenario)
+    return _validate(Table({"schema_version": _SCHEMA_VERSION, "scenario": named, **keys},
+                           rules), raw, "")
+
+
+# ---------------------------------------------------------------------------
+# artifact plumbing
+
+
+def _load_config(path: str):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    version = cfg.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    declared = cfg.get("scenario")
-    if declared is not None and declared != scenario:
-        raise ConfigError(f"config is for scenario {declared!r}, not {scenario!r}")
-    return cfg
-
-
-def _require(cfg: dict, key: str, kind, what: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{what} is missing required key {key!r}")
-    value = cfg[key]
-    if kind is float:
-        if not (_is_number(value) and abs(value) <= sys.float_info.max):
-            raise ConfigError(f"{what}[{key!r}] must be a finite number")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{what}[{key!r}] must be an integer")
-        return value
-    if not isinstance(value, kind):
-        raise ConfigError(f"{what}[{key!r}] must be of type {kind.__name__}")
-    return value
-
-
-def _seed(cfg: dict) -> int:
-    """The config's random seed, an integer >= 0 as numpy requires."""
-    seed = _require(cfg, "seed", int)
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    return seed
-
-
-def _require_count(cfg: dict, key: str) -> int:
-    """A positive integer: a run over zero draws would pass with nothing measured."""
-    value = _require(cfg, key, int)
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1")
-    return value
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _numbers(cfg: dict, key: str, length: int | None = None) -> list[float]:
-    """A nonempty list of finite numbers, exactly `length` of them when given."""
-    values = _require(cfg, key, list)
-    if (not values or (length is not None and len(values) != length)
-            or not all(_is_number(x) and abs(x) <= sys.float_info.max for x in values)):
-        what = f"{length} finite numbers" if length else "a nonempty list of finite numbers"
-        raise ConfigError(f"{key} must be {what}")
-    return [float(x) for x in values]
-
-
-def _positive_interval(cfg: dict, key: str) -> tuple[float, float]:
-    lo, hi = _numbers(cfg, key, 2)
-    if not 0 < lo < hi:
-        raise ConfigError(f"{key} must be [lo, hi] with 0 < lo < hi")
-    return lo, hi
-
-
-def _grid_triple(cfg: dict, key: str, n_min: int) -> tuple[float, float, int]:
-    lo, hi, n = _numbers(cfg, key, 3)
-    if not (n.is_integer() and n >= n_min):
-        raise ConfigError(f"{key} must be [lo, hi, n] with an integer n >= {n_min}")
-    return lo, hi, int(n)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _potential(cfg: dict) -> PlaneWavePotential:
-    desc = _require(cfg, "potential", dict)
-    try:
-        return potential_from_descriptor(desc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad potential descriptor: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -192,37 +316,33 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows, config_hash: str) -> None:
-    lines = [f"# config_sha256={config_hash}", ",".join(header)]
+def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
+    lines = [f"# {comment}", ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def _gl_grid(cfg: dict, key: str):
-    """[lo, hi, n] -> Gauss-Legendre nodes/weights on [lo, hi]."""
-    lo, hi, n = _grid_triple(cfg, key, 1)
-    if not lo < hi:
-        raise ConfigError(f"{key} must satisfy lo < hi")
-    return gl_panels(lo, hi, n)
-
-
+@dataclass
 class Check:
     """One named assertion; a non-finite measured value always fails."""
 
-    def __init__(self, name: str, measured: float, tolerance: float, passed: bool):
-        self.name = name
-        self.measured = measured
-        self.tolerance = tolerance
-        self.passed = bool(passed) and bool(np.isfinite(measured))
+    name: str
+    measured: float
+    tolerance: float
+    passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = bool(self.passed) and bool(np.isfinite(self.measured))
+
+
+class ScenarioResult(NamedTuple):
+    """What a runner reports: its checks, the artifact files it wrote and
+    any extra summary.json entries."""
+
+    checks: list[Check]
+    artifacts: list[str]
+    extra: Mapping = MappingProxyType({})
 
 
 def _leq(name: str, measured: float, tol: float) -> Check:
@@ -257,7 +377,8 @@ def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each runner takes the validated config, the output directory
+# and the comment line its CSVs carry
 
 
 def _draw_modes(rng, n: int):
@@ -276,12 +397,10 @@ def _draw_modes(rng, n: int):
     return [np.array(column) for column in zip(*draws)]
 
 
-def run_dirac_residual(cfg: dict, outdir: Path) -> tuple[list[Check], list[str]]:
-    pot = _potential(cfg)
-    n_modes = _require_count(cfg, "n_modes")
-    tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_seed(cfg))
-    u, k2, k3, m, points, chi0 = _draw_modes(rng, n_modes)
+def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    pot = cfg["potential"]
+    rng = np.random.default_rng(cfg["seed"])
+    u, k2, k3, m, points, chi0 = _draw_modes(rng, cfg["n_modes"])
     mode = ModeParams(k2=k2, k3=k3, u=u, m=m)
     amp = ModeAmplitude(chi0)
     resid = dirac_residual(amp, mode, pot, points.T)
@@ -289,13 +408,13 @@ def run_dirac_residual(cfg: dict, outdir: Path) -> tuple[list[Check], list[str]]
     relative = resid / norm
     rows = [(i, *cols) for i, cols in
             enumerate(zip(u, k2, k3, m, *points.T, resid, norm, relative))]
-    chash = _config_hash(cfg)
     csv_path = outdir / "dirac_residual.csv"
     _write_csv(csv_path,
                ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z",
                 "residual", "norm", "relative"],
-               rows, chash)
-    return [_leq("max_relative_dirac_residual", _worst(relative), tol)], [csv_path.name]
+               rows, comment)
+    return ScenarioResult([_leq("max_relative_dirac_residual", _worst(relative),
+                                cfg["tolerance"])], [csv_path.name])
 
 
 def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
@@ -310,38 +429,32 @@ def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
                       weights=weights, quad_weights=qw)
 
 
-def run_null_product_invariance(cfg, outdir: Path):
-    pot = _potential(cfg)
-    n_packets = _require_count(cfg, "n_packets")
-    n_nodes = _require_count(cfg, "nodes_per_packet")
-    tol = _require(cfg, "tolerance", float)
-    s_values = _numbers(cfg, "s_values")
-    rng = np.random.default_rng(_seed(cfg))
-    surfaces = np.array([0.0] + s_values)  # the s = 0 value is the reference
+def run_null_product_invariance(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    n_nodes = cfg["nodes_per_packet"]
+    s_values = cfg["s_values"]
+    rng = np.random.default_rng(cfg["seed"])
+    surfaces = np.array([0.0, *s_values])  # the s = 0 value is the reference
     rows = []
-    for p in range(n_packets):
+    for p in range(cfg["n_packets"]):
         psi = _random_packet(rng, 1.0, n_nodes)
         phi = WavePacket(m=psi.m, u=psi.u, k2=psi.k2, k3=psi.k3,
                          chi0=_random_pi_minus(rng, n_nodes),
                          weights=rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes),
                          quad_weights=psi.quad_weights)
-        base, *values = null_scalar_product(psi, phi, pot, surfaces)
+        base, *values = null_scalar_product(psi, phi, cfg["potential"], surfaces)
         dev = np.abs(np.array(values) - base) / max(abs(base), 1e-300)
         rows.extend((p, s, val.real, val.imag, d) for s, val, d in zip(s_values, values, dev))
-    chash = _config_hash(cfg)
     csv_path = outdir / "null_product.csv"
     _write_csv(csv_path, ["packet", "s", "re_value", "im_value", "relative_deviation"],
-               rows, chash)
-    return [_leq("max_s_dependence", _worst(r[-1] for r in rows), tol)], [csv_path.name]
+               rows, comment)
+    return ScenarioResult([_leq("max_s_dependence", _worst(r[-1] for r in rows),
+                                cfg["tolerance"])], [csv_path.name])
 
 
-def run_mass_pairing(cfg, outdir: Path):
-    pot = _potential(cfg)
-    n_draws = _require_count(cfg, "n_draws")
-    tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_seed(cfg))
+def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    rng = np.random.default_rng(cfg["seed"])
     draws = []
-    for _ in range(n_draws):
+    for _ in range(cfg["n_draws"]):
         k2 = float(rng.normal(0.0, 0.7))
         k3 = float(rng.normal(0.0, 0.7))
         u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
@@ -354,32 +467,28 @@ def run_mass_pairing(cfg, outdir: Path):
     k2, k3, u, m, mp, s, chi_a, chi_b = (np.array(column) for column in zip(*draws))
     lhs, rhs = mass_pairing_identity(
         ModeAmplitude(chi_a), ModeParams(k2, k3, u, m),
-        ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), pot, s,
+        ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), cfg["potential"], s,
     )
     gap = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rows = [(i, *cols) for i, cols in enumerate(
         zip(k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))]
-    chash = _config_hash(cfg)
     csv_path = outdir / "mass_pairing.csv"
     _write_csv(csv_path,
                ["draw", "k2", "k3", "u", "m", "m_prime", "s",
                 "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"],
-               rows, chash)
-    return [_leq("max_relative_gap", _worst(gap), tol)], [csv_path.name]
+               rows, comment)
+    return ScenarioResult([_leq("max_relative_gap", _worst(gap), cfg["tolerance"])],
+                          [csv_path.name])
 
 
-def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
-    interval = _positive_interval(cfg, "mass_interval")
-    n_masses = _require(cfg, "n_masses", int)
-    if n_masses < 2:
-        raise ConfigError("n_masses must be at least 2")
+def _grid_family(cfg: Mapping, eta_support, rng) -> MassFamily:
+    interval = cfg["mass_interval"]
+    n_masses = cfg["n_masses"]
     masses = np.linspace(interval[0], interval[1], n_masses)
     mass_w = np.full(n_masses, (interval[1] - interval[0]) / (n_masses - 1))
-    u_n, u_w = _gl_grid(cfg, "u_grid")
-    k2_n, k2_w = _gl_grid(cfg, "k2_grid")
-    k3_n, k3_w = _gl_grid(cfg, "k3_grid")
-    if np.any(u_n >= 0):
-        raise ConfigError("u_grid must be strictly negative for mass-oscillation runs")
+    u_n, u_w = gl_panels(*cfg["u_grid"])
+    k2_n, k2_w = gl_panels(*cfg["k2_grid"])
+    k3_n, k3_w = gl_panels(*cfg["k3_grid"])
     uu, kk2, kk3 = np.meshgrid(u_n, k2_n, k3_n, indexing="ij")
     qw = np.einsum("i,j,k->ijk", u_w, k2_w, k3_w).ravel()
     u, k2, k3 = uu.ravel(), kk2.ravel(), kk3.ravel()
@@ -390,39 +499,30 @@ def _grid_family(cfg, eta_support, rng) -> tuple[MassFamily, np.ndarray]:
                    weights=np.ones(u.size, dtype=complex), quad_weights=qw)
         for m in masses
     ]
-    family = MassFamily(interval=interval, masses=masses, eta=eta,
-                        mass_quad_weights=mass_w, packets=packets)
-    return family, eta
+    return MassFamily(interval=interval, masses=masses, eta=eta,
+                      mass_quad_weights=mass_w, packets=packets)
 
 
-def run_mass_oscillation(cfg, outdir: Path):
-    pot = _potential(cfg)
-    epsilons = _numbers(cfg, "epsilons")
-    if not all(e > 0 for e in epsilons):
-        raise ConfigError("epsilons must be positive")
-    if len(set(epsilons)) != len(epsilons):
-        raise ConfigError("epsilons must be distinct")
-    tol = _require(cfg, "tolerance", float)
-    rng = np.random.default_rng(_seed(cfg))
-    fam, _ = _grid_family(cfg, _positive_interval(cfg, "mass_interval"), rng)
+def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    pot = cfg["potential"]
+    epsilons = cfg["epsilons"]
+    fam = _grid_family(cfg, cfg["mass_interval"], np.random.default_rng(cfg["seed"]))
     result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
-    checks = [_leq("relative_gap", result.relative_gap, tol)]
+    checks = [_leq("relative_gap", result.relative_gap, cfg["tolerance"])]
 
     rows = [("diagonal", e, v.real, v.imag) for e, v in
             zip(result.epsilons, result.lhs_by_epsilon)]
     rows.append(("diagonal_extrapolated", 0.0, result.lhs.real, result.lhs.imag))
     rows.append(("diagonal_rhs", 0.0, result.rhs.real, result.rhs.imag))
 
-    if cfg.get("disjoint_null_check", False):
-        null_tol = _require(cfg, "null_tolerance", float)
-        lo_sup = _positive_interval(cfg, "disjoint_support_low")
-        hi_sup = _positive_interval(cfg, "disjoint_support_high")
-        rng_null = np.random.default_rng(_seed(cfg))
-        fam_lo, _ = _grid_family(cfg, lo_sup, rng_null)
-        rng_null = np.random.default_rng(_seed(cfg))
-        fam_hi, _ = _grid_family(cfg, hi_sup, rng_null)
+    if cfg["disjoint_null_check"]:
+        fam_lo = _grid_family(cfg, cfg["disjoint_support_low"],
+                              np.random.default_rng(cfg["seed"]))
+        fam_hi = _grid_family(cfg, cfg["disjoint_support_high"],
+                              np.random.default_rng(cfg["seed"]))
         null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=epsilons)
         scale = max(abs(result.lhs), 1e-300)
+        null_tol = cfg["null_tolerance"]
         checks.append(_leq("null_lhs_over_diagonal", abs(null.lhs) / scale, null_tol))
         checks.append(_leq("null_rhs_over_diagonal", abs(null.rhs) / scale, null_tol))
         rows.extend(("disjoint", e, v.real, v.imag) for e, v in
@@ -430,47 +530,30 @@ def run_mass_oscillation(cfg, outdir: Path):
         rows.append(("disjoint_extrapolated", 0.0, null.lhs.real, null.lhs.imag))
         rows.append(("disjoint_rhs", 0.0, null.rhs.real, null.rhs.imag))
 
-    chash = _config_hash(cfg)
     csv_path = outdir / "mass_oscillation.csv"
-    _write_csv(csv_path, ["case", "epsilon", "re_value", "im_value"],
-               [(c, e, r, i) for c, e, r, i in rows], chash)
-    return checks, [csv_path.name]
+    _write_csv(csv_path, ["case", "epsilon", "re_value", "im_value"], rows, comment)
+    return ScenarioResult(checks, [csv_path.name])
 
 
-def run_decay_scan(cfg, outdir: Path):
-    pot = _potential(cfg)
-    u_lo, u_hi, n = _grid_triple(cfg, "u_grid", 2)
-    u = np.linspace(u_lo, u_hi, n)
-    if np.any(u == 0):
-        raise ConfigError("u grid must avoid u = 0")
-    weight_cfg = _require(cfg, "weight", dict)
-    center = _require(weight_cfg, "center", float, "weight")
-    sigma = _require(weight_cfg, "sigma", float, "weight")
-    if not 0 < sigma < np.inf:
-        raise ConfigError("weight sigma must be positive")
-    k2 = _require(cfg, "k2", float)
-    k3 = _require(cfg, "k3", float)
-    m = _require(cfg, "m", float)
-    l_lo, l_hi = _positive_interval(cfg, "l_range")
-    n_l = _require(cfg, "n_l", int)
-    if n_l < 8:
-        raise ConfigError("n_l must be at least 8")
-    s_values = _numbers(cfg, "s_values")
-    order_min = _require(cfg, "order_min", float)
-    rng = np.random.default_rng(_seed(cfg))
+def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    pot = cfg["potential"]
+    u = np.linspace(*cfg["u_grid"])
+    n = u.size
+    center, sigma = cfg["weight"]["center"], cfg["weight"]["sigma"]
+    k2, k3, m = cfg["k2"], cfg["k3"], cfg["m"]
+    s_values = cfg["s_values"]
+    rng = np.random.default_rng(cfg["seed"])
 
     chi0 = np.tile(_random_pi_minus(rng)[0], (n, 1))
     weights = np.exp(-np.square((u - center) / sigma) / 2.0).astype(complex)
     du = abs(u[1] - u[0])
-    try:
-        packet = WavePacket(m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
-                            chi0=chi0, weights=weights, quad_weights=np.full(n, du))
-        single = WavePacket(m=m, u=np.array([u[n // 2]]), k2=np.array([k2]),
-                            k3=np.array([k3]), chi0=chi0[:1],
-                            weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
-    except ValueError as exc:
-        raise ConfigError(f"bad decay-scan packet: {exc}") from exc
-    l_grid = np.geomspace(l_lo, l_hi, n_l)
+    packet = _build("decay-scan packet", WavePacket,
+                    m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
+                    chi0=chi0, weights=weights, quad_weights=np.full(n, du))
+    single = WavePacket(m=m, u=np.array([u[n // 2]]), k2=np.array([k2]),
+                        k3=np.array([k3]), chi0=chi0[:1],
+                        weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
+    l_grid = np.geomspace(*cfg["l_range"], cfg["n_l"])
     l_both = np.concatenate([l_grid, -l_grid])
     report = null_decay_scan(packet, pot, s_values, l_both)
     single_report = null_decay_scan(single, pot, s_values[:1], l_both)
@@ -480,38 +563,26 @@ def run_decay_scan(cfg, outdir: Path):
         mags = np.linalg.norm(packet_pi_minus_field(packet, pot, s, l_both), axis=1)
         for l, mag in zip(l_both, mags):
             rows.append((s, l, mag))
-    chash = _config_hash(cfg)
     csv_path = outdir / "decay_scan.csv"
-    _write_csv(csv_path, ["s", "l", "pi_minus_norm"], rows, chash)
+    _write_csv(csv_path, ["s", "l", "pi_minus_norm"], rows, comment)
 
     checks = [
-        _geq("min_fitted_decay_order", report.min_order, order_min),
+        _geq("min_fitted_decay_order", report.min_order, cfg["order_min"]),
         Check("single_mode_flagged_non_decaying",
               single_report.min_order, report.threshold, single_report.non_decaying),
     ]
-    return checks, [csv_path.name]
+    return ScenarioResult(checks, [csv_path.name])
 
 
-def run_fp_kernel_export(cfg, outdir: Path):
-    pot = _potential(cfg)
-    u_vals = _numbers(cfg, "u_values")
-    if any(x >= 0 for x in u_vals):
-        raise ConfigError("u_values must be negative for projector kernels")
-    k2_vals = _numbers(cfg, "k2_values")
-    k3_vals = _numbers(cfg, "k3_values")
-    m = _require(cfg, "m", float)
-    s_vals = _numbers(cfg, "s_values")
-    st_vals = _numbers(cfg, "s_tilde_values")
-    tol = _require(cfg, "tolerance", float)
+def run_fp_kernel_export(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    pot = cfg["potential"]
     # one mode per (u, k2, k3) on axis 0, s on axis 1, s~ on axis 2
     u, k2, k3 = (x.ravel()[:, None, None] for x in
-                 np.meshgrid(u_vals, k2_vals, k3_vals, indexing="ij"))
-    try:
-        modes = ModeParams(k2, k3, u, m)
-    except ValueError as exc:
-        raise ConfigError(f"bad fp-kernel-export mode: {exc}") from exc
-    s = np.array(s_vals)[:, None]
-    st = np.array(st_vals)
+                 np.meshgrid(cfg["u_values"], cfg["k2_values"], cfg["k3_values"],
+                             indexing="ij"))
+    modes = _build("fp-kernel-export mode", ModeParams, k2, k3, u, cfg["m"])
+    s = np.array(cfg["s_values"])[:, None]
+    st = np.array(cfg["s_tilde_values"])
 
     scale = 1.0 / (2.0 * np.pi) ** 4
     coincidence_gaps = np.abs(fp_scalar_a(modes, pot, s, s) - scale) / scale
@@ -522,58 +593,45 @@ def run_fp_kernel_export(cfg, outdir: Path):
     norm = np.maximum(np.max(np.abs(kernel), axis=(-2, -1)), 1e-300)
     sym_gaps = np.max(np.abs(spin_adjoint(kernel) - mirrored), axis=(-2, -1)) / norm
     consistency_gaps = np.max(np.abs(kernel - (-sign) * causal), axis=(-2, -1)) / norm
-    samples = [KernelSample(modes, s, st, kernel)]
-    chash = _config_hash(cfg)
     csv_path = outdir / "fp_kernel.csv"
-    write_kernel_csv(csv_path, samples, comment=f"config_sha256={chash}")
+    write_kernel_csv(csv_path, [KernelSample(modes, s, st, kernel)], comment=comment)
+    tol = cfg["tolerance"]
     checks = [
         _leq("spin_adjoint_symmetry", _worst(sym_gaps), tol),
         _leq("projector_vs_causal_consistency", _worst(consistency_gaps), tol),
         _leq("coincidence_scalar", _worst(coincidence_gaps), tol),
     ]
-    return checks, [csv_path.name]
+    return ScenarioResult(checks, [csv_path.name])
 
 
-def run_sidebands(cfg, outdir: Path):
-    lam = _require(cfg, "amplitude", float)
-    omega = _require(cfg, "frequency", float)
-    k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
-    u, m = _require(cfg, "u", float), _require(cfg, "m", float)
-    n_max = _require(cfg, "n_max", int)
-    n_compare = _require(cfg, "n_compare", int)
-    if not 0 <= n_compare <= n_max:
-        raise ConfigError(f"need 0 <= n_compare <= n_max, got n_compare={n_compare}, "
-                          f"n_max={n_max}")
-    periods = _require_count(cfg, "periods")
-    per = _require_count(cfg, "samples_per_period")
-    amp_tol = _require(cfg, "amplitude_tolerance", float)
-    sum_tol = _require(cfg, "sum_sq_tolerance", float)
-
-    from .potential import HarmonicPotential
-
-    try:
-        mode = ModeParams(k2, k3, u, m)
-        pot = HarmonicPotential(lam, omega)
-    except ValueError as exc:
-        raise ConfigError(f"bad sidebands mode or wave: {exc}") from exc
+def run_sidebands(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    lam, omega = cfg["amplitude"], cfg["frequency"]
+    n_max = cfg["n_max"]
+    per = cfg["samples_per_period"]
+    mode = _build("sidebands mode", ModeParams, cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    pot = _build("sidebands wave", HarmonicPotential, lam, omega)
     v0 = harmonic_carrier(mode, lam, omega)
     lines_an = harmonic_sidebands_analytic(mode, lam, omega, n_max)
     total_sq = sum(abs(l.amplitude) ** 2 for l in lines_an)
 
     ds = (2.0 * np.pi / abs(omega)) / per
-    n_samp = periods * per
+    n_samp = cfg["periods"] * per
     s_grid = ds * np.arange(n_samp)
     zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s_grid) + mode.m ** 2 * s_grid
     values = np.exp(-1j * zeta / (4.0 * mode.u))
     span = s_grid[-1] - s_grid[0]
     window = GaussianWindow(center=0.5 * span, width=span / 14.0)
-    lines_fft = spectrum_fft(s_grid, values, window, omega, v0, n_compare)
+    lines_fft = spectrum_fft(s_grid, values, window, omega, v0, cfg["n_compare"])
 
+    # A line whose analytic amplitude is exactly 0 (J_n(0) = 0, e.g. the odd
+    # lines at k2 = k3 = 0) has no scale for a relative gap and no position
+    # to compare: its gap is absolute and it has no position offset.
     an_by_n = {l.n: l for l in lines_an}
     bin_width = 2.0 * np.pi / span
-    amp_gaps = [abs(lf.amplitude - an_by_n[lf.n].amplitude) / abs(an_by_n[lf.n].amplitude)
-                for lf in lines_fft]
-    pos_offsets = [abs(lf.v - an_by_n[lf.n].v) / bin_width for lf in lines_fft]
+    amp_gaps = [abs(lf.amplitude - an_by_n[lf.n].amplitude)
+                / (abs(an_by_n[lf.n].amplitude) or 1.0) for lf in lines_fft]
+    pos_offsets = [abs(lf.v - an_by_n[lf.n].v) / bin_width for lf in lines_fft
+                   if an_by_n[lf.n].amplitude != 0]
 
     # amplitude off: spectrum collapses to the single dispersion line
     lines_zero = harmonic_sidebands_analytic(mode, 0.0, omega, n_max)
@@ -584,52 +642,30 @@ def run_sidebands(cfg, outdir: Path):
         + [abs(l.amplitude) for l in lines_zero if l.n != 0]
     )
 
-    chash = _config_hash(cfg)
     an_path = outdir / "sidebands_analytic.csv"
     fft_path = outdir / "sidebands_fft.csv"
-    write_lines_csv(an_path, lines_an, comment=f"config_sha256={chash}")
-    write_lines_csv(fft_path, lines_fft, comment=f"config_sha256={chash}")
+    write_lines_csv(an_path, lines_an, comment=comment)
+    write_lines_csv(fft_path, lines_fft, comment=comment)
     checks = [
-        _leq("max_amplitude_relative_gap", _worst(amp_gaps), amp_tol),
+        _leq("max_amplitude_relative_gap", _worst(amp_gaps), cfg["amplitude_tolerance"]),
         _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),
-        _leq("sum_sq_deficit", abs(1.0 - total_sq), sum_tol),
+        _leq("sum_sq_deficit", abs(1.0 - total_sq), cfg["sum_sq_tolerance"]),
         _leq("zero_amplitude_collapse", collapse_err, 1e-12),
     ]
-    return checks, [an_path.name, fft_path.name]
+    return ScenarioResult(checks, [an_path.name, fft_path.name])
 
 
-def _v_fit(cfg) -> tuple[float, float, int]:
-    lo, hi, n = _grid_triple(cfg, "v_fit", 8)
-    if not 0 < lo < hi:
-        raise ConfigError("v_fit must satisfy 0 < lo < hi")
-    return lo, hi, n
-
-
-def run_wavefront_probe(cfg, outdir: Path):
-    pot = _potential(cfg)
-    k2, k3 = _require(cfg, "k2", float), _require(cfg, "k3", float)
-    u, m = _require(cfg, "u", float), _require(cfg, "m", float)
-    window_desc = _require(cfg, "window", dict)
-    try:
-        mode = ModeParams(k2, k3, u, m)
-        window = window_from_descriptor(window_desc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad wavefront-probe mode or window: {exc}") from exc
-    v_lo, v_hi, n_fit = _v_fit(cfg)
-    order_min = _require(cfg, "order_min", float)
-    pl_cfg = _require(cfg, "plancherel", dict)
-    v_max = _require(pl_cfg, "v_max", float, "plancherel")
-    dv = _require(pl_cfg, "dv", float, "plancherel")
-    pl_tol = _require(pl_cfg, "tolerance", float, "plancherel")
-    if not 0 < v_max < np.inf:
-        raise ConfigError("plancherel v_max must be positive")
-    if not 0 < dv < v_max:
-        raise ConfigError("plancherel dv must satisfy 0 < dv < v_max")
+def run_wavefront_probe(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+    pot, window = cfg["potential"], cfg["window"]
+    mode = _build("wavefront-probe mode", ModeParams, cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    v_lo, v_hi, n_fit = cfg["v_fit"]
+    plancherel = cfg["plancherel"]
 
     v_fit = np.geomspace(v_lo, v_hi, n_fit)
     f_fit = windowed_phase_transform(mode, pot, window, v_fit)
     order, resid = decay_order_fit(v_fit, np.abs(f_fit))
 
+    v_max, dv = plancherel["v_max"], plancherel["dv"]
     v_dense = np.arange(-v_max, v_max + 0.5 * dv, dv)
     f_dense = windowed_phase_transform(mode, pot, window, v_dense)
     l2 = transform_l2(v_dense, f_dense)
@@ -637,39 +673,28 @@ def run_wavefront_probe(cfg, outdir: Path):
     pl_err = abs(l2 - ref) / ref
     rules = {"fit": transform_rule(mode, pot, window, v_fit),
              "plancherel": transform_rule(mode, pot, window, v_dense)}
-
-    asym_cfg = cfg.get("asymmetry_report")
-    asym = None
-    if asym_cfg:
-        try:
-            asym_mode = ModeParams(
-                float(asym_cfg.get("k2", mode.k2)), float(asym_cfg.get("k3", mode.k3)),
-                float(asym_cfg.get("u", mode.u)), float(asym_cfg.get("m", mode.m)))
-            asym_pot = (potential_from_descriptor(asym_cfg["potential"])
-                        if "potential" in asym_cfg else pot)
-            asym_window = (window_from_descriptor(asym_cfg["window"])
-                           if "window" in asym_cfg else window)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad asymmetry_report: {exc}") from exc
-        asym = tail_decay_orders(asym_mode, asym_pot, asym_window, v_lo, v_hi)
-
-    chash = _config_hash(cfg)
-    fit_path = outdir / "wavefront_fit.csv"
-    dense_path = outdir / "wavefront_dense.csv"
-    write_transform_csv(fit_path, v_fit, f_fit, comment=f"config_sha256={chash}")
-    write_transform_csv(dense_path, v_dense, f_dense, comment=f"config_sha256={chash}")
-    checks = [
-        _geq("positive_tail_decay_order", order, order_min),
-        _leq("plancherel_relative_error", pl_err, pl_tol),
-    ]
     extra = {
         "fit_residual": resid,
         "transform_error_estimate": _worst(r.error_estimate for r in rules.values()),
         "s_nodes": {name: int(r.nodes.size) for name, r in rules.items()},
     }
+
+    asym = cfg["asymmetry_report"]
     if asym is not None:
-        extra["asymmetry_report"] = asym
-    return checks, [fit_path.name, dense_path.name], extra
+        asym_mode = _build("asymmetry_report mode", ModeParams, *(
+            cfg[key] if asym[key] is None else asym[key] for key in ("k2", "k3", "u", "m")))
+        extra["asymmetry_report"] = tail_decay_orders(
+            asym_mode, asym["potential"] or pot, asym["window"] or window, v_lo, v_hi)
+
+    fit_path = outdir / "wavefront_fit.csv"
+    dense_path = outdir / "wavefront_dense.csv"
+    write_transform_csv(fit_path, v_fit, f_fit, comment=comment)
+    write_transform_csv(dense_path, v_dense, f_dense, comment=comment)
+    checks = [
+        _geq("positive_tail_decay_order", order, cfg["order_min"]),
+        _leq("plancherel_relative_error", pl_err, plancherel["tolerance"]),
+    ]
+    return ScenarioResult(checks, [fit_path.name, dense_path.name], extra)
 
 
 _SCENARIOS = {
@@ -718,28 +743,26 @@ _SCENARIOS = {
 
 
 def run_scenario(scenario: str, cfg: dict, outdir: Path, workers: int) -> dict:
-    """Run one scenario and write its artifacts and summary.json.
+    """Validate the raw config `cfg`, run one scenario and write its
+    artifacts and summary.json.
 
     workers is the validated --workers count; no scenario fans out, so
     it does not change what runs or what is written.
     """
     runner, identity = _SCENARIOS[scenario]
+    valid = validate_config(scenario, cfg)
+    chash = _config_hash(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = runner(cfg, outdir)
-    if len(result) == 2:
-        checks, artifacts = result
-        extra = {}
-    else:
-        checks, artifacts, extra = result
+    result = runner(valid, outdir, f"config_sha256={chash}")
     summary = {
         "scenario": scenario,
         "identity": identity,
-        "config_sha256": _config_hash(cfg),
-        "checks": [c.as_dict() for c in checks],
-        "passed": all(c.passed for c in checks),
-        "artifacts": artifacts,
+        "config_sha256": chash,
+        "checks": [asdict(c) for c in result.checks],
+        "passed": all(c.passed for c in result.checks),
+        "artifacts": result.artifacts,
+        **result.extra,
     }
-    summary.update(extra)
     summary = _json_safe(summary)
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
@@ -781,8 +804,8 @@ def main(argv=None) -> int:
 
     try:
         workers = _worker_count(args.workers)
-        cfg = _load_config(args.config, args.scenario)
-        summary = run_scenario(args.scenario, cfg, Path(args.out), workers)
+        summary = run_scenario(args.scenario, _load_config(args.config), Path(args.out),
+                               workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

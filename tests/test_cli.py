@@ -1,14 +1,22 @@
 """Scenario runner: exit codes, artifacts, determinism across worker counts."""
 
+import importlib.util
 import json
 import multiprocessing.pool
 import multiprocessing.process
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volkovfp import cli
+from volkovfp.potential import (HarmonicPotential, PulsePotential, TabulatedPotential,
+                                ZeroPotential)
+from volkovfp.spectral import GaussianWindow, HannWindow
 
 
 def write_config(tmp_path, name, cfg):
@@ -63,6 +71,22 @@ def test_missing_key_is_config_error(tmp_path):
     assert not (out / "sidebands_analytic.csv").exists()
 
 
+@pytest.mark.parametrize("content", [None, b"{", b"\xff\xfe{}", b"[1]"],
+                         ids=["directory", "truncated", "not-utf8", "not-an-object"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    if content is None:
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_bytes(content)
+    out = tmp_path / "o"
+    assert cli.main(["sidebands", "--config", str(cfg_path), "--out", str(out)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
 def test_wrong_schema_version_rejected(tmp_path):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(schema_version=2))
     assert cli.main(["sidebands", "--config", cfg_path, "--out", str(tmp_path / "o")]) \
@@ -79,14 +103,31 @@ def test_scenario_mismatch_rejected(tmp_path):
     {"u": 0.0}, {"m": -1.0}, {"frequency": 0.0}, {"amplitude": float("nan")},
     {"periods": 0}, {"samples_per_period": 0},
     {"n_max": -1}, {"n_max": 0}, {"n_compare": 20}, {"n_compare": -1},
+    {"tolerence": 1e-4}, {"n_max": True},
 ], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude", "zero-periods",
         "zero-samples-per-period", "negative-n-max", "n-max-below-n-compare",
-        "n-compare-above-n-max", "negative-n-compare"])
+        "n-compare-above-n-max", "negative-n-compare", "unknown-key", "boolean-n-max"])
 def test_bad_sidebands_mode_or_wave_rejected(tmp_path, capsys, override):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
-    assert cli.main(["sidebands", "--config", cfg_path, "--out", str(tmp_path / "o")]) \
+    out = tmp_path / "o"
+    assert cli.main(["sidebands", "--config", cfg_path, "--out", str(out)]) \
         == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("override", [{"k2": 0.0, "k3": 0.0}, {"amplitude": 0.0}],
+                         ids=["on-axis-mode", "zero-amplitude"])
+def test_sidebands_with_vanishing_lines_pass(tmp_path, override):
+    """J_n(0) = 0 makes some analytic lines exactly 0: those lines are held
+    to an absolute amplitude gap and have no position to compare."""
+    cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
+    out = tmp_path / "out"
+    assert cli.main(["sidebands", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_PASS
+    checks = {c["name"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
+    assert checks["max_amplitude_relative_gap"]["measured"] <= 1e-4
+    assert checks["max_position_offset_bins"]["measured"] <= 1.0
 
 
 def test_assertion_failure_exit_code(tmp_path):
@@ -220,6 +261,10 @@ def test_mass_oscillation_with_disjoint_null(tmp_path):
     assert {"relative_gap", "null_lhs_over_diagonal", "null_rhs_over_diagonal"} <= names
 
 
+DISJOINT_NULL = {"null_tolerance": 1e-3, "disjoint_support_low": [0.8, 0.88],
+                 "disjoint_support_high": [1.12, 1.2]}
+
+
 @pytest.mark.parametrize("override", [
     {"n_masses": 1},
     {"epsilons": [0.1, 0.1, 0.05]},
@@ -229,8 +274,12 @@ def test_mass_oscillation_with_disjoint_null(tmp_path):
     {"mass_interval": [1.2, 0.8]},
     {"disjoint_null_check": True, "null_tolerance": 1e-3,
      "disjoint_support_low": [0.8], "disjoint_support_high": [1.12, 1.2]},
+    {"disjoint_null_chek": True, **DISJOINT_NULL},
+    {"disjoint_null_check": "no", **DISJOINT_NULL},
+    {"disjoint_null_check": True},
 ], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
-        "negative-epsilon", "reversed-interval", "one-number-disjoint-support"])
+        "negative-epsilon", "reversed-interval", "one-number-disjoint-support",
+        "misspelled-null-check", "text-null-check", "null-check-without-supports"])
 def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["mass-oscillation"]
     cfg.update(override)
@@ -238,7 +287,8 @@ def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override)
     out = tmp_path / "out"
     code = cli.main(["mass-oscillation", "--config", cfg_path, "--out", str(out)])
     assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
     assert not (out / "summary.json").exists()
 
 
@@ -276,12 +326,22 @@ def test_zero_draws_is_config_error(tmp_path, scenario, key):
     ("null-product-invariance", {"seed": -1}),
     ("decay-scan", {"seed": -1}),
     ("mass-oscillation", {"seed": -1}),
+    ("decay-scan", {"weight": {"center": -1.1, "sigma": 0.04, "sigmaa": 0.04}}),
+    ("dirac-residual", {"potential": {"kind": "harmonic", "amplitude": 0.2,
+                                      "frequency": 1.0, "width": 3.0}}),
+    ("mass-pairing", {"potential": {"kind": "harmonic", "amplitude": "0.2",
+                                    "frequency": 1.0}}),
+    ("null-product-invariance", {"potential": {"kind": "harmonic", "amplitude": True,
+                                               "frequency": 1.0}}),
+    ("fp-kernel-export", {"schema_version": True}),
 ], ids=["decay-nan-k2", "decay-zero-m", "decay-fractional-u-count", "decay-text-u-count",
         "decay-zero-l", "decay-one-number-l-range", "decay-few-l", "decay-zero-sigma",
         "kernel-zero-m", "kernel-nan-k2", "kernel-text-s-tilde", "kernel-huge-s",
         "null-product-nan-s", "kernel-huge-tolerance", "dirac-negative-seed",
         "pairing-negative-seed", "null-product-negative-seed", "decay-negative-seed",
-        "oscillation-negative-seed"])
+        "oscillation-negative-seed", "decay-unknown-weight-key", "dirac-stray-potential-width",
+        "pairing-text-amplitude", "null-product-boolean-amplitude",
+        "kernel-boolean-schema-version"])
 def test_bad_grid_or_mode_is_config_error(tmp_path, capsys, scenario, override):
     cfg = small_configs()[scenario]
     cfg.update(override)
@@ -346,10 +406,13 @@ def test_checks_fail_on_non_finite_measurements():
     {"window": {"kind": "hann", "lo": 1.0, "hi": -1.0}},
     {"asymmetry_report": {"u": 0.0}},
     {"k2": float("nan")},
+    {"asymmetry_report": {"u": True}},
+    {"asymmetry_report": [1]},
+    {"plancherel": {"v_max": 60.0, "dv": 0.2, "tolerance": 1e-6, "dV": 0.2}},
 ], ids=["two-element-v-fit", "too-few-fit-points", "negative-v-fit", "reversed-v-fit",
         "fractional-fit-count", "zero-dv", "dv-above-v-max", "negative-v-max", "zero-u",
         "unknown-window", "nan-gaussian-width", "empty-hann-support", "zero-u-asymmetry",
-        "nan-k2"])
+        "nan-k2", "boolean-u-asymmetry", "list-asymmetry-report", "unknown-plancherel-key"])
 def test_bad_wavefront_probe_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["wavefront-probe"]
     cfg.update(override)
@@ -411,3 +474,107 @@ def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, argv_wo
                      *argv_workers])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+
+
+TOLERANCE_KEYS = {"tolerance", "amplitude_tolerance", "sum_sq_tolerance", "null_tolerance"}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _paths(value, prefix=()):
+    """Path to every value inside a config: object keys and list elements."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small config with one key dropped, misspelled or added, or one value
+    retyped or overwritten.  No mutation enlarges a count or grid extent:
+    numbers become NaN, +-Infinity, 0 or -1, and 1e308 goes only into
+    tolerances, so every run stays small."""
+    scenario = draw(st.sampled_from(sorted(small_configs())))
+    cfg = small_configs()[scenario]
+    *parents, last = draw(st.sampled_from(list(_paths(cfg))))
+    holder = cfg
+    for key in parents:
+        holder = holder[key]
+    value = holder[last]
+    edits = ["text", True, None, [value], {"value": value}]
+    if isinstance(last, str):
+        edits += ["drop", "misspell", "add"]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        edits += [float("nan"), float("inf"), float("-inf"), 0, -1]
+        edits += [1e308] if last in TOLERANCE_KEYS else []
+    edit = draw(st.sampled_from(edits))
+    if edit == "drop":
+        del holder[last]
+    elif edit == "misspell":
+        holder[last[:-1] + "_"] = holder.pop(last)
+    elif edit == "add":
+        holder["unexpected_key"] = 1.0
+    else:
+        holder[last] = str(value) if edit == "text" else edit
+    return scenario, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_configs())
+def test_mutated_config_never_raises(case):
+    """Any one-key mutation of a valid config ends in exit 0-3 without a
+    traceback, and exit 1 only with the checks that ran in summary.json."""
+    scenario, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(Path(tmp), "cfg.json", cfg)
+        out = Path(tmp) / "out"
+        code = cli.main([scenario, "--config", cfg_path, "--out", str(out)])
+        assert code in (cli.EXIT_PASS, cli.EXIT_ASSERTION, cli.EXIT_CONFIG, cli.EXIT_DOMAIN)
+        if code in (cli.EXIT_PASS, cli.EXIT_ASSERTION):
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["checks"] and summary["passed"] == (code == cli.EXIT_PASS)
+        else:
+            assert not (out / "summary.json").exists()
+
+
+def _workload_configs():
+    """(label, scenario, config) of every perfbench workload item that is a
+    scenario config, at both sizes; perfbench/workloads.py is standard
+    library only and is loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            for item in workloads.generate(workload, seed=1, size=size):
+                if item["kind"] == "scenario":
+                    yield f"{workload}/{size}/{item['label']}", item["scenario"], item["config"]
+
+
+def test_shipped_and_benchmark_configs_validate():
+    """The schema accepts every shipped config and every benchmark workload
+    config, so a stricter table cannot fail the benchmark's runs."""
+    shipped = [(p.name, json.loads(p.read_text())) for p in sorted((ROOT / "configs").glob("*.json"))]
+    cases = [(name, cfg["scenario"], cfg) for name, cfg in shipped] + list(_workload_configs())
+    assert len(shipped) == len(cli.CONFIG_TABLES) == 8
+    for label, scenario, cfg in cases:
+        valid = cli.validate_config(scenario, cfg)
+        assert valid["scenario"] == scenario, label
+
+
+@pytest.mark.parametrize("key, value", [
+    ("potential", ZeroPotential()),
+    ("potential", HarmonicPotential(0.2, 1.0)),
+    ("potential", PulsePotential(0.5, 1.0, 3.0)),
+    ("potential", TabulatedPotential(np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 0.8, 9),
+                                     np.full(9, 0.1))),
+    ("window", GaussianWindow(0.0, 0.155)),
+    ("window", HannWindow(-4.0, 4.0)),
+], ids=["zero", "harmonic", "pulse", "tabulated", "gaussian", "hann"])
+def test_library_descriptors_are_config_descriptors(key, value):
+    """The key tables accept what descriptor() writes and rebuild the same object."""
+    cfg = small_configs()["wavefront-probe"]
+    cfg[key] = value.descriptor()
+    assert cli.validate_config("wavefront-probe", cfg)[key].descriptor() == value.descriptor()
