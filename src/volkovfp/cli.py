@@ -44,7 +44,6 @@ from .modes import (
     dirac_residual,
     null_decay_scan,
     null_scalar_product,
-    packet_pi_minus_field,
     smooth_bump,
 )
 from .potential import (
@@ -177,16 +176,10 @@ def _build(what: str, factory, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _described(kinds: dict[str, dict[str, Key]], factory):
-    """Kind of a {"kind": ..., fields} descriptor whose fields depend on its
-    kind, built into a library object by `factory`."""
-    def parse(value, name: str):
-        kind = value.get("kind") if isinstance(value, dict) else None
-        if not (isinstance(kind, str) and kind in kinds):
-            raise ConfigError(f"{name} must be an object with kind one of {sorted(kinds)}")
-        fields = {k: v for k, v in value.items() if k != "kind"}
-        return _build(name, factory, {"kind": kind, **_validate(Table(kinds[kind]), fields, name)})
-    return parse
+def _descriptor(factory):
+    """Kind of a {"kind": ..., fields} descriptor: the library's `factory`
+    checks its kind and fields and builds the object."""
+    return lambda value, name: _build(name, factory, value)
 
 
 _FINITE = Key(_float)
@@ -197,16 +190,8 @@ _NUMBERS = Key(_numbers)
 _POSITIVE_INTERVAL = Key(_numbers, lambda v: len(v) == 2 and 0 < v[0] < v[1],
                          "[lo, hi] with 0 < lo < hi")
 _GL_GRID = Key(_grid, lambda g: g[0] < g[1] and g[2] >= 1, "[lo, hi, n] with lo < hi, n >= 1")
-_POTENTIAL = Key(_described({
-    "zero": {},
-    "harmonic": dict.fromkeys(("amplitude", "frequency"), _FINITE),
-    "pulse": dict.fromkeys(("amplitude", "frequency", "width"), _FINITE),
-    "tabulated": {"s": _NUMBERS, "a2": _NUMBERS, "a3": _NUMBERS._replace(default=None)},
-}, potential_from_descriptor))
-_WINDOW = Key(_described({
-    "gaussian": dict.fromkeys(("center", "width"), _FINITE),
-    "hann": dict.fromkeys(("lo", "hi"), _FINITE),
-}, window_from_descriptor))
+_POTENTIAL = Key(_descriptor(potential_from_descriptor))
+_WINDOW = Key(_descriptor(window_from_descriptor))
 _MODE = dict.fromkeys(("k2", "k3", "u", "m"), _FINITE)
 _DRAWN = {"seed": _NATURAL, "potential": _POTENTIAL}
 
@@ -308,19 +293,18 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _row_format(row) -> str:
+    """%-format of a CSV row shaped like `row`: text as is, integers in
+    decimal, other numbers as %.17g (which round-trips a double)."""
+    return ",".join("%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer))
+                    else "%.17g" for c in row)
 
 
 def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
-    lines = [f"# {comment}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n")
+    """rows share their column types, so one format string prints them all."""
+    fmt = _row_format(rows[0]) if rows else ""
+    path.write_text("\n".join([f"# {comment}", ",".join(header),
+                               *(fmt % tuple(row) for row in rows)]) + "\n")
 
 
 @dataclass
@@ -369,11 +353,19 @@ def _json_safe(value):
     return value
 
 
-def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
-    raw = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    proj = raw @ _PI_MINUS.T
+def _random_spinors(rng, n: int = 1) -> np.ndarray:
+    return rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+
+
+def _pi_minus_rows(raw) -> np.ndarray:
+    """Each row of `raw` projected by Pi_minus and normalised."""
+    proj = np.asarray(raw) @ _PI_MINUS.T
     norms = np.linalg.norm(proj, axis=1, keepdims=True)
     return proj / np.maximum(norms, 1e-300)
+
+
+def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
+    return _pi_minus_rows(_random_spinors(rng, n))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +384,9 @@ def _draw_modes(rng, n: int):
         k3 = float(rng.normal(0.0, 0.7))
         m = float(rng.uniform(0.5, 1.5))
         point = rng.uniform(-3.0, 3.0, size=4)
-        chi0 = _random_pi_minus(rng)[0]
-        draws.append((u, k2, k3, m, point, chi0))
-    return [np.array(column) for column in zip(*draws)]
+        draws.append((u, k2, k3, m, point, _random_spinors(rng)[0]))
+    *columns, raw = (np.array(column) for column in zip(*draws))
+    return [*columns, _pi_minus_rows(raw)]
 
 
 def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
@@ -461,10 +453,9 @@ def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult
         m = float(rng.uniform(0.6, 1.4))
         mp = float(rng.uniform(0.6, 1.4))
         s = float(rng.uniform(-5.0, 5.0))
-        chi_a = _random_pi_minus(rng)[0]
-        chi_b = _random_pi_minus(rng)[0]
-        draws.append((k2, k3, u, m, mp, s, chi_a, chi_b))
-    k2, k3, u, m, mp, s, chi_a, chi_b = (np.array(column) for column in zip(*draws))
+        draws.append((k2, k3, u, m, mp, s, _random_spinors(rng)[0], _random_spinors(rng)[0]))
+    k2, k3, u, m, mp, s, raw_a, raw_b = (np.array(column) for column in zip(*draws))
+    chi_a, chi_b = _pi_minus_rows(raw_a), _pi_minus_rows(raw_b)
     lhs, rhs = mass_pairing_identity(
         ModeAmplitude(chi_a), ModeParams(k2, k3, u, m),
         ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), cfg["potential"], s,
@@ -558,11 +549,8 @@ def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     report = null_decay_scan(packet, pot, s_values, l_both)
     single_report = null_decay_scan(single, pot, s_values[:1], l_both)
 
-    rows = []
-    for s in s_values:
-        mags = np.linalg.norm(packet_pi_minus_field(packet, pot, s, l_both), axis=1)
-        for l, mag in zip(l_both, mags):
-            rows.append((s, l, mag))
+    rows = [(s, l, mag) for s, mags in zip(report.s_values, report.magnitudes)
+            for l, mag in zip(report.l_values, mags)]
     csv_path = outdir / "decay_scan.csv"
     _write_csv(csv_path, ["s", "l", "pi_minus_norm"], rows, comment)
 

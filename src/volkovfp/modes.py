@@ -389,9 +389,12 @@ class DecayReport:
     fitted_orders maps each scanned s to the smallest tail exponent seen
     across the l branches; min_order is the minimum over s.  A packet is
     flagged non-decaying when min_order falls below the threshold.
+    magnitudes[j, i] is ||Pi_minus psi(s_j, l_i)||, the fitted data.
     """
 
     s_values: np.ndarray
+    l_values: np.ndarray
+    magnitudes: np.ndarray
     fitted_orders: np.ndarray
     fit_residuals: np.ndarray
     min_order: float
@@ -425,9 +428,10 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     orders = np.empty(s_values.shape)
     residuals = np.empty(s_values.shape)
+    magnitudes = np.empty(s_values.shape + l_values.shape)
     for j, s in enumerate(s_values):
         field_values = packet_pi_minus_field(packet, pot, float(s), l_values)
-        mags = np.linalg.norm(field_values, axis=1)
+        mags = magnitudes[j] = np.linalg.norm(field_values, axis=1)
         branch_orders = []
         branch_residuals = []
         for branch in (l_values > 0, l_values < 0):
@@ -443,6 +447,8 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
     min_order = float(np.min(orders))
     return DecayReport(
         s_values=s_values,
+        l_values=l_values,
+        magnitudes=magnitudes,
         fitted_orders=orders,
         fit_residuals=residuals,
         min_order=min_order,

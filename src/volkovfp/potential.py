@@ -24,16 +24,22 @@ q is quadratic in the momenta, so each profile enters only through its
 exact moments A2 = int a2, A3 = int a3, B = int (a2^2 + a3^2) (elementary,
 Gaussian, or spline antiderivatives), and the mass-free phase is
 (k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB.
+
+Only two profiles need scipy, and each imports it where it is called:
+TabulatedPotential builds its splines with scipy.interpolate, and the
+PulsePotential moments (_gaussian_cosine_integral) evaluate
+scipy.special.wofz.  Zero and harmonic profiles run on numpy alone.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
+import sys
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.special import wofz
 
 __all__ = [
     "PotentialDomainError",
@@ -234,6 +240,8 @@ class TabulatedPotential(PlaneWavePotential):
     """
 
     def __init__(self, s, a2, a3=None):
+        from scipy.interpolate import CubicSpline, PPoly
+
         s = np.asarray(s, dtype=float)
         a2 = np.asarray(a2, dtype=float)
         if s.ndim != 1 or len(s) < 4:
@@ -318,6 +326,8 @@ def _gaussian_cosine_integral(s, width: float, frequency: float):
     w the Faddeeva function.  w stays bounded for z >= 0, so nothing
     overflows where e^{-b^2} underflows.
     """
+    from scipy.special import wofz
+
     s = np.asarray(s, dtype=float)
     z = np.abs(s) / (np.sqrt(2.0) * width)
     b = frequency * width / np.sqrt(2.0)
@@ -325,20 +335,69 @@ def _gaussian_cosine_integral(s, width: float, frequency: float):
     return np.sign(s) * width * np.sqrt(0.5 * np.pi) * (np.exp(-b * b) - tail.real)
 
 
-def potential_from_descriptor(desc: dict) -> PlaneWavePotential:
-    """Rebuild a potential from its descriptor dictionary."""
+def _is_number(value) -> bool:
+    """A real number, not a bool, that converts to a float without overflow."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real)
+
+
+_NUMBER = (_is_number, "a number")
+_SAMPLES = (lambda v: isinstance(v, (list, tuple, np.ndarray)) and all(map(_is_number, v)),
+            "a list of numbers")
+
+
+def _descriptor_fields(desc, kinds: dict, what: str, optional=()) -> tuple[str, dict]:
+    """Kind and fields of a {"kind": kind, field: value, ...} descriptor.
+
+    kinds maps each kind to its fields and each field to (test, meaning).
+    An unknown kind or field, a missing field (one named in `optional` may
+    be left out or None) and a value failing its test raise ValueError.
+    """
+    if not isinstance(desc, Mapping):
+        raise ValueError(f"{what} descriptor must be a mapping, got {desc!r:.40}")
     kind = desc.get("kind")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    fields = kinds[kind]
+    unknown = sorted(set(desc) - {"kind", *fields})
+    if unknown:
+        raise ValueError(f"{kind} {what} has unknown field {unknown[0]!r}")
+    values = {}
+    for name, (test, meaning) in fields.items():
+        value = desc.get(name)
+        if value is None and name in optional:
+            continue
+        if name not in desc:
+            raise ValueError(f"{kind} {what} is missing field {name!r}")
+        if not test(value):
+            raise ValueError(f"{kind} {what} field {name!r} must be {meaning}, got {value!r:.40}")
+        values[name] = value
+    return kind, values
+
+
+_POTENTIAL_FIELDS = {
+    "zero": {},
+    "harmonic": dict.fromkeys(("amplitude", "frequency"), _NUMBER),
+    "pulse": dict.fromkeys(("amplitude", "frequency", "width"), _NUMBER),
+    "tabulated": dict.fromkeys(("s", "a2", "a3"), _SAMPLES),
+}
+
+
+def potential_from_descriptor(desc: Mapping) -> PlaneWavePotential:
+    """Rebuild a potential from its descriptor mapping.
+
+    Numbers must be numbers (not bools or text); an unknown kind or field
+    or a missing field raises ValueError.  A tabulated "a3" may be left out.
+    """
+    kind, f = _descriptor_fields(desc, _POTENTIAL_FIELDS, "potential", optional=("a3",))
     if kind == "zero":
         return ZeroPotential()
     if kind == "harmonic":
-        return HarmonicPotential(float(desc["amplitude"]), float(desc["frequency"]))
+        return HarmonicPotential(float(f["amplitude"]), float(f["frequency"]))
     if kind == "pulse":
-        return PulsePotential(
-            float(desc["amplitude"]), float(desc["frequency"]), float(desc["width"])
-        )
-    if kind == "tabulated":
-        return TabulatedPotential(desc["s"], desc["a2"], desc.get("a3"))
-    raise ValueError(f"unknown potential kind {kind!r}")
+        return PulsePotential(float(f["amplitude"]), float(f["frequency"]), float(f["width"]))
+    return TabulatedPotential(f["s"], f["a2"], f.get("a3"))
 
 
 def tabulated_from_csv(path) -> TabulatedPotential:

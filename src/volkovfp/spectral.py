@@ -34,18 +34,21 @@ diagnostic: for u < 0 the phase derivative of the integrand never
 vanishes once v > m^2/(8u), so F decays rapidly towards positive v while
 Plancherel, int |F|^2 dv = 2 pi int |f g|^2 ds, rules out any spurious
 global smallness.
+
+Only ``harmonic_sidebands_analytic`` needs scipy (the Bessel functions
+scipy.special.jv) and it imports it when called; everything else here
+runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.special import jv
 
 from .modes import ModeParams
-from .potential import PlaneWavePotential, transverse_phase
+from .potential import _NUMBER, PlaneWavePotential, _descriptor_fields, transverse_phase
 from .quadrature import PanelRule, UndersampledGridError, checked_panels, phase_rate
 
 __all__ = [
@@ -110,6 +113,8 @@ class HannWindow:
     hi: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError("window support must be finite")
         if not self.lo < self.hi:
             raise ValueError("empty window support")
 
@@ -132,13 +137,19 @@ class HannWindow:
         return {"kind": "hann", "lo": self.lo, "hi": self.hi}
 
 
-def window_from_descriptor(desc: dict):
-    kind = desc.get("kind")
+_WINDOW_FIELDS = {
+    "gaussian": dict.fromkeys(("center", "width"), _NUMBER),
+    "hann": dict.fromkeys(("lo", "hi"), _NUMBER),
+}
+
+
+def window_from_descriptor(desc: Mapping):
+    """Rebuild a window from its descriptor mapping; bad fields raise ValueError
+    as in potential_from_descriptor."""
+    kind, f = _descriptor_fields(desc, _WINDOW_FIELDS, "window")
     if kind == "gaussian":
-        return GaussianWindow(float(desc["center"]), float(desc["width"]))
-    if kind == "hann":
-        return HannWindow(float(desc["lo"]), float(desc["hi"]))
-    raise ValueError(f"unknown window kind {kind!r}")
+        return GaussianWindow(float(f["center"]), float(f["width"]))
+    return HannWindow(float(f["lo"]), float(f["hi"]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +170,8 @@ def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: f
     c_n = sum over n1 + 2 n2 = n of J_{n1}(z1) J_{n2}(z2); the two
     arguments come from the first and second harmonic of the phase.
     """
+    from scipy.special import jv
+
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if frequency == 0:
@@ -307,9 +320,15 @@ def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
 
 
 def transform_l2(v_grid, f_values) -> float:
-    """Trapezoid integral of |F|^2 over the sampled v grid."""
+    """Trapezoid integral of |F|^2 over the sampled v grid.
+
+    The sum is written out (as scipy.integrate.trapezoid computes it, in
+    the same order) because numpy has no trapezoid rule under one name
+    across its supported versions.
+    """
     v_grid = np.asarray(v_grid, dtype=float)
-    return float(trapezoid(np.abs(np.asarray(f_values)) ** 2, v_grid))
+    y = np.abs(np.asarray(f_values)) ** 2
+    return float(np.sum(np.diff(v_grid) * (y[1:] + y[:-1]) / 2.0))
 
 
 def plancherel_reference(window, weight_sq_integral: float | None = None) -> float:

@@ -5,6 +5,8 @@ import json
 import multiprocessing.pool
 import multiprocessing.process
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -409,10 +411,19 @@ def test_checks_fail_on_non_finite_measurements():
     {"asymmetry_report": {"u": True}},
     {"asymmetry_report": [1]},
     {"plancherel": {"v_max": 60.0, "dv": 0.2, "tolerance": 1e-6, "dV": 0.2}},
+    {"potential": {"kind": "pulse", "amplitude": 0.5, "frequency": 1.0}},
+    {"potential": {"kind": "harmonic", "amplitude": 10 ** 400, "frequency": 1.0}},
+    {"potential": {"kind": "tabulated", "s": [0.0, 1.0, 2.0, 3.0], "a2": ["0", 0, 0, 0]}},
+    {"potential": {"kind": "tabulated", "s": [0.0, 1.0, 2.0, 3.0], "a2": [0] * 4, "a3": True}},
+    {"potential": ["harmonic", 0.2, 1.0]},
+    {"window": {"kind": "hann", "lo": -4.0, "hi": float("inf")}},
+    {"window": {"kind": "gaussian", "center": 0.0, "width": 0.155, "lo": 1.0}},
 ], ids=["two-element-v-fit", "too-few-fit-points", "negative-v-fit", "reversed-v-fit",
         "fractional-fit-count", "zero-dv", "dv-above-v-max", "negative-v-max", "zero-u",
         "unknown-window", "nan-gaussian-width", "empty-hann-support", "zero-u-asymmetry",
-        "nan-k2", "boolean-u-asymmetry", "list-asymmetry-report", "unknown-plancherel-key"])
+        "nan-k2", "boolean-u-asymmetry", "list-asymmetry-report", "unknown-plancherel-key",
+        "pulse-without-width", "huge-amplitude", "text-sample", "boolean-a3",
+        "list-potential", "infinite-hann-end", "gaussian-with-hann-field"])
 def test_bad_wavefront_probe_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["wavefront-probe"]
     cfg.update(override)
@@ -578,3 +589,61 @@ def test_library_descriptors_are_config_descriptors(key, value):
     cfg = small_configs()["wavefront-probe"]
     cfg[key] = value.descriptor()
     assert cli.validate_config("wavefront-probe", cfg)[key].descriptor() == value.descriptor()
+
+
+# Run in a fresh interpreter: this process has already imported scipy.
+_LAZY_SCIPY_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from volkovfp import cli
+with tempfile.TemporaryDirectory() as tmp:
+    for path in sys.argv[2:]:
+        cfg = json.loads(Path(path).read_text())
+        cli.run_scenario(cfg["scenario"], cfg, Path(tmp) / Path(path).stem, 1)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_runs_without_sidebands_import_no_scipy_submodule():
+    """Only sidebands and pulse/tabulated profiles need scipy; every other
+    shipped config runs through the CLI on numpy alone."""
+    configs = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))
+               if p.name != "sidebands.json"]
+    assert len(configs) == 7
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, src, *configs],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "volkovfp.cli" in loaded
+    heavy = ("scipy.special", "scipy.interpolate", "scipy.integrate")
+    assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+def _fmt_cell(x) -> str:
+    """Per-cell CSV formatting that _write_csv's row format must reproduce."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (bool, int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
+
+
+def test_csv_row_format_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, 1e-310, 1e308, 0.1, float("nan"), float("inf"), float("-inf")]
+    rows = [("case", i, np.int64(-i), bool(i % 2), x, np.float64(-x))
+            for i, x in enumerate([*specials, *rng.normal(size=20) * 10.0 ** rng.integers(-9, 9, 20)])]
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, ["a", "b", "c", "d", "e", "f"], rows, "c")
+    expected = ["# c", "a,b,c,d,e,f", *(",".join(map(_fmt_cell, row)) for row in rows)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    cli._write_csv(path, ["a"], [], "c")
+    assert path.read_text() == "# c\na\n"
+
+
+def test_batched_pi_minus_projection_matches_rows():
+    raw = cli._random_spinors(np.random.default_rng(3), 50)
+    batched = cli._pi_minus_rows(raw)
+    for row, out in zip(raw, batched):
+        assert np.array_equal(cli._pi_minus_rows(row[None, :])[0], out)

@@ -27,6 +27,7 @@ from volkovfp.modes import (
     null_decay_scan,
     null_scalar_product,
     packet_from_document,
+    packet_pi_minus_field,
     packet_to_document,
     project_pi_minus,
     reconstruct_full,
@@ -311,6 +312,11 @@ def test_decay_scan_smooth_weights(rng):
                                   [-5.0, 0.0, 5.0], l_both)
     assert report_harm.min_order >= 4.0
     assert abs(report_harm.min_order - report_zero.min_order) <= 0.1 * report_zero.min_order
+    # the report carries the magnitudes it fitted, for its CSV
+    assert np.array_equal(report_harm.l_values, l_both)
+    for s, mags in zip(report_harm.s_values, report_harm.magnitudes):
+        field = packet_pi_minus_field(packet, HarmonicPotential(0.2, 1.0), s, l_both)
+        assert np.array_equal(mags, np.linalg.norm(field, axis=1))
 
 
 def test_decay_scan_flags_single_mode(rng):

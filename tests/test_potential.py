@@ -1,5 +1,7 @@
 """Phase integrals: closed forms vs quadrature, additivity, monotonicity."""
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,3 +242,40 @@ def test_bad_inputs_rejected():
 def test_non_finite_descriptor_fields_rejected(desc):
     with pytest.raises(ValueError, match="finite"):
         potential_from_descriptor(desc)
+
+
+_SAMPLES = [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("desc, match", [
+    ({"kind": "harmonic", "amplitude": "0.2", "frequency": True, "width": 3}, "unknown field"),
+    ({"kind": "harmonic", "amplitude": "0.2", "frequency": 1.0}, "must be a number"),
+    ({"kind": "harmonic", "amplitude": 0.2, "frequency": True}, "must be a number"),
+    ({"kind": "harmonic", "amplitude": 0.2, "frequency": np.True_}, "must be a number"),
+    ({"kind": "harmonic", "amplitude": 10 ** 400, "frequency": 1.0}, "must be a number"),
+    ({"kind": "pulse", "amplitude": 0.2, "frequency": None, "width": 1.0}, "must be a number"),
+    ({"kind": "harmonic", "amplitude": 0.2}, "missing field 'frequency'"),
+    ({"kind": "pulse", "amplitude": 0.2, "frequency": 1.0}, "missing field 'width'"),
+    ({"kind": "zero", "amplitude": 0.0}, "unknown field"),
+    ({"kind": "tabulated", "s": _SAMPLES}, "missing field 'a2'"),
+    ({"kind": "tabulated", "s": _SAMPLES, "a2": ["0", 0, 0, 0]}, "list of numbers"),
+    ({"kind": "tabulated", "s": _SAMPLES, "a2": [0.0] * 4, "a3": [False] * 4}, "list of numbers"),
+    ({"kind": "tabulated", "s": _SAMPLES, "a2": 0.0}, "list of numbers"),
+    ({"kind": "tabulated", "s": _SAMPLES, "a2": [0.0] * 4, "b": 1}, "unknown field"),
+    ({"amplitude": 0.2, "frequency": 1.0}, "unknown potential kind"),
+    (["harmonic", 0.2, 1.0], "mapping"),
+])
+def test_malformed_descriptor_rejected(desc, match):
+    with pytest.raises(ValueError, match=match):
+        potential_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("desc, expected", [
+    ({"kind": "harmonic", "amplitude": 1, "frequency": 2}, HarmonicPotential(1.0, 2.0)),
+    (MappingProxyType({"kind": "pulse", "amplitude": 0.5, "frequency": np.float64(1.0),
+                       "width": np.int64(3)}), PulsePotential(0.5, 1.0, 3.0)),
+    ({"kind": "tabulated", "s": (0, 1, 2, 3), "a2": np.zeros(4), "a3": None},
+     TabulatedPotential(_SAMPLES, [0.0] * 4)),
+], ids=["json-ints", "read-only-mapping", "tabulated-without-a3"])
+def test_descriptor_accepts_integers_and_mappings(desc, expected):
+    assert potential_from_descriptor(desc).descriptor() == expected.descriptor()

@@ -1,5 +1,7 @@
 """Sideband spectra, windowed transforms and decay-order fits."""
 
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
@@ -322,6 +324,32 @@ def test_windows():
         assert np.allclose(clone.sample(s), win.sample(s))
     with pytest.raises(ValueError):
         window_from_descriptor({"kind": "boxcar"})
+
+
+@pytest.mark.parametrize("desc, match", [
+    ({"kind": "gaussian", "center": "0", "width": 1.0}, "must be a number"),
+    ({"kind": "gaussian", "center": 0.0, "width": True}, "must be a number"),
+    ({"kind": "gaussian", "center": 0.0}, "missing field 'width'"),
+    ({"kind": "hann", "lo": 0.0, "hi": 1.0, "width": 1.0}, "unknown field"),
+    ({"kind": "hann", "lo": 0.0, "hi": float("inf")}, "finite"),
+    ({"center": 0.0, "width": 1.0}, "unknown window kind"),
+])
+def test_malformed_window_descriptor_rejected(desc, match):
+    with pytest.raises(ValueError, match=match):
+        window_from_descriptor(desc)
+
+
+def test_window_descriptor_accepts_integers_and_mappings():
+    assert window_from_descriptor(MappingProxyType({"kind": "hann", "lo": -1, "hi": 2})) \
+        == HannWindow(-1.0, 2.0)
+
+
+def test_transform_l2_is_scipy_trapezoid():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 17, 1000):
+        v = np.cumsum(rng.uniform(0.01, 1.0, n)) - 5.0
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert transform_l2(v, f) == float(trapezoid(np.abs(f) ** 2, v))
 
 
 def test_csv_exports(tmp_path):
