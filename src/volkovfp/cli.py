@@ -7,9 +7,9 @@ mass-oscillation, decay-scan, fp-kernel-export, sidebands,
 wavefront-probe.
 
 Every run reads a single versioned JSON config, validates it against the
-scenario's key table in CONFIG_TABLES (unknown keys, missing keys and
-values of the wrong kind are config errors), writes CSV artifacts
-(each carrying a comment line with the config hash) plus a
+scenario's key table in CONFIG_TABLES with volkovfp.schema (unknown keys,
+missing keys and values of the wrong kind are config errors), writes CSV
+artifacts (each carrying a comment line with the config hash) plus a
 machine-readable summary.json with one pass/fail entry per assertion,
 and exits 0 on pass, 1 on assertion failure, 2 on config errors and 3
 on numerical-domain errors.  Random draws are sequential; each
@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .projector import (
     write_kernel_csv,
 )
 from .quadrature import gl_panels
+from .schema import Key, Table, kind, literal, numbers, number, validate
 from .spectral import (
     GaussianWindow,
     UndersampledGridError,
@@ -93,78 +94,19 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema: one key table per scenario, read by one validator
-
-_REQUIRED = object()
+# config schema: one key table per scenario, read by volkovfp.schema
 
 
-class Key(NamedTuple):
-    """One config key: `kind` parses its JSON value or raises ConfigError,
-    `check` constrains the parsed value as `rule` states, and a key with a
-    default may be left out."""
-
-    kind: Callable[[object, str], object]
-    check: Callable[[object], bool] | None = None
-    rule: str = ""
-    default: object = _REQUIRED
+_integer = kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_bool = kind(lambda v: isinstance(v, bool), "true or false")
 
 
-class Table(NamedTuple):
-    """The keys of one JSON object, and rules that relate several of them."""
-
-    keys: dict[str, Key]
-    rules: tuple[tuple[Callable[[Mapping], bool], str], ...] = ()
-
-
-def _finite(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-def _kind(test, what: str, convert=lambda value: value):
-    """Kind of a JSON value that passes `test`."""
-    def parse(value, name: str):
-        if not test(value):
-            raise ConfigError(f"{name} must be {what}")
-        return convert(value)
-    return parse
-
-
-def _finite_list(value, length: int | None = None) -> bool:
-    return (isinstance(value, list) and len(value) > 0 and length in (None, len(value))
-            and all(_finite(x) for x in value))
-
-
-_float = _kind(_finite, "a finite number", float)
-_integer = _kind(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_bool = _kind(lambda v: isinstance(v, bool), "true or false")
-_numbers = _kind(_finite_list, "a nonempty list of finite numbers",
-                 lambda v: tuple(float(x) for x in v))
-_grid = _kind(lambda v: _finite_list(v, 3) and float(v[2]).is_integer(),
-              "[lo, hi, n] with an integer n", lambda v: (float(v[0]), float(v[1]), int(v[2])))
-
-
-def _validate(table: Table, raw, where: str) -> Mapping:
-    """Read-only parsed values of every key of `table` in the JSON object
-    `raw`, defaults filled in."""
-    label = where or "config"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{label} must be a JSON object")
-    unknown = sorted(set(raw) - set(table.keys))
-    if unknown:
-        raise ConfigError(f"{label} has unknown key {unknown[0]!r}")
-    parsed = {}
-    for key, spec in table.keys.items():
-        name = f"{where}.{key}" if where else key
-        if key not in raw and spec.default is _REQUIRED:
-            raise ConfigError(f"{label} is missing required key {key!r}")
-        parsed[key] = spec.kind(raw[key], name) if key in raw else spec.default
-        if key in raw and spec.check is not None and not spec.check(parsed[key]):
-            raise ConfigError(f"{name} must be {spec.rule}")
-    for holds, rule in table.rules:
-        if not holds(parsed):
-            raise ConfigError(f"{label}: {rule}")
-    return MappingProxyType(parsed)
+def _grid(value, name: str) -> tuple[float, float, int]:
+    """[lo, hi, n]: finite ends and an integer count n."""
+    grid = numbers(value, name)
+    if len(grid) != 3 or not grid[2].is_integer():
+        raise ValueError(f"{name} must be [lo, hi, n] with an integer n")
+    return grid[0], grid[1], int(grid[2])
 
 
 def _build(what: str, factory, *args, **kwargs):
@@ -176,22 +118,16 @@ def _build(what: str, factory, *args, **kwargs):
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _descriptor(factory):
-    """Kind of a {"kind": ..., fields} descriptor: the library's `factory`
-    checks its kind and fields and builds the object."""
-    return lambda value, name: _build(name, factory, value)
-
-
-_FINITE = Key(_float)
-_POSITIVE = Key(_float, lambda x: x > 0, "positive")
+_FINITE = Key(number)
+_POSITIVE = Key(number, lambda x: x > 0, "positive")
 _COUNT = Key(_integer, lambda n: n >= 1, "at least 1")
 _NATURAL = Key(_integer, lambda n: n >= 0, "a nonnegative integer")
-_NUMBERS = Key(_numbers)
-_POSITIVE_INTERVAL = Key(_numbers, lambda v: len(v) == 2 and 0 < v[0] < v[1],
+_NUMBERS = Key(numbers, len, "nonempty")
+_POSITIVE_INTERVAL = Key(numbers, lambda v: len(v) == 2 and 0 < v[0] < v[1],
                          "[lo, hi] with 0 < lo < hi")
 _GL_GRID = Key(_grid, lambda g: g[0] < g[1] and g[2] >= 1, "[lo, hi, n] with lo < hi, n >= 1")
-_POTENTIAL = Key(_descriptor(potential_from_descriptor))
-_WINDOW = Key(_descriptor(window_from_descriptor))
+_POTENTIAL = Key(potential_from_descriptor)
+_WINDOW = Key(window_from_descriptor)
 _MODE = dict.fromkeys(("k2", "k3", "u", "m"), _FINITE)
 _DRAWN = {"seed": _NATURAL, "potential": _POTENTIAL}
 
@@ -211,7 +147,7 @@ CONFIG_TABLES = {
         "u_grid": Key(_grid, lambda g: g[0] < g[1] <= 0 and g[2] >= 1,
                       "[lo, hi, n] with lo < hi <= 0, n >= 1"),
         **dict.fromkeys(("k2_grid", "k3_grid"), _GL_GRID),
-        "epsilons": Key(_numbers, lambda e: min(e) > 0 and len(set(e)) == len(e),
+        "epsilons": Key(numbers, lambda e: len(e) > 0 and min(e) > 0 and len(set(e)) == len(e),
                         "distinct positive numbers"),
         "tolerance": _FINITE,
         "disjoint_null_check": Key(_bool, default=False),
@@ -225,7 +161,7 @@ CONFIG_TABLES = {
         **_DRAWN,
         "u_grid": Key(_grid, lambda g: g[2] >= 2 and not np.any(np.linspace(*g) == 0),
                       "[lo, hi, n] with n >= 2 whose points avoid u = 0"),
-        "weight": Key(partial(_validate, Table({"center": _FINITE, "sigma": _POSITIVE}))),
+        "weight": Key(partial(validate, Table({"center": _FINITE, "sigma": _POSITIVE}))),
         **dict.fromkeys(("k2", "k3", "m", "order_min"), _FINITE),
         "l_range": _POSITIVE_INTERVAL,
         "n_l": Key(_integer, lambda n: n >= 8, "at least 8"),
@@ -234,7 +170,7 @@ CONFIG_TABLES = {
     "fp-kernel-export": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,
-        "u_values": Key(_numbers, lambda v: max(v) < 0, "negative numbers"),
+        "u_values": Key(numbers, lambda v: len(v) > 0 and max(v) < 0, "negative numbers"),
         **dict.fromkeys(("k2_values", "k3_values", "s_values", "s_tilde_values"), _NUMBERS),
         **dict.fromkeys(("m", "tolerance"), _FINITE),
     }),
@@ -244,7 +180,9 @@ CONFIG_TABLES = {
         **_MODE,
         **dict.fromkeys(("n_max", "n_compare"), _NATURAL),
         **dict.fromkeys(("periods", "samples_per_period"), _COUNT),
-    }, rules=((lambda c: c["n_compare"] <= c["n_max"], "need n_compare <= n_max"),)),
+    }, rules=((lambda c: c["n_compare"] <= c["n_max"], "need n_compare <= n_max"),
+              (lambda c: c["periods"] * c["samples_per_period"] >= 2,
+               "need periods * samples_per_period >= 2 samples"))),
     "wavefront-probe": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,
@@ -253,27 +191,29 @@ CONFIG_TABLES = {
         "v_fit": Key(_grid, lambda g: 0 < g[0] < g[1] and g[2] >= 8,
                      "[lo, hi, n] with 0 < lo < hi, n >= 8"),
         "order_min": _FINITE,
-        "plancherel": Key(partial(_validate, Table(
+        "plancherel": Key(partial(validate, Table(
             {"v_max": _POSITIVE, "dv": _POSITIVE, "tolerance": _FINITE},
             rules=((lambda p: p["dv"] < p["v_max"], "need dv < v_max"),)))),
         # a field left out takes the probe's own value
-        "asymmetry_report": Key(partial(_validate, Table({
+        "asymmetry_report": Key(partial(validate, Table({
             **dict.fromkeys(_MODE, _FINITE._replace(default=None)),
             "potential": _POTENTIAL._replace(default=None),
             "window": _WINDOW._replace(default=None),
         })), default=None),
     }),
 }
-_SCHEMA_VERSION = Key(_integer, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION))
 
 
 def validate_config(scenario: str, raw) -> Mapping:
     """The read-only config of one scenario run: its key table plus the
     keys every config has, schema_version and an optional scenario name."""
     keys, rules = CONFIG_TABLES[scenario]
-    named = Key(lambda v, name: v, lambda v: v == scenario, repr(scenario), scenario)
-    return _validate(Table({"schema_version": _SCHEMA_VERSION, "scenario": named, **keys},
-                           rules), raw, "")
+    table = Table({"schema_version": literal(SCHEMA_VERSION),
+                   "scenario": literal(scenario, scenario), **keys}, rules)
+    try:
+        return validate(table, raw, "config")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +438,7 @@ def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
     pot = cfg["potential"]
     epsilons = cfg["epsilons"]
     fam = _grid_family(cfg, cfg["mass_interval"], np.random.default_rng(cfg["seed"]))
-    result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
+    result = _build("mass-oscillation regulator", mass_oscillation_check, fam, fam, pot, epsilons)
     checks = [_leq("relative_gap", result.relative_gap, cfg["tolerance"])]
 
     rows = [("diagonal", e, v.real, v.imag) for e, v in

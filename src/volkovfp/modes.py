@@ -28,13 +28,15 @@ is independent of s because each node evolves by a unit phase; it is the
 discretisation of the corresponding momentum-space integral.  Families
 over a mass interval add a smooth mass profile eta(m) vanishing at the
 interval ends; they feed the mass-oscillation check in ``projector``.
+Both round-trip through JSON documents, which are read by key tables
+(volkovfp.schema): a malformed one raises ValueError naming the key.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -48,6 +50,7 @@ from .potential import (
     potential_from_descriptor,
     transverse_phase,
 )
+from .schema import Key, Table, kind, literal, number, numbers, validate
 
 __all__ = [
     "GridMismatchError",
@@ -294,9 +297,6 @@ class WavePacket:
     def n_nodes(self) -> int:
         return self.u.shape[0]
 
-    def mode(self, i: int) -> ModeParams:
-        return ModeParams(float(self.k2[i]), float(self.k3[i]), float(self.u[i]), self.m)
-
     def same_grid_nodes(self, other: "WavePacket") -> bool:
         return (
             self.n_nodes == other.n_nodes
@@ -400,16 +400,6 @@ class DecayReport:
     min_order: float
     threshold: float
     non_decaying: bool
-
-    def summary(self) -> dict:
-        return {
-            "s_values": self.s_values.tolist(),
-            "fitted_orders": self.fitted_orders.tolist(),
-            "fit_residuals": self.fit_residuals.tolist(),
-            "min_order": self.min_order,
-            "threshold": self.threshold,
-            "non_decaying": self.non_decaying,
-        }
 
 
 def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
@@ -531,8 +521,38 @@ def _complex_to_lists(arr: np.ndarray) -> dict:
     return {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
 
 
-def _complex_from_lists(doc: dict) -> np.ndarray:
-    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+def _list_of(item):
+    """Kind of a JSON list whose entries are of kind `item`."""
+    is_list = kind(lambda v: isinstance(v, list), "a list")
+    return lambda value, name: [item(entry, f"{name}[{i}]")
+                                for i, entry in enumerate(is_list(value, name))]
+
+
+def _complex(part) -> Key:
+    """Key of a {"re": ..., "im": ...} pair whose parts are of kind `part`."""
+    return Key(partial(validate, Table({"re": Key(part), "im": Key(part)})))
+
+
+def _complex_array(pair) -> np.ndarray:
+    return np.asarray(pair["re"]) + 1j * np.asarray(pair["im"])
+
+
+_POTENTIAL = Key(potential_from_descriptor, default=None)
+_PACKET_DOCUMENT = Table({
+    "type": literal("wavepacket"),
+    "mass": Key(number),
+    **dict.fromkeys(("u", "k2", "k3", "quad_weights"), Key(numbers)),
+    "chi0": _complex(_list_of(numbers)),
+    "weights": _complex(numbers),
+    "potential": _POTENTIAL,
+})
+_FAMILY_DOCUMENT = Table({
+    "type": literal("massfamily"),
+    "interval": Key(numbers, lambda v: len(v) == 2, "[lo, hi]"),
+    **dict.fromkeys(("masses", "eta", "mass_quad_weights"), Key(numbers)),
+    "packets": Key(_list_of(lambda value, name: packet_from_document(value, name)[0])),
+    "potential": _POTENTIAL,
+})
 
 
 def packet_to_document(packet: WavePacket, pot: PlaneWavePotential | None = None) -> dict:
@@ -551,20 +571,13 @@ def packet_to_document(packet: WavePacket, pot: PlaneWavePotential | None = None
     return doc
 
 
-def packet_from_document(doc: dict) -> tuple[WavePacket, PlaneWavePotential | None]:
-    if doc.get("type") != "wavepacket":
-        raise ValueError("document is not a wavepacket")
-    packet = WavePacket(
-        m=float(doc["mass"]),
-        u=np.asarray(doc["u"], dtype=float),
-        k2=np.asarray(doc["k2"], dtype=float),
-        k3=np.asarray(doc["k3"], dtype=float),
-        chi0=_complex_from_lists(doc["chi0"]),
-        weights=_complex_from_lists(doc["weights"]),
-        quad_weights=np.asarray(doc["quad_weights"], dtype=float),
-    )
-    pot = potential_from_descriptor(doc["potential"]) if "potential" in doc else None
-    return packet, pot
+def packet_from_document(doc: dict, where: str = "wavepacket"
+                         ) -> tuple[WavePacket, PlaneWavePotential | None]:
+    """Packet and potential of a wavepacket document (named `where` in errors)."""
+    f = validate(_PACKET_DOCUMENT, doc, where)
+    return WavePacket(m=f["mass"], u=f["u"], k2=f["k2"], k3=f["k3"],
+                      chi0=_complex_array(f["chi0"]), weights=_complex_array(f["weights"]),
+                      quad_weights=f["quad_weights"]), f["potential"]
 
 
 def family_to_document(family: MassFamily, pot: PlaneWavePotential | None = None) -> dict:
@@ -582,18 +595,10 @@ def family_to_document(family: MassFamily, pot: PlaneWavePotential | None = None
 
 
 def family_from_document(doc: dict) -> tuple[MassFamily, PlaneWavePotential | None]:
-    if doc.get("type") != "massfamily":
-        raise ValueError("document is not a massfamily")
-    packets = [packet_from_document(p)[0] for p in doc["packets"]]
-    family = MassFamily(
-        interval=tuple(doc["interval"]),
-        masses=np.asarray(doc["masses"], dtype=float),
-        eta=np.asarray(doc["eta"], dtype=float),
-        mass_quad_weights=np.asarray(doc["mass_quad_weights"], dtype=float),
-        packets=packets,
-    )
-    pot = potential_from_descriptor(doc["potential"]) if "potential" in doc else None
-    return family, pot
+    """Family and potential of a massfamily document."""
+    f = validate(_FAMILY_DOCUMENT, doc, "massfamily")
+    return MassFamily(f["interval"], f["masses"], f["eta"], f["mass_quad_weights"],
+                      f["packets"]), f["potential"]
 
 
 def save_document(doc: dict, path) -> None:

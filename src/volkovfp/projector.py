@@ -268,18 +268,6 @@ class MassOscillationResult:
     rhs: complex
     relative_gap: float
 
-    def summary(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "lhs_by_epsilon_re": [v.real for v in self.lhs_by_epsilon],
-            "lhs_by_epsilon_im": [v.imag for v in self.lhs_by_epsilon],
-            "lhs_re": self.lhs.real,
-            "lhs_im": self.lhs.imag,
-            "rhs_re": self.rhs.real,
-            "rhs_im": self.rhs.imag,
-            "relative_gap": self.relative_gap,
-        }
-
 
 def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
     if not np.array_equal(fam_psi.masses, fam_phi.masses) or not np.array_equal(
@@ -327,7 +315,8 @@ def mass_oscillation_check(
     The s-grids are trapezoid rules on [-L, L] with L set by the regulator
     tail and spacing set by the largest mass-beat frequency; for a
     Gaussian-enveloped trigonometric integrand the trapezoid rule is
-    spectrally accurate.
+    spectrally accurate.  A regulator so small that one node's (mass, s)
+    array would exceed 2**24 values raises ValueError before allocating.
 
     The double mass sum factors: at each node and s the completed spinors
     of each family are summed over masses first, Psi(s) = sum_m c_m(s)
@@ -351,6 +340,13 @@ def mass_oscillation_check(
 
     eps_min = min(epsilons)
     half_width = float(np.sqrt(np.log(1.0 / tail) / eps_min))
+
+    # each node's s-grid spacing and half length, sized before any allocation
+    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(grid.u))
+    ds_nodes = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
+    n_half_nodes = np.ceil(half_width / ds_nodes)
+    if masses.size * (2.0 * n_half_nodes.max() + 1.0) > 2 ** 24:
+        raise ValueError(f"regulator epsilon {eps_min:g} needs over 2**24 (mass, s) values")
 
     # per-mass amplitudes and weights of every node, (m, node, 4) and (m, node)
     chi_psi = np.stack([pkt.chi0 for pkt in fam_psi.packets])
@@ -378,10 +374,7 @@ def mass_oscillation_check(
         rhs += _TWO_PI_4 * qw * signature_sign(u) * np.sum(diag_pref * diag)
 
         # regulated spacetime side
-        beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * abs(u))
-        ds = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
-        n_half = int(np.ceil(half_width / ds))
-        s_grid = ds * np.arange(-n_half, n_half + 1)
+        s_grid = ds_nodes[i] * np.arange(-n_half_nodes[i], n_half_nodes[i] + 1)
 
         base = transverse_phase(pot, k2, k3, 0.0, s_grid)
         osc = np.exp(
@@ -400,7 +393,7 @@ def mass_oscillation_check(
                         np.tensordot((amp_phi[:, i, None] * osc).T, basis_phi[:, i], axes=1))
         pairing = np.sum((np.conj(psi) @ _GAMMA0) * phi, axis=1)
 
-        s_weights = ds * np.exp(-eps_col * np.square(s_grid))
+        s_weights = ds_nodes[i] * np.exp(-eps_col * np.square(s_grid))
         lhs_by_eps += 4.0 * np.pi ** 3 * qw * (s_weights @ pairing)
 
     lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])

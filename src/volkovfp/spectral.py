@@ -48,8 +48,9 @@ from typing import Mapping
 import numpy as np
 
 from .modes import ModeParams
-from .potential import _NUMBER, PlaneWavePotential, _descriptor_fields, transverse_phase
+from .potential import PlaneWavePotential, transverse_phase
 from .quadrature import PanelRule, UndersampledGridError, checked_panels, phase_rate
+from .schema import Key, Table, described, number
 
 __all__ = [
     "SpectrumLine",
@@ -137,19 +138,13 @@ class HannWindow:
         return {"kind": "hann", "lo": self.lo, "hi": self.hi}
 
 
-_WINDOW_FIELDS = {
-    "gaussian": dict.fromkeys(("center", "width"), _NUMBER),
-    "hann": dict.fromkeys(("lo", "hi"), _NUMBER),
-}
+_WINDOWS = {"gaussian": (GaussianWindow, Table(dict.fromkeys(("center", "width"), Key(number)))),
+            "hann": (HannWindow, Table(dict.fromkeys(("lo", "hi"), Key(number))))}
 
 
-def window_from_descriptor(desc: Mapping):
-    """Rebuild a window from its descriptor mapping; bad fields raise ValueError
-    as in potential_from_descriptor."""
-    kind, f = _descriptor_fields(desc, _WINDOW_FIELDS, "window")
-    if kind == "gaussian":
-        return GaussianWindow(float(f["center"]), float(f["width"]))
-    return HannWindow(float(f["lo"]), float(f["hi"]))
+def window_from_descriptor(desc: Mapping, name: str = "window"):
+    """Rebuild a window from its descriptor mapping, checked as in potential_from_descriptor."""
+    return described(desc, _WINDOWS, name)
 
 
 # ---------------------------------------------------------------------------

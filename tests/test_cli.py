@@ -105,10 +105,11 @@ def test_scenario_mismatch_rejected(tmp_path):
     {"u": 0.0}, {"m": -1.0}, {"frequency": 0.0}, {"amplitude": float("nan")},
     {"periods": 0}, {"samples_per_period": 0},
     {"n_max": -1}, {"n_max": 0}, {"n_compare": 20}, {"n_compare": -1},
-    {"tolerence": 1e-4}, {"n_max": True},
+    {"tolerence": 1e-4}, {"n_max": True}, {"periods": 1, "samples_per_period": 1},
 ], ids=["zero-u", "negative-m", "zero-frequency", "nan-amplitude", "zero-periods",
         "zero-samples-per-period", "negative-n-max", "n-max-below-n-compare",
-        "n-compare-above-n-max", "negative-n-compare", "unknown-key", "boolean-n-max"])
+        "n-compare-above-n-max", "negative-n-compare", "unknown-key", "boolean-n-max",
+        "one-sample-grid"])
 def test_bad_sidebands_mode_or_wave_rejected(tmp_path, capsys, override):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(**override))
     out = tmp_path / "o"
@@ -279,9 +280,11 @@ DISJOINT_NULL = {"null_tolerance": 1e-3, "disjoint_support_low": [0.8, 0.88],
     {"disjoint_null_chek": True, **DISJOINT_NULL},
     {"disjoint_null_check": "no", **DISJOINT_NULL},
     {"disjoint_null_check": True},
+    {"epsilons": [1e-300, 2e-300]},
 ], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
         "negative-epsilon", "reversed-interval", "one-number-disjoint-support",
-        "misspelled-null-check", "text-null-check", "null-check-without-supports"])
+        "misspelled-null-check", "text-null-check", "null-check-without-supports",
+        "vanishing-epsilons"])
 def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["mass-oscillation"]
     cfg.update(override)

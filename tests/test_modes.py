@@ -1,5 +1,7 @@
 """Mode construction, wavepackets, null products, pairing and decay."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +387,74 @@ def test_family_validation_and_roundtrip(rng):
     with pytest.raises(ValueError):
         MassFamily(interval=(0.0, 1.2), masses=family.masses, eta=family.eta,
                    mass_quad_weights=family.mass_quad_weights, packets=family.packets)
+
+
+_DROP = object()
+
+
+def _edited(doc, path, edit):
+    """JSON copy of a document with the value at `path` replaced by
+    edit(old value), or removed when edit is _DROP."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if edit is _DROP:
+        del holder[last]
+    else:
+        holder[last] = edit(holder.get(last) if isinstance(holder, dict) else holder[last])
+    return doc
+
+
+_MALFORMED_POTENTIAL = {"kind": "harmonic", "amplitude": "0.2", "frequency": 1.0}
+
+
+@pytest.mark.parametrize("path, edit, match", [
+    (("mass",), str, r"wavepacket\.mass must be a number"),
+    (("k2", 1), lambda v: True, r"wavepacket\.k2 must be a list of numbers"),
+    (("chi0", "im", 0, 2), str, r"wavepacket\.chi0\.im\[0\] must be a list of numbers"),
+    (("extra",), lambda v: 1.0, "wavepacket has unknown field 'extra'"),
+    (("quad_weights",), _DROP, "wavepacket is missing field 'quad_weights'"),
+    (("type",), lambda v: "massfamily", r"wavepacket\.type must be 'wavepacket'"),
+    (("potential",), lambda v: _MALFORMED_POTENTIAL, r"wavepacket\.potential\.amplitude"),
+], ids=["text-mass", "boolean-k2-entry", "text-chi0-entry", "unknown-key", "missing-key",
+        "wrong-type", "malformed-potential"])
+def test_malformed_packet_document_rejected(rng, path, edit, match):
+    doc = packet_to_document(random_packet(rng, n_nodes=4), HarmonicPotential(0.2, 1.0))
+    with pytest.raises(ValueError, match=match):
+        packet_from_document(_edited(doc, path, edit))
+
+
+@pytest.mark.parametrize("path, edit, match", [
+    (("packets", 1, "mass"), str, r"massfamily\.packets\[1\]\.mass must be a number"),
+    (("eta", 0), lambda v: False, r"massfamily\.eta must be a list of numbers"),
+    (("interval", 0), str, r"massfamily\.interval must be a list of numbers"),
+    (("extra",), lambda v: 1.0, "massfamily has unknown field 'extra'"),
+    (("mass_quad_weights",), _DROP, "massfamily is missing field 'mass_quad_weights'"),
+    (("type",), lambda v: "wavepacket", r"massfamily\.type must be 'massfamily'"),
+    (("potential", "amplitude"), lambda v: 0.0,
+     r"massfamily\.potential has unknown field 'amplitude'"),
+    (("packets", 0, "potential"), lambda v: _MALFORMED_POTENTIAL,
+     r"massfamily\.packets\[0\]\.potential\.amplitude"),
+], ids=["text-packet-mass", "boolean-eta-entry", "text-interval", "unknown-key", "missing-key",
+        "wrong-type", "malformed-potential", "malformed-packet-potential"])
+def test_malformed_family_document_rejected(rng, path, edit, match):
+    doc = family_to_document(_small_family(rng), ZeroPotential())
+    with pytest.raises(ValueError, match=match):
+        family_from_document(_edited(doc, path, edit))
+
+
+def test_document_loaders_accept_what_the_writers_write(rng, tmp_path):
+    """Strict tables still read every document the writers produce, through JSON."""
+    from volkovfp.modes import load_document, save_document
+
+    family = _small_family(rng)
+    save_document(family_to_document(family), tmp_path / "family.json")
+    clone, pot = family_from_document(load_document(tmp_path / "family.json"))
+    assert pot is None and clone.interval == family.interval
+    assert all(np.array_equal(a.chi0, b.chi0) and np.array_equal(a.weights, b.weights)
+               for a, b in zip(clone.packets, family.packets))
 
 
 def test_smooth_bump_properties():

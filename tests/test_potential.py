@@ -27,9 +27,9 @@ from volkovfp.potential import (
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
-def quad_phase(pot, q, a, b, points=None):
+def quad_phase(pot, q, a, b):
     val, _ = quad(lambda s: phase_integrand(pot, q, s), a, b,
-                  epsabs=1e-13, epsrel=1e-13, limit=500, points=points)
+                  epsabs=1e-13, epsrel=1e-13, limit=500)
     return val
 
 
@@ -107,17 +107,27 @@ def test_pulse_phase_additivity_and_quadrature():
     assert total == pytest.approx(quad_phase(pot, q, -1.0, 2.0), rel=1e-10)
 
 
+# quad warns on a piece [a, 0] as narrow as the smallest normal float; that piece is 0
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @settings(max_examples=40, deadline=None)
 @given(lam=finite, omega=st.floats(-40.0, 40.0), width=st.floats(0.1, 5.0),
        k2=finite, k3=finite, m=st.floats(0.3, 2.0),
        a=st.floats(-15.0, 15.0), b=st.floats(-15.0, 15.0))
 @example(lam=1.0, omega=0.0, width=0.109375, k2=0.0, k3=0.0, m=1.0, a=13.0, b=-6.0)
+@example(lam=1.0, omega=0.0, width=0.125, k2=0.0, k3=0.0, m=1.5,
+         a=2.2250738585072014e-308, b=-2.0)
+@example(lam=0.3125, omega=2.0, width=1.0, k2=0.0, k3=0.0, m=1.0,
+         a=2.2250738585072014e-308, b=-6.0)
 def test_pulse_moments_match_quadrature(lam, omega, width, k2, k3, m, a, b):
     pot = PulsePotential(lam, omega, width)
     q = PhaseQuery(k2, k3, m)
-    # split the reference at the pulse centre: unsplit, quad can step over
-    # a narrow pulse inside a long interval
-    reference = quad_phase(pot, q, a, b, points=[0.0])
+    # split the reference at the pulse centre when it lies strictly inside:
+    # unsplit, quad can step over a narrow pulse inside a long interval, and
+    # quad(points=[0.0]) loses digits when an endpoint is next to 0
+    if min(a, b) < 0.0 < max(a, b):
+        reference = quad_phase(pot, q, a, 0.0) + quad_phase(pot, q, 0.0, b)
+    else:
+        reference = quad_phase(pot, q, a, b)
     assert phase(pot, q, a, b) == pytest.approx(reference, rel=1e-10, abs=1e-12)
 
 

@@ -215,6 +215,13 @@ def test_repeated_abscissae_rejected(rng):
         mass_oscillation_check(fam, fam, POT, epsilons=(0.1, 0.1, 0.05))
 
 
+def test_vanishing_regulator_rejected_before_allocating(rng):
+    """An s grid of ~1e151 points per node is refused up front, not attempted."""
+    fam = _family(rng, (0.8, 1.2), n_masses=5, nk=1)
+    with pytest.raises(ValueError, match=r"2\*\*24"):
+        mass_oscillation_check(fam, fam, POT, epsilons=(1e-300, 2e-300))
+
+
 # ---------------------------------------------------------------------------
 # mass oscillation
 
