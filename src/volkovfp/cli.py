@@ -75,7 +75,6 @@ from .spectral import (
     transform_l2,
     transform_rule,
     window_from_descriptor,
-    windowed_phase_transform,
     write_lines_csv,
     write_transform_csv,
 )
@@ -590,17 +589,16 @@ def run_wavefront_probe(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRes
     plancherel = cfg["plancherel"]
 
     v_fit = np.geomspace(v_lo, v_hi, n_fit)
-    f_fit = windowed_phase_transform(mode, pot, window, v_fit)
-    order, resid = decay_order_fit(v_fit, np.abs(f_fit))
-
     v_max, dv = plancherel["v_max"], plancherel["dv"]
     v_dense = np.arange(-v_max, v_max + 0.5 * dv, dv)
-    f_dense = windowed_phase_transform(mode, pot, window, v_dense)
+    rules = {"fit": transform_rule(mode, pot, window, v_fit),
+             "plancherel": transform_rule(mode, pot, window, v_dense)}
+    f_fit = rules["fit"].fourier(v_fit)
+    f_dense = rules["plancherel"].fourier(v_dense)
+    order, resid = decay_order_fit(v_fit, np.abs(f_fit))
     l2 = transform_l2(v_dense, f_dense)
     ref = plancherel_reference(window)
     pl_err = abs(l2 - ref) / ref
-    rules = {"fit": transform_rule(mode, pot, window, v_fit),
-             "plancherel": transform_rule(mode, pot, window, v_dense)}
     extra = {
         "fit_residual": resid,
         "transform_error_estimate": _worst(r.error_estimate for r in rules.values()),

@@ -49,6 +49,7 @@ pairing of mass-integrated families collapses onto the mass diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,7 +340,8 @@ def mass_oscillation_check(
     eps_col = np.asarray(epsilons)[:, None]
 
     eps_min = min(epsilons)
-    half_width = float(np.sqrt(np.log(1.0 / tail) / eps_min))
+    # Python floats: a subnormal eps_min gives inf here, not an overflow warning
+    half_width = math.sqrt(math.log(1.0 / tail) / eps_min)
 
     # each node's s-grid spacing and half length, sized before any allocation
     beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(grid.u))

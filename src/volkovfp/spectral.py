@@ -29,7 +29,10 @@ coherent gain divided out.
 
 with the checked Gauss-Legendre panel rule of ``volkovfp.quadrature``
 (panels a few wavelengths of the fastest oscillation wide, accepted only
-when halving them leaves F unchanged), for the one-sided rapid-decay
+when halving them leaves F unchanged).  The sum over the rule's nodes is
+factored over its panels, e^{i v s} = e^{i v mid} e^{i v h x}, so a
+transform costs (v, 32) and (v, panel) exponentials and one matrix
+product; no (v, s) kernel is built.  It serves the one-sided rapid-decay
 diagnostic: for u < 0 the phase derivative of the integrand never
 vanishes once v > m^2/(8u), so F decays rapidly towards positive v while
 Plancherel, int |F|^2 dv = 2 pi int |f g|^2 ds, rules out any spurious
@@ -264,8 +267,15 @@ def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
 # windowed phase transform
 
 
-def _transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
-                    weight) -> PanelRule:
+def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
+                   weight=None) -> PanelRule:
+    """The checked panel rule windowed_phase_transform integrates with.
+
+    rule.fourier(v_grid) is the transform on v_grid; the rule's nodes,
+    weights and error_estimate (the halving estimate at the two ends of
+    the v grid) report how it was obtained.
+    """
+    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     lo, hi = window.support()
 
     def core(s):
@@ -279,17 +289,6 @@ def _transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
     return checked_panels(lo, hi, phase_rate(mode, pot, lo, hi), core, v_ends)
 
 
-def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
-                   weight=None) -> PanelRule:
-    """The checked panel rule windowed_phase_transform integrates with.
-
-    Its nodes, weights and error_estimate (the halving estimate at the two
-    ends of the v grid) report how a transform was obtained.
-    """
-    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    return _transform_rule(mode, pot, window, v_grid, weight)
-
-
 def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
                              v_grid, *, weight=None) -> np.ndarray:
     """F(v) = int f(s) g(s) e^{-i Phi(0,s)/4u} e^{i v s} ds on the given v grid.
@@ -300,18 +299,10 @@ def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
     oscillation wide (phase rate plus the largest |v|), accepted only
     when halving them changes F at both ends of the v grid by at most
     1e-12 of sum |w f g|; otherwise UndersampledGridError is raised.
+    The sum over its nodes is factored over the panels (PanelRule.fourier).
     """
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    rule = _transform_rule(mode, pot, window, v_grid, weight)
-    s = rule.nodes
-    core = rule.weights * rule.values
-
-    out = np.empty(v_grid.shape, dtype=complex)
-    chunk = max(1, int(2_000_000 // max(s.size, 1)))
-    for start in range(0, v_grid.size, chunk):
-        vs = v_grid[start:start + chunk]
-        out[start:start + chunk] = np.exp(1j * np.outer(vs, s)) @ core
-    return out
+    return transform_rule(mode, pot, window, v_grid, weight).fourier(v_grid)
 
 
 def transform_l2(v_grid, f_values) -> float:
@@ -394,26 +385,24 @@ def tail_decay_orders(mode: ModeParams, pot: PlaneWavePotential, window,
 # CSV export
 
 
-def write_lines_csv(path, lines, comment: str | None = None) -> None:
-    rows = []
-    if comment:
-        rows.append(f"# {comment}")
-    rows.append("n,v_n,re_amp,im_amp,abs_amp")
-    for line in lines:
-        amp = complex(line.amplitude)
-        rows.append(
-            f"{line.n},{line.v:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}"
-        )
+def _write_rows(path, header: str, fmt: str, rows, comment: str | None) -> None:
+    """One %-format string prints every row; %.17g round-trips a double."""
+    text = [f"# {comment}"] if comment else []
+    text.append(header)
+    text.extend(fmt % row for row in rows)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join(text) + "\n")
+
+
+def write_lines_csv(path, lines, comment: str | None = None) -> None:
+    amps = [complex(line.amplitude) for line in lines]
+    _write_rows(path, "n,v_n,re_amp,im_amp,abs_amp", "%d,%.17g,%.17g,%.17g,%.17g",
+                ((line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)),
+                comment)
 
 
 def write_transform_csv(path, v_grid, f_values, comment: str | None = None) -> None:
-    rows = []
-    if comment:
-        rows.append(f"# {comment}")
-    rows.append("v,re_F,im_F")
-    for v, f in zip(np.asarray(v_grid, dtype=float), np.asarray(f_values, dtype=complex)):
-        rows.append(f"{v:.17g},{f.real:.17g},{f.imag:.17g}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+    f_values = np.asarray(f_values, dtype=complex)
+    _write_rows(path, "v,re_F,im_F", "%.17g,%.17g,%.17g",
+                zip(np.asarray(v_grid, dtype=float).tolist(), f_values.real.tolist(),
+                    f_values.imag.tolist()), comment)

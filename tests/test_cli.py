@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,18 @@ def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override)
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert not (out / "summary.json").exists()
+
+
+def test_subnormal_epsilon_is_config_error_without_warning(tmp_path, capsys):
+    cfg = small_configs()["mass-oscillation"]
+    cfg["epsilons"] = [5e-324, 1e-300]
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["mass-oscillation", "--config", cfg_path, "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("scenario, key", [

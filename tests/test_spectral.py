@@ -12,6 +12,7 @@ from volkovfp import quadrature
 from volkovfp.spectral import (
     GaussianWindow,
     HannWindow,
+    SpectrumLine,
     UndersampledGridError,
     decay_order_fit,
     harmonic_carrier,
@@ -241,6 +242,26 @@ def test_windowed_transform_refines_fast_wave_at_high_v():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_factored_transform_is_as_accurate_as_the_direct_kernel_on_hann_dense_grid():
+    """Against a long-double sum over the rule's own nodes, the factored
+    transform errs no more than the (v, s) kernel product it replaced."""
+    window = HannWindow(-4.0, 4.0)
+    v = np.arange(-80.0, 80.0 + 0.01, 0.02)
+    rule = transform_rule(MODE, POT, window, v)
+    got = windowed_phase_transform(MODE, POT, window, v)
+    assert np.array_equal(got, rule.fourier(v))
+    # every 7th v of the 8001: long-double sines cost 0.5 us each
+    v, got = v[::7], got[::7]
+    wf = rule.weights * rule.values
+    direct = np.exp(1j * np.outer(v, rule.nodes)) @ wf
+    phase = np.multiply.outer(v.astype(np.longdouble), rule.nodes.astype(np.longdouble))
+    exact = (np.cos(phase) + 1j * np.sin(phase)) @ wf.astype(np.clongdouble)
+    bound = np.sum(np.abs(wf))
+    err = float(np.max(np.abs(got - exact))) / bound
+    assert err <= float(np.max(np.abs(direct - exact))) / bound
+    assert err <= 2e-15
+
+
 def test_windowed_transform_raises_when_check_cannot_be_met():
     # a jump inside a panel: halving only gains one order, never 1e-12
     def step(s):
@@ -350,6 +371,29 @@ def test_transform_l2_is_scipy_trapezoid():
         v = np.cumsum(rng.uniform(0.01, 1.0, n)) - 5.0
         f = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert transform_l2(v, f) == float(trapezoid(np.abs(f) ** 2, v))
+
+
+def test_csv_writers_match_per_row_formatting(tmp_path):
+    """Byte for byte what a per-row f-string writer produces."""
+    specials = [0.0, -0.0, 1e-310, 1e308, 0.1, np.nan, np.inf, -np.inf]
+    v = np.array(specials + list(np.random.default_rng(4).normal(size=12) * 1e5))
+    f = np.empty(v.size, dtype=complex)
+    f.real, f.imag = v[::-1], -v
+    write_transform_csv(tmp_path / "t.csv", v, f, comment="c")
+    rows = ["# c", "v,re_F,im_F"] + [f"{a:.17g},{b.real:.17g},{b.imag:.17g}" for a, b in zip(v, f)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(rows) + "\n"
+    write_transform_csv(tmp_path / "t.csv", [], [])
+    assert (tmp_path / "t.csv").read_text() == "v,re_F,im_F\n"
+
+    lines = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 3)
+    lines.append(SpectrumLine(n=9, v=np.float64(-0.0),
+                              amplitude=np.complex128(complex(1e-310, np.nan))))
+    write_lines_csv(tmp_path / "l.csv", lines, comment="c")
+    rows = ["# c", "n,v_n,re_amp,im_amp,abs_amp"]
+    for line in lines:
+        amp = complex(line.amplitude)
+        rows.append(f"{line.n},{line.v:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}")
+    assert (tmp_path / "l.csv").read_text() == "\n".join(rows) + "\n"
 
 
 def test_csv_exports(tmp_path):
