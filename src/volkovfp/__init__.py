@@ -15,7 +15,7 @@ potential   plane-wave potential profiles and their cumulative phase
 modes       single modes, wavepackets, null-surface scalar products
 projector   Green's functions, signature sign, projector kernel
 quadrature  the checked Gauss-Legendre panel rule for the s integrals
-schema      key tables that check every JSON config, descriptor and document
+schema      key tables that check every JSON config and descriptor
 spectral    sidebands, windowed transforms, decay-order fits
 cli         batch scenario runner
 """

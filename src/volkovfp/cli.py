@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
@@ -411,7 +411,10 @@ def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult
                           [csv_path.name])
 
 
-def _grid_family(cfg: Mapping, eta_support, rng) -> MassFamily:
+def _grid_family(cfg: Mapping) -> MassFamily:
+    """Family on the config's Gauss-Legendre (u, k2, k3) grid: one seeded
+    Pi_minus amplitude per node shared by every mass, unit weights, and eta
+    a bump over the whole mass interval."""
     interval = cfg["mass_interval"]
     n_masses = cfg["n_masses"]
     masses = np.linspace(interval[0], interval[1], n_masses)
@@ -422,21 +425,17 @@ def _grid_family(cfg: Mapping, eta_support, rng) -> MassFamily:
     uu, kk2, kk3 = np.meshgrid(u_n, k2_n, k3_n, indexing="ij")
     qw = np.einsum("i,j,k->ijk", u_w, k2_w, k3_w).ravel()
     u, k2, k3 = uu.ravel(), kk2.ravel(), kk3.ravel()
-    chi0 = _random_pi_minus(rng, u.size)
-    eta = smooth_bump(masses, eta_support[0], eta_support[1])
-    packets = [
-        WavePacket(m=float(m), u=u, k2=k2, k3=k3, chi0=chi0,
-                   weights=np.ones(u.size, dtype=complex), quad_weights=qw)
-        for m in masses
-    ]
-    return MassFamily(interval=interval, masses=masses, eta=eta,
-                      mass_quad_weights=mass_w, packets=packets)
+    chi0 = _random_pi_minus(np.random.default_rng(cfg["seed"]), u.size)
+    return MassFamily(interval=interval, masses=masses, eta=smooth_bump(masses, *interval),
+                      mass_quad_weights=mass_w, u=u, k2=k2, k3=k3, quad_weights=qw,
+                      chi0=np.repeat(chi0[None], n_masses, axis=0),
+                      weights=np.ones((n_masses, u.size), dtype=complex))
 
 
 def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     pot = cfg["potential"]
     epsilons = cfg["epsilons"]
-    fam = _grid_family(cfg, cfg["mass_interval"], np.random.default_rng(cfg["seed"]))
+    fam = _grid_family(cfg)
     result = _build("mass-oscillation regulator", mass_oscillation_check, fam, fam, pot, epsilons)
     checks = [_leq("relative_gap", result.relative_gap, cfg["tolerance"])]
 
@@ -446,11 +445,10 @@ def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
     rows.append(("diagonal_rhs", 0.0, result.rhs.real, result.rhs.imag))
 
     if cfg["disjoint_null_check"]:
-        fam_lo = _grid_family(cfg, cfg["disjoint_support_low"],
-                              np.random.default_rng(cfg["seed"]))
-        fam_hi = _grid_family(cfg, cfg["disjoint_support_high"],
-                              np.random.default_rng(cfg["seed"]))
-        null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=epsilons)
+        fam_lo, fam_hi = (replace(fam, eta=smooth_bump(fam.masses, *cfg[support]))
+                          for support in ("disjoint_support_low", "disjoint_support_high"))
+        null = _build("mass-oscillation disjoint supports", mass_oscillation_check,
+                      fam_lo, fam_hi, pot, epsilons)
         scale = max(abs(result.lhs), 1e-300)
         null_tol = cfg["null_tolerance"]
         checks.append(_leq("null_lhs_over_diagonal", abs(null.lhs) / scale, null_tol))

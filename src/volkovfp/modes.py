@@ -27,16 +27,15 @@ complex weight and a quadrature weight.  The fixed-s scalar product
 is independent of s because each node evolves by a unit phase; it is the
 discretisation of the corresponding momentum-space integral.  Families
 over a mass interval add a smooth mass profile eta(m) vanishing at the
-interval ends; they feed the mass-oscillation check in ``projector``.
-Both round-trip through JSON documents, which are read by key tables
-(volkovfp.schema): a malformed one raises ValueError naming the key.
+interval ends; they store the node grid once, with (mass, node) arrays
+of amplitudes and weights, and feed the mass-oscillation check in
+``projector``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +46,8 @@ from .potential import (
     _broadcast_fields,
     phase,
     phase_integrand,
-    potential_from_descriptor,
     transverse_phase,
 )
-from .schema import Key, Table, kind, literal, number, numbers, validate
 
 __all__ = [
     "GridMismatchError",
@@ -70,12 +67,6 @@ __all__ = [
     "null_decay_scan",
     "MassFamily",
     "smooth_bump",
-    "packet_to_document",
-    "packet_from_document",
-    "family_to_document",
-    "family_from_document",
-    "save_document",
-    "load_document",
 ]
 
 _TWO_PI_4 = (2.0 * np.pi) ** 4
@@ -86,7 +77,30 @@ _ID4 = np.eye(4, dtype=complex)
 
 
 class GridMismatchError(ValueError):
-    """Raised when two packets do not share mass and node grid."""
+    """Raised when two packets, families or profiles do not share their grid."""
+
+
+def _set_fields(obj, **values) -> None:
+    """Store checked values on a frozen dataclass from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _pi_minus_rows(chi0, name: str, shape: tuple | None = None) -> np.ndarray:
+    """chi0 as complex 4-spinor rows with leading axes `shape` (any if None),
+    each finite and in the range of Pi_minus to 1e-12 of max(1, its norm)."""
+    chi0 = np.asarray(chi0, dtype=complex)
+    if chi0.shape[-1:] != (4,) or (shape is not None and chi0.shape[:-1] != shape):
+        want = "(..., 4)" if shape is None else str((*shape, 4))
+        raise ValueError(f"{name} must be 4-component spinors of shape {want}, "
+                         f"got {chi0.shape}")
+    if not np.isfinite(chi0).all():
+        raise ValueError(f"{name} must be finite")
+    off_range = np.linalg.norm(chi0 @ _PI_MINUS.T - chi0, axis=-1)
+    if (off_range > 1e-12 * np.maximum(1.0, np.linalg.norm(chi0, axis=-1))).any():
+        raise ValueError(f"{name} rows must lie in the range of Pi_minus; "
+                         "use project_pi_minus first")
+    return chi0
 
 
 @dataclass(frozen=True)
@@ -132,16 +146,7 @@ class ModeAmplitude:
     chi0: np.ndarray
 
     def __post_init__(self):
-        chi0 = np.asarray(self.chi0, dtype=complex)
-        if chi0.ndim == 0 or chi0.shape[-1] != 4:
-            raise ValueError("amplitude must be a 4-component spinor or a stack of them")
-        if not np.isfinite(chi0).all():
-            raise ValueError("amplitude must be finite")
-        off_range = np.linalg.norm(chi0 @ _PI_MINUS.T - chi0, axis=-1)
-        if (off_range > 1e-12 * np.maximum(1.0, np.linalg.norm(chi0, axis=-1))).any():
-            raise ValueError("amplitude must lie in the range of Pi_minus; "
-                             "use project_pi_minus first")
-        object.__setattr__(self, "chi0", chi0)
+        _set_fields(self, chi0=_pi_minus_rows(self.chi0, "amplitude"))
 
     @classmethod
     def from_spinor(cls, spinor) -> "ModeAmplitude":
@@ -238,13 +243,36 @@ def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential
 # wavepackets
 
 
-def _as_node_array(values, n, name, dtype=float):
+def _as_node_array(values, shape: tuple, name: str, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+_NODE_GRID = ("u", "k2", "k3", "quad_weights")
+
+
+def _node_grid(u, k2, k3, quad_weights) -> tuple[np.ndarray, ...]:
+    """Checked float arrays (u, k2, k3, quad_weights) of one momentum grid:
+    at least one node, all finite, every u nonzero, the nodes distinct."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("node grid needs at least one node")
+    if not np.all(np.isfinite(u)) or np.any(u == 0):
+        raise ValueError("u must be finite and nonzero")
+    k2 = _as_node_array(k2, u.shape, "k2")
+    k3 = _as_node_array(k3, u.shape, "k3")
+    if len(set(zip(u.tolist(), k2.tolist(), k3.tolist()))) != u.size:
+        raise ValueError("(u, k2, k3) nodes must be distinct")
+    return u, k2, k3, _as_node_array(quad_weights, u.shape, "quad_weights")
+
+
+def _same_node_grid(a, b) -> bool:
+    """Whether two packets, families or profiles have the same node grid."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _NODE_GRID)
 
 
 @dataclass(frozen=True)
@@ -267,47 +295,17 @@ class WavePacket:
     def __post_init__(self):
         if not 0 < self.m < np.inf:
             raise ValueError("packet mass must be positive and finite")
-        u = np.asarray(self.u, dtype=float)
-        n = u.shape[0]
-        if u.ndim != 1 or n == 0:
-            raise ValueError("packet needs at least one node")
-        if not np.all(np.isfinite(u)) or np.any(u == 0):
-            raise ValueError("packet u must be finite and nonzero")
-        k2 = _as_node_array(self.k2, n, "k2")
-        k3 = _as_node_array(self.k3, n, "k3")
-        nodes = {(float(a), float(b), float(c)) for a, b, c in zip(u, k2, k3)}
-        if len(nodes) != n:
-            raise ValueError("packet grid nodes must be distinct")
-        chi0 = np.asarray(self.chi0, dtype=complex)
-        if chi0.shape != (n, 4):
-            raise ValueError(f"chi0 must have shape ({n}, 4)")
-        proj = chi0 @ _PI_MINUS.T
-        if np.max(np.abs(proj - chi0)) > 1e-12 * max(1.0, np.max(np.abs(chi0))):
-            raise ValueError("chi0 rows must lie in the range of Pi_minus")
-        weights = _as_node_array(self.weights, n, "weights", dtype=complex)
-        qw = _as_node_array(self.quad_weights, n, "quad_weights")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "k3", k3)
-        object.__setattr__(self, "chi0", chi0)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "quad_weights", qw)
+        u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights)
+        _set_fields(self, u=u, k2=k2, k3=k3, quad_weights=qw,
+                    chi0=_pi_minus_rows(self.chi0, "chi0", u.shape),
+                    weights=_as_node_array(self.weights, u.shape, "weights", complex))
 
     @property
     def n_nodes(self) -> int:
         return self.u.shape[0]
 
-    def same_grid_nodes(self, other: "WavePacket") -> bool:
-        return (
-            self.n_nodes == other.n_nodes
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.k2, other.k2)
-            and np.array_equal(self.k3, other.k3)
-            and np.array_equal(self.quad_weights, other.quad_weights)
-        )
-
     def same_grid(self, other: "WavePacket") -> bool:
-        return self.m == other.m and self.same_grid_nodes(other)
+        return self.m == other.m and _same_node_grid(self, other)
 
 
 def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s) -> np.ndarray:
@@ -464,148 +462,61 @@ def smooth_bump(x, lo: float, hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MassFamily:
-    """Family of packets over a mass grid with a smooth mass profile.
+    """Packets over a mass grid on one node grid, with a smooth mass profile.
 
-    masses sample the open interval (interval[0], interval[1]); eta holds
+    masses sample the closed interval [interval[0], interval[1]]; eta holds
     the smooth profile values (vanishing at the interval ends) and
-    mass_quad_weights the quadrature weights of the mass grid.  All
-    per-mass packets must share one (u, k2, k3) node grid.
+    mass_quad_weights the quadrature weights of the mass grid.  The
+    (u, k2, k3, quad_weights) node grid is stored once; chi0 (mass, node, 4)
+    and weights (mass, node) hold each mass's Pi_minus amplitudes and
+    complex weights.
     """
 
     interval: tuple[float, float]
     masses: np.ndarray
     eta: np.ndarray
     mass_quad_weights: np.ndarray
-    packets: list[WavePacket] = field(default_factory=list)
+    u: np.ndarray
+    k2: np.ndarray
+    k3: np.ndarray
+    quad_weights: np.ndarray
+    chi0: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         lo, hi = self.interval
         if not (0 < lo < hi):
             raise ValueError("mass interval must satisfy 0 < lo < hi")
         masses = np.asarray(self.masses, dtype=float)
-        n = masses.shape[0]
-        if n < 2:
+        if masses.ndim != 1 or masses.size < 2:
             raise ValueError("mass family needs at least two masses")
         if np.any(masses < lo) or np.any(masses > hi):
             raise ValueError("masses must lie in the closed mass interval")
         if not np.all(np.diff(masses) > 0):
             raise ValueError("masses must be strictly increasing")
-        eta = _as_node_array(self.eta, n, "eta")
-        qw = _as_node_array(self.mass_quad_weights, n, "mass_quad_weights")
-        if len(self.packets) != n:
-            raise ValueError("need one packet per mass")
-        for m_val, packet in zip(masses, self.packets):
-            if packet.m != m_val:
-                raise ValueError("packet masses must match the mass grid")
-            if not packet.same_grid_nodes(self.packets[0]):
-                raise GridMismatchError("family packets must share the node grid")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "mass_quad_weights", qw)
+        u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights)
+        shape = (masses.size, u.size)
+        _set_fields(self, masses=masses,
+                    eta=_as_node_array(self.eta, masses.shape, "eta"),
+                    mass_quad_weights=_as_node_array(self.mass_quad_weights, masses.shape,
+                                                     "mass_quad_weights"),
+                    u=u, k2=k2, k3=k3, quad_weights=qw,
+                    chi0=_pi_minus_rows(self.chi0, "chi0", shape),
+                    weights=_as_node_array(self.weights, shape, "weights", complex))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.u.shape[0]
 
     @property
     def node_packet(self) -> WavePacket:
-        return self.packets[0]
+        """The packet at the first mass.  Nothing in the package reads it;
+        it stays for perfbench's tracer, which sizes each traced
+        mass-oscillation check as ``fam_psi.node_packet.n_nodes``."""
+        return WavePacket(float(self.masses[0]), self.u, self.k2, self.k3,
+                          self.chi0[0], self.weights[0], self.quad_weights)
 
-    def weights_smooth(self, rtol: float = 1e-10) -> bool:
-        """Profile effectively vanishes at the sampled interval ends."""
+    def weights_smooth(self) -> bool:
+        """Profile vanishes at the sampled interval ends, to 1e-10 of its peak."""
         scale = float(np.max(np.abs(self.eta))) or 1.0
-        return abs(self.eta[0]) <= rtol * scale and abs(self.eta[-1]) <= rtol * scale
-
-
-# ---------------------------------------------------------------------------
-# JSON serialisation
-
-
-def _complex_to_lists(arr: np.ndarray) -> dict:
-    return {"re": np.real(arr).tolist(), "im": np.imag(arr).tolist()}
-
-
-def _list_of(item):
-    """Kind of a JSON list whose entries are of kind `item`."""
-    is_list = kind(lambda v: isinstance(v, list), "a list")
-    return lambda value, name: [item(entry, f"{name}[{i}]")
-                                for i, entry in enumerate(is_list(value, name))]
-
-
-def _complex(part) -> Key:
-    """Key of a {"re": ..., "im": ...} pair whose parts are of kind `part`."""
-    return Key(partial(validate, Table({"re": Key(part), "im": Key(part)})))
-
-
-def _complex_array(pair) -> np.ndarray:
-    return np.asarray(pair["re"]) + 1j * np.asarray(pair["im"])
-
-
-_POTENTIAL = Key(potential_from_descriptor, default=None)
-_PACKET_DOCUMENT = Table({
-    "type": literal("wavepacket"),
-    "mass": Key(number),
-    **dict.fromkeys(("u", "k2", "k3", "quad_weights"), Key(numbers)),
-    "chi0": _complex(_list_of(numbers)),
-    "weights": _complex(numbers),
-    "potential": _POTENTIAL,
-})
-_FAMILY_DOCUMENT = Table({
-    "type": literal("massfamily"),
-    "interval": Key(numbers, lambda v: len(v) == 2, "[lo, hi]"),
-    **dict.fromkeys(("masses", "eta", "mass_quad_weights"), Key(numbers)),
-    "packets": Key(_list_of(lambda value, name: packet_from_document(value, name)[0])),
-    "potential": _POTENTIAL,
-})
-
-
-def packet_to_document(packet: WavePacket, pot: PlaneWavePotential | None = None) -> dict:
-    doc = {
-        "type": "wavepacket",
-        "mass": packet.m,
-        "u": packet.u.tolist(),
-        "k2": packet.k2.tolist(),
-        "k3": packet.k3.tolist(),
-        "chi0": _complex_to_lists(packet.chi0),
-        "weights": _complex_to_lists(packet.weights),
-        "quad_weights": packet.quad_weights.tolist(),
-    }
-    if pot is not None:
-        doc["potential"] = pot.descriptor()
-    return doc
-
-
-def packet_from_document(doc: dict, where: str = "wavepacket"
-                         ) -> tuple[WavePacket, PlaneWavePotential | None]:
-    """Packet and potential of a wavepacket document (named `where` in errors)."""
-    f = validate(_PACKET_DOCUMENT, doc, where)
-    return WavePacket(m=f["mass"], u=f["u"], k2=f["k2"], k3=f["k3"],
-                      chi0=_complex_array(f["chi0"]), weights=_complex_array(f["weights"]),
-                      quad_weights=f["quad_weights"]), f["potential"]
-
-
-def family_to_document(family: MassFamily, pot: PlaneWavePotential | None = None) -> dict:
-    doc = {
-        "type": "massfamily",
-        "interval": list(family.interval),
-        "masses": family.masses.tolist(),
-        "eta": family.eta.tolist(),
-        "mass_quad_weights": family.mass_quad_weights.tolist(),
-        "packets": [packet_to_document(p) for p in family.packets],
-    }
-    if pot is not None:
-        doc["potential"] = pot.descriptor()
-    return doc
-
-
-def family_from_document(doc: dict) -> tuple[MassFamily, PlaneWavePotential | None]:
-    """Family and potential of a massfamily document."""
-    f = validate(_FAMILY_DOCUMENT, doc, "massfamily")
-    return MassFamily(f["interval"], f["masses"], f["eta"], f["mass_quad_weights"],
-                      f["packets"]), f["potential"]
-
-
-def save_document(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_document(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+        return max(abs(self.eta[0]), abs(self.eta[-1])) <= 1e-10 * scale

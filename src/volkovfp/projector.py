@@ -55,7 +55,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import dirac_gamma, lightcone_operators, transverse_slash
-from .modes import GridMismatchError, MassFamily, ModeParams, _mat
+from .modes import (
+    GridMismatchError,
+    MassFamily,
+    ModeParams,
+    _mat,
+    _node_grid,
+    _same_node_grid,
+    _set_fields,
+)
 from .potential import PlaneWavePotential, phase, transverse_phase
 from .quadrature import checked_panels, phase_rate
 
@@ -275,7 +283,7 @@ def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
         fam_psi.mass_quad_weights, fam_phi.mass_quad_weights
     ):
         raise GridMismatchError("families must share the mass grid")
-    if not fam_psi.node_packet.same_grid_nodes(fam_phi.node_packet):
+    if not _same_node_grid(fam_psi, fam_phi):
         raise GridMismatchError("families must share the (u, k2, k3) node grid")
     for fam in (fam_psi, fam_phi):
         if not fam.weights_smooth():
@@ -336,7 +344,6 @@ def mass_oscillation_check(
 
     masses = fam_psi.masses
     mw = fam_psi.mass_quad_weights
-    grid = fam_psi.node_packet
     eps_col = np.asarray(epsilons)[:, None]
 
     eps_min = min(epsilons)
@@ -344,19 +351,17 @@ def mass_oscillation_check(
     half_width = math.sqrt(math.log(1.0 / tail) / eps_min)
 
     # each node's s-grid spacing and half length, sized before any allocation
-    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(grid.u))
+    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(fam_psi.u))
     ds_nodes = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
     n_half_nodes = np.ceil(half_width / ds_nodes)
     if masses.size * (2.0 * n_half_nodes.max() + 1.0) > 2 ** 24:
         raise ValueError(f"regulator epsilon {eps_min:g} needs over 2**24 (mass, s) values")
 
     # per-mass amplitudes and weights of every node, (m, node, 4) and (m, node)
-    chi_psi = np.stack([pkt.chi0 for pkt in fam_psi.packets])
-    chi_phi = np.stack([pkt.chi0 for pkt in fam_phi.packets])
-    w_psi = np.stack([pkt.weights for pkt in fam_psi.packets])
-    w_phi = np.stack([pkt.weights for pkt in fam_phi.packets])
-    basis_psi = _completion_basis(chi_psi, masses, grid.u)
-    basis_phi = _completion_basis(chi_phi, masses, grid.u)
+    chi_psi, chi_phi = fam_psi.chi0, fam_phi.chi0
+    w_psi, w_phi = fam_psi.weights, fam_phi.weights
+    basis_psi = _completion_basis(chi_psi, masses, fam_psi.u)
+    basis_phi = _completion_basis(chi_phi, masses, fam_psi.u)
     amp_psi = (mw * fam_psi.eta)[:, None] * w_psi
     amp_phi = (mw * fam_phi.eta)[:, None] * w_phi
     diag_pref = mw * fam_psi.eta * fam_phi.eta
@@ -364,12 +369,9 @@ def mass_oscillation_check(
     rhs = 0.0 + 0.0j
     lhs_by_eps = np.zeros(len(epsilons), dtype=complex)
 
-    for i in range(grid.n_nodes):
-        u = float(grid.u[i])
-        k2 = float(grid.k2[i])
-        k3 = float(grid.k3[i])
-        qw = float(grid.quad_weights[i])
-
+    nodes = zip(fam_psi.u.tolist(), fam_psi.k2.tolist(), fam_psi.k3.tolist(),
+                fam_psi.quad_weights.tolist())
+    for i, (u, k2, k3, qw) in enumerate(nodes):
         # fixed-s side
         diag = np.einsum("mc,mc->m", np.conj(w_psi[:, i, None] * chi_psi[:, i]),
                          w_phi[:, i, None] * chi_phi[:, i])
@@ -433,23 +435,21 @@ class SmearedProfile:
     s_support: tuple[float, float]
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        if not 0 < self.m < np.inf:
+            raise ValueError("profile mass must be positive and finite")
+        u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights)
         if np.any(u >= 0):
             raise ValueError("smeared projector profiles require u < 0 at all nodes")
         n = u.shape[0]
         spinors = np.asarray(self.spinors, dtype=complex)
-        if spinors.shape != (n, 4):
-            raise ValueError(f"spinors must have shape ({n}, 4)")
+        if spinors.shape != (n, 4) or not np.isfinite(spinors).all():
+            raise ValueError(f"spinors must be finite, of shape ({n}, 4)")
         if len(self.envelopes) != n:
             raise ValueError("need one envelope per node")
         lo, hi = self.s_support
-        if not lo < hi:
-            raise ValueError("empty s support")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "k2", np.asarray(self.k2, dtype=float))
-        object.__setattr__(self, "k3", np.asarray(self.k3, dtype=float))
-        object.__setattr__(self, "quad_weights", np.asarray(self.quad_weights, dtype=float))
-        object.__setattr__(self, "spinors", spinors)
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError("s support must be a finite, nonempty interval")
+        _set_fields(self, u=u, k2=k2, k3=k3, quad_weights=qw, spinors=spinors)
 
     def node_mode(self, i: int) -> ModeParams:
         return ModeParams(float(self.k2[i]), float(self.k3[i]), float(self.u[i]), self.m)
@@ -465,12 +465,7 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
     products of single s-integrals, all evaluated on one checked
     Gauss-Legendre panel rule per node (``volkovfp.quadrature``).
     """
-    if profile_phi.m != profile_psi.m or not (
-        np.array_equal(profile_phi.u, profile_psi.u)
-        and np.array_equal(profile_phi.k2, profile_psi.k2)
-        and np.array_equal(profile_phi.k3, profile_psi.k3)
-        and np.array_equal(profile_phi.quad_weights, profile_psi.quad_weights)
-    ):
+    if profile_phi.m != profile_psi.m or not _same_node_grid(profile_phi, profile_psi):
         raise GridMismatchError("profiles must share the momentum grid")
 
     m = profile_phi.m

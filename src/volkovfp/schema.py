@@ -1,4 +1,4 @@
-"""Key tables for JSON input: configs, descriptors and documents.
+"""Key tables for JSON input: configs and descriptors.
 
 A Table lists the keys of one JSON object: the kind that parses each
 value, an optional check and default, and rules relating several keys.

@@ -7,11 +7,12 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the lines live.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import companion_packet, random_packet, random_pi_minus
+from conftest import companion_packet, grid_family, random_packet, random_pi_minus
 from volkovfp import cli
 from volkovfp.clifford import (
     MINKOWSKI_ETA,
@@ -20,7 +21,6 @@ from volkovfp.clifford import (
     spin_adjoint,
 )
 from volkovfp.modes import (
-    MassFamily,
     ModeAmplitude,
     ModeParams,
     WavePacket,
@@ -39,7 +39,6 @@ from volkovfp.projector import (
     mass_oscillation_check,
     signature_sign,
 )
-from volkovfp.quadrature import gl_panels
 from volkovfp.spectral import (
     GaussianWindow,
     decay_order_fit,
@@ -157,32 +156,15 @@ def test_criterion_4_mass_pairing_identity():
     assert ok and elapsed < 10.0
 
 
-def _acceptance_family(rng, eta_support):
-    interval = (0.8, 1.2)
-    masses = np.linspace(0.8, 1.2, 21)
-    mass_w = np.full(21, 0.02)
-    u, uw = gl_panels(-0.1, -0.05, 9)
-    k2, k2w = gl_panels(-0.4, 0.4, 5)
-    k3, k3w = gl_panels(-0.4, 0.4, 5)
-    uu, kk2, kk3 = np.meshgrid(u, k2, k3, indexing="ij")
-    qw = np.einsum("i,j,k->ijk", uw, k2w, k3w).ravel()
-    chi0 = random_pi_minus(rng, uu.size)
-    packets = [WavePacket(m=float(m), u=uu.ravel(), k2=kk2.ravel(), k3=kk3.ravel(),
-                          chi0=chi0, weights=np.ones(uu.size, complex),
-                          quad_weights=qw) for m in masses]
-    return MassFamily(interval=interval, masses=masses,
-                      eta=smooth_bump(masses, *eta_support),
-                      mass_quad_weights=mass_w, packets=packets)
-
-
 def test_criterion_5_mass_oscillation():
     start = time.time()
     pot = HarmonicPotential(0.2, 1.0)
-    fam = _acceptance_family(np.random.default_rng(5), (0.8, 1.2))
+    fam = grid_family(np.random.default_rng(5), n_masses=21, u_grid=(-0.1, -0.05, 9),
+                      k_grid=(-0.4, 0.4, 5))
     result = mass_oscillation_check(fam, fam, pot, epsilons=(0.1, 0.05, 0.025))
 
-    fam_lo = _acceptance_family(np.random.default_rng(5), (0.8, 0.88))
-    fam_hi = _acceptance_family(np.random.default_rng(5), (1.12, 1.2))
+    fam_lo = replace(fam, eta=smooth_bump(fam.masses, 0.8, 0.88))
+    fam_hi = replace(fam, eta=smooth_bump(fam.masses, 1.12, 1.2))
     null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=(0.1, 0.05, 0.025))
     scale = abs(result.lhs)
     null_lhs = abs(null.lhs) / scale

@@ -282,10 +282,11 @@ DISJOINT_NULL = {"null_tolerance": 1e-3, "disjoint_support_low": [0.8, 0.88],
     {"disjoint_null_check": "no", **DISJOINT_NULL},
     {"disjoint_null_check": True},
     {"epsilons": [1e-300, 2e-300]},
+    {"disjoint_null_check": True, **DISJOINT_NULL, "disjoint_support_low": [0.7, 0.9]},
 ], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
         "negative-epsilon", "reversed-interval", "one-number-disjoint-support",
         "misspelled-null-check", "text-null-check", "null-check-without-supports",
-        "vanishing-epsilons"])
+        "vanishing-epsilons", "disjoint-support-past-interval"])
 def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["mass-oscillation"]
     cfg.update(override)

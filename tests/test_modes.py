@@ -1,13 +1,13 @@
 """Mode construction, wavepackets, null products, pairing and decay."""
 
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import companion_packet, random_packet, random_pi_minus
+from conftest import companion_packet, grid_family, random_packet, random_pi_minus
 from volkovfp.clifford import (
     dirac_gamma,
     lightcone_operators,
@@ -16,21 +16,16 @@ from volkovfp.clifford import (
 )
 from volkovfp.modes import (
     GridMismatchError,
-    MassFamily,
     ModeAmplitude,
     ModeParams,
     WavePacket,
     dirac_residual,
     evolve_pi_minus,
-    family_from_document,
-    family_to_document,
     mass_pairing_identity,
     mode_wavefunction,
     null_decay_scan,
     null_scalar_product,
-    packet_from_document,
     packet_pi_minus_field,
-    packet_to_document,
     project_pi_minus,
     reconstruct_full,
     smooth_bump,
@@ -332,24 +327,6 @@ def test_decay_scan_flags_single_mode(rng):
     assert abs(report.min_order) < 1e-6
 
 
-def test_packet_json_roundtrip(rng, tmp_path):
-    from volkovfp.modes import load_document, save_document
-
-    packet = random_packet(rng, n_nodes=7)
-    pot = HarmonicPotential(0.2, 1.0)
-    doc = packet_to_document(packet, pot)
-    clone, pot_clone = packet_from_document(doc)
-    assert clone.same_grid(packet)
-    assert np.allclose(clone.chi0, packet.chi0)
-    assert np.allclose(clone.weights, packet.weights)
-    assert pot_clone.descriptor() == pot.descriptor()
-
-    path = tmp_path / "packet.json"
-    save_document(doc, path)
-    clone2, _ = packet_from_document(load_document(path))
-    assert np.allclose(clone2.chi0, packet.chi0)
-
-
 def test_decay_scan_needs_enough_samples(rng):
     packet = _gaussian_u_packet(rng, n=40)
     with pytest.raises(ValueError):
@@ -358,103 +335,45 @@ def test_decay_scan_needs_enough_samples(rng):
         null_decay_scan(packet, ZeroPotential(), [0.0], np.array([0.0, 1.0, 2.0]))
 
 
-def _small_family(rng, eta_support=None):
-    interval = (0.8, 1.2)
-    masses = np.linspace(0.8, 1.2, 9)
-    support = eta_support or interval
-    eta = smooth_bump(masses, *support)
-    n = 4
-    u = np.array([-0.9, -0.7, -0.5, -0.3])
-    k2 = np.array([0.1, -0.2, 0.3, 0.0])
-    k3 = np.zeros(4)
-    chi0 = random_pi_minus(rng, n)
-    packets = [WavePacket(m=float(m), u=u, k2=k2, k3=k3, chi0=chi0,
-                          weights=np.ones(n, complex), quad_weights=np.full(n, 0.25))
-               for m in masses]
-    return MassFamily(interval=interval, masses=masses, eta=eta,
-                      mass_quad_weights=np.full(9, 0.05), packets=packets)
-
-
 def test_family_validation_and_roundtrip(rng):
-    family = _small_family(rng)
+    family = grid_family(rng)
     assert family.weights_smooth()
-    doc = family_to_document(family, ZeroPotential())
-    clone, pot = family_from_document(doc)
-    assert np.allclose(clone.masses, family.masses)
-    assert np.allclose(clone.eta, family.eta)
-    assert pot.descriptor() == {"kind": "zero"}
-
-    with pytest.raises(ValueError):
-        MassFamily(interval=(0.0, 1.2), masses=family.masses, eta=family.eta,
-                   mass_quad_weights=family.mass_quad_weights, packets=family.packets)
+    # the node-count contract of the first-mass packet view
+    assert family.node_packet.n_nodes == family.n_nodes == 20
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        replace(family, interval=(0.0, 1.2))
 
 
-_DROP = object()
+def _off_range_at_last_mass(chi0):
+    chi0 = chi0.copy()
+    chi0[-1, 3] = [1.0, 0.0, 0.0, 0.0]
+    return chi0
 
 
-def _edited(doc, path, edit):
-    """JSON copy of a document with the value at `path` replaced by
-    edit(old value), or removed when edit is _DROP."""
-    doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    holder = doc
-    for key in parents:
-        holder = holder[key]
-    if edit is _DROP:
-        del holder[last]
-    else:
-        holder[last] = edit(holder.get(last) if isinstance(holder, dict) else holder[last])
-    return doc
+def _repeated_node(k3):
+    k3 = k3.copy()
+    k3[1] = k3[0]  # nodes 0 and 1 differ only in k3
+    return k3
 
 
-_MALFORMED_POTENTIAL = {"kind": "harmonic", "amplitude": "0.2", "frequency": 1.0}
+def _nan_weight(weights):
+    weights = weights.copy()
+    weights[4, 7] = np.nan
+    return weights
 
 
-@pytest.mark.parametrize("path, edit, match", [
-    (("mass",), str, r"wavepacket\.mass must be a number"),
-    (("k2", 1), lambda v: True, r"wavepacket\.k2 must be a list of numbers"),
-    (("chi0", "im", 0, 2), str, r"wavepacket\.chi0\.im\[0\] must be a list of numbers"),
-    (("extra",), lambda v: 1.0, "wavepacket has unknown field 'extra'"),
-    (("quad_weights",), _DROP, "wavepacket is missing field 'quad_weights'"),
-    (("type",), lambda v: "massfamily", r"wavepacket\.type must be 'wavepacket'"),
-    (("potential",), lambda v: _MALFORMED_POTENTIAL, r"wavepacket\.potential\.amplitude"),
-], ids=["text-mass", "boolean-k2-entry", "text-chi0-entry", "unknown-key", "missing-key",
-        "wrong-type", "malformed-potential"])
-def test_malformed_packet_document_rejected(rng, path, edit, match):
-    doc = packet_to_document(random_packet(rng, n_nodes=4), HarmonicPotential(0.2, 1.0))
+@pytest.mark.parametrize("field, edit, match", [
+    ("chi0", _off_range_at_last_mass, "chi0 rows must lie in the range of Pi_minus"),
+    ("weights", lambda w: w[0], r"weights must have shape \(13, 20\)"),
+    ("weights", _nan_weight, "weights must be finite"),
+    ("k3", _repeated_node, r"\(u, k2, k3\) nodes must be distinct"),
+    ("masses", lambda m: m + 0.05, "masses must lie in the closed mass interval"),
+], ids=["chi0-off-range-at-last-mass", "weights-per-node-only", "nan-weight",
+        "repeated-node", "mass-outside-interval"])
+def test_family_rejects_malformed_field(rng, field, edit, match):
+    family = grid_family(rng)
     with pytest.raises(ValueError, match=match):
-        packet_from_document(_edited(doc, path, edit))
-
-
-@pytest.mark.parametrize("path, edit, match", [
-    (("packets", 1, "mass"), str, r"massfamily\.packets\[1\]\.mass must be a number"),
-    (("eta", 0), lambda v: False, r"massfamily\.eta must be a list of numbers"),
-    (("interval", 0), str, r"massfamily\.interval must be a list of numbers"),
-    (("extra",), lambda v: 1.0, "massfamily has unknown field 'extra'"),
-    (("mass_quad_weights",), _DROP, "massfamily is missing field 'mass_quad_weights'"),
-    (("type",), lambda v: "wavepacket", r"massfamily\.type must be 'massfamily'"),
-    (("potential", "amplitude"), lambda v: 0.0,
-     r"massfamily\.potential has unknown field 'amplitude'"),
-    (("packets", 0, "potential"), lambda v: _MALFORMED_POTENTIAL,
-     r"massfamily\.packets\[0\]\.potential\.amplitude"),
-], ids=["text-packet-mass", "boolean-eta-entry", "text-interval", "unknown-key", "missing-key",
-        "wrong-type", "malformed-potential", "malformed-packet-potential"])
-def test_malformed_family_document_rejected(rng, path, edit, match):
-    doc = family_to_document(_small_family(rng), ZeroPotential())
-    with pytest.raises(ValueError, match=match):
-        family_from_document(_edited(doc, path, edit))
-
-
-def test_document_loaders_accept_what_the_writers_write(rng, tmp_path):
-    """Strict tables still read every document the writers produce, through JSON."""
-    from volkovfp.modes import load_document, save_document
-
-    family = _small_family(rng)
-    save_document(family_to_document(family), tmp_path / "family.json")
-    clone, pot = family_from_document(load_document(tmp_path / "family.json"))
-    assert pot is None and clone.interval == family.interval
-    assert all(np.array_equal(a.chi0, b.chi0) and np.array_equal(a.weights, b.weights)
-               for a, b in zip(clone.packets, family.packets))
+        replace(family, **{field: edit(getattr(family, field))})
 
 
 def test_smooth_bump_properties():

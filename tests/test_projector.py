@@ -1,11 +1,13 @@
 """Green's functions, causal kernel, projector kernel, mass oscillation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_pi_minus
+from conftest import grid_family, random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
-from volkovfp.modes import MassFamily, ModeParams, WavePacket, smooth_bump
+from volkovfp.modes import GridMismatchError, MassFamily, ModeParams, smooth_bump
 from volkovfp.potential import (
     HarmonicPotential,
     ZeroPotential,
@@ -25,7 +27,7 @@ from volkovfp.projector import (
     signature_sign,
     write_kernel_csv,
 )
-from volkovfp.quadrature import UndersampledGridError, gl_panels
+from volkovfp.quadrature import UndersampledGridError
 
 TWO_PI_3 = (2.0 * np.pi) ** 3
 TWO_PI_4 = (2.0 * np.pi) ** 4
@@ -210,14 +212,14 @@ def test_extrapolate_to_zero_polynomial():
 def test_repeated_abscissae_rejected(rng):
     with pytest.raises(ValueError, match="distinct"):
         extrapolate_to_zero([0.1, 0.1, 0.05], [1.0, 1.0, 2.0])
-    fam = _family(rng, (0.8, 1.2), n_masses=5, nk=1)
+    fam = grid_family(rng, (0.8, 1.2), n_masses=5, k_grid=(-0.3, 0.3, 1))
     with pytest.raises(ValueError, match="repeat"):
         mass_oscillation_check(fam, fam, POT, epsilons=(0.1, 0.1, 0.05))
 
 
 def test_vanishing_regulator_rejected_before_allocating(rng):
     """An s grid of ~1e151 points per node is refused up front, not attempted."""
-    fam = _family(rng, (0.8, 1.2), n_masses=5, nk=1)
+    fam = grid_family(rng, (0.8, 1.2), n_masses=5, k_grid=(-0.3, 0.3, 1))
     with pytest.raises(ValueError, match=r"2\*\*24"):
         mass_oscillation_check(fam, fam, POT, epsilons=(1e-300, 2e-300))
 
@@ -226,26 +228,8 @@ def test_vanishing_regulator_rejected_before_allocating(rng):
 # mass oscillation
 
 
-def _family(rng, eta_support, interval=(0.8, 1.2), n_masses=13,
-            u_window=(-0.1, -0.05), nk=2):
-    masses = np.linspace(interval[0], interval[1], n_masses)
-    mass_w = np.full(n_masses, (interval[1] - interval[0]) / (n_masses - 1))
-    u, uw = gl_panels(u_window[0], u_window[1], 5)
-    k2, k2w = gl_panels(-0.3, 0.3, nk)
-    k3, k3w = gl_panels(-0.3, 0.3, nk)
-    uu, kk2, kk3 = np.meshgrid(u, k2, k3, indexing="ij")
-    qw = np.einsum("i,j,k->ijk", uw, k2w, k3w).ravel()
-    chi0 = random_pi_minus(rng, uu.size)
-    packets = [WavePacket(m=float(m), u=uu.ravel(), k2=kk2.ravel(), k3=kk3.ravel(),
-                          chi0=chi0, weights=np.ones(uu.size, complex),
-                          quad_weights=qw) for m in masses]
-    eta = smooth_bump(masses, *eta_support)
-    return MassFamily(interval=interval, masses=masses, eta=eta,
-                      mass_quad_weights=mass_w, packets=packets)
-
-
 def test_mass_oscillation_diagonal(rng):
-    fam = _family(rng, (0.8, 1.2))
+    fam = grid_family(rng, (0.8, 1.2))
     result = mass_oscillation_check(fam, fam, POT)
     assert result.relative_gap <= 1e-2
     # all u < 0: rhs is minus a positive quantity
@@ -255,9 +239,9 @@ def test_mass_oscillation_diagonal(rng):
 
 
 def test_mass_oscillation_disjoint_supports(rng):
-    fam_lo = _family(rng, (0.8, 0.88))
-    fam_hi = _family(rng, (1.12, 1.2))
-    fam = _family(rng, (0.8, 1.2))
+    fam_lo = grid_family(rng, (0.8, 0.88))
+    fam_hi = grid_family(rng, (1.12, 1.2))
+    fam = grid_family(rng, (0.8, 1.2))
     base = mass_oscillation_check(fam, fam, POT)
     null = mass_oscillation_check(fam_lo, fam_hi, POT)
     assert abs(null.rhs) == 0.0
@@ -265,40 +249,36 @@ def test_mass_oscillation_disjoint_supports(rng):
 
 
 def test_mass_oscillation_grid_checks(rng):
-    fam = _family(rng, (0.8, 1.2))
-    other = _family(rng, (0.8, 1.2), u_window=(-0.2, -0.15))
-    from volkovfp.modes import GridMismatchError
-
+    fam = grid_family(rng, (0.8, 1.2))
+    other = grid_family(rng, (0.8, 1.2), u_grid=(-0.2, -0.15, 5))
     with pytest.raises(GridMismatchError):
         mass_oscillation_check(fam, other, POT)
 
-    bad_eta = np.ones_like(fam.eta)  # does not vanish at the ends
-    bad = MassFamily(interval=fam.interval, masses=fam.masses, eta=bad_eta,
-                     mass_quad_weights=fam.mass_quad_weights, packets=fam.packets)
+    bad = replace(fam, eta=np.ones_like(fam.eta))  # does not vanish at the ends
     with pytest.raises(ValueError, match="vanish"):
         mass_oscillation_check(bad, bad, POT)
 
 
 def test_mass_oscillation_epsilon_path_matches_analytic(rng):
     """The regulated s-quadrature agrees with the exact Gaussian integral."""
-    fam = _family(rng, (0.8, 1.2), n_masses=9, u_window=(-0.08, -0.06), nk=1)
+    fam = grid_family(rng, (0.8, 1.2), n_masses=9, u_grid=(-0.08, -0.06, 5),
+                      k_grid=(-0.3, 0.3, 1))
     eps = 0.05
     result = mass_oscillation_check(fam, fam, POT, epsilons=(eps,))
 
     masses = fam.masses
     mw = fam.mass_quad_weights
-    grid = fam.node_packet
     total = 0.0 + 0.0j
-    for i in range(grid.n_nodes):
-        u = float(grid.u[i])
-        chi = np.array([p.chi0[i] for p in fam.packets])
+    for i in range(fam.n_nodes):
+        u = float(fam.u[i])
+        chi = fam.chi0[:, i]
         inner = np.einsum("mc,nc->mn", np.conj(chi), chi)
         msq = masses ** 2
         omega = (msq[:, None] - msq[None, :]) / (4.0 * u)
         gaussian = np.sqrt(np.pi / eps) * np.exp(-np.square(omega) / (4.0 * eps))
         mass_sum = (masses[:, None] + masses[None, :]) / (2.0 * u)
         pref = (mw * fam.eta)[:, None] * (mw * fam.eta)[None, :]
-        total += 4.0 * np.pi ** 3 * grid.quad_weights[i] * np.einsum(
+        total += 4.0 * np.pi ** 3 * fam.quad_weights[i] * np.einsum(
             "mn,mn,mn,mn->", pref, mass_sum, inner, gaussian)
     assert result.lhs_by_epsilon[0] == pytest.approx(total, rel=1e-10)
 
@@ -307,11 +287,10 @@ def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc
     """Regulated spacetime pairing from the full (m, n, s) pairing tensor."""
     masses = fam_psi.masses
     mw = fam_psi.mass_quad_weights
-    grid = fam_psi.node_packet
     half_width = np.sqrt(np.log(1.0 / tail) / min(epsilons))
     out = np.zeros(len(epsilons), dtype=complex)
-    for i in range(grid.n_nodes):
-        u, k2, k3 = grid.u[i], grid.k2[i], grid.k3[i]
+    for i in range(fam_psi.n_nodes):
+        u, k2, k3 = fam_psi.u[i], fam_psi.k2[i], fam_psi.k3[i]
         beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * abs(u))
         ds = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
         n_half = int(np.ceil(half_width / ds))
@@ -321,19 +300,18 @@ def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc
         slash = np.array([transverse_slash(k2, k3, pot.a2(s), pot.a3(s)) for s in s_grid])
 
         def completed(family):
-            chi0 = np.array([pkt.chi0[i] for pkt in family.packets])
+            chi0 = family.chi0[:, i]
             ops = ID4 - N_PLUS @ (slash[None] - masses[:, None, None, None] * ID4) / (2.0 * u)
             return np.einsum("mscd,md->msc", ops, chi0)
 
         pairing = np.einsum("msc,cd,nsd->mns", np.conj(completed(fam_psi)),
                             dirac_gamma(0), completed(fam_phi))
-        w_psi = np.array([pkt.weights[i] for pkt in fam_psi.packets])
-        w_phi = np.array([pkt.weights[i] for pkt in fam_phi.packets])
+        w_psi, w_phi = fam_psi.weights[:, i], fam_phi.weights[:, i]
         left = (mw * fam_psi.eta * np.conj(w_psi))[:, None] * np.conj(osc)
         right = (mw * fam_phi.eta * w_phi)[:, None] * osc
         for j, eps in enumerate(epsilons):
             s_w = ds * np.exp(-eps * np.square(s_grid))
-            out[j] += 4.0 * np.pi ** 3 * grid.quad_weights[i] * np.einsum(
+            out[j] += 4.0 * np.pi ** 3 * fam_psi.quad_weights[i] * np.einsum(
                 "ms,ns,mns,s->", left, right, pairing, s_w)
     return out
 
@@ -347,11 +325,12 @@ def test_mass_oscillation_matches_brute_force_contraction(rng):
     qw = rng.uniform(0.1, 1.0, n)
 
     def family(eta):
-        packets = [WavePacket(m=float(m), u=u, k2=k2, k3=k3, chi0=random_pi_minus(rng, n),
-                              weights=rng.normal(size=n) + 1j * rng.normal(size=n),
-                              quad_weights=qw) for m in masses]
+        draws = [(random_pi_minus(rng, n), rng.normal(size=n) + 1j * rng.normal(size=n))
+                 for _ in masses]
+        chi0, weights = (np.array(column) for column in zip(*draws))
         return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
-                          mass_quad_weights=np.full(masses.size, 0.4 / 6), packets=packets)
+                          mass_quad_weights=np.full(masses.size, 0.4 / 6),
+                          u=u, k2=k2, k3=k3, quad_weights=qw, chi0=chi0, weights=weights)
 
     bump = smooth_bump(masses, 0.8, 1.2)
     fam_psi = family(bump)
@@ -435,6 +414,24 @@ def test_smeared_profile_requires_negative_u(rng):
         SmearedProfile(1.0, np.array([0.5]), np.zeros(1), np.zeros(1), np.ones(1),
                        rng.normal(size=(1, 4)) + 0j,
                        [_gaussian_envelope(0.0, 1.0)], (-5.0, 5.0))
+
+
+@pytest.mark.parametrize("edits, match", [
+    ({"k2": [0.3, -0.1, 0.5]}, "k2 must have shape"),
+    ({"k2": [0.3]}, "k2 must have shape"),
+    ({"quad_weights": [1.0]}, "quad_weights must have shape"),
+    ({"k2": [0.3, np.nan]}, "k2 must be finite"),
+    ({"m": np.nan}, "mass must be positive and finite"),
+    ({"m": 0.0}, "mass must be positive and finite"),
+    ({"u": [-0.7, -0.7], "k2": [0.3, 0.3], "k3": [0.0, 0.0]}, "nodes must be distinct"),
+    ({"spinors": np.full((2, 4), np.nan + 0j)}, "spinors must be finite"),
+    ({"s_support": (-np.inf, 14.0)}, "s support must be a finite"),
+], ids=["long-k2", "short-k2", "short-quad-weights", "nan-k2", "nan-mass", "zero-mass",
+        "repeated-node", "nan-spinors", "infinite-support"])
+def test_smeared_profile_checks_its_grid(rng, edits, match):
+    phi, _ = _profiles(rng)
+    with pytest.raises(ValueError, match=match):
+        replace(phi, **edits)
 
 
 def test_batched_kernels_match_scalar_calls(rng):
