@@ -45,6 +45,10 @@ families with a Gaussian regulator exp(-eps s^2), extrapolates eps -> 0
 by Neville/Richardson over the given schedule and compares against the
 sign(u)-weighted fixed-s expression; this verifies that the spacetime
 pairing of mass-integrated families collapses onto the mass diagonal.
+Its s-grid depends on u alone, so the mass oscillation e^{-i m^2 s/4u}
+is one (s, m) table per distinct u, shared by every (k2, k3) node at
+that u; each node contributes only its (s,) transverse phase vector, and
+each distinct family is summed over masses once per node.
 """
 
 from __future__ import annotations
@@ -235,6 +239,9 @@ KERNEL_CSV_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
 ]
 
 
+_KERNEL_CSV_ROW = ",".join(["%.17g"] * len(KERNEL_CSV_HEADER))
+
+
 def write_kernel_csv(path, samples, comment: str | None = None) -> None:
     """Write kernel samples as CSV rows (u, k2, k3, s, s~, re_ij, im_ij)."""
     lines = []
@@ -242,7 +249,7 @@ def write_kernel_csv(path, samples, comment: str | None = None) -> None:
         lines.append(f"# {comment}")
     lines.append(",".join(KERNEL_CSV_HEADER))
     for sample in samples:
-        lines.extend(",".join(f"{cell:.17g}" for cell in row) for row in sample.rows())
+        lines.extend(_KERNEL_CSV_ROW % tuple(row) for row in sample.rows())
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -293,15 +300,20 @@ def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
             )
 
 
-def _completion_basis(chi0: np.ndarray, masses: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(m, node, 3, 4) stack of static_m, N+ gamma2 chi0_m and N+ gamma3 chi0_m.
+def _family_terms(fam: MassFamily, nodes: np.ndarray, u: float) -> np.ndarray:
+    """(node, m, 12) amplitude-weighted completion basis of one family's nodes at one u.
 
     The completion X_m(s) = [1 - N+ (Aslash(s) - m) / 2u] chi0_m equals
     static_m - c2(s) N+ gamma2 chi0_m - c3(s) N+ gamma3 chi0_m with
     c_j(s) = (k_j + a_j(s)) / 2u and static_m = chi0_m + m N+ chi0_m / 2u.
+    Row (j, m) holds static, N+ gamma2 chi0 and N+ gamma3 chi0 of node
+    nodes[j], times the mass amplitude mw_m eta_m w_m, so ``table @ terms[j]``
+    sums the family over masses for every s of an (s, m) table at once.
     """
-    static = chi0 + (masses[:, None, None] / (2.0 * u[:, None])) * (chi0 @ _N_PLUS.T)
-    return np.stack([static, chi0 @ _N_PLUS_G2.T, chi0 @ _N_PLUS_G3.T], axis=2)
+    chi = fam.chi0[:, nodes].transpose(1, 0, 2) \
+        * (fam.mass_quad_weights * fam.eta * fam.weights[:, nodes].T)[..., None]
+    static = chi + (fam.masses / (2.0 * u))[:, None] * (chi @ _N_PLUS.T)
+    return np.concatenate([static, chi @ _N_PLUS_G2.T, chi @ _N_PLUS_G3.T], axis=2)
 
 
 def mass_oscillation_check(
@@ -324,16 +336,22 @@ def mass_oscillation_check(
     The s-grids are trapezoid rules on [-L, L] with L set by the regulator
     tail and spacing set by the largest mass-beat frequency; for a
     Gaussian-enveloped trigonometric integrand the trapezoid rule is
-    spectrally accurate.  A regulator so small that one node's (mass, s)
-    array would exceed 2**24 values raises ValueError before allocating.
+    spectrally accurate.  A regulator so small that one u's (s, mass)
+    table would exceed 2**24 values raises ValueError before allocating.
 
     The double mass sum factors: at each node and s the completed spinors
     of each family are summed over masses first, Psi(s) = sum_m c_m(s)
     X_m(s), and only the two sums are paired, <Psi(s)| gamma0 Phi(s)>.
-    The completion X_m(s) is affine in the s-dependent coefficients
-    (k2 + a2(s))/2u and (k3 + a3(s))/2u, so each sum costs a few
-    (s, m) @ (m, 4) products and the whole epsilon schedule is one
-    (n_eps, s) @ (s,) product per node.
+    The phase factors as e^{-i Phi_0(s)/4u} e^{-i m^2 s/4u}, and the s-grid
+    depends on u alone, so the nodes are grouped by u: each distinct u
+    builds one (s, m) table e^{-i m^2 s/4u} and one broadcast call gives
+    the (node, s) transverse phase vectors of its nodes.  The completion
+    X_m(s) is affine in the s-dependent coefficients (k2 + a2(s))/2u and
+    (k3 + a3(s))/2u, so a family's sum at one node is a single
+    (s, m) @ (m, 3 x 4) product against the shared table.  The node
+    pairings are summed with their quadrature weights before the whole
+    epsilon schedule is applied by one (n_eps, s) @ (s,) product per u.
+    When both arguments are the same family its sums are built once.
     """
     _check_family_pair(fam_psi, fam_phi)
     epsilons = tuple(float(e) for e in epsilons)
@@ -350,55 +368,49 @@ def mass_oscillation_check(
     # Python floats: a subnormal eps_min gives inf here, not an overflow warning
     half_width = math.sqrt(math.log(1.0 / tail) / eps_min)
 
-    # each node's s-grid spacing and half length, sized before any allocation
-    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(fam_psi.u))
-    ds_nodes = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
-    n_half_nodes = np.ceil(half_width / ds_nodes)
-    if masses.size * (2.0 * n_half_nodes.max() + 1.0) > 2 ** 24:
+    # each distinct u's s-grid spacing and half length, sized before any allocation
+    u_values, u_group = np.unique(fam_psi.u, return_inverse=True)
+    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(u_values))
+    ds_values = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
+    n_half_values = np.ceil(half_width / ds_values)
+    if masses.size * (2.0 * n_half_values.max() + 1.0) > 2 ** 24:
         raise ValueError(f"regulator epsilon {eps_min:g} needs over 2**24 (mass, s) values")
 
-    # per-mass amplitudes and weights of every node, (m, node, 4) and (m, node)
-    chi_psi, chi_phi = fam_psi.chi0, fam_phi.chi0
-    w_psi, w_phi = fam_psi.weights, fam_phi.weights
-    basis_psi = _completion_basis(chi_psi, masses, fam_psi.u)
-    basis_phi = _completion_basis(chi_phi, masses, fam_psi.u)
-    amp_psi = (mw * fam_psi.eta)[:, None] * w_psi
-    amp_phi = (mw * fam_phi.eta)[:, None] * w_phi
+    # fixed-s side: the mass-diagonal pairing of every (mass, node), weighted by sign(u)
+    diag = np.einsum("mnc,mnc->mn", np.conj(fam_psi.weights[..., None] * fam_psi.chi0),
+                     fam_phi.weights[..., None] * fam_phi.chi0)
     diag_pref = mw * fam_psi.eta * fam_phi.eta
+    rhs = _TWO_PI_4 * (diag_pref @ diag) @ (fam_psi.quad_weights * signature_sign(fam_psi.u))
 
-    rhs = 0.0 + 0.0j
+    # regulated spacetime side, summed over masses once per distinct family
+    fams = (fam_psi,) if fam_psi is fam_phi else (fam_psi, fam_phi)
+    msq = np.square(masses)
     lhs_by_eps = np.zeros(len(epsilons), dtype=complex)
-
-    nodes = zip(fam_psi.u.tolist(), fam_psi.k2.tolist(), fam_psi.k3.tolist(),
-                fam_psi.quad_weights.tolist())
-    for i, (u, k2, k3, qw) in enumerate(nodes):
-        # fixed-s side
-        diag = np.einsum("mc,mc->m", np.conj(w_psi[:, i, None] * chi_psi[:, i]),
-                         w_phi[:, i, None] * chi_phi[:, i])
-        rhs += _TWO_PI_4 * qw * signature_sign(u) * np.sum(diag_pref * diag)
-
-        # regulated spacetime side
-        s_grid = ds_nodes[i] * np.arange(-n_half_nodes[i], n_half_nodes[i] + 1)
-
-        base = transverse_phase(pot, k2, k3, 0.0, s_grid)
-        osc = np.exp(
-            -1j * (base[None, :] + np.square(masses)[:, None] * s_grid[None, :]) / (4.0 * u)
-        )
-        # (s, 3) coefficients of the completion basis: 1, -c2(s), -c3(s)
-        completion = np.stack([
-            np.ones_like(s_grid),
+    for g, (u, ds, n_half) in enumerate(zip(u_values.tolist(), ds_values.tolist(),
+                                            n_half_values.tolist())):
+        nodes = np.flatnonzero(u_group == g)
+        s_grid = ds * np.arange(-n_half, n_half + 1)
+        table = np.exp(np.multiply.outer(s_grid, msq) * (-1j / (4.0 * u)))
+        k2, k3 = fam_psi.k2[nodes, None], fam_psi.k3[nodes, None]
+        # (node, s, 3) coefficients of the completion basis, 1, -c2(s), -c3(s),
+        # times each node's transverse phase factor
+        node_phase = np.exp(-1j * transverse_phase(pot, k2, k3, 0.0, s_grid) / (4.0 * u))
+        completion = node_phase[..., None] * np.stack(np.broadcast_arrays(
+            1.0,
             -(k2 + np.asarray(pot.a2(s_grid), dtype=float)) / (2.0 * u),
             -(k3 + np.asarray(pot.a3(s_grid), dtype=float)) / (2.0 * u),
-        ], axis=1)
-        # sum_m amp_m osc_m(s) X_m(s) for each family, then the gamma0 pairing
-        psi = np.einsum("sk,skc->sc", completion,
-                        np.tensordot((amp_psi[:, i, None] * osc).T, basis_psi[:, i], axes=1))
-        phi = np.einsum("sk,skc->sc", completion,
-                        np.tensordot((amp_phi[:, i, None] * osc).T, basis_phi[:, i], axes=1))
-        pairing = np.sum((np.conj(psi) @ _GAMMA0) * phi, axis=1)
+        ), axis=-1)
+        terms = [_family_terms(fam, nodes, u) for fam in fams]
+        paired = np.zeros(s_grid.size, dtype=complex)
+        for j, qw in enumerate(fam_psi.quad_weights[nodes].tolist()):
+            # sum_m amp_m osc_m(s) X_m(s) for each family, then the gamma0 pairing
+            sums = [np.einsum("sk,skc->sc", completion[j], (table @ t[j]).reshape(-1, 3, 4))
+                    for t in terms]
+            psi, phi = sums[0], sums[-1]
+            paired += qw * np.sum((np.conj(psi) @ _GAMMA0) * phi, axis=1)
 
-        s_weights = ds_nodes[i] * np.exp(-eps_col * np.square(s_grid))
-        lhs_by_eps += 4.0 * np.pi ** 3 * qw * (s_weights @ pairing)
+        s_weights = ds * np.exp(-eps_col * np.square(s_grid))
+        lhs_by_eps += 4.0 * np.pi ** 3 * (s_weights @ paired)
 
     lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])
     scale = max(abs(rhs), 1e-300)

@@ -159,22 +159,23 @@ def test_criterion_4_mass_pairing_identity():
 def test_criterion_5_mass_oscillation():
     start = time.time()
     pot = HarmonicPotential(0.2, 1.0)
-    fam = grid_family(np.random.default_rng(5), n_masses=21, u_grid=(-0.1, -0.05, 9),
+    epsilons = (0.025, 0.0125, 0.00625, 0.003125)
+    fam = grid_family(np.random.default_rng(5), n_masses=41, u_grid=(-0.1, -0.05, 9),
                       k_grid=(-0.4, 0.4, 5))
-    result = mass_oscillation_check(fam, fam, pot, epsilons=(0.1, 0.05, 0.025))
+    result = mass_oscillation_check(fam, fam, pot, epsilons=epsilons)
 
     fam_lo = replace(fam, eta=smooth_bump(fam.masses, 0.8, 0.88))
     fam_hi = replace(fam, eta=smooth_bump(fam.masses, 1.12, 1.2))
-    null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=(0.1, 0.05, 0.025))
+    null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons=epsilons)
     scale = abs(result.lhs)
     null_lhs = abs(null.lhs) / scale
     null_rhs = abs(null.rhs) / scale
     elapsed = time.time() - start
-    ok = result.relative_gap <= 1e-2 and null_lhs <= 1e-3 and null_rhs <= 1e-3
+    ok = result.relative_gap <= 1e-4 and null_lhs <= 1e-12 and null_rhs <= 1e-12
     report(5, "mass-oscillation", ok,
-           f"gap {result.relative_gap:.2e} <= 1e-2, null lhs/rhs "
-           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-3", 60.0, elapsed)
-    assert ok and elapsed < 60.0
+           f"gap {result.relative_gap:.2e} <= 1e-4, null lhs/rhs "
+           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-12", 10.0, elapsed)
+    assert ok and elapsed < 10.0
 
 
 def test_criterion_6_kernel_consistency():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import grid_family, random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
+from volkovfp import projector
 from volkovfp.modes import GridMismatchError, MassFamily, ModeParams, smooth_bump
 from volkovfp.potential import (
     HarmonicPotential,
@@ -15,6 +16,7 @@ from volkovfp.potential import (
     transverse_phase,
 )
 from volkovfp.projector import (
+    KERNEL_CSV_HEADER,
     KernelSample,
     SmearedProfile,
     causal_fundamental_momentum,
@@ -203,6 +205,24 @@ def test_kernel_csv_export(tmp_path):
     assert len(lines) == 3
 
 
+
+def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
+    """One %-format per row prints exactly what a %.17g f-string per cell does."""
+    specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
+    value = np.empty((len(specials), 4, 4), dtype=complex)
+    value.real = np.random.default_rng(5).normal(size=value.shape) * 1e3
+    value.imag = np.array(specials)[:, None, None]
+    value.real[:, 1] = -np.array(specials)[:, None]
+    mode = ModeParams(k2=np.nan_to_num(specials, posinf=2.0, neginf=-2.0), k3=-0.0, u=-1e-310, m=1.0)
+    samples = [KernelSample(mode, np.array(specials), np.inf, value),
+               KernelSample(MODE, 0.1, -0.2, fp_kernel_momentum(MODE, POT, 0.1, -0.2))]
+    path = tmp_path / "kernel.csv"
+    write_kernel_csv(path, samples, comment="c")
+    expected = ["# c", ",".join(KERNEL_CSV_HEADER)] + [
+        ",".join(f"{cell:.17g}" for cell in row) for sample in samples for row in sample.rows()]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert {"nan", "inf", "-inf", "-0", "-4.9406564584124654e-324"} <= set(",".join(expected).split(","))
+
 def test_extrapolate_to_zero_polynomial():
     xs = [0.4, 0.2, 0.1]
     ys = [7.0 + 3.0 * x - 2.0 * x * x for x in xs]
@@ -339,6 +359,78 @@ def test_mass_oscillation_matches_brute_force_contraction(rng):
     result = mass_oscillation_check(fam_psi, fam_phi, POT, epsilons=epsilons)
     expected = _brute_force_lhs(fam_psi, fam_phi, POT, epsilons)
     np.testing.assert_allclose(result.lhs_by_epsilon, expected, rtol=1e-12, atol=0.0)
+
+
+def _brute_force_rhs(fam_psi, fam_phi):
+    """Fixed-s side summed node by node and mass by mass."""
+    total = 0.0 + 0.0j
+    for i in range(fam_psi.n_nodes):
+        for m in range(fam_psi.masses.size):
+            inner = np.vdot(fam_psi.weights[m, i] * fam_psi.chi0[m, i],
+                            fam_phi.weights[m, i] * fam_phi.chi0[m, i])
+            total += (TWO_PI_4 * fam_psi.quad_weights[i] * np.sign(fam_psi.u[i])
+                      * fam_psi.mass_quad_weights[m] * fam_psi.eta[m] * fam_phi.eta[m] * inner)
+    return total
+
+
+def test_mass_oscillation_shared_u_matches_brute_force(rng):
+    """Several nodes per u, both signs of u: one oscillation table serves a whole u group."""
+    masses = np.linspace(0.8, 1.2, 7)
+    u = np.repeat([-0.15, -0.08, 0.07, 0.12], 3)
+    n = u.size
+    k2 = rng.normal(0.0, 0.3, n)
+    k3 = rng.normal(0.0, 0.3, n)
+    qw = rng.uniform(0.1, 1.0, n)
+
+    def family(eta):
+        chi0 = np.stack([random_pi_minus(rng, n) for _ in masses])
+        weights = rng.normal(size=(masses.size, n)) + 1j * rng.normal(size=(masses.size, n))
+        return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+                          mass_quad_weights=np.full(masses.size, 0.4 / 6),
+                          u=u, k2=k2, k3=k3, quad_weights=qw, chi0=chi0, weights=weights)
+
+    bump = smooth_bump(masses, 0.8, 1.2)
+    fam_psi = family(bump)
+    fam_phi = family(bump * (2.0 - masses))
+    epsilons = (0.2, 0.1)
+    result = mass_oscillation_check(fam_psi, fam_phi, POT, epsilons=epsilons)
+    expected = _brute_force_lhs(fam_psi, fam_phi, POT, epsilons)
+    np.testing.assert_allclose(result.lhs_by_epsilon, expected, rtol=1e-12, atol=0.0)
+    assert result.rhs == pytest.approx(_brute_force_rhs(fam_psi, fam_phi), rel=1e-12)
+
+
+def test_mass_oscillation_same_family_twice_matches_copy(rng):
+    """The diagonal call sums its one family once; a copy is summed separately."""
+    fam = grid_family(rng, (0.8, 1.2), u_grid=(-0.1, -0.05, 3))
+    same = mass_oscillation_check(fam, fam, POT)
+    copy = mass_oscillation_check(fam, replace(fam), POT)
+    scale = abs(same.rhs)
+    assert same.rhs == copy.rhs
+    assert np.max(np.abs(np.subtract(same.lhs_by_epsilon, copy.lhs_by_epsilon))) <= 1e-15 * scale
+    assert abs(same.lhs - copy.lhs) <= 1e-15 * scale
+
+
+def _two_sign_family(rng):
+    """Nine negative-u panels joined to five positive-u ones: the halves differ,
+    so the sign(u) weights of the fixed-s side do not cancel."""
+    neg, pos = (grid_family(rng, n_masses=21, u_grid=u_grid, k_grid=(-0.4, 0.4, 5))
+                for u_grid in ((-0.1, -0.05, 9), (0.06, 0.1, 5)))
+    joined = {name: np.concatenate([getattr(neg, name), getattr(pos, name)], axis=-1)
+              for name in ("u", "k2", "k3", "quad_weights", "weights")}
+    return neg, replace(neg, chi0=np.concatenate([neg.chi0, pos.chi0], axis=1), **joined)
+
+
+def test_mass_oscillation_both_signature_eigenspaces(rng, monkeypatch):
+    neg, fam = _two_sign_family(rng)
+    result = mass_oscillation_check(fam, fam, POT)
+    assert result.relative_gap <= 2e-3
+    # the u > 0 nodes add a positive part to the negative-only fixed-s side
+    assert mass_oscillation_check(neg, neg, POT).rhs.real < result.rhs.real < 0
+
+    # a signature operator blind to sign(u) fails only once u > 0 is present
+    monkeypatch.setattr(projector, "signature_sign", lambda u: -np.ones(np.shape(u), int))
+    assert mass_oscillation_check(fam, fam, POT).relative_gap > 0.5
+    assert mass_oscillation_check(neg, neg, POT).relative_gap <= 1e-2
 
 
 # ---------------------------------------------------------------------------
