@@ -44,13 +44,13 @@ from .modes import (
     dirac_residual,
     null_decay_scan,
     null_scalar_product,
+    phase_factor,
     smooth_bump,
 )
 from .potential import (
     HarmonicPotential,
     PotentialDomainError,
     potential_from_descriptor,
-    transverse_phase,
 )
 from .projector import (
     KernelSample,
@@ -542,8 +542,7 @@ def run_sidebands(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     ds = (2.0 * np.pi / abs(omega)) / per
     n_samp = cfg["periods"] * per
     s_grid = ds * np.arange(n_samp)
-    zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s_grid) + mode.m ** 2 * s_grid
-    values = np.exp(-1j * zeta / (4.0 * mode.u))
+    values = phase_factor(mode, pot, 0.0, s_grid)
     span = s_grid[-1] - s_grid[0]
     window = GaussianWindow(center=0.5 * span, width=span / 14.0)
     lines_fft = spectrum_fft(s_grid, values, window, omega, v0, cfg["n_compare"])

@@ -9,7 +9,13 @@ along s by a pure phase,
 
     Pi_minus chi(s) = exp(-i Phi(0, s) / 4u) Pi_minus chi(0),
 
-with Phi the cumulative phase integral of (k2+a2)^2 + (k3+a3)^2 + m^2.
+with Phi the cumulative phase integral of (k2+a2)^2 + (k3+a3)^2 + m^2
+(``volkovfp.potential.phase``).  ``phase_factor`` is the one place the
+factor exp(-i Phi(s_from, s) / 4u) is computed: the Pi_minus evolution,
+the packets, the Green's functions, projector kernel and smeared
+pairings of ``projector`` and the transforms of ``spectral`` all call
+it.  Only the mass-oscillation check splits it, into a transverse and a
+mass factor (see ``projector``).
 The complementary projection is fixed algebraically,
 
     Pi_plus chi(s) = -(1 / 2u) N_plus (Aslash(s) - m) Pi_minus chi(s),
@@ -35,24 +41,19 @@ of amplitudes and weights, and feed the mass-oscillation check in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .clifford import dirac_gamma, lightcone_operators, spin_inner, transverse_slash
-from .potential import (
-    PhaseQuery,
-    PlaneWavePotential,
-    _broadcast_fields,
-    phase,
-    phase_integrand,
-    transverse_phase,
-)
+# transverse_phase is not called here; it stays bound because perfbench's
+# tracer self-test checks that a name imported into another module is wrapped.
+from .potential import PlaneWavePotential, phase, phase_integrand, transverse_phase  # noqa: F401
 
 __all__ = [
     "GridMismatchError",
     "ModeParams",
     "ModeAmplitude",
+    "phase_factor",
     "project_pi_minus",
     "evolve_pi_minus",
     "reconstruct_full",
@@ -84,6 +85,20 @@ def _set_fields(obj, **values) -> None:
     """Store checked values on a frozen dataclass from its __post_init__."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def _broadcast_fields(obj, names) -> list:
+    """Values of a frozen dataclass's fields, stored as one-shape float arrays.
+
+    Scalars stay as given; if any field is an array, every field is
+    broadcast to the common shape, so each entry names one mode.
+    """
+    values = [getattr(obj, name) for name in names]
+    if not all(np.isscalar(v) for v in values):
+        values = [np.array(v, dtype=float) for v in np.broadcast_arrays(*values)]
+        for name, value in zip(names, values):
+            object.__setattr__(obj, name, value)
+    return values
 
 
 def _pi_minus_rows(chi0, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -126,9 +141,14 @@ class ModeParams:
         if not (fields[3] > 0).all():
             raise ValueError(f"mass must be positive, got {fields[3].min()}")
 
-    @cached_property
-    def query(self) -> PhaseQuery:
-        return PhaseQuery(self.k2, self.k3, self.m)
+
+def phase_factor(mode, pot: PlaneWavePotential, s_from, s):
+    """exp(-i Phi(s_from, s) / 4u), the phase a mode's Pi_minus part gains from s_from to s.
+
+    mode is anything with fields k2, k3, u and m (a ModeParams or a
+    WavePacket); its fields, s_from and s broadcast against each other.
+    """
+    return np.exp(-1j * phase(pot, mode.k2, mode.k3, mode.m, s_from, s) / (4.0 * mode.u))
 
 
 def project_pi_minus(spinor) -> np.ndarray:
@@ -171,8 +191,7 @@ def _apply(mat, spinor) -> np.ndarray:
 def evolve_pi_minus(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
                     s, s_from=0.0) -> np.ndarray:
     """Propagate the Pi_minus amplitude from s_from to s (a pure phase)."""
-    phi = phase(pot, mode.query, s_from, s)
-    return _vec(np.exp(-1j * phi / (4.0 * mode.u))) * amp.chi0
+    return _vec(phase_factor(mode, pot, s_from, s)) * amp.chi0
 
 
 def _completion(mode: ModeParams, aslash) -> np.ndarray:
@@ -226,7 +245,7 @@ def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential
     aslash_prime = transverse_slash(0.0, 0.0, pot.da2(s), pot.da3(s))
 
     v = evolve_pi_minus(amp, mode, pot, s)
-    v_prime = _vec((-1j / (4.0 * u)) * phase_integrand(pot, mode.query, s)) * v
+    v_prime = _vec((-1j / (4.0 * u)) * phase_integrand(pot, mode.k2, mode.k3, m, s)) * v
     completion = _completion(mode, aslash)
     chi = _apply(completion, v)
     chi_prime = _apply(completion, v_prime) - _apply(_N_PLUS @ aslash_prime, v) / _vec(2.0 * u)
@@ -315,8 +334,7 @@ def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s) -> np.ndarra
     array of surfaces gives one such block per surface, (..., n_nodes, 4).
     """
     s = np.asarray(s, dtype=float)[..., None]
-    phases = transverse_phase(pot, packet.k2, packet.k3, 0.0, s) + packet.m * packet.m * s
-    factors = packet.weights * np.exp(-1j * phases / (4.0 * packet.u))
+    factors = packet.weights * phase_factor(packet, pot, 0.0, s)
     return factors[..., None] * packet.chi0
 
 

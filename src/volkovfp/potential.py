@@ -7,9 +7,11 @@ mass m only sees the profiles through the phase integrand
 
     q(s) = (k2 + a2(s))^2 + (k3 + a3(s))^2 + m^2  >=  m^2 > 0
 
-and its integral Phi(s_from, s_to) = int q.  Phi is additive in its
-endpoints and strictly increasing in s_to with slope at least m^2, so
-zeta(s) = Phi(0, s) is a strictly monotone reparametrisation of s.
+and its integral Phi(s_from, s_to) = int q, ``phase(pot, k2, k3, m,
+s_from, s_to)``.  Phi is additive in its endpoints and strictly
+increasing in s_to with slope at least m^2, so Phi(0, s) is a strictly
+monotone reparametrisation of s.  The mode phase factor
+e^{-i Phi / 4u} built from it is ``volkovfp.modes.phase_factor``.
 
 Profiles
 --------
@@ -46,7 +48,6 @@ from .schema import Key, Table, described, number, numbers
 
 __all__ = [
     "PotentialDomainError",
-    "PhaseQuery",
     "PlaneWavePotential",
     "ZeroPotential",
     "HarmonicPotential",
@@ -57,7 +58,6 @@ __all__ = [
     "phase_integrand",
     "transverse_phase",
     "phase",
-    "zeta",
 ]
 
 
@@ -69,37 +69,6 @@ def _require_finite(**fields) -> None:
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"potential {name} must be finite")
-
-
-def _broadcast_fields(obj, names) -> list:
-    """Values of a frozen dataclass's fields, stored as one-shape float arrays.
-
-    Scalars stay as given; if any field is an array, every field is
-    broadcast to the common shape, so each entry names one mode.
-    """
-    values = [getattr(obj, name) for name in names]
-    if not all(np.isscalar(v) for v in values):
-        values = [np.array(v, dtype=float) for v in np.broadcast_arrays(*values)]
-        for name, value in zip(names, values):
-            object.__setattr__(obj, name, value)
-    return values
-
-
-@dataclass(frozen=True)
-class PhaseQuery:
-    """Transverse momenta and mass entering the phase integrand.
-
-    Scalars, or arrays with one query per entry (see _broadcast_fields).
-    """
-
-    k2: float | np.ndarray
-    k3: float | np.ndarray
-    m: float | np.ndarray
-
-    def __post_init__(self):
-        m = _broadcast_fields(self, ("k2", "k3", "m"))[2]
-        if not (np.asarray(m) > 0).all():
-            raise ValueError(f"mass must be positive, got {np.min(self.m)}")
 
 
 class PlaneWavePotential:
@@ -381,12 +350,12 @@ def tabulated_from_csv(path) -> TabulatedPotential:
     return TabulatedPotential(s, a2, a3 if has_a3 else None)
 
 
-def phase_integrand(pot: PlaneWavePotential, q: PhaseQuery, s):
+def phase_integrand(pot: PlaneWavePotential, k2, k3, m, s):
     """(k2 + a2(s))^2 + (k3 + a3(s))^2 + m^2; always >= m^2."""
     pot.check_domain(s)
-    t2 = q.k2 + pot.a2(s)
-    t3 = q.k3 + pot.a3(s)
-    return t2 * t2 + t3 * t3 + q.m * q.m
+    t2 = k2 + pot.a2(s)
+    t3 = k3 + pot.a3(s)
+    return t2 * t2 + t3 * t3 + m * m
 
 
 def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
@@ -404,17 +373,12 @@ def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
             + 2.0 * k2 * (a2_to - a2_from) + 2.0 * k3 * (a3_to - a3_from) + (b_to - b_from))
 
 
-def phase(pot: PlaneWavePotential, q: PhaseQuery, s_from, s_to):
+def phase(pot: PlaneWavePotential, k2, k3, m, s_from, s_to):
     """Cumulative phase Phi(s_from, s_to) = int of phase_integrand.
 
     Additive in the endpoints and strictly increasing in s_to with
-    slope >= m^2.  Endpoints and query fields broadcast against each other.
+    slope >= m^2.  Momenta, mass and endpoints broadcast against each other.
     """
-    return transverse_phase(pot, q.k2, q.k3, s_from, s_to) + q.m * q.m * (
+    return transverse_phase(pot, k2, k3, s_from, s_to) + m * m * (
         np.asarray(s_to, dtype=float) - s_from
     )
-
-
-def zeta(pot: PlaneWavePotential, q: PhaseQuery, s):
-    """Monotone null reparametrisation zeta(s) = Phi(0, s)."""
-    return phase(pot, q, 0.0, s)

@@ -2,7 +2,8 @@
 
 For a separated mode (k2, k3, u) of mass m in a plane-wave potential the
 retarded/advanced Green's functions reduce to scalar first-order ODEs in
-s.  With E(s~,s) = exp(-i Phi(s~,s)/4u) the retarded pair is
+s.  With E(s~,s) = exp(-i Phi(s~,s)/4u) (``modes.phase_factor``) the
+retarded pair is
 
     a(s,s~) = -(i/(2 pi)^3) Theta(s-s~) E,
     b(s,s~) = -(i/4u) (2/(2 pi)^3) Theta(s-s~) (Aslash(s~) + m) E,
@@ -67,8 +68,9 @@ from .modes import (
     _node_grid,
     _same_node_grid,
     _set_fields,
+    phase_factor,
 )
-from .potential import PlaneWavePotential, phase, transverse_phase
+from .potential import PlaneWavePotential, transverse_phase
 from .quadrature import checked_panels, phase_rate
 
 __all__ = [
@@ -119,10 +121,6 @@ def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, s) -> np.ndarray:
     return transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s)) + _mat(mode.m) * _ID4
 
 
-def _phase_factor(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
-    return np.exp(-1j * phase(pot, mode.query, s_tilde, s) / (4.0 * mode.u))
-
-
 def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde,
              which: str) -> GreenAB:
     """Retarded or advanced Green's coefficients (a, b) at (s, s~).
@@ -142,7 +140,7 @@ def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde,
     else:
         raise ValueError(f"which must be 'retarded' or 'advanced', got {which!r}")
     delta_coeff = 2.0 / (_TWO_PI_3 * 2.0 * mode.u)
-    env = np.where(supported, _phase_factor(mode, pot, s, s_tilde), 0.0)
+    env = np.where(supported, phase_factor(mode, pot, s_tilde, s), 0.0)
     a = sign * (-1j) * env / _TWO_PI_3
     b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env) \
         * _slash_plus_m(mode, pot, s_tilde)
@@ -197,8 +195,7 @@ def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
     """
     if not np.all(np.asarray(mode.u) < 0):
         raise ValueError("projector kernel requires u < 0")
-    phi = phase(pot, mode.query, s_tilde, s)
-    return np.exp(-1j * phi / (4.0 * mode.u)) / _TWO_PI_4
+    return phase_factor(mode, pot, s_tilde, s) / _TWO_PI_4
 
 
 def fp_kernel_momentum(mode: ModeParams, pot: PlaneWavePotential,
@@ -480,10 +477,8 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
     if profile_phi.m != profile_psi.m or not _same_node_grid(profile_phi, profile_psi):
         raise GridMismatchError("profiles must share the momentum grid")
 
-    m = profile_phi.m
     lo = min(profile_phi.s_support[0], profile_psi.s_support[0])
     hi = max(profile_phi.s_support[1], profile_psi.s_support[1])
-    g2, g3 = dirac_gamma(2), dirac_gamma(3)
     total = 0.0 + 0.0j
     for i in range(profile_phi.u.shape[0]):
         mode = profile_phi.node_mode(i)
@@ -494,12 +489,8 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
 
         def integrands(s):
             """(s, 13) integrands of i_u (4), i_v (4), j_0 (1) and j_a (4)."""
-            zeta_vals = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + m * m * s
-            e_vals = np.exp(-1j * zeta_vals / (4.0 * u))
-            a2 = np.asarray(pot.a2(s), dtype=float)
-            a3 = np.asarray(pot.a3(s), dtype=float)
-            slash_m = (np.multiply.outer(mode.k2 + a2, g2) + np.multiply.outer(mode.k3 + a3, g3)
-                       + m * _ID4)
+            e_vals = phase_factor(mode, pot, 0.0, s)
+            slash_m = _slash_plus_m(mode, pot, s)
             front = slash_m / (2.0 * u)
             left = np.conj(np.asarray(env_phi(s), dtype=complex)) * e_vals
             right = np.asarray(env_psi(s), dtype=complex) * np.conj(e_vals)

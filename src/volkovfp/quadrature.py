@@ -121,7 +121,7 @@ def phase_rate(mode, pot, lo: float, hi: float) -> float:
     check of ``checked_panels``.
     """
     probe = np.linspace(lo, hi, _RATE_PROBE_POINTS)
-    q_max = float(np.max(phase_integrand(pot, mode.query, probe)))
+    q_max = float(np.max(phase_integrand(pot, mode.k2, mode.k3, mode.m, probe)))
     return q_max / (4.0 * abs(mode.u))
 
 

@@ -23,9 +23,10 @@ log-magnitude around each peak (exact for Gaussian windows, whose
 transform is a Gaussian), and amplitude read-off with the window's
 coherent gain divided out.
 
-``windowed_phase_transform`` evaluates the off-grid transform
+``windowed_phase_transform`` evaluates the off-grid transform of the
+window f times the mode phase factor (``modes.phase_factor``),
 
-    F(v) = int f(s) g(s) e^{-i Phi(0,s)/4u} e^{i v s} ds        (g = 1)
+    F(v) = int f(s) e^{-i Phi(0,s)/4u} e^{i v s} ds,
 
 with the checked Gauss-Legendre panel rule of ``volkovfp.quadrature``
 (panels a few wavelengths of the fastest oscillation wide, accepted only
@@ -35,7 +36,7 @@ transform costs (v, 32) and (v, panel) exponentials and one matrix
 product; no (v, s) kernel is built.  It serves the one-sided rapid-decay
 diagnostic: for u < 0 the phase derivative of the integrand never
 vanishes once v > m^2/(8u), so F decays rapidly towards positive v while
-Plancherel, int |F|^2 dv = 2 pi int |f g|^2 ds, rules out any spurious
+Plancherel, int |F|^2 dv = 2 pi int |f|^2 ds, rules out any spurious
 global smallness.
 
 Only ``harmonic_sidebands_analytic`` needs scipy (the Bessel functions
@@ -50,8 +51,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .modes import ModeParams
-from .potential import PlaneWavePotential, transverse_phase
+from .modes import ModeParams, phase_factor
+from .potential import PlaneWavePotential
 from .quadrature import PanelRule, UndersampledGridError, checked_panels, phase_rate
 from .schema import Key, Table, described, number
 
@@ -267,8 +268,7 @@ def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
 # windowed phase transform
 
 
-def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
-                   weight=None) -> PanelRule:
+def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid) -> PanelRule:
     """The checked panel rule windowed_phase_transform integrates with.
 
     rule.fourier(v_grid) is the transform on v_grid; the rule's nodes,
@@ -279,30 +279,26 @@ def transform_rule(mode: ModeParams, pot: PlaneWavePotential, window, v_grid,
     lo, hi = window.support()
 
     def core(s):
-        zeta = transverse_phase(pot, mode.k2, mode.k3, 0.0, s) + mode.m ** 2 * s
-        f = np.asarray(window.sample(s), dtype=complex) * np.exp(-1j * zeta / (4.0 * mode.u))
-        if weight is not None:
-            f = f * np.asarray(weight(s), dtype=complex)
-        return f
+        return np.asarray(window.sample(s), dtype=complex) * phase_factor(mode, pot, 0.0, s)
 
     v_ends = (v_grid.min(), v_grid.max()) if v_grid.size else (0.0,)
     return checked_panels(lo, hi, phase_rate(mode, pot, lo, hi), core, v_ends)
 
 
 def windowed_phase_transform(mode: ModeParams, pot: PlaneWavePotential, window,
-                             v_grid, *, weight=None) -> np.ndarray:
-    """F(v) = int f(s) g(s) e^{-i Phi(0,s)/4u} e^{i v s} ds on the given v grid.
+                             v_grid) -> np.ndarray:
+    """F(v) = int f(s) e^{-i Phi(0,s)/4u} e^{i v s} ds on the given v grid.
 
-    weight is the optional smooth scalar channel g(s) (default 1).  The
-    quadrature is the checked Gauss-Legendre panel rule of
+    The quadrature is the checked Gauss-Legendre panel rule of
     ``volkovfp.quadrature``: panels a few wavelengths of the fastest
     oscillation wide (phase rate plus the largest |v|), accepted only
     when halving them changes F at both ends of the v grid by at most
-    1e-12 of sum |w f g|; otherwise UndersampledGridError is raised.
-    The sum over its nodes is factored over the panels (PanelRule.fourier).
+    1e-12 of sum |w f|; otherwise UndersampledGridError is raised.
+    The sum over its nodes is factored over the panels (PanelRule.fourier);
+    F has the shape of the v grid.
     """
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
-    return transform_rule(mode, pot, window, v_grid, weight).fourier(v_grid)
+    return transform_rule(mode, pot, window, v_grid).fourier(v_grid)
 
 
 def transform_l2(v_grid, f_values) -> float:
@@ -317,11 +313,9 @@ def transform_l2(v_grid, f_values) -> float:
     return float(np.sum(np.diff(v_grid) * (y[1:] + y[:-1]) / 2.0))
 
 
-def plancherel_reference(window, weight_sq_integral: float | None = None) -> float:
-    """2 pi int |f g|^2 ds for the pure window channel (g = 1)."""
-    if weight_sq_integral is None:
-        weight_sq_integral = window.sq_integral()
-    return 2.0 * np.pi * weight_sq_integral
+def plancherel_reference(window) -> float:
+    """2 pi int |f|^2 ds, the Plancherel value of int |F|^2 dv for the window f."""
+    return 2.0 * np.pi * window.sq_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +355,13 @@ def tail_decay_orders(mode: ModeParams, pot: PlaneWavePotential, window,
 
     Reports the fitted order on each side; the positive-v side is the
     asserted rapid-decay direction, the negative side is reported for
-    comparison only (no rate is claimed for it).
+    comparison only (no rate is claimed for it).  Both tails come from
+    one transform, checked at +/- v_hi.
     """
     if not (0 < v_lo < v_hi):
         raise ValueError("need 0 < v_lo < v_hi")
     v_plus = np.geomspace(v_lo, v_hi, n_points)
-    f_plus = np.abs(windowed_phase_transform(mode, pot, window, v_plus))
-    f_minus = np.abs(windowed_phase_transform(mode, pot, window, -v_plus))
+    f_plus, f_minus = np.abs(windowed_phase_transform(mode, pot, window, [v_plus, -v_plus]))
     order_plus, resid_plus = decay_order_fit(v_plus, np.maximum(f_plus, floor))
     order_minus, resid_minus = decay_order_fit(v_plus, np.maximum(f_minus, floor))
     return {

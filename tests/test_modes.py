@@ -26,11 +26,12 @@ from volkovfp.modes import (
     null_decay_scan,
     null_scalar_product,
     packet_pi_minus_field,
+    phase_factor,
     project_pi_minus,
     reconstruct_full,
     smooth_bump,
 )
-from volkovfp.potential import HarmonicPotential, PulsePotential, ZeroPotential
+from volkovfp.potential import HarmonicPotential, PulsePotential, ZeroPotential, transverse_phase
 
 N_PLUS, N_MINUS, PI_PLUS, PI_MINUS = lightcone_operators()
 ID4 = np.eye(4)
@@ -427,6 +428,37 @@ def test_batched_mode_functions_match_scalar_calls(rng, pot):
         resid_i = dirac_residual(amp_i, mode_i, pot, point)
         assert isinstance(resid_i, float)
         assert abs(resid[i] - resid_i) <= 1e-13
+
+
+@pytest.mark.parametrize("pot", [HarmonicPotential(0.2, 1.0), PulsePotential(0.3, 1.0, 2.0)],
+                         ids=["harmonic", "pulse"])
+def test_phase_factor_unit_modulus_and_composes(rng, pot):
+    mode, _, points = random_batch(rng)
+    a, b, c = points[:3]
+    ab = phase_factor(mode, pot, a, b)
+    assert ab.shape == (40,)
+    assert np.max(np.abs(np.abs(ab) - 1.0)) <= 1e-15
+    composed = ab * phase_factor(mode, pot, b, c)
+    assert np.max(np.abs(composed - phase_factor(mode, pot, a, c))) <= 1e-13
+
+
+def test_phase_factor_is_the_exact_phase_formula(rng):
+    # bit for bit exp(-i (transverse phase + m^2 ds) / 4u), for a mode batch
+    # and for a packet's nodes at a column of surfaces
+    pot = PulsePotential(0.3, 1.0, 2.0)
+    mode, _, points = random_batch(rng)
+    s_from, s = points[:2]
+    expected = np.exp(-1j * (transverse_phase(pot, mode.k2, mode.k3, s_from, s)
+                             + mode.m * mode.m * (s - s_from)) / (4.0 * mode.u))
+    assert np.array_equal(phase_factor(mode, pot, s_from, s), expected)
+
+    packet = random_packet(rng)
+    s = rng.uniform(-3.0, 3.0, (5, 1))
+    expected = np.exp(-1j * (transverse_phase(pot, packet.k2, packet.k3, 0.0, s)
+                             + packet.m * packet.m * (s - 0.0)) / (4.0 * packet.u))
+    got = phase_factor(packet, pot, 0.0, s)
+    assert got.shape == (5, packet.n_nodes)
+    assert np.array_equal(got, expected)
 
 
 def test_batched_mass_pairing_matches_scalar_calls(rng):

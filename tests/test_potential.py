@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from volkovfp.potential import (
     HarmonicPotential,
-    PhaseQuery,
     PlaneWavePotential,
     PotentialDomainError,
     PulsePotential,
@@ -21,43 +20,38 @@ from volkovfp.potential import (
     potential_from_descriptor,
     tabulated_from_csv,
     transverse_phase,
-    zeta,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
-def quad_phase(pot, q, a, b):
-    val, _ = quad(lambda s: phase_integrand(pot, q, s), a, b,
+def quad_phase(pot, k2, k3, m, a, b):
+    val, _ = quad(lambda s: phase_integrand(pot, k2, k3, m, s), a, b,
                   epsabs=1e-13, epsrel=1e-13, limit=500)
     return val
 
 
 def test_integrand_direct_values():
-    q = PhaseQuery(0.0, 0.0, 1.0)
-    assert phase_integrand(ZeroPotential(), q, 0.37) == pytest.approx(1.0)
+    assert phase_integrand(ZeroPotential(), 0.0, 0.0, 1.0, 0.37) == pytest.approx(1.0)
 
     pot = HarmonicPotential(0.2, 1.0)
-    q = PhaseQuery(0.3, 0.0, 1.0)
-    assert phase_integrand(pot, q, 0.0) == pytest.approx(1.25)
-    assert phase_integrand(pot, q, np.pi / 2) == pytest.approx(1.09)
+    assert phase_integrand(pot, 0.3, 0.0, 1.0, 0.0) == pytest.approx(1.25)
+    assert phase_integrand(pot, 0.3, 0.0, 1.0, np.pi / 2) == pytest.approx(1.09)
 
 
 def test_phase_zero_potential_linear():
-    q = PhaseQuery(0.0, 0.0, 1.0)
-    assert phase(ZeroPotential(), q, 0.0, 2.5) == pytest.approx(2.5)
-    assert zeta(ZeroPotential(), q, 3.0) == pytest.approx(3.0)
-    assert zeta(ZeroPotential(), q, 0.0) == 0.0
+    assert phase(ZeroPotential(), 0.0, 0.0, 1.0, 0.0, 2.5) == pytest.approx(2.5)
+    assert phase(ZeroPotential(), 0.0, 0.0, 1.0, 0.0, 3.0) == pytest.approx(3.0)
+    assert phase(ZeroPotential(), 0.0, 0.0, 1.0, 0.0, 0.0) == 0.0
 
 
 def test_phase_full_period_value():
     # harmonic closed form over one period: sine terms vanish
     pot = HarmonicPotential(0.2, 1.0)
-    q = PhaseQuery(0.3, 0.0, 1.0)
     expected = (0.3 ** 2 + 0.5 * 0.2 ** 2 + 1.0) * 2.0 * np.pi
-    got = phase(pot, q, 0.0, 2.0 * np.pi)
+    got = phase(pot, 0.3, 0.0, 1.0, 0.0, 2.0 * np.pi)
     assert got == pytest.approx(expected, rel=1e-14)
-    assert got == pytest.approx(quad_phase(pot, q, 0.0, 2.0 * np.pi), rel=1e-12)
+    assert got == pytest.approx(quad_phase(pot, 0.3, 0.0, 1.0, 0.0, 2.0 * np.pi), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -65,9 +59,8 @@ def test_phase_full_period_value():
        m=st.floats(0.3, 2.0), s=finite)
 def test_harmonic_closed_form_matches_quadrature(lam, omega, k2, k3, m, s):
     pot = HarmonicPotential(lam, omega)
-    q = PhaseQuery(k2, k3, m)
-    closed = phase(pot, q, 0.0, s)
-    numeric = quad_phase(pot, q, 0.0, s)
+    closed = phase(pot, k2, k3, m, 0.0, s)
+    numeric = quad_phase(pot, k2, k3, m, 0.0, s)
     assert closed == pytest.approx(numeric, rel=1e-10, abs=1e-12)
 
 
@@ -75,36 +68,34 @@ def test_harmonic_closed_form_matches_quadrature(lam, omega, k2, k3, m, s):
 @given(a=finite, b=finite, c=finite, k2=finite, m=st.floats(0.3, 2.0))
 def test_phase_additivity(a, b, c, k2, m):
     pot = HarmonicPotential(0.4, 1.3)
-    q = PhaseQuery(k2, 0.1, m)
-    lhs = phase(pot, q, a, b) + phase(pot, q, b, c)
-    rhs = phase(pot, q, a, c)
+    lhs = phase(pot, k2, 0.1, m, a, b) + phase(pot, k2, 0.1, m, b, c)
+    rhs = phase(pot, k2, 0.1, m, a, c)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-    assert phase(pot, q, a, a) == 0.0
+    assert phase(pot, k2, 0.1, m, a, a) == 0.0
 
 
 @settings(max_examples=20, deadline=None)
 @given(s=finite, h=st.floats(1e-3, 1.0), k2=finite, m=st.floats(0.3, 2.0))
 def test_zeta_monotone_with_mass_slope(s, h, k2, m):
     pot = HarmonicPotential(0.5, 1.0)
-    q = PhaseQuery(k2, -0.2, m)
-    assert zeta(pot, q, s + h) - zeta(pot, q, s) >= m * m * h - 1e-12
+    rise = phase(pot, k2, -0.2, m, 0.0, s + h) - phase(pot, k2, -0.2, m, 0.0, s)
+    assert rise >= m * m * h - 1e-12
 
 
 def test_integrand_bounded_below_by_mass_sq():
     pot = PulsePotential(0.7, 2.0, 1.5)
-    q = PhaseQuery(0.4, -0.3, 0.8)
     grid = np.linspace(-8.0, 8.0, 400)
-    vals = phase_integrand(pot, q, grid)
-    assert np.all(vals >= q.m ** 2)
+    vals = phase_integrand(pot, 0.4, -0.3, 0.8, grid)
+    assert np.all(vals >= 0.8 ** 2)
 
 
 def test_pulse_phase_additivity_and_quadrature():
     pot = PulsePotential(0.5, 1.0, 2.0)
-    q = PhaseQuery(0.2, 0.1, 1.0)
-    total = phase(pot, q, -1.0, 2.0)
-    assert total == pytest.approx(phase(pot, q, -1.0, 0.4) + phase(pot, q, 0.4, 2.0),
+    q = (0.2, 0.1, 1.0)
+    total = phase(pot, *q, -1.0, 2.0)
+    assert total == pytest.approx(phase(pot, *q, -1.0, 0.4) + phase(pot, *q, 0.4, 2.0),
                                   rel=1e-12)
-    assert total == pytest.approx(quad_phase(pot, q, -1.0, 2.0), rel=1e-10)
+    assert total == pytest.approx(quad_phase(pot, *q, -1.0, 2.0), rel=1e-10)
 
 
 # quad warns on a piece [a, 0] as narrow as the smallest normal float; that piece is 0
@@ -120,15 +111,15 @@ def test_pulse_phase_additivity_and_quadrature():
          a=2.2250738585072014e-308, b=-6.0)
 def test_pulse_moments_match_quadrature(lam, omega, width, k2, k3, m, a, b):
     pot = PulsePotential(lam, omega, width)
-    q = PhaseQuery(k2, k3, m)
+    q = (k2, k3, m)
     # split the reference at the pulse centre when it lies strictly inside:
     # unsplit, quad can step over a narrow pulse inside a long interval, and
     # quad(points=[0.0]) loses digits when an endpoint is next to 0
     if min(a, b) < 0.0 < max(a, b):
-        reference = quad_phase(pot, q, a, 0.0) + quad_phase(pot, q, 0.0, b)
+        reference = quad_phase(pot, *q, a, 0.0) + quad_phase(pot, *q, 0.0, b)
     else:
-        reference = quad_phase(pot, q, a, b)
-    assert phase(pot, q, a, b) == pytest.approx(reference, rel=1e-10, abs=1e-12)
+        reference = quad_phase(pot, *q, a, b)
+    assert phase(pot, *q, a, b) == pytest.approx(reference, rel=1e-10, abs=1e-12)
 
 
 def test_pulse_moments_finite_where_gaussian_factor_underflows():
@@ -143,14 +134,14 @@ def test_pulse_moments_finite_where_gaussian_factor_underflows():
 def test_tabulated_moments_exact_for_the_spline():
     s = np.linspace(-4.0, 4.0, 33)
     tab = TabulatedPotential(s, 0.3 * np.cos(1.7 * s) + 0.05 * s, 0.2 * np.sin(s))
-    q = PhaseQuery(0.4, -0.2, 1.0)
+    q = (0.4, -0.2, 1.0)
     for a, b in [(-4.0, 4.0), (-3.3, 1.25), (2.9, -0.4), (0.1, 0.1 + 1e-3)]:
         inner = s[(s > min(a, b)) & (s < max(a, b))]
-        ref, _ = quad(lambda x: phase_integrand(tab, q, x), a, b, points=inner,
+        ref, _ = quad(lambda x: phase_integrand(tab, *q, x), a, b, points=inner,
                       epsabs=1e-13, epsrel=1e-13, limit=500)
-        assert phase(tab, q, a, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert phase(tab, *q, a, b) == pytest.approx(ref, rel=1e-12, abs=1e-12)
     with pytest.raises(PotentialDomainError):
-        phase(tab, q, -4.5, 0.0)
+        phase(tab, *q, -4.5, 0.0)
     with pytest.raises(PotentialDomainError):
         tab.moments(4.01)
 
@@ -171,15 +162,15 @@ def test_transverse_phase_broadcasts_over_momenta(pot):
 
 def test_phase_vectorised_endpoints():
     pot = HarmonicPotential(0.2, 1.0)
-    q = PhaseQuery(0.3, 0.0, 1.0)
+    q = (0.3, 0.0, 1.0)
     s_vals = np.array([-2.0, -0.5, 0.0, 1.0, 2.5])
-    vec = phase(pot, q, 0.0, s_vals)
-    scalar = np.array([phase(pot, q, 0.0, float(s)) for s in s_vals])
+    vec = phase(pot, *q, 0.0, s_vals)
+    scalar = np.array([phase(pot, *q, 0.0, float(s)) for s in s_vals])
     assert np.allclose(vec, scalar, rtol=1e-14)
 
     pulse = PulsePotential(0.5, 1.0, 2.0)
-    vec = phase(pulse, q, 0.0, s_vals)
-    scalar = np.array([phase(pulse, q, 0.0, float(s)) for s in s_vals])
+    vec = phase(pulse, *q, 0.0, s_vals)
+    scalar = np.array([phase(pulse, *q, 0.0, float(s)) for s in s_vals])
     assert np.allclose(vec, scalar, rtol=1e-11)
 
 
@@ -189,14 +180,14 @@ def test_tabulated_domain_and_interpolation():
     tab = TabulatedPotential(s, base.a2(s), base.a3(s))
     probe = np.linspace(-4.9, 4.9, 57)
     assert np.max(np.abs(tab.a2(probe) - base.a2(probe))) < 1e-5
-    q = PhaseQuery(0.1, 0.0, 1.0)
-    assert phase(tab, q, -2.0, 2.0) == pytest.approx(phase(base, q, -2.0, 2.0), rel=1e-6)
+    q = (0.1, 0.0, 1.0)
+    assert phase(tab, *q, -2.0, 2.0) == pytest.approx(phase(base, *q, -2.0, 2.0), rel=1e-6)
     with pytest.raises(PotentialDomainError):
         tab.a2(5.1)
     with pytest.raises(PotentialDomainError):
-        phase(tab, q, 0.0, 6.0)
+        phase(tab, *q, 0.0, 6.0)
     with pytest.raises(PotentialDomainError):
-        phase_integrand(tab, q, -5.0001)
+        phase_integrand(tab, *q, -5.0001)
 
 
 def test_tabulated_csv_roundtrip(tmp_path):
@@ -230,8 +221,6 @@ def test_descriptor_roundtrip():
 
 
 def test_bad_inputs_rejected():
-    with pytest.raises(ValueError):
-        PhaseQuery(0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         HarmonicPotential(0.2, 0.0)
     with pytest.raises(ValueError):

@@ -68,7 +68,7 @@ def _scalar_ode_residual(which, s, s_tilde, h=1e-5):
 
     da = (a_at(s + h) - a_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * da
-    rhs = phase_integrand(POT, MODE.query, s) * a_at(s)
+    rhs = phase_integrand(POT, MODE.k2, MODE.k3, MODE.m, s) * a_at(s)
     return abs(lhs - rhs) / abs(rhs)
 
 
@@ -82,7 +82,7 @@ def test_green_scalar_ode_analytic_derivative():
     # 4iu a' = q a built from the analytic derivative vanishes identically
     s, s_tilde = 1.7, 0.5
     a = green_ab(MODE, POT, s, s_tilde, "retarded").a
-    q = phase_integrand(POT, MODE.query, s)
+    q = phase_integrand(POT, MODE.k2, MODE.k3, MODE.m, s)
     da = (-1j / (4.0 * MODE.u)) * q * a
     assert abs(4j * MODE.u * da - q * a) <= 1e-10 * abs(q * a)
 
@@ -95,7 +95,7 @@ def test_green_matrix_ode_off_diagonal():
 
     db = (b_at(s + h) - b_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * db
-    rhs = phase_integrand(POT, MODE.query, s) * b_at(s)
+    rhs = phase_integrand(POT, MODE.k2, MODE.k3, MODE.m, s) * b_at(s)
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) < 1e-9
 
 
