@@ -16,6 +16,9 @@ on numerical-domain errors.  Random draws are sequential; each
 per-mode scenario then evaluates all its modes in one array call, so no
 scenario fans out to worker processes.  --workers is still accepted and
 validated, starts no process and never changes results.
+
+This is the only module of the package that writes files: the library
+returns arrays and records, and every CSV goes through `_write_csv`.
 """
 
 from __future__ import annotations
@@ -53,13 +56,11 @@ from .potential import (
     potential_from_descriptor,
 )
 from .projector import (
-    KernelSample,
     causal_fundamental_momentum,
     fp_kernel_momentum,
     fp_scalar_a,
     mass_oscillation_check,
     signature_sign,
-    write_kernel_csv,
 )
 from .quadrature import gl_panels
 from .schema import Key, Table, kind, literal, numbers, number, validate
@@ -75,8 +76,6 @@ from .spectral import (
     transform_l2,
     transform_rule,
     window_from_descriptor,
-    write_lines_csv,
-    write_transform_csv,
 )
 
 SCHEMA_VERSION = 1
@@ -232,18 +231,22 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _row_format(row) -> str:
-    """%-format of a CSV row shaped like `row`: text as is, integers in
-    decimal, other numbers as %.17g (which round-trips a double)."""
-    return ",".join("%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer))
-                    else "%.17g" for c in row)
-
-
 def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
-    """rows share their column types, so one format string prints them all."""
-    fmt = _row_format(rows[0]) if rows else ""
-    path.write_text("\n".join([f"# {comment}", ",".join(header),
-                               *(fmt % tuple(row) for row in rows)]) + "\n")
+    """The artifact format: a `# comment` line, the header, one line per row.
+
+    rows is any iterable, read once as the file is written.  The rows share
+    their column types, so the first row sets the format of all: text as
+    is, integers in decimal, other numbers as %.17g (which round-trips a double).
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    with open(path, "w") as fh:
+        fh.write(f"# {comment}\n{','.join(header)}\n")
+        if first is not None:
+            fmt = ",".join("%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer))
+                           else "%.17g" for c in first) + "\n"
+            fh.write(fmt % tuple(first))
+            fh.writelines(fmt % tuple(row) for row in rows)
 
 
 @dataclass
@@ -499,6 +502,21 @@ def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     return ScenarioResult(checks, [csv_path.name])
 
 
+_KERNEL_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
+    f"{part}_{i}{j}" for i in range(4) for j in range(4) for part in ("re", "im")]
+
+
+def _kernel_rows(modes: ModeParams, s, s_tilde, kernel: np.ndarray) -> list[list]:
+    """One row (u, k2, k3, s, s~, re/im of each entry) per kernel value.
+
+    The mode fields, s and s~ broadcast to the leading axes of kernel,
+    (..., 4, 4), and the rows follow those axes in C order (mode-major).
+    """
+    head = np.broadcast_arrays(modes.u, modes.k2, modes.k3, s, s_tilde, kernel[..., 0, 0].real)
+    entries = np.stack([kernel.real, kernel.imag], axis=-1).reshape(-1, 32)
+    return np.column_stack([np.ravel(h) for h in head[:5]] + [entries]).tolist()
+
+
 def run_fp_kernel_export(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     pot = cfg["potential"]
     # one mode per (u, k2, k3) on axis 0, s on axis 1, s~ on axis 2
@@ -519,7 +537,7 @@ def run_fp_kernel_export(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
     sym_gaps = np.max(np.abs(spin_adjoint(kernel) - mirrored), axis=(-2, -1)) / norm
     consistency_gaps = np.max(np.abs(kernel - (-sign) * causal), axis=(-2, -1)) / norm
     csv_path = outdir / "fp_kernel.csv"
-    write_kernel_csv(csv_path, [KernelSample(modes, s, st, kernel)], comment=comment)
+    _write_csv(csv_path, _KERNEL_HEADER, _kernel_rows(modes, s, st, kernel), comment)
     tol = cfg["tolerance"]
     checks = [
         _leq("spin_adjoint_symmetry", _worst(sym_gaps), tol),
@@ -568,8 +586,11 @@ def run_sidebands(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
 
     an_path = outdir / "sidebands_analytic.csv"
     fft_path = outdir / "sidebands_fft.csv"
-    write_lines_csv(an_path, lines_an, comment=comment)
-    write_lines_csv(fft_path, lines_fft, comment=comment)
+    for path, lines in ((an_path, lines_an), (fft_path, lines_fft)):
+        amps = [complex(line.amplitude) for line in lines]
+        _write_csv(path, ["n", "v_n", "re_amp", "im_amp", "abs_amp"],
+                   [(line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)],
+                   comment)
     checks = [
         _leq("max_amplitude_relative_gap", _worst(amp_gaps), cfg["amplitude_tolerance"]),
         _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),
@@ -611,8 +632,10 @@ def run_wavefront_probe(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRes
 
     fit_path = outdir / "wavefront_fit.csv"
     dense_path = outdir / "wavefront_dense.csv"
-    write_transform_csv(fit_path, v_fit, f_fit, comment=comment)
-    write_transform_csv(dense_path, v_dense, f_dense, comment=comment)
+    for path, v, f in ((fit_path, v_fit, f_fit), (dense_path, v_dense, f_dense)):
+        # a lazy zip: the dense grid's formatted lines are never all held at once
+        _write_csv(path, ["v", "re_F", "im_F"],
+                   zip(v.tolist(), f.real.tolist(), f.imag.tolist()), comment)
     checks = [
         _geq("positive_tail_decay_order", order, cfg["order_min"]),
         _leq("plancherel_relative_error", pl_err, plancherel["tolerance"]),

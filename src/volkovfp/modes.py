@@ -168,10 +168,6 @@ class ModeAmplitude:
     def __post_init__(self):
         _set_fields(self, chi0=_pi_minus_rows(self.chi0, "amplitude"))
 
-    @classmethod
-    def from_spinor(cls, spinor) -> "ModeAmplitude":
-        return cls(project_pi_minus(spinor))
-
 
 def _vec(x) -> np.ndarray:
     """Per-mode scalars as a factor of (..., 4) spinors."""
@@ -418,8 +414,11 @@ class DecayReport:
     non_decaying: bool
 
 
+_DECAY_THRESHOLD = 0.5  # a fitted order below this flags a packet non-decaying
+
+
 def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
-                    l_values, threshold: float = 0.5) -> DecayReport:
+                    l_values) -> DecayReport:
     """Fit the |l|^-N tail of ||Pi_minus psi(s, l)|| over an l window.
 
     l_values are grouped by sign and each branch is fitted separately
@@ -458,8 +457,8 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
         fitted_orders=orders,
         fit_residuals=residuals,
         min_order=min_order,
-        threshold=threshold,
-        non_decaying=bool(min_order < threshold),
+        threshold=_DECAY_THRESHOLD,
+        non_decaying=bool(min_order < _DECAY_THRESHOLD),
     )
 
 

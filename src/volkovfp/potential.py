@@ -34,11 +34,11 @@ scipy.special.wofz.  Zero and harmonic profiles run on numpy alone.
 
 A descriptor {"kind": ..., field: value} is read by its kind's key table
 (volkovfp.schema): a malformed one raises ValueError naming the field.
+Profiles are only read, never written: this module does no file I/O.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -54,7 +54,6 @@ __all__ = [
     "PulsePotential",
     "TabulatedPotential",
     "potential_from_descriptor",
-    "tabulated_from_csv",
     "phase_integrand",
     "transverse_phase",
     "phase",
@@ -97,10 +96,6 @@ class PlaneWavePotential:
         """(A2, A3, B) at s: antiderivatives of a2, a3 and a2^2 + a3^2."""
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        """JSON-serialisable description of the profile."""
-        raise NotImplementedError
-
 
 class ZeroPotential(PlaneWavePotential):
     """Vacuum profile a2 = a3 = 0."""
@@ -115,9 +110,6 @@ class ZeroPotential(PlaneWavePotential):
     def moments(self, s):
         zero = np.zeros_like(np.asarray(s, dtype=float))
         return zero, zero, zero
-
-    def descriptor(self) -> dict:
-        return {"kind": "zero"}
 
 
 @dataclass(frozen=True)
@@ -142,9 +134,6 @@ class HarmonicPotential(PlaneWavePotential):
         return -self.amplitude * self.frequency * np.sin(self.frequency * np.asarray(s, dtype=float))
 
     da3 = a3
-
-    def descriptor(self) -> dict:
-        return {"kind": "harmonic", "amplitude": self.amplitude, "frequency": self.frequency}
 
     def moments(self, s):
         lam, w = self.amplitude, self.frequency
@@ -195,14 +184,6 @@ class PulsePotential(PlaneWavePotential):
                                + _gaussian_cosine_integral(s, w / np.sqrt(2.0), 2.0 * f))
         return lam * _gaussian_cosine_integral(s, w, f), np.zeros_like(s), b
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": "pulse",
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "width": self.width,
-        }
-
 
 class TabulatedPotential(PlaneWavePotential):
     """Cubic interpolation of sampled transverse profiles.
@@ -229,8 +210,6 @@ class TabulatedPotential(PlaneWavePotential):
             raise ValueError("a3 samples must match s samples")
         _require_finite(s=s, a2=a2, a3=a3)
         self._s = s
-        self._a2_samples = a2
-        self._a3_samples = a3
         self._a2 = CubicSpline(s, a2)
         self._a3 = CubicSpline(s, a3)
         self._da2 = self._a2.derivative()
@@ -281,14 +260,6 @@ class TabulatedPotential(PlaneWavePotential):
         self.check_domain(s)
         return self._int_a2(s), self._int_a3(s), self._int_sq(s)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "s": self._s.tolist(),
-            "a2": self._a2_samples.tolist(),
-            "a3": self._a3_samples.tolist(),
-        }
-
 
 def _gaussian_cosine_integral(s, width: float, frequency: float):
     """int_0^s exp(-t^2 / (2 width^2)) cos(frequency t) dt, scalar or array s.
@@ -320,34 +291,9 @@ _PROFILES = {
 
 
 def potential_from_descriptor(desc: Mapping, name: str = "potential") -> PlaneWavePotential:
-    """Rebuild a potential from its descriptor mapping, named `name` in
+    """Build a potential from its descriptor mapping, named `name` in
     errors; a tabulated "a3" may be left out or null."""
     return described(desc, _PROFILES, name)
-
-
-def tabulated_from_csv(path) -> TabulatedPotential:
-    """Load a tabulated profile from CSV columns (s, a2[, a3]).
-
-    A header row is required and s must be strictly increasing.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        cols = [c.strip().lower() for c in header]
-        if len(cols) < 2 or cols[0] != "s" or cols[1] != "a2":
-            raise ValueError(f"{path}: header must start with columns 's,a2[,a3]'")
-        has_a3 = len(cols) >= 3 and cols[2] == "a3"
-        s, a2, a3 = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            s.append(float(row[0]))
-            a2.append(float(row[1]))
-            if has_a3:
-                a3.append(float(row[2]))
-    return TabulatedPotential(s, a2, a3 if has_a3 else None)
 
 
 def phase_integrand(pot: PlaneWavePotential, k2, k3, m, s):

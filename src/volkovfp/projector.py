@@ -50,6 +50,9 @@ Its s-grid depends on u alone, so the mass oscillation e^{-i m^2 s/4u}
 is one (s, m) table per distinct u, shared by every (k2, k3) node at
 that u; each node contributes only its (s,) transverse phase vector, and
 each distinct family is summed over masses once per node.
+
+The kernel values are returned, not written: ``volkovfp.cli`` writes
+every artifact.
 """
 
 from __future__ import annotations
@@ -81,8 +84,6 @@ __all__ = [
     "signature_sign",
     "fp_scalar_a",
     "fp_kernel_momentum",
-    "KernelSample",
-    "write_kernel_csv",
     "MassOscillationResult",
     "mass_oscillation_check",
     "SmearedProfile",
@@ -209,48 +210,6 @@ def fp_kernel_momentum(mode: ModeParams, pot: PlaneWavePotential,
     return assemble_kernel(a, b, mode, pot, s)
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    """Evaluated momentum-space kernel values.
-
-    One value, or a batch: mode fields, s and s~ broadcast to the
-    leading axes of value, (..., 4, 4).
-    """
-
-    mode: ModeParams
-    s: float | np.ndarray
-    s_tilde: float | np.ndarray
-    value: np.ndarray
-
-    def rows(self) -> list[list]:
-        """One CSV row (u, k2, k3, s, s~, re/im of each entry) per value."""
-        value = np.asarray(self.value, dtype=complex)
-        head = np.broadcast_arrays(self.mode.u, self.mode.k2, self.mode.k3,
-                                   self.s, self.s_tilde, value[..., 0, 0].real)[:5]
-        entries = np.stack([value.real, value.imag], axis=-1).reshape(-1, 32)
-        return np.column_stack([np.ravel(h) for h in head] + [entries]).tolist()
-
-
-KERNEL_CSV_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
-    f"{part}_{i}{j}" for i in range(4) for j in range(4) for part in ("re", "im")
-]
-
-
-_KERNEL_CSV_ROW = ",".join(["%.17g"] * len(KERNEL_CSV_HEADER))
-
-
-def write_kernel_csv(path, samples, comment: str | None = None) -> None:
-    """Write kernel samples as CSV rows (u, k2, k3, s, s~, re_ij, im_ij)."""
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(KERNEL_CSV_HEADER))
-    for sample in samples:
-        lines.extend(_KERNEL_CSV_ROW % tuple(row) for row in sample.rows())
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # mass-oscillation check
 
@@ -280,6 +239,10 @@ class MassOscillationResult:
     lhs: complex
     rhs: complex
     relative_gap: float
+
+
+_REGULATOR_TAIL = 1e-14  # exp(-eps_min L^2) at the ends of the s-grid
+_POINTS_PER_BEAT = 8  # s-grid points per period of the fastest mass beat
 
 
 def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
@@ -318,9 +281,6 @@ def mass_oscillation_check(
     fam_phi: MassFamily,
     pot: PlaneWavePotential,
     epsilons=(0.1, 0.05, 0.025),
-    *,
-    tail: float = 1e-14,
-    points_per_osc: int = 8,
 ) -> MassOscillationResult:
     """Verify that the regulated spacetime pairing matches the sign(u) form.
 
@@ -330,8 +290,9 @@ def mass_oscillation_check(
 
     rhs: (2 pi)^4 mass-diagonal fixed-s expression weighted by sign(u).
 
-    The s-grids are trapezoid rules on [-L, L] with L set by the regulator
-    tail and spacing set by the largest mass-beat frequency; for a
+    The s-grids are trapezoid rules on [-L, L], with exp(-eps L^2) =
+    _REGULATOR_TAIL for the smallest eps and _POINTS_PER_BEAT points per
+    period of the largest mass-beat frequency; for a
     Gaussian-enveloped trigonometric integrand the trapezoid rule is
     spectrally accurate.  A regulator so small that one u's (s, mass)
     table would exceed 2**24 values raises ValueError before allocating.
@@ -363,12 +324,12 @@ def mass_oscillation_check(
 
     eps_min = min(epsilons)
     # Python floats: a subnormal eps_min gives inf here, not an overflow warning
-    half_width = math.sqrt(math.log(1.0 / tail) / eps_min)
+    half_width = math.sqrt(math.log(1.0 / _REGULATOR_TAIL) / eps_min)
 
     # each distinct u's s-grid spacing and half length, sized before any allocation
     u_values, u_group = np.unique(fam_psi.u, return_inverse=True)
     beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(u_values))
-    ds_values = 2.0 * np.pi / (points_per_osc * (beat_max + 1.0))
+    ds_values = 2.0 * np.pi / (_POINTS_PER_BEAT * (beat_max + 1.0))
     n_half_values = np.ceil(half_width / ds_values)
     if masses.size * (2.0 * n_half_values.max() + 1.0) > 2 ** 24:
         raise ValueError(f"regulator epsilon {eps_min:g} needs over 2**24 (mass, s) values")

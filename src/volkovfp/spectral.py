@@ -41,7 +41,8 @@ global smallness.
 
 Only ``harmonic_sidebands_analytic`` needs scipy (the Bessel functions
 scipy.special.jv) and it imports it when called; everything else here
-runs on numpy alone.
+runs on numpy alone.  The lines and transforms are returned, not
+written: ``volkovfp.cli`` writes every artifact.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ __all__ = [
     "plancherel_reference",
     "decay_order_fit",
     "tail_decay_orders",
-    "write_lines_csv",
-    "write_transform_csv",
 ]
 
 
@@ -106,9 +105,6 @@ class GaussianWindow:
     def sq_integral(self) -> float:
         return self.width * np.sqrt(np.pi)
 
-    def descriptor(self) -> dict:
-        return {"kind": "gaussian", "center": self.center, "width": self.width}
-
 
 @dataclass(frozen=True)
 class HannWindow:
@@ -138,16 +134,13 @@ class HannWindow:
     def sq_integral(self) -> float:
         return 0.375 * (self.hi - self.lo)
 
-    def descriptor(self) -> dict:
-        return {"kind": "hann", "lo": self.lo, "hi": self.hi}
-
 
 _WINDOWS = {"gaussian": (GaussianWindow, Table(dict.fromkeys(("center", "width"), Key(number)))),
             "hann": (HannWindow, Table(dict.fromkeys(("lo", "hi"), Key(number))))}
 
 
 def window_from_descriptor(desc: Mapping, name: str = "window"):
-    """Rebuild a window from its descriptor mapping, checked as in potential_from_descriptor."""
+    """Build a window from its descriptor mapping, checked as in potential_from_descriptor."""
     return described(desc, _WINDOWS, name)
 
 
@@ -209,6 +202,8 @@ def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
     values = np.asarray(values, dtype=complex)
     if s_grid.ndim != 1 or s_grid.shape != values.shape:
         raise ValueError("s_grid and values must be matching 1-d arrays")
+    if s_grid.size < 2:
+        raise ValueError(f"spectrum_fft needs at least 2 samples, got {s_grid.size}")
     steps = np.diff(s_grid)
     ds = steps[0]
     if not np.allclose(steps, ds, rtol=1e-9, atol=0.0):
@@ -348,9 +343,12 @@ def decay_order_fit(x, magnitudes) -> tuple[float, float]:
     return float(-slope), resid
 
 
+_TAIL_POINTS = 25  # geometric v samples per tail
+_TAIL_FLOOR = 1e-300  # |F| is clipped here so that log|F| stays finite
+
+
 def tail_decay_orders(mode: ModeParams, pot: PlaneWavePotential, window,
-                      v_lo: float, v_hi: float, n_points: int = 25,
-                      floor: float = 1e-300) -> dict:
+                      v_lo: float, v_hi: float) -> dict:
     """Measured decay orders of |F(v)| on the +/- tails [v_lo, v_hi].
 
     Reports the fitted order on each side; the positive-v side is the
@@ -360,10 +358,10 @@ def tail_decay_orders(mode: ModeParams, pot: PlaneWavePotential, window,
     """
     if not (0 < v_lo < v_hi):
         raise ValueError("need 0 < v_lo < v_hi")
-    v_plus = np.geomspace(v_lo, v_hi, n_points)
+    v_plus = np.geomspace(v_lo, v_hi, _TAIL_POINTS)
     f_plus, f_minus = np.abs(windowed_phase_transform(mode, pot, window, [v_plus, -v_plus]))
-    order_plus, resid_plus = decay_order_fit(v_plus, np.maximum(f_plus, floor))
-    order_minus, resid_minus = decay_order_fit(v_plus, np.maximum(f_minus, floor))
+    order_plus, resid_plus = decay_order_fit(v_plus, np.maximum(f_plus, _TAIL_FLOOR))
+    order_minus, resid_minus = decay_order_fit(v_plus, np.maximum(f_minus, _TAIL_FLOOR))
     return {
         "v_lo": v_lo,
         "v_hi": v_hi,
@@ -373,30 +371,3 @@ def tail_decay_orders(mode: ModeParams, pot: PlaneWavePotential, window,
         "residual_negative": resid_minus,
         "asymmetry": order_plus - order_minus,
     }
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def _write_rows(path, header: str, fmt: str, rows, comment: str | None) -> None:
-    """One %-format string prints every row; %.17g round-trips a double."""
-    text = [f"# {comment}"] if comment else []
-    text.append(header)
-    text.extend(fmt % row for row in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(text) + "\n")
-
-
-def write_lines_csv(path, lines, comment: str | None = None) -> None:
-    amps = [complex(line.amplitude) for line in lines]
-    _write_rows(path, "n,v_n,re_amp,im_amp,abs_amp", "%d,%.17g,%.17g,%.17g,%.17g",
-                ((line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)),
-                comment)
-
-
-def write_transform_csv(path, v_grid, f_values, comment: str | None = None) -> None:
-    f_values = np.asarray(f_values, dtype=complex)
-    _write_rows(path, "v,re_F,im_F", "%.17g,%.17g,%.17g",
-                zip(np.asarray(v_grid, dtype=float).tolist(), f_values.real.tolist(),
-                    f_values.imag.tolist()), comment)

@@ -1,5 +1,7 @@
 """Scenario runner: exit codes, artifacts, determinism across worker counts."""
 
+import ast
+import dataclasses
 import importlib.util
 import json
 import multiprocessing.pool
@@ -17,9 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volkovfp import cli
+from volkovfp.modes import ModeParams
 from volkovfp.potential import (HarmonicPotential, PulsePotential, TabulatedPotential,
                                 ZeroPotential)
-from volkovfp.spectral import GaussianWindow, HannWindow
+from volkovfp.projector import fp_kernel_momentum
+from volkovfp.spectral import (GaussianWindow, HannWindow, harmonic_sidebands_analytic,
+                               windowed_phase_transform)
 
 
 def write_config(tmp_path, name, cfg):
@@ -592,20 +597,32 @@ def test_shipped_and_benchmark_configs_validate():
         assert valid["scenario"] == scenario, label
 
 
-@pytest.mark.parametrize("key, value", [
-    ("potential", ZeroPotential()),
-    ("potential", HarmonicPotential(0.2, 1.0)),
-    ("potential", PulsePotential(0.5, 1.0, 3.0)),
-    ("potential", TabulatedPotential(np.linspace(-2.0, 2.0, 9), np.linspace(0.0, 0.8, 9),
-                                     np.full(9, 0.1))),
-    ("window", GaussianWindow(0.0, 0.155)),
-    ("window", HannWindow(-4.0, 4.0)),
+_TAB_S = np.linspace(-2.0, 2.0, 9)
+_TAB_A2 = np.linspace(0.0, 0.8, 9)
+
+
+@pytest.mark.parametrize("key, desc, value", [
+    ("potential", {"kind": "zero"}, ZeroPotential()),
+    ("potential", {"kind": "harmonic", "amplitude": 0.2, "frequency": 1.0},
+     HarmonicPotential(0.2, 1.0)),
+    ("potential", {"kind": "pulse", "amplitude": 0.5, "frequency": 1.0, "width": 3.0},
+     PulsePotential(0.5, 1.0, 3.0)),
+    ("potential", {"kind": "tabulated", "s": _TAB_S.tolist(), "a2": _TAB_A2.tolist(),
+                   "a3": [0.1] * 9}, TabulatedPotential(_TAB_S, _TAB_A2, np.full(9, 0.1))),
+    ("window", {"kind": "gaussian", "center": 0.0, "width": 0.155}, GaussianWindow(0.0, 0.155)),
+    ("window", {"kind": "hann", "lo": -4.0, "hi": 4.0}, HannWindow(-4.0, 4.0)),
 ], ids=["zero", "harmonic", "pulse", "tabulated", "gaussian", "hann"])
-def test_library_descriptors_are_config_descriptors(key, value):
-    """The key tables accept what descriptor() writes and rebuild the same object."""
+def test_library_descriptors_are_config_descriptors(key, desc, value):
+    """The key tables build from a descriptor the object its constructor builds."""
     cfg = small_configs()["wavefront-probe"]
-    cfg[key] = value.descriptor()
-    assert cli.validate_config("wavefront-probe", cfg)[key].descriptor() == value.descriptor()
+    cfg[key] = desc
+    built = cli.validate_config("wavefront-probe", cfg)[key]
+    assert type(built) is type(value)
+    if dataclasses.is_dataclass(value):
+        assert built == value
+    else:
+        assert np.array_equal(built.a2(_TAB_S), value.a2(_TAB_S))
+        assert np.array_equal(built.a3(_TAB_S), value.a3(_TAB_S))
 
 
 # Run in a fresh interpreter: this process has already imported scipy.
@@ -664,3 +681,136 @@ def test_batched_pi_minus_projection_matches_rows():
     batched = cli._pi_minus_rows(raw)
     for row, out in zip(raw, batched):
         assert np.array_equal(cli._pi_minus_rows(row[None, :])[0], out)
+
+
+def test_csv_writers_match_per_row_formatting(tmp_path):
+    """_write_csv streams any iterable of rows (the wavefront files pass a zip),
+    byte for byte what a per-row f-string writer produces."""
+    specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
+    v = np.array(specials + list(np.random.default_rng(4).normal(size=12) * 1e5))
+    f = np.empty(v.size, dtype=complex)
+    f.real, f.imag = v[::-1], -v
+    path = tmp_path / "t.csv"
+    header = ["v", "re_F", "im_F"]
+    cli._write_csv(path, header, zip(v.tolist(), f.real.tolist(), f.imag.tolist()), "c")
+    rows = ["# c", "v,re_F,im_F"] + [f"{a:.17g},{b.real:.17g},{b.imag:.17g}" for a, b in zip(v, f)]
+    assert path.read_text() == "\n".join(rows) + "\n"
+    cli._write_csv(path, header, zip([], [], []), "c")
+    assert path.read_text() == "# c\nv,re_F,im_F\n"
+
+    # spectral-line rows: the line index n is a %d column
+    amps = [complex(1e-310, np.nan), complex(-0.0, np.inf), 0.5 - 0.25j]
+    lines = [(n, -0.0 if n else 1e308, a.real, a.imag, abs(a)) for n, a in enumerate(amps, -1)]
+    cli._write_csv(path, ["n", "v_n", "re_amp", "im_amp", "abs_amp"], lines, "c")
+    rows = ["# c", "n,v_n,re_amp,im_amp,abs_amp"] + [
+        f"{n},{v:.17g},{re:.17g},{im:.17g},{mag:.17g}" for n, v, re, im, mag in lines]
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
+def _run(tmp_path, scenario, cfg) -> Path:
+    out = tmp_path / scenario
+    assert cli.main([scenario, "--config", write_config(tmp_path, f"{scenario}.json", cfg),
+                     "--out", str(out)]) == cli.EXIT_PASS
+    return out
+
+
+def test_csv_exports(tmp_path):
+    """The sideband and wavefront files: comment line, header, and one row
+    per line or v sample holding exactly the library's values."""
+    cfg = sidebands_config()
+    out = _run(tmp_path, "sidebands", cfg)
+    comment = f"# config_sha256={cli._config_hash(cfg)}"
+    mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    expected = [comment, "n,v_n,re_amp,im_amp,abs_amp"]
+    for line in harmonic_sidebands_analytic(mode, cfg["amplitude"], cfg["frequency"],
+                                            cfg["n_max"]):
+        amp = complex(line.amplitude)
+        expected.append(f"{line.n},{line.v:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}")
+    assert (out / "sidebands_analytic.csv").read_text() == "\n".join(expected) + "\n"
+    fft = (out / "sidebands_fft.csv").read_text().splitlines()
+    assert fft[:2] == expected[:2] and len(fft) == 2 + 2 * cfg["n_compare"] + 1
+    assert [int(row.split(",")[0]) for row in fft[2:]] == list(range(-3, 4))
+
+    cfg = small_configs()["wavefront-probe"]
+    out = _run(tmp_path, "wavefront-probe", cfg)
+    pot = HarmonicPotential(0.2, 1.0)
+    mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    v_fit = np.geomspace(*cfg["v_fit"])
+    f_fit = windowed_phase_transform(mode, pot, GaussianWindow(0.0, 0.155), v_fit)
+    lines = (out / "wavefront_fit.csv").read_text().splitlines()
+    assert lines[:2] == [f"# config_sha256={cli._config_hash(cfg)}", "v,re_F,im_F"]
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(rows, np.column_stack([v_fit, f_fit.real, f_fit.imag]))
+    dense = (out / "wavefront_dense.csv").read_text().splitlines()
+    assert dense[:2] == lines[:2] and len(dense) == 2 + 601
+
+
+def test_kernel_csv_export(tmp_path):
+    cfg = small_configs()["fp-kernel-export"]
+    lines = (_run(tmp_path, "fp-kernel-export", cfg) / "fp_kernel.csv").read_text().splitlines()
+    assert lines[0] == f"# config_sha256={cli._config_hash(cfg)}"
+    header = lines[1].split(",")
+    assert header[:5] == ["u", "k2", "k3", "s", "s_tilde"]
+    assert header[5:9] == ["re_00", "im_00", "re_01", "im_01"] and len(header) == 5 + 32
+    assert len(lines) == 2 + 2 * 2 * 2
+
+
+def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
+    """One %-format per row prints exactly what a %.17g f-string per cell does."""
+    specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
+    value = np.empty((len(specials), 4, 4), dtype=complex)
+    value.real = np.random.default_rng(5).normal(size=value.shape) * 1e3
+    value.imag = np.array(specials)[:, None, None]
+    value.real[:, 1] = -np.array(specials)[:, None]
+    mode = ModeParams(k2=np.nan_to_num(specials, posinf=2.0, neginf=-2.0), k3=-0.0, u=-1e-310, m=1.0)
+    one = ModeParams(k2=0.3, k3=-0.1, u=-0.5, m=1.0)
+    pot = HarmonicPotential(0.2, 1.0)
+    rows = (cli._kernel_rows(mode, np.array(specials), np.inf, value)
+            + cli._kernel_rows(one, 0.1, -0.2, fp_kernel_momentum(one, pot, 0.1, -0.2)))
+    assert len(rows) == len(specials) + 1 and all(len(row) == 37 for row in rows)
+    path = tmp_path / "kernel.csv"
+    cli._write_csv(path, cli._KERNEL_HEADER, rows, "c")
+    expected = ["# c", ",".join(cli._KERNEL_HEADER)] + [
+        ",".join(f"{cell:.17g}" for cell in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert {"nan", "inf", "-inf", "-0", "-4.9406564584124654e-324"} <= set(",".join(expected).split(","))
+
+
+def test_batched_kernel_csv_rows_follow_the_batch(tmp_path):
+    """fp_kernel.csv runs mode-major, (u, k2, k3) then s then s~, and each row
+    holds the kernel of that one mode at that one (s, s~)."""
+    cfg = small_configs()["fp-kernel-export"]
+    cfg["k2_values"] = [0.3, -0.1]
+    path = _run(tmp_path, "fp-kernel-export", cfg) / "fp_kernel.csv"
+    rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[2:]]
+    order = [(u, k2, k3, s, st) for u in cfg["u_values"] for k2 in cfg["k2_values"]
+             for k3 in cfg["k3_values"] for s in cfg["s_values"] for st in cfg["s_tilde_values"]]
+    assert len(rows) == len(order) == 16
+    pot = HarmonicPotential(0.2, 1.0)
+    for row, (u, k2, k3, s, st) in zip(rows, order):
+        assert row[:5] == [u, k2, k3, s, st]
+        single = fp_kernel_momentum(ModeParams(k2, k3, u, cfg["m"]), pot, s, st)
+        assert np.max(np.abs(np.array(row[5::2]) + 1j * np.array(row[6::2])
+                             - single.ravel())) <= 1e-13
+
+
+_WRITERS = {"open", "write_text", "write_bytes"}
+
+
+def test_only_cli_writes_files():
+    """No library module imports csv or calls open, write_text or
+    write_bytes: every artifact is written by cli."""
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "cli.py")
+    assert len(modules) == 8
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "csv" for alias in node.names), where
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "csv", where
+            elif isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert called not in _WRITERS, f"{where} calls {called}"

@@ -78,7 +78,7 @@ def test_amplitude_must_be_pi_minus():
     if np.linalg.norm(PI_MINUS @ vec - vec) > 1e-12:
         with pytest.raises(ValueError):
             ModeAmplitude(vec)
-    amp = ModeAmplitude.from_spinor(vec)
+    amp = ModeAmplitude(project_pi_minus(vec))
     assert np.allclose(PI_MINUS @ amp.chi0, amp.chi0)
 
 
@@ -95,7 +95,7 @@ def test_evolution_is_pure_phase(rng):
 def test_evolution_phase_value_zero_potential():
     # k2 = k3 = 0, m = 1, u = -1/2: phase over s = pi is exp(i pi/2) = i
     mode = ModeParams(0.0, 0.0, -0.5, 1.0)
-    amp = ModeAmplitude.from_spinor(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+    amp = ModeAmplitude(project_pi_minus(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)))
     out = evolve_pi_minus(amp, mode, ZeroPotential(), np.pi)
     assert np.allclose(out, 1j * amp.chi0, atol=1e-15)
 

@@ -16,8 +16,6 @@ from volkovfp.potential import (
     transverse_phase,
 )
 from volkovfp.projector import (
-    KERNEL_CSV_HEADER,
-    KernelSample,
     SmearedProfile,
     causal_fundamental_momentum,
     extrapolate_to_zero,
@@ -27,7 +25,6 @@ from volkovfp.projector import (
     green_ab,
     mass_oscillation_check,
     signature_sign,
-    write_kernel_csv,
 )
 from volkovfp.quadrature import UndersampledGridError
 
@@ -192,36 +189,6 @@ def test_fp_zero_potential_single_frequency():
         a_val = complex(fp_scalar_a(mode, ZeroPotential(), s, 0.0))
         assert a_val == pytest.approx(np.exp(-1j * v0 * s) / TWO_PI_4, rel=1e-13)
 
-
-def test_kernel_csv_export(tmp_path):
-    samples = [KernelSample(MODE, 0.1, -0.2, fp_kernel_momentum(MODE, POT, 0.1, -0.2))]
-    path = tmp_path / "kernel.csv"
-    write_kernel_csv(path, samples, comment="test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# test"
-    header = lines[1].split(",")
-    assert header[:5] == ["u", "k2", "k3", "s", "s_tilde"]
-    assert len(header) == 5 + 32
-    assert len(lines) == 3
-
-
-
-def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
-    """One %-format per row prints exactly what a %.17g f-string per cell does."""
-    specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
-    value = np.empty((len(specials), 4, 4), dtype=complex)
-    value.real = np.random.default_rng(5).normal(size=value.shape) * 1e3
-    value.imag = np.array(specials)[:, None, None]
-    value.real[:, 1] = -np.array(specials)[:, None]
-    mode = ModeParams(k2=np.nan_to_num(specials, posinf=2.0, neginf=-2.0), k3=-0.0, u=-1e-310, m=1.0)
-    samples = [KernelSample(mode, np.array(specials), np.inf, value),
-               KernelSample(MODE, 0.1, -0.2, fp_kernel_momentum(MODE, POT, 0.1, -0.2))]
-    path = tmp_path / "kernel.csv"
-    write_kernel_csv(path, samples, comment="c")
-    expected = ["# c", ",".join(KERNEL_CSV_HEADER)] + [
-        ",".join(f"{cell:.17g}" for cell in row) for sample in samples for row in sample.rows()]
-    assert path.read_text() == "\n".join(expected) + "\n"
-    assert {"nan", "inf", "-inf", "-0", "-4.9406564584124654e-324"} <= set(",".join(expected).split(","))
 
 def test_extrapolate_to_zero_polynomial():
     xs = [0.4, 0.2, 0.1]
@@ -569,20 +536,3 @@ def test_signature_sign_broadcasts():
     assert np.array_equal(signature_sign(np.array([-0.5, 2.0])), [-1, 1])
     with pytest.raises(ValueError):
         signature_sign(np.array([-0.5, 0.0]))
-
-
-def test_batched_kernel_csv_rows_follow_the_batch(tmp_path):
-    # two modes on axis 0, two surfaces s on axis 1: rows run mode-major
-    modes = ModeParams(np.array([[0.3], [-0.1]]), 0.0, np.array([[-0.5], [-1.0]]), 1.0)
-    s = np.array([0.0, 1.1])
-    kernel = fp_kernel_momentum(modes, POT, s, -0.2)
-    path = tmp_path / "kernel.csv"
-    write_kernel_csv(path, [KernelSample(modes, s, -0.2, kernel)])
-    rows = [[float(x) for x in line.split(",")] for line in path.read_text().splitlines()[1:]]
-    assert len(rows) == 4 and all(len(r) == 37 for r in rows)
-    for row, (i, j) in zip(rows, [(0, 0), (0, 1), (1, 0), (1, 1)]):
-        mode = ModeParams(float(modes.k2[i, 0]), 0.0, float(modes.u[i, 0]), 1.0)
-        single = fp_kernel_momentum(mode, POT, float(s[j]), -0.2)
-        assert row[:5] == [mode.u, mode.k2, 0.0, s[j], -0.2]
-        assert np.max(np.abs(np.array(row[5::2]) + 1j * np.array(row[6::2])
-                             - single.ravel())) <= 1e-13
