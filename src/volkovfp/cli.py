@@ -295,10 +295,6 @@ def _json_safe(value):
     return value
 
 
-def _random_spinors(rng, n: int = 1) -> np.ndarray:
-    return rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-
-
 def _pi_minus_rows(raw) -> np.ndarray:
     """Each row of `raw` projected by Pi_minus and normalised."""
     proj = np.asarray(raw) @ _PI_MINUS.T
@@ -307,7 +303,7 @@ def _pi_minus_rows(raw) -> np.ndarray:
 
 
 def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
-    return _pi_minus_rows(_random_spinors(rng, n))
+    return _pi_minus_rows(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +311,61 @@ def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
 # and the comment line its CSVs carry
 
 
+# Drawn modes and packet nodes have log |u| uniform on [log 0.1, log 2].
+# The draw loops read the stream mode by mode in a fixed order.  Adjacent
+# numbers of one distribution share a Generator call, which draws the same
+# values as one call per number, and integers(2) picks the sign of u from
+# the same bits as choice([-1.0, 1.0]).
+_LOG_U_RANGE = (np.log(0.1), np.log(2.0))
+
+
+def _signed_u(upper, log_u) -> np.ndarray:
+    """u = -exp(log_u), or +exp(log_u) where the sign draw `upper` is 1."""
+    return np.where(upper == 1, 1.0, -1.0) * np.exp(log_u)
+
+
 def _draw_modes(rng, n: int):
     """n modes drawn one after another, returned as columns:
-    u, k2, k3, m (n,), points (n, 4) and chi0 (n, 4)."""
-    u_lo, u_hi = 0.1, 2.0
-    draws = []
-    for _ in range(n):
-        u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(u_lo), np.log(u_hi))))
-        k2 = float(rng.normal(0.0, 0.7))
-        k3 = float(rng.normal(0.0, 0.7))
-        m = float(rng.uniform(0.5, 1.5))
-        point = rng.uniform(-3.0, 3.0, size=4)
-        draws.append((u, k2, k3, m, point, _random_spinors(rng)[0]))
-    *columns, raw = (np.array(column) for column in zip(*draws))
-    return [*columns, _pi_minus_rows(raw)]
+    u, k2, k3, m (n,), points (n, 4) and chi0 (n, 4).
+
+    Each mode reads the sign of u, log |u|, (k2, k3), m, the point
+    (s, l, y, z) and a raw spinor's 4 real then 4 imaginary parts.
+    """
+    upper = np.empty(n, dtype=np.int64)
+    log_u, m = np.empty(n), np.empty(n)
+    k = np.empty((2, n))
+    points, raw = np.empty((n, 4)), np.empty((n, 8))
+    for i in range(n):
+        upper[i] = rng.integers(2)
+        log_u[i] = rng.uniform(*_LOG_U_RANGE)
+        k[:, i] = rng.normal(0.0, 0.7, 2)
+        m[i] = rng.uniform(0.5, 1.5)
+        points[i] = rng.uniform(-3.0, 3.0, 4)
+        raw[i] = rng.normal(size=8)
+    return [_signed_u(upper, log_u), *k, m, points, _pi_minus_rows(raw[:, :4] + 1j * raw[:, 4:])]
+
+
+def _draw_pairs(rng, n: int):
+    """n mode pairs drawn one after another, returned as columns:
+    k2, k3, u, m, m_prime, s (n,) and the two amplitudes chi_a, chi_b (n, 4).
+
+    Each pair reads (k2, k3), the sign of u, log |u|, (m, m_prime), s and
+    the raw spinors' 16 parts (real then imaginary of a, then of b).
+    """
+    upper = np.empty(n, dtype=np.int64)
+    log_u, s = np.empty(n), np.empty(n)
+    k, masses = np.empty((2, n)), np.empty((2, n))
+    raw = np.empty((n, 16))
+    for i in range(n):
+        k[:, i] = rng.normal(0.0, 0.7, 2)
+        upper[i] = rng.integers(2)
+        log_u[i] = rng.uniform(*_LOG_U_RANGE)
+        masses[:, i] = rng.uniform(0.6, 1.4, 2)
+        s[i] = rng.uniform(-5.0, 5.0)
+        raw[i] = rng.normal(size=16)
+    re_a, im_a, re_b, im_b = raw.reshape(n, 4, 4).transpose(1, 0, 2)
+    return [*k, _signed_u(upper, log_u), *masses, s,
+            _pi_minus_rows(re_a + 1j * im_a), _pi_minus_rows(re_b + 1j * im_b)]
 
 
 def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
@@ -352,7 +389,7 @@ def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResu
 
 
 def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
-    u = -np.exp(rng.uniform(np.log(0.1), np.log(2.0), n_nodes))
+    u = -np.exp(rng.uniform(*_LOG_U_RANGE, n_nodes))
     u += np.linspace(0.0, 1e-9, n_nodes)  # enforce distinct nodes
     k2 = rng.normal(0.0, 0.5, n_nodes)
     k3 = rng.normal(0.0, 0.5, n_nodes)
@@ -386,18 +423,8 @@ def run_null_product_invariance(cfg: Mapping, outdir: Path, comment: str) -> Sce
 
 
 def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
-    rng = np.random.default_rng(cfg["seed"])
-    draws = []
-    for _ in range(cfg["n_draws"]):
-        k2 = float(rng.normal(0.0, 0.7))
-        k3 = float(rng.normal(0.0, 0.7))
-        u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
-        m = float(rng.uniform(0.6, 1.4))
-        mp = float(rng.uniform(0.6, 1.4))
-        s = float(rng.uniform(-5.0, 5.0))
-        draws.append((k2, k3, u, m, mp, s, _random_spinors(rng)[0], _random_spinors(rng)[0]))
-    k2, k3, u, m, mp, s, raw_a, raw_b = (np.array(column) for column in zip(*draws))
-    chi_a, chi_b = _pi_minus_rows(raw_a), _pi_minus_rows(raw_b)
+    k2, k3, u, m, mp, s, chi_a, chi_b = _draw_pairs(np.random.default_rng(cfg["seed"]),
+                                                    cfg["n_draws"])
     lhs, rhs = mass_pairing_identity(
         ModeAmplitude(chi_a), ModeParams(k2, k3, u, m),
         ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), cfg["potential"], s,

@@ -335,10 +335,12 @@ def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s) -> np.ndarra
 
 
 def packet_pi_minus_field(packet: WavePacket, pot: PlaneWavePotential,
-                          s: float, l_values) -> np.ndarray:
+                          s, l_values) -> np.ndarray:
     """Pi_minus part of the packet wavefunction at (s, l) for y = z = 0.
 
-    Returns an (n_l, 4) array sum_i qw_i w_i e^{-i u_i l} e^{-i Phi_i/4u_i} chi0_i.
+    Returns an (n_l, 4) array sum_i qw_i w_i e^{-i u_i l} e^{-i Phi_i/4u_i} chi0_i;
+    an array of surfaces gives one such block per surface, (..., n_l, 4),
+    from one (n_l, n_nodes) kernel e^{-i l u_i}.
     """
     l_values = np.atleast_1d(np.asarray(l_values, dtype=float))
     values = packet.quad_weights[:, None] * packet_pi_minus(packet, pot, s)
@@ -357,8 +359,9 @@ def null_scalar_product(psi: WavePacket, phi: WavePacket, pot: PlaneWavePotentia
     """
     if not psi.same_grid(phi):
         raise GridMismatchError("packets must share mass and (u, k2, k3) grid")
-    a = packet_pi_minus(psi, pot, s)
-    b = packet_pi_minus(phi, pot, s)
+    # one node phase serves both packets, which share mass and grid
+    phases = phase_factor(psi, pot, 0.0, np.asarray(s, dtype=float)[..., None])
+    a, b = ((p.weights * phases)[..., None] * p.chi0 for p in (psi, phi))
     # <a | gamma0 b> = a^dag gamma0 gamma0 b: the gamma0 pairing on the
     # Pi_minus range is the plain Euclidean one.
     pairing = np.sum(np.conj(a) * b, axis=-1)
@@ -421,9 +424,10 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
                     l_values) -> DecayReport:
     """Fit the |l|^-N tail of ||Pi_minus psi(s, l)|| over an l window.
 
-    l_values are grouped by sign and each branch is fitted separately
-    against |l|; the reported order per s is the weaker branch.  A
-    single-mode (delta-weight) packet shows no decay and is flagged.
+    The magnitudes at every s come from one packet_pi_minus_field call over
+    all surfaces.  l_values are grouped by sign and each branch is fitted
+    separately against |l|; the reported order per s is the weaker branch.
+    A single-mode (delta-weight) packet shows no decay and is flagged.
     """
     from .spectral import decay_order_fit
 
@@ -433,10 +437,8 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     orders = np.empty(s_values.shape)
     residuals = np.empty(s_values.shape)
-    magnitudes = np.empty(s_values.shape + l_values.shape)
-    for j, s in enumerate(s_values):
-        field_values = packet_pi_minus_field(packet, pot, float(s), l_values)
-        mags = magnitudes[j] = np.linalg.norm(field_values, axis=1)
+    magnitudes = np.linalg.norm(packet_pi_minus_field(packet, pot, s_values, l_values), axis=-1)
+    for j, mags in enumerate(magnitudes):
         branch_orders = []
         branch_residuals = []
         for branch in (l_values > 0, l_values < 0):

@@ -677,10 +677,98 @@ def test_csv_row_format_matches_per_cell_formatting(tmp_path):
 
 
 def test_batched_pi_minus_projection_matches_rows():
-    raw = cli._random_spinors(np.random.default_rng(3), 50)
+    rng = np.random.default_rng(3)
+    raw = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
     batched = cli._pi_minus_rows(raw)
     for row, out in zip(raw, batched):
         assert np.array_equal(cli._pi_minus_rows(row[None, :])[0], out)
+
+
+def _reference_draw_modes(rng, n):
+    """The mode draws one Generator call per number, as first written."""
+    draws = []
+    for _ in range(n):
+        u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
+        k2 = float(rng.normal(0.0, 0.7))
+        k3 = float(rng.normal(0.0, 0.7))
+        m = float(rng.uniform(0.5, 1.5))
+        point = rng.uniform(-3.0, 3.0, size=4)
+        raw = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        draws.append((u, k2, k3, m, point, raw[0]))
+    *columns, raw = (np.array(column) for column in zip(*draws))
+    return [*columns, cli._pi_minus_rows(raw)]
+
+
+def _reference_draw_pairs(rng, n):
+    """The mass-pairing draws one Generator call per number, as first written."""
+    draws = []
+    for _ in range(n):
+        k2 = float(rng.normal(0.0, 0.7))
+        k3 = float(rng.normal(0.0, 0.7))
+        u = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(2.0))))
+        m = float(rng.uniform(0.6, 1.4))
+        mp = float(rng.uniform(0.6, 1.4))
+        s = float(rng.uniform(-5.0, 5.0))
+        raw_a = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        raw_b = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
+        draws.append((k2, k3, u, m, mp, s, raw_a[0], raw_b[0]))
+    *columns, raw_a, raw_b = (np.array(column) for column in zip(*draws))
+    return [*columns, cli._pi_minus_rows(raw_a), cli._pi_minus_rows(raw_b)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 257])
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("draw, reference", [(cli._draw_modes, _reference_draw_modes),
+                                             (cli._draw_pairs, _reference_draw_pairs)],
+                         ids=["modes", "pairs"])
+def test_draws_follow_the_per_number_stream(draw, reference, seed, n):
+    """Bit-equal columns, and the generator left in the same state: an odd
+    number of sign draws leaves half a 64-bit word buffered (has_uint32),
+    which the next draw of the stream reads."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    columns, expected = draw(rng, n), reference(ref_rng, n)
+    assert len(columns) == len(expected)
+    for column, want in zip(columns, expected):
+        assert column.shape == want.shape and np.array_equal(column, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def _closed_form_configs():
+    """The five per-mode scenarios on one harmonic profile, at small sizes."""
+    harmonic = {"kind": "harmonic", "amplitude": 0.2, "frequency": 1.0}
+    return {
+        "dirac-residual": {"seed": 21, "n_modes": 40, "tolerance": 1e-10},
+        "null-product-invariance": {"seed": 22, "n_packets": 3, "nodes_per_packet": 4,
+                                    "s_values": [-10.0, 0.0, 10.0], "tolerance": 1e-10},
+        "mass-pairing": {"seed": 23, "n_draws": 21, "tolerance": 1e-10},
+        "decay-scan": {"seed": 24, "u_grid": [-1.4, -0.8, 40],
+                       "weight": {"center": -1.1, "sigma": 0.06},
+                       "k2": 0.3, "k3": 0.0, "m": 1.0, "l_range": [20.0, 200.0],
+                       "n_l": 40, "s_values": [-2.0, 2.0], "order_min": 4.0},
+        "fp-kernel-export": {"seed": 25, "u_values": [-2.0], "k2_values": [-0.3],
+                             "k3_values": [0.0], "m": 1.0, "s_values": [-2.0, 1.3],
+                             "s_tilde_values": [-0.7, 2.1], "tolerance": 1e-12},
+    }, harmonic
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_per_mode_scenarios_are_byte_identical_run_to_run(tmp_path):
+    configs, harmonic = _closed_form_configs()
+    trees = []
+    for run in ("a", "b"):
+        for scenario, cfg in configs.items():
+            summary = cli.run_scenario(
+                scenario, {"schema_version": 1, "scenario": scenario, "potential": harmonic,
+                           **cfg}, tmp_path / run / scenario, 1)
+            assert summary["passed"], (scenario, summary["checks"])
+        trees.append(_tree_bytes(tmp_path / run))
+    assert len(trees[0]) == 2 * len(configs)  # one CSV and summary.json each
+    assert trees[0] == trees[1]
 
 
 def test_csv_writers_match_per_row_formatting(tmp_path):

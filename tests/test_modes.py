@@ -25,6 +25,7 @@ from volkovfp.modes import (
     mode_wavefunction,
     null_decay_scan,
     null_scalar_product,
+    packet_pi_minus,
     packet_pi_minus_field,
     phase_factor,
     project_pi_minus,
@@ -487,6 +488,36 @@ def test_null_product_over_an_array_of_surfaces(rng):
         single = null_scalar_product(psi, phi, pot, float(s))
         assert isinstance(single, complex)
         assert abs(value - single) <= 1e-13 * abs(single)
+
+
+SURFACE_PROFILES = pytest.mark.parametrize(
+    "pot", [HarmonicPotential(0.3, 1.0), PulsePotential(0.3, 1.0, 2.0)], ids=["harmonic", "pulse"])
+
+
+@SURFACE_PROFILES
+def test_packet_field_over_an_array_of_surfaces(rng, pot):
+    packet = random_packet(rng, n_nodes=8)
+    surfaces = np.array([0.0, -7.5, 2.5, 10.0])
+    l_values = np.concatenate([np.geomspace(20.0, 200.0, 9), -np.geomspace(20.0, 200.0, 9)])
+    field = packet_pi_minus_field(packet, pot, surfaces, l_values)
+    assert field.shape == (4, 18, 4)
+    expected = np.stack([packet_pi_minus_field(packet, pot, float(s), l_values)
+                         for s in surfaces])
+    assert np.array_equal(field, expected)
+
+
+@SURFACE_PROFILES
+def test_null_product_pairs_the_two_packets_evolutions(rng, pot):
+    """Both packets share one node phase; the result is bit for bit the
+    pairing of their separately evolved Pi_minus values."""
+    psi = random_packet(rng, n_nodes=8)
+    phi = companion_packet(rng, psi)
+    surfaces = np.array([0.0, -7.5, 2.5, 10.0])
+    a = packet_pi_minus(psi, pot, surfaces)
+    b = packet_pi_minus(phi, pot, surfaces)
+    pairing = np.sum(np.conj(a) * b, axis=-1)
+    expected = (2.0 * np.pi) ** 4 * np.sum(psi.quad_weights * pairing, axis=-1)
+    assert np.array_equal(null_scalar_product(psi, phi, pot, surfaces), expected)
 
 
 @pytest.mark.parametrize("bad_u", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
