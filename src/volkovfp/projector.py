@@ -46,10 +46,9 @@ families with a Gaussian regulator exp(-eps s^2), extrapolates eps -> 0
 by Neville/Richardson over the given schedule and compares against the
 sign(u)-weighted fixed-s expression; this verifies that the spacetime
 pairing of mass-integrated families collapses onto the mass diagonal.
-Its s-grid depends on u alone, so the mass oscillation e^{-i m^2 s/4u}
-is one (s, m) table per distinct u, shared by every (k2, k3) node at
-that u; each node contributes only its (s,) transverse phase vector, and
-each distinct family is summed over masses once per node.
+The regulated s integral is a Gaussian in closed form, so the check is
+one (m, m') Gram matrix per distinct u contracted with one table of
+Gaussian weights e^{-kappa^2/4eps}; the potential drops out.
 
 The kernel values are returned, not written: ``volkovfp.cli`` writes
 every artifact.
@@ -73,7 +72,7 @@ from .modes import (
     _set_fields,
     phase_factor,
 )
-from .potential import PlaneWavePotential, transverse_phase
+from .potential import PlaneWavePotential
 from .quadrature import checked_panels, phase_rate
 
 __all__ = [
@@ -96,8 +95,6 @@ _TWO_PI_4 = (2.0 * np.pi) ** 4
 
 _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS = lightcone_operators()
 _GAMMA0 = dirac_gamma(0)
-_N_PLUS_G2 = _N_PLUS @ dirac_gamma(2)
-_N_PLUS_G3 = _N_PLUS @ dirac_gamma(3)
 _ID4 = np.eye(4, dtype=complex)
 
 
@@ -241,10 +238,6 @@ class MassOscillationResult:
     relative_gap: float
 
 
-_REGULATOR_TAIL = 1e-14  # exp(-eps_min L^2) at the ends of the s-grid
-_POINTS_PER_BEAT = 8  # s-grid points per period of the fastest mass beat
-
-
 def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
     if not np.array_equal(fam_psi.masses, fam_phi.masses) or not np.array_equal(
         fam_psi.mass_quad_weights, fam_phi.mass_quad_weights
@@ -260,20 +253,9 @@ def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
             )
 
 
-def _family_terms(fam: MassFamily, nodes: np.ndarray, u: float) -> np.ndarray:
-    """(node, m, 12) amplitude-weighted completion basis of one family's nodes at one u.
-
-    The completion X_m(s) = [1 - N+ (Aslash(s) - m) / 2u] chi0_m equals
-    static_m - c2(s) N+ gamma2 chi0_m - c3(s) N+ gamma3 chi0_m with
-    c_j(s) = (k_j + a_j(s)) / 2u and static_m = chi0_m + m N+ chi0_m / 2u.
-    Row (j, m) holds static, N+ gamma2 chi0 and N+ gamma3 chi0 of node
-    nodes[j], times the mass amplitude mw_m eta_m w_m, so ``table @ terms[j]``
-    sums the family over masses for every s of an (s, m) table at once.
-    """
-    chi = fam.chi0[:, nodes].transpose(1, 0, 2) \
-        * (fam.mass_quad_weights * fam.eta * fam.weights[:, nodes].T)[..., None]
-    static = chi + (fam.masses / (2.0 * u))[:, None] * (chi @ _N_PLUS.T)
-    return np.concatenate([static, chi @ _N_PLUS_G2.T, chi @ _N_PLUS_G3.T], axis=2)
+def _mass_amplitudes(fam: MassFamily) -> np.ndarray:
+    """(m, node, 4) amplitudes mw_m eta_m w_m chi0_m of a family."""
+    return (fam.mass_quad_weights * fam.eta)[:, None, None] * fam.weights[..., None] * fam.chi0
 
 
 def mass_oscillation_check(
@@ -284,32 +266,32 @@ def mass_oscillation_check(
 ) -> MassOscillationResult:
     """Verify that the regulated spacetime pairing matches the sign(u) form.
 
-    lhs(eps): 4 pi^3 triple quadrature of the spinor pairing of the two
-    mass-integrated families over (s, nodes) with regulator exp(-eps s^2)
-    and the double mass integral, extrapolated eps -> 0.
+    lhs(eps): 4 pi^3 times the spinor pairing of the two mass-integrated
+    families, integrated over s with the regulator exp(-eps s^2) and summed
+    over the (u, k2, k3) nodes and the double mass grid, extrapolated
+    eps -> 0.
 
     rhs: (2 pi)^4 mass-diagonal fixed-s expression weighted by sign(u).
 
-    The s-grids are trapezoid rules on [-L, L], with exp(-eps L^2) =
-    _REGULATOR_TAIL for the smallest eps and _POINTS_PER_BEAT points per
-    period of the largest mass-beat frequency; for a
-    Gaussian-enveloped trigonometric integrand the trapezoid rule is
-    spectrally accurate.  A regulator so small that one u's (s, mass)
-    table would exceed 2**24 values raises ValueError before allocating.
+    The s integral is done in closed form.  By the two-mass pairing
+    identity (``modes.mass_pairing_identity``) the completed modes pair as
+    <X_m(s)| gamma0 X_m'(s)> = (m + m')/(2u) <chi0_m|chi0_m'> at every s,
+    with the Euclidean product on the right, and the transverse phase
+    cancels between the two modes.  Only the mass beat e^{i kappa s},
+    kappa = (m^2 - m'^2)/4u, is left, and
+    int e^{i kappa s - eps s^2} ds = sqrt(pi/eps) e^{-kappa^2/4eps}.
+    So ``pot`` does not enter the result; the ``mass-pairing`` scenario
+    checks the identity for each profile kind.
 
-    The double mass sum factors: at each node and s the completed spinors
-    of each family are summed over masses first, Psi(s) = sum_m c_m(s)
-    X_m(s), and only the two sums are paired, <Psi(s)| gamma0 Phi(s)>.
-    The phase factors as e^{-i Phi_0(s)/4u} e^{-i m^2 s/4u}, and the s-grid
-    depends on u alone, so the nodes are grouped by u: each distinct u
-    builds one (s, m) table e^{-i m^2 s/4u} and one broadcast call gives
-    the (node, s) transverse phase vectors of its nodes.  The completion
-    X_m(s) is affine in the s-dependent coefficients (k2 + a2(s))/2u and
-    (k3 + a3(s))/2u, so a family's sum at one node is a single
-    (s, m) @ (m, 3 x 4) product against the shared table.  The node
-    pairings are summed with their quadrature weights before the whole
-    epsilon schedule is applied by one (n_eps, s) @ (s,) product per u.
-    When both arguments are the same family its sums are built once.
+    With a_m = mw_m eta_m w_m chi0_m, each distinct u builds one (m, m')
+    Gram matrix W_u = sum_{nodes at u} qw conj(a^psi_m) . a^phi_m' by one
+    matmul, and one (u, eps, m, m') table of the Gaussian weights applies
+    the whole schedule.  When both arguments are the same family its
+    amplitudes are built once.
+
+    A regulator so small that, at the smallest |u| and smallest eps,
+    e^{-kappa^2/4eps} underflows to 0 for every pair of adjacent masses
+    no longer couples neighbouring masses; it raises ValueError.
     """
     _check_family_pair(fam_psi, fam_phi)
     epsilons = tuple(float(e) for e in epsilons)
@@ -320,19 +302,16 @@ def mass_oscillation_check(
 
     masses = fam_psi.masses
     mw = fam_psi.mass_quad_weights
-    eps_col = np.asarray(epsilons)[:, None]
 
+    # Python floats: a subnormal eps_min gives inf here, not an overflow warning;
+    # the closest adjacent pair carries the largest weight
     eps_min = min(epsilons)
-    # Python floats: a subnormal eps_min gives inf here, not an overflow warning
-    half_width = math.sqrt(math.log(1.0 / _REGULATOR_TAIL) / eps_min)
-
-    # each distinct u's s-grid spacing and half length, sized before any allocation
-    u_values, u_group = np.unique(fam_psi.u, return_inverse=True)
-    beat_max = (masses[-1] ** 2 - masses[0] ** 2) / (4.0 * np.abs(u_values))
-    ds_values = 2.0 * np.pi / (_POINTS_PER_BEAT * (beat_max + 1.0))
-    n_half_values = np.ceil(half_width / ds_values)
-    if masses.size * (2.0 * n_half_values.max() + 1.0) > 2 ** 24:
-        raise ValueError(f"regulator epsilon {eps_min:g} needs over 2**24 (mass, s) values")
+    msq = [m * m for m in masses.tolist()]
+    u_min = float(np.min(np.abs(fam_psi.u)))
+    kappa = min(hi - lo for lo, hi in zip(msq, msq[1:])) / (4.0 * u_min)
+    if math.exp(-kappa * kappa / (4.0 * eps_min)) == 0.0:
+        raise ValueError(f"regulator epsilon {eps_min:g} decouples adjacent masses: "
+                         "e^{-kappa^2/4eps} underflows to 0 at the smallest |u|")
 
     # fixed-s side: the mass-diagonal pairing of every (mass, node), weighted by sign(u)
     diag = np.einsum("mnc,mnc->mn", np.conj(fam_psi.weights[..., None] * fam_psi.chi0),
@@ -340,35 +319,24 @@ def mass_oscillation_check(
     diag_pref = mw * fam_psi.eta * fam_phi.eta
     rhs = _TWO_PI_4 * (diag_pref @ diag) @ (fam_psi.quad_weights * signature_sign(fam_psi.u))
 
-    # regulated spacetime side, summed over masses once per distinct family
-    fams = (fam_psi,) if fam_psi is fam_phi else (fam_psi, fam_phi)
-    msq = np.square(masses)
-    lhs_by_eps = np.zeros(len(epsilons), dtype=complex)
-    for g, (u, ds, n_half) in enumerate(zip(u_values.tolist(), ds_values.tolist(),
-                                            n_half_values.tolist())):
-        nodes = np.flatnonzero(u_group == g)
-        s_grid = ds * np.arange(-n_half, n_half + 1)
-        table = np.exp(np.multiply.outer(s_grid, msq) * (-1j / (4.0 * u)))
-        k2, k3 = fam_psi.k2[nodes, None], fam_psi.k3[nodes, None]
-        # (node, s, 3) coefficients of the completion basis, 1, -c2(s), -c3(s),
-        # times each node's transverse phase factor
-        node_phase = np.exp(-1j * transverse_phase(pot, k2, k3, 0.0, s_grid) / (4.0 * u))
-        completion = node_phase[..., None] * np.stack(np.broadcast_arrays(
-            1.0,
-            -(k2 + np.asarray(pot.a2(s_grid), dtype=float)) / (2.0 * u),
-            -(k3 + np.asarray(pot.a3(s_grid), dtype=float)) / (2.0 * u),
-        ), axis=-1)
-        terms = [_family_terms(fam, nodes, u) for fam in fams]
-        paired = np.zeros(s_grid.size, dtype=complex)
-        for j, qw in enumerate(fam_psi.quad_weights[nodes].tolist()):
-            # sum_m amp_m osc_m(s) X_m(s) for each family, then the gamma0 pairing
-            sums = [np.einsum("sk,skc->sc", completion[j], (table @ t[j]).reshape(-1, 3, 4))
-                    for t in terms]
-            psi, phi = sums[0], sums[-1]
-            paired += qw * np.sum((np.conj(psi) @ _GAMMA0) * phi, axis=1)
+    # regulated spacetime side: one (m, m') Gram matrix per distinct u
+    ket = _mass_amplitudes(fam_phi)
+    bra = np.conj(ket if fam_psi is fam_phi else _mass_amplitudes(fam_psi)) \
+        * fam_psi.quad_weights[:, None]
+    u_values, u_group = np.unique(fam_psi.u, return_inverse=True)
+    n_m = masses.size
+    gram = np.empty((u_values.size, n_m, n_m), dtype=complex)
+    for g in range(u_values.size):
+        nodes = u_group == g
+        gram[g] = bra[:, nodes].reshape(n_m, -1) @ ket[:, nodes].reshape(n_m, -1).T
 
-        s_weights = ds * np.exp(-eps_col * np.square(s_grid))
-        lhs_by_eps += 4.0 * np.pi ** 3 * (s_weights @ paired)
+    u_col = u_values[:, None, None]
+    eps = np.asarray(epsilons)
+    kappa_sq = np.square(np.subtract.outer(msq, msq) / (4.0 * u_col))
+    gauss = np.sqrt(np.pi / eps)[:, None, None] \
+        * np.exp(-kappa_sq[:, None] / (4.0 * eps[:, None, None]))  # (u, eps, m, m')
+    paired = gram * np.add.outer(masses, masses) / (2.0 * u_col)
+    lhs_by_eps = 4.0 * np.pi ** 3 * np.einsum("gemp,gmp->e", gauss, paired)
 
     lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])
     scale = max(abs(rhs), 1e-300)

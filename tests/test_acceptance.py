@@ -174,8 +174,8 @@ def test_criterion_5_mass_oscillation():
     ok = result.relative_gap <= 1e-4 and null_lhs <= 1e-12 and null_rhs <= 1e-12
     report(5, "mass-oscillation", ok,
            f"gap {result.relative_gap:.2e} <= 1e-4, null lhs/rhs "
-           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-12", 10.0, elapsed)
-    assert ok and elapsed < 10.0
+           f"{null_lhs:.1e}/{null_rhs:.1e} <= 1e-12", 2.0, elapsed)
+    assert ok and elapsed < 2.0
 
 
 def test_criterion_6_kernel_consistency():

@@ -7,10 +7,11 @@ import pytest
 
 from conftest import grid_family, random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
-from volkovfp import projector
+from volkovfp import potential, projector
 from volkovfp.modes import GridMismatchError, MassFamily, ModeParams, smooth_bump
 from volkovfp.potential import (
     HarmonicPotential,
+    PulsePotential,
     ZeroPotential,
     phase_integrand,
     transverse_phase,
@@ -205,9 +206,9 @@ def test_repeated_abscissae_rejected(rng):
 
 
 def test_vanishing_regulator_rejected_before_allocating(rng):
-    """An s grid of ~1e151 points per node is refused up front, not attempted."""
+    """A regulator under which no two adjacent masses couple is refused up front."""
     fam = grid_family(rng, (0.8, 1.2), n_masses=5, k_grid=(-0.3, 0.3, 1))
-    with pytest.raises(ValueError, match=r"2\*\*24"):
+    with pytest.raises(ValueError, match="decouples adjacent masses"):
         mass_oscillation_check(fam, fam, POT, epsilons=(1e-300, 2e-300))
 
 
@@ -267,7 +268,7 @@ def test_mass_oscillation_epsilon_path_matches_analytic(rng):
         pref = (mw * fam.eta)[:, None] * (mw * fam.eta)[None, :]
         total += 4.0 * np.pi ** 3 * fam.quad_weights[i] * np.einsum(
             "mn,mn,mn,mn->", pref, mass_sum, inner, gaussian)
-    assert result.lhs_by_epsilon[0] == pytest.approx(total, rel=1e-10)
+    assert result.lhs_by_epsilon[0] == pytest.approx(total, rel=1e-13)
 
 
 def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc=8):
@@ -375,6 +376,64 @@ def test_mass_oscillation_same_family_twice_matches_copy(rng):
     assert same.rhs == copy.rhs
     assert np.max(np.abs(np.subtract(same.lhs_by_epsilon, copy.lhs_by_epsilon))) <= 1e-15 * scale
     assert abs(same.lhs - copy.lhs) <= 1e-15 * scale
+
+
+def _random_family(rng, masses, u, eta):
+    """Family with a random Pi_minus amplitude and complex weight per (mass, node)."""
+    n = u.size
+    chi0 = np.stack([random_pi_minus(rng, n) for _ in masses])
+    weights = rng.normal(size=(masses.size, n)) + 1j * rng.normal(size=(masses.size, n))
+    return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+                      mass_quad_weights=np.full(masses.size, 0.4 / (masses.size - 1)),
+                      u=u, k2=rng.normal(0.0, 0.3, n), k3=rng.normal(0.0, 0.3, n),
+                      quad_weights=rng.uniform(0.1, 1.0, n), chi0=chi0, weights=weights)
+
+
+@pytest.mark.parametrize("pot", [PulsePotential(0.5, 2.0, 1.5), ZeroPotential()],
+                         ids=["pulse", "zero"])
+def test_mass_oscillation_potential_drops_out(rng, pot):
+    """The s-grid oracle under another profile gives the same regulated pairing:
+    the closed form, which never evaluates the profile, holds for every one."""
+    masses = np.linspace(0.8, 1.2, 5)
+    fam_psi = _random_family(rng, masses, np.repeat([-0.15, 0.1], 2), smooth_bump(masses, 0.8, 1.2))
+    fam_phi = replace(fam_psi, weights=np.conj(fam_psi.weights[::-1]),
+                      eta=fam_psi.eta * (2.0 - masses))
+    epsilons = (0.2, 0.1)
+    result = mass_oscillation_check(fam_psi, fam_phi, pot, epsilons=epsilons)
+    assert result == mass_oscillation_check(fam_psi, fam_phi, POT, epsilons=epsilons)
+    expected = _brute_force_lhs(fam_psi, fam_phi, pot, epsilons)
+    np.testing.assert_allclose(result.lhs_by_epsilon, expected, rtol=1e-12, atol=0.0)
+
+
+def test_mass_oscillation_never_evaluates_the_potential(rng, monkeypatch):
+    fam = grid_family(rng, (0.8, 1.2), n_masses=9)
+    fam_hi = replace(fam, eta=smooth_bump(fam.masses, 0.9, 1.2))
+    base = [mass_oscillation_check(fam, fam, POT), mass_oscillation_check(fam, fam_hi, POT)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the potential was evaluated")
+
+    monkeypatch.setattr(potential, "transverse_phase", refuse)
+    monkeypatch.setattr(HarmonicPotential, "a2", refuse)
+    monkeypatch.setattr(HarmonicPotential, "a3", refuse)
+    with pytest.raises(AssertionError, match="evaluated"):
+        POT.a2(0.0)
+    assert [mass_oscillation_check(fam, fam, POT), mass_oscillation_check(fam, fam_hi, POT)] == base
+
+
+def test_disjoint_null_is_measured_not_rounding_noise():
+    """Criterion 5's disjoint-support null falls with eps like e^{-kappa^2/4eps},
+    far below the rounding level of the diagonal pairing."""
+    epsilons = (0.025, 0.0125, 0.00625, 0.003125)
+    fam = grid_family(np.random.default_rng(5), n_masses=41, u_grid=(-0.1, -0.05, 9),
+                      k_grid=(-0.4, 0.4, 5))
+    diag = mass_oscillation_check(fam, fam, POT, epsilons=epsilons)
+    null = mass_oscillation_check(replace(fam, eta=smooth_bump(fam.masses, 0.8, 0.88)),
+                                  replace(fam, eta=smooth_bump(fam.masses, 1.12, 1.2)),
+                                  POT, epsilons=epsilons)
+    ratios = np.abs(null.lhs_by_epsilon) / abs(diag.lhs)
+    assert np.all(np.diff(ratios) < 0)
+    assert 0 < ratios[-1] < 1e-40
 
 
 def _two_sign_family(rng):
