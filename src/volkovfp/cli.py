@@ -1,6 +1,6 @@
 """Batch scenario runner: reproducible experiments with CSV/JSON artifacts.
 
-Usage:  volkov-fp <scenario> --config <path> [--out <dir>] [--workers N]
+Usage:  volkov-fp <scenario> --config <path> [--out <dir>]
 
 Scenarios: dirac-residual, null-product-invariance, mass-pairing,
 mass-oscillation, decay-scan, fp-kernel-export, sidebands,
@@ -12,13 +12,14 @@ missing keys and values of the wrong kind are config errors), writes CSV
 artifacts (each carrying a comment line with the config hash) plus a
 machine-readable summary.json with one pass/fail entry per assertion,
 and exits 0 on pass, 1 on assertion failure, 2 on config errors and 3
-on numerical-domain errors.  Random draws are sequential; each
-per-mode scenario then evaluates all its modes in one array call, so no
-scenario fans out to worker processes.  --workers is still accepted and
-validated, starts no process and never changes results.
+on numerical-domain errors.
 
-This is the only module of the package that writes files: the library
-returns arrays and records, and every CSV goes through `_write_csv`.
+Each scenario runner is a function of its validated config alone: it
+returns its checks and its tables and writes nothing.  `run_scenario`
+calls it, maps every library error to a config or a domain error, and
+only then writes the tables and summary.json, so a run that exits 2 or 3
+leaves no file.  This is the only module of the package that writes
+files, and every CSV goes through `_write_csv`.
 """
 
 from __future__ import annotations
@@ -26,17 +27,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .clifford import lightcone_operators, spin_adjoint
+from .clifford import spin_adjoint
 from .modes import (
     MassFamily,
     ModeAmplitude,
@@ -48,6 +48,7 @@ from .modes import (
     null_decay_scan,
     null_scalar_product,
     phase_factor,
+    project_pi_minus,
     smooth_bump,
 )
 from .potential import (
@@ -84,9 +85,6 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 
-_PI_MINUS = lightcone_operators()[3]
-
-
 class ConfigError(ValueError):
     pass
 
@@ -105,15 +103,6 @@ def _grid(value, name: str) -> tuple[float, float, int]:
     if len(grid) != 3 or not grid[2].is_integer():
         raise ValueError(f"{name} must be [lo, hi, n] with an integer n")
     return grid[0], grid[1], int(grid[2])
-
-
-def _build(what: str, factory, *args, **kwargs):
-    """factory(*args, **kwargs), with the library's own domain checks
-    reported as config errors."""
-    try:
-        return factory(*args, **kwargs)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 _FINITE = Key(number)
@@ -263,11 +252,12 @@ class Check:
 
 
 class ScenarioResult(NamedTuple):
-    """What a runner reports: its checks, the artifact files it wrote and
-    any extra summary.json entries."""
+    """What a runner returns: its checks, the tables run_scenario writes
+    (file name -> (header, rows), in artifact order) and any extra
+    summary.json entries."""
 
     checks: list[Check]
-    artifacts: list[str]
+    tables: Mapping[str, tuple[list[str], Iterable]]
     extra: Mapping = MappingProxyType({})
 
 
@@ -295,20 +285,20 @@ def _json_safe(value):
     return value
 
 
-def _pi_minus_rows(raw) -> np.ndarray:
-    """Each row of `raw` projected by Pi_minus and normalised."""
-    proj = np.asarray(raw) @ _PI_MINUS.T
+def _unit_pi_minus(raw) -> np.ndarray:
+    """Each row of `raw` projected onto the range of Pi_minus and normalised."""
+    proj = project_pi_minus(raw)
     norms = np.linalg.norm(proj, axis=1, keepdims=True)
     return proj / np.maximum(norms, 1e-300)
 
 
 def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
-    return _pi_minus_rows(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
+    return _unit_pi_minus(rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4)))
 
 
 # ---------------------------------------------------------------------------
-# scenarios: each runner takes the validated config, the output directory
-# and the comment line its CSVs carry
+# scenarios: each runner takes the validated config and returns a
+# ScenarioResult; it writes nothing
 
 
 # Drawn modes and packet nodes have log |u| uniform on [log 0.1, log 2].
@@ -342,7 +332,7 @@ def _draw_modes(rng, n: int):
         m[i] = rng.uniform(0.5, 1.5)
         points[i] = rng.uniform(-3.0, 3.0, 4)
         raw[i] = rng.normal(size=8)
-    return [_signed_u(upper, log_u), *k, m, points, _pi_minus_rows(raw[:, :4] + 1j * raw[:, 4:])]
+    return [_signed_u(upper, log_u), *k, m, points, _unit_pi_minus(raw[:, :4] + 1j * raw[:, 4:])]
 
 
 def _draw_pairs(rng, n: int):
@@ -365,10 +355,10 @@ def _draw_pairs(rng, n: int):
         raw[i] = rng.normal(size=16)
     re_a, im_a, re_b, im_b = raw.reshape(n, 4, 4).transpose(1, 0, 2)
     return [*k, _signed_u(upper, log_u), *masses, s,
-            _pi_minus_rows(re_a + 1j * im_a), _pi_minus_rows(re_b + 1j * im_b)]
+            _unit_pi_minus(re_a + 1j * im_a), _unit_pi_minus(re_b + 1j * im_b)]
 
 
-def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_dirac_residual(cfg: Mapping) -> ScenarioResult:
     pot = cfg["potential"]
     rng = np.random.default_rng(cfg["seed"])
     u, k2, k3, m, points, chi0 = _draw_modes(rng, cfg["n_modes"])
@@ -379,16 +369,12 @@ def run_dirac_residual(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResu
     relative = resid / norm
     rows = [(i, *cols) for i, cols in
             enumerate(zip(u, k2, k3, m, *points.T, resid, norm, relative))]
-    csv_path = outdir / "dirac_residual.csv"
-    _write_csv(csv_path,
-               ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z",
-                "residual", "norm", "relative"],
-               rows, comment)
-    return ScenarioResult([_leq("max_relative_dirac_residual", _worst(relative),
-                                cfg["tolerance"])], [csv_path.name])
+    header = ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z", "residual", "norm", "relative"]
+    return ScenarioResult([_leq("max_relative_dirac_residual", _worst(relative), cfg["tolerance"])],
+                          {"dirac_residual.csv": (header, rows)})
 
 
-def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
+def _random_packet(rng, n_nodes: int) -> WavePacket:
     u = -np.exp(rng.uniform(*_LOG_U_RANGE, n_nodes))
     u += np.linspace(0.0, 1e-9, n_nodes)  # enforce distinct nodes
     k2 = rng.normal(0.0, 0.5, n_nodes)
@@ -396,18 +382,18 @@ def _random_packet(rng, pot_kind_m: float, n_nodes: int) -> WavePacket:
     chi0 = _random_pi_minus(rng, n_nodes)
     weights = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
     qw = rng.uniform(0.1, 1.0, n_nodes)
-    return WavePacket(m=pot_kind_m, u=u, k2=k2, k3=k3, chi0=chi0,
+    return WavePacket(m=1.0, u=u, k2=k2, k3=k3, chi0=chi0,
                       weights=weights, quad_weights=qw)
 
 
-def run_null_product_invariance(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_null_product_invariance(cfg: Mapping) -> ScenarioResult:
     n_nodes = cfg["nodes_per_packet"]
     s_values = cfg["s_values"]
     rng = np.random.default_rng(cfg["seed"])
     surfaces = np.array([0.0, *s_values])  # the s = 0 value is the reference
     rows = []
     for p in range(cfg["n_packets"]):
-        psi = _random_packet(rng, 1.0, n_nodes)
+        psi = _random_packet(rng, n_nodes)
         phi = WavePacket(m=psi.m, u=psi.u, k2=psi.k2, k3=psi.k3,
                          chi0=_random_pi_minus(rng, n_nodes),
                          weights=rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes),
@@ -415,14 +401,12 @@ def run_null_product_invariance(cfg: Mapping, outdir: Path, comment: str) -> Sce
         base, *values = null_scalar_product(psi, phi, cfg["potential"], surfaces)
         dev = np.abs(np.array(values) - base) / max(abs(base), 1e-300)
         rows.extend((p, s, val.real, val.imag, d) for s, val, d in zip(s_values, values, dev))
-    csv_path = outdir / "null_product.csv"
-    _write_csv(csv_path, ["packet", "s", "re_value", "im_value", "relative_deviation"],
-               rows, comment)
-    return ScenarioResult([_leq("max_s_dependence", _worst(r[-1] for r in rows),
-                                cfg["tolerance"])], [csv_path.name])
+    header = ["packet", "s", "re_value", "im_value", "relative_deviation"]
+    return ScenarioResult([_leq("max_s_dependence", _worst(r[-1] for r in rows), cfg["tolerance"])],
+                          {"null_product.csv": (header, rows)})
 
 
-def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_mass_pairing(cfg: Mapping) -> ScenarioResult:
     k2, k3, u, m, mp, s, chi_a, chi_b = _draw_pairs(np.random.default_rng(cfg["seed"]),
                                                     cfg["n_draws"])
     lhs, rhs = mass_pairing_identity(
@@ -432,13 +416,10 @@ def run_mass_pairing(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult
     gap = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     rows = [(i, *cols) for i, cols in enumerate(
         zip(k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))]
-    csv_path = outdir / "mass_pairing.csv"
-    _write_csv(csv_path,
-               ["draw", "k2", "k3", "u", "m", "m_prime", "s",
-                "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"],
-               rows, comment)
+    header = ["draw", "k2", "k3", "u", "m", "m_prime", "s",
+              "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"]
     return ScenarioResult([_leq("max_relative_gap", _worst(gap), cfg["tolerance"])],
-                          [csv_path.name])
+                          {"mass_pairing.csv": (header, rows)})
 
 
 def _grid_family(cfg: Mapping) -> MassFamily:
@@ -462,11 +443,11 @@ def _grid_family(cfg: Mapping) -> MassFamily:
                       weights=np.ones((n_masses, u.size), dtype=complex))
 
 
-def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_mass_oscillation(cfg: Mapping) -> ScenarioResult:
     pot = cfg["potential"]
     epsilons = cfg["epsilons"]
     fam = _grid_family(cfg)
-    result = _build("mass-oscillation regulator", mass_oscillation_check, fam, fam, pot, epsilons)
+    result = mass_oscillation_check(fam, fam, pot, epsilons)
     checks = [_leq("relative_gap", result.relative_gap, cfg["tolerance"])]
 
     rows = [("diagonal", e, v.real, v.imag) for e, v in
@@ -477,8 +458,7 @@ def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
     if cfg["disjoint_null_check"]:
         fam_lo, fam_hi = (replace(fam, eta=smooth_bump(fam.masses, *cfg[support]))
                           for support in ("disjoint_support_low", "disjoint_support_high"))
-        null = _build("mass-oscillation disjoint supports", mass_oscillation_check,
-                      fam_lo, fam_hi, pot, epsilons)
+        null = mass_oscillation_check(fam_lo, fam_hi, pot, epsilons)
         scale = max(abs(result.lhs), 1e-300)
         null_tol = cfg["null_tolerance"]
         checks.append(_leq("null_lhs_over_diagonal", abs(null.lhs) / scale, null_tol))
@@ -488,12 +468,11 @@ def run_mass_oscillation(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
         rows.append(("disjoint_extrapolated", 0.0, null.lhs.real, null.lhs.imag))
         rows.append(("disjoint_rhs", 0.0, null.rhs.real, null.rhs.imag))
 
-    csv_path = outdir / "mass_oscillation.csv"
-    _write_csv(csv_path, ["case", "epsilon", "re_value", "im_value"], rows, comment)
-    return ScenarioResult(checks, [csv_path.name])
+    header = ["case", "epsilon", "re_value", "im_value"]
+    return ScenarioResult(checks, {"mass_oscillation.csv": (header, rows)})
 
 
-def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_decay_scan(cfg: Mapping) -> ScenarioResult:
     pot = cfg["potential"]
     u = np.linspace(*cfg["u_grid"])
     n = u.size
@@ -505,9 +484,8 @@ def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
     chi0 = np.tile(_random_pi_minus(rng)[0], (n, 1))
     weights = np.exp(-np.square((u - center) / sigma) / 2.0).astype(complex)
     du = abs(u[1] - u[0])
-    packet = _build("decay-scan packet", WavePacket,
-                    m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
-                    chi0=chi0, weights=weights, quad_weights=np.full(n, du))
+    packet = WavePacket(m=m, u=u, k2=np.full(n, k2), k3=np.full(n, k3),
+                        chi0=chi0, weights=weights, quad_weights=np.full(n, du))
     single = WavePacket(m=m, u=np.array([u[n // 2]]), k2=np.array([k2]),
                         k3=np.array([k3]), chi0=chi0[:1],
                         weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
@@ -518,15 +496,12 @@ def run_decay_scan(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
 
     rows = [(s, l, mag) for s, mags in zip(report.s_values, report.magnitudes)
             for l, mag in zip(report.l_values, mags)]
-    csv_path = outdir / "decay_scan.csv"
-    _write_csv(csv_path, ["s", "l", "pi_minus_norm"], rows, comment)
-
     checks = [
         _geq("min_fitted_decay_order", report.min_order, cfg["order_min"]),
         Check("single_mode_flagged_non_decaying",
               single_report.min_order, report.threshold, single_report.non_decaying),
     ]
-    return ScenarioResult(checks, [csv_path.name])
+    return ScenarioResult(checks, {"decay_scan.csv": (["s", "l", "pi_minus_norm"], rows)})
 
 
 _KERNEL_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
@@ -544,13 +519,13 @@ def _kernel_rows(modes: ModeParams, s, s_tilde, kernel: np.ndarray) -> list[list
     return np.column_stack([np.ravel(h) for h in head[:5]] + [entries]).tolist()
 
 
-def run_fp_kernel_export(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_fp_kernel_export(cfg: Mapping) -> ScenarioResult:
     pot = cfg["potential"]
     # one mode per (u, k2, k3) on axis 0, s on axis 1, s~ on axis 2
     u, k2, k3 = (x.ravel()[:, None, None] for x in
                  np.meshgrid(cfg["u_values"], cfg["k2_values"], cfg["k3_values"],
                              indexing="ij"))
-    modes = _build("fp-kernel-export mode", ModeParams, k2, k3, u, cfg["m"])
+    modes = ModeParams(k2, k3, u, cfg["m"])
     s = np.array(cfg["s_values"])[:, None]
     st = np.array(cfg["s_tilde_values"])
 
@@ -563,23 +538,22 @@ def run_fp_kernel_export(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRe
     norm = np.maximum(np.max(np.abs(kernel), axis=(-2, -1)), 1e-300)
     sym_gaps = np.max(np.abs(spin_adjoint(kernel) - mirrored), axis=(-2, -1)) / norm
     consistency_gaps = np.max(np.abs(kernel - (-sign) * causal), axis=(-2, -1)) / norm
-    csv_path = outdir / "fp_kernel.csv"
-    _write_csv(csv_path, _KERNEL_HEADER, _kernel_rows(modes, s, st, kernel), comment)
     tol = cfg["tolerance"]
     checks = [
         _leq("spin_adjoint_symmetry", _worst(sym_gaps), tol),
         _leq("projector_vs_causal_consistency", _worst(consistency_gaps), tol),
         _leq("coincidence_scalar", _worst(coincidence_gaps), tol),
     ]
-    return ScenarioResult(checks, [csv_path.name])
+    return ScenarioResult(checks, {"fp_kernel.csv": (_KERNEL_HEADER,
+                                                     _kernel_rows(modes, s, st, kernel))})
 
 
-def run_sidebands(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_sidebands(cfg: Mapping) -> ScenarioResult:
     lam, omega = cfg["amplitude"], cfg["frequency"]
     n_max = cfg["n_max"]
     per = cfg["samples_per_period"]
-    mode = _build("sidebands mode", ModeParams, cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
-    pot = _build("sidebands wave", HarmonicPotential, lam, omega)
+    mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    pot = HarmonicPotential(lam, omega)
     v0 = harmonic_carrier(mode, lam, omega)
     lines_an = harmonic_sidebands_analytic(mode, lam, omega, n_max)
     total_sq = sum(abs(l.amplitude) ** 2 for l in lines_an)
@@ -611,25 +585,23 @@ def run_sidebands(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
         + [abs(l.amplitude) for l in lines_zero if l.n != 0]
     )
 
-    an_path = outdir / "sidebands_analytic.csv"
-    fft_path = outdir / "sidebands_fft.csv"
-    for path, lines in ((an_path, lines_an), (fft_path, lines_fft)):
+    tables = {}
+    for name, lines in (("sidebands_analytic.csv", lines_an), ("sidebands_fft.csv", lines_fft)):
         amps = [complex(line.amplitude) for line in lines]
-        _write_csv(path, ["n", "v_n", "re_amp", "im_amp", "abs_amp"],
-                   [(line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)],
-                   comment)
+        tables[name] = (["n", "v_n", "re_amp", "im_amp", "abs_amp"],
+                        [(line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)])
     checks = [
         _leq("max_amplitude_relative_gap", _worst(amp_gaps), cfg["amplitude_tolerance"]),
         _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),
         _leq("sum_sq_deficit", abs(1.0 - total_sq), cfg["sum_sq_tolerance"]),
         _leq("zero_amplitude_collapse", collapse_err, 1e-12),
     ]
-    return ScenarioResult(checks, [an_path.name, fft_path.name])
+    return ScenarioResult(checks, tables)
 
 
-def run_wavefront_probe(cfg: Mapping, outdir: Path, comment: str) -> ScenarioResult:
+def run_wavefront_probe(cfg: Mapping) -> ScenarioResult:
     pot, window = cfg["potential"], cfg["window"]
-    mode = _build("wavefront-probe mode", ModeParams, cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
+    mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
     v_lo, v_hi, n_fit = cfg["v_fit"]
     plancherel = cfg["plancherel"]
 
@@ -652,22 +624,20 @@ def run_wavefront_probe(cfg: Mapping, outdir: Path, comment: str) -> ScenarioRes
 
     asym = cfg["asymmetry_report"]
     if asym is not None:
-        asym_mode = _build("asymmetry_report mode", ModeParams, *(
-            cfg[key] if asym[key] is None else asym[key] for key in ("k2", "k3", "u", "m")))
+        asym_mode = ModeParams(*(cfg[key] if asym[key] is None else asym[key]
+                                 for key in ("k2", "k3", "u", "m")))
         extra["asymmetry_report"] = tail_decay_orders(
             asym_mode, asym["potential"] or pot, asym["window"] or window, v_lo, v_hi)
 
-    fit_path = outdir / "wavefront_fit.csv"
-    dense_path = outdir / "wavefront_dense.csv"
-    for path, v, f in ((fit_path, v_fit, f_fit), (dense_path, v_dense, f_dense)):
-        # a lazy zip: the dense grid's formatted lines are never all held at once
-        _write_csv(path, ["v", "re_F", "im_F"],
-                   zip(v.tolist(), f.real.tolist(), f.imag.tolist()), comment)
+    # lazy zips: the dense grid's formatted lines are never all held at once
+    tables = {name: (["v", "re_F", "im_F"], zip(v.tolist(), f.real.tolist(), f.imag.tolist()))
+              for name, v, f in (("wavefront_fit.csv", v_fit, f_fit),
+                                 ("wavefront_dense.csv", v_dense, f_dense))}
     checks = [
         _geq("positive_tail_decay_order", order, cfg["order_min"]),
         _leq("plancherel_relative_error", pl_err, plancherel["tolerance"]),
     ]
-    return ScenarioResult(checks, [fit_path.name, dense_path.name], extra)
+    return ScenarioResult(checks, tables, extra)
 
 
 _SCENARIOS = {
@@ -715,44 +685,41 @@ _SCENARIOS = {
 }
 
 
-def run_scenario(scenario: str, cfg: dict, outdir: Path, workers: int) -> dict:
+def run_scenario(scenario: str, cfg: dict, outdir: Path, _ignored=None) -> dict:
     """Validate the raw config `cfg`, run one scenario and write its
-    artifacts and summary.json.
+    tables and summary.json to outdir.
 
-    workers is the validated --workers count; no scenario fans out, so
-    it does not change what runs or what is written.
+    A value the library refuses (a ValueError) is a ConfigError naming
+    the scenario; PotentialDomainError and UndersampledGridError pass
+    through as they are.  Nothing is written unless the runner returns.
+    The fourth parameter is ignored; the benchmark harness still passes
+    it, and ROADMAP item 6 drops it.
     """
     runner, identity = _SCENARIOS[scenario]
     valid = validate_config(scenario, cfg)
+    try:
+        result = runner(valid)
+    except (PotentialDomainError, UndersampledGridError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{scenario}: {exc}") from exc
     chash = _config_hash(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = runner(valid, outdir, f"config_sha256={chash}")
+    for name, (header, rows) in result.tables.items():
+        _write_csv(outdir / name, header, rows, f"config_sha256={chash}")
     summary = {
         "scenario": scenario,
         "identity": identity,
         "config_sha256": chash,
         "checks": [asdict(c) for c in result.checks],
         "passed": all(c.passed for c in result.checks),
-        "artifacts": result.artifacts,
+        "artifacts": list(result.tables),
         **result.extra,
     }
     summary = _json_safe(summary)
     with open(outdir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True, allow_nan=False)
     return summary
-
-
-def _worker_count(requested) -> int:
-    """--workers, else VOLKOV_FP_WORKERS, else 1; it must be a positive integer."""
-    if requested is None:
-        env = os.environ.get("VOLKOV_FP_WORKERS", "1")
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ConfigError(f"VOLKOV_FP_WORKERS must be an integer, got {env!r}") from None
-    if requested < 1:
-        raise ConfigError(f"worker count must be at least 1, got {requested}")
-    return requested
 
 
 def _show(x) -> str:
@@ -768,21 +735,14 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     parser.add_argument("--config", required=True, help="path to JSON config")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="accepted for compatibility and validated; no scenario starts worker "
-             "processes (default from VOLKOV_FP_WORKERS, else 1)",
-    )
     args = parser.parse_args(argv)
 
     try:
-        workers = _worker_count(args.workers)
-        summary = run_scenario(args.scenario, _load_config(args.config), Path(args.out),
-                               workers)
+        summary = run_scenario(args.scenario, _load_config(args.config), Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PotentialDomainError, UndersampledGridError) as exc:
+    except (PotentialDomainError, UndersampledGridError, ArithmeticError) as exc:
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -17,7 +17,9 @@ summed in modulus and taken relative to sum |w f| (an upper bound on
 every |integral|), are the error estimate.  While that estimate exceeds
 TOLERANCE the panels are halved, at most MAX_HALVINGS times; after that
 the rule raises ``UndersampledGridError`` rather than return an
-unchecked integral.
+unchecked integral.  So does a non-finite rate, and any rule, a halved
+one included, of more than _MAX_NODES nodes: it is refused before its
+nodes are allocated.
 
 Every Fourier sum over a panel rule, the halving check's and
 ``PanelRule.fourier``'s, is evaluated in factored form:
@@ -59,6 +61,7 @@ ORDER = 32
 WAVELENGTHS_PER_PANEL = 4.0
 TOLERANCE = 1e-12
 MAX_HALVINGS = 6
+_MAX_NODES = 2 ** 20
 _RATE_PROBE_POINTS = 128
 
 
@@ -164,6 +167,10 @@ def _halving_estimate(rule: PanelRule, fine: PanelRule, v_check) -> float:
 
 def _unchecked(lo: float, hi: float, n_panels: int, integrand) -> PanelRule:
     """The rule on n_panels panels, with no error estimate yet (inf)."""
+    if n_panels * ORDER > _MAX_NODES:
+        raise UndersampledGridError(
+            f"panel rule on [{lo:.6g}, {hi:.6g}] needs {n_panels * ORDER:.3g} nodes, "
+            f"more than {_MAX_NODES}")
     s, w = gl_panels(lo, hi, ORDER, n_panels)
     return PanelRule(lo, hi, n_panels, s, w, np.asarray(integrand(s)), np.inf)
 
@@ -179,9 +186,14 @@ def checked_panels(lo: float, hi: float, rate: float, integrand, v_check=(0.0,))
     """
     v_check = np.atleast_1d(np.asarray(v_check, dtype=float))
     fastest = rate + float(np.max(np.abs(v_check)))
-    if not (lo < hi and np.isfinite(hi - lo) and np.isfinite(fastest)):
-        raise ValueError("need a finite interval lo < hi and a finite oscillation rate")
-    n_panels = max(1, int(np.ceil((hi - lo) * fastest / (2.0 * np.pi * WAVELENGTHS_PER_PANEL))))
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError("need a finite interval lo < hi")
+    panels = (hi - lo) * fastest / (2.0 * np.pi * WAVELENGTHS_PER_PANEL)
+    if not np.isfinite(panels):
+        raise UndersampledGridError(
+            f"panel rule on [{lo:.6g}, {hi:.6g}] at oscillation rate {fastest:.3g}: "
+            "the panel count is not finite")
+    n_panels = max(1, int(np.ceil(panels)))
     rule = _unchecked(lo, hi, n_panels, integrand)
     for _ in range(MAX_HALVINGS + 1):
         fine = _unchecked(lo, hi, 2 * rule.n_panels, integrand)

@@ -1,12 +1,9 @@
-"""Scenario runner: exit codes, artifacts, determinism across worker counts."""
+"""Scenario runner: exit codes, artifacts, determinism run to run."""
 
 import ast
 import dataclasses
 import importlib.util
 import json
-import multiprocessing.pool
-import multiprocessing.process
-import os
 import subprocess
 import sys
 import tempfile
@@ -230,19 +227,14 @@ def test_scenario_passes_and_is_deterministic(tmp_path, scenario):
     cfg = small_configs()[scenario]
     cfg["scenario"] = scenario
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
-    out1 = tmp_path / "run1"
-    out8 = tmp_path / "run8"
-    code1 = cli.main([scenario, "--config", cfg_path, "--out", str(out1),
-                      "--workers", "1"])
-    code8 = cli.main([scenario, "--config", cfg_path, "--out", str(out8),
-                      "--workers", "8"])
-    assert code1 == cli.EXIT_PASS
-    assert code8 == cli.EXIT_PASS
-    bytes1 = _csv_bytes(out1)
-    bytes8 = _csv_bytes(out8)
-    assert bytes1.keys() == bytes8.keys() and len(bytes1) >= 1
-    for name in bytes1:
-        assert bytes1[name] == bytes8[name], f"{scenario}:{name} differs across workers"
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.main([scenario, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_PASS
+        runs.append(_csv_bytes(out))
+    assert runs[0].keys() == runs[1].keys() and len(runs[0]) >= 1
+    for name in runs[0]:
+        assert runs[0][name] == runs[1][name], f"{scenario}:{name} differs run to run"
 
 
 def test_summaries_name_the_identity_under_test(tmp_path):
@@ -470,43 +462,44 @@ def test_wavefront_probe_summary_reports_its_quadrature(tmp_path):
     assert header == "v,re_F,im_F"
 
 
-def _refuse_process(*args, **kwargs):
-    raise AssertionError("a worker process was started")
-
-
-@pytest.mark.parametrize("requested", [64, 2, 1])
-def test_worker_count_starts_no_process(tmp_path, monkeypatch, requested):
-    """--workers is validated but starts nothing: no pool, no child
-    process, and the CSV bytes of the default single-worker run."""
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", _refuse_process)
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _refuse_process)
-    monkeypatch.setattr(os, "fork", _refuse_process)
-    monkeypatch.delenv("VOLKOV_FP_WORKERS", raising=False)
+def test_workers_option_is_gone(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", small_configs()["dirac-residual"])
-    runs = {}
-    for name, extra in (("default", []), ("requested", ["--workers", str(requested)])):
-        assert cli.main(["dirac-residual", "--config", cfg_path,
-                         "--out", str(tmp_path / name), *extra]) == cli.EXIT_PASS
-        runs[name] = _csv_bytes(tmp_path / name)
-    assert runs["requested"] == runs["default"] and runs["default"]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dirac-residual", "--config", cfg_path, "--out", str(out), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("argv_workers, env", [
-    (["--workers", "0"], None),
-    (["--workers", "-3"], None),
-    ([], "two"),
-    ([], "0"),
-])
-def test_bad_worker_count_is_config_error(tmp_path, monkeypatch, capsys, argv_workers, env):
-    if env is None:
-        monkeypatch.delenv("VOLKOV_FP_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("VOLKOV_FP_WORKERS", env)
-    cfg_path = write_config(tmp_path, "cfg.json", small_configs()["dirac-residual"])
-    code = cli.main(["dirac-residual", "--config", cfg_path, "--out", str(tmp_path / "o"),
-                     *argv_workers])
-    assert code == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
+@pytest.mark.parametrize("scenario, path, value, code", [
+    ("wavefront-probe", ("m",), 1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("u",), -1e-300, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("window", "width"), 1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("plancherel", "dv"), 1e-300, cli.EXIT_CONFIG),
+    ("sidebands", ("k2",), 1e200, cli.EXIT_DOMAIN),
+    ("sidebands", ("frequency",), 1e200, cli.EXIT_CONFIG),
+    ("decay-scan", ("weight", "sigma"), 1e-300, cli.EXIT_CONFIG),
+], ids=["wavefront-huge-m", "wavefront-tiny-u", "wavefront-huge-window", "wavefront-tiny-dv",
+        "sidebands-huge-k2", "sidebands-huge-frequency", "decay-tiny-sigma"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenario, path,
+                                                        value, code):
+    """A value the library refuses exits 2 and an overflow exits 3, with one
+    error line and nothing written: each case once ended in a traceback
+    (or, for the huge frequency, in a NaN window and exit 1)."""
+    cfg = small_configs()[scenario]
+    holder = cfg
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([scenario, "--config", cfg_path, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    prefix = "config error:" if code == cli.EXIT_CONFIG else "numerical domain error:"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 TOLERANCE_KEYS = {"tolerance", "amplitude_tolerance", "sum_sq_tolerance", "null_tolerance"}
@@ -525,9 +518,10 @@ def _paths(value, prefix=()):
 @st.composite
 def mutated_configs(draw):
     """A small config with one key dropped, misspelled or added, or one value
-    retyped or overwritten.  No mutation enlarges a count or grid extent:
-    numbers become NaN, +-Infinity, 0 or -1, and 1e308 goes only into
-    tolerances, so every run stays small."""
+    retyped or overwritten.  Numbers become NaN, +-Infinity, 0, -1, +-1e200
+    or +-1e-300, and 1e308 goes only into tolerances.  An extreme value
+    must be refused before it is allocated: a count or grid extent of
+    1e200 exits 2 or 3 like any other."""
     scenario = draw(st.sampled_from(sorted(small_configs())))
     cfg = small_configs()[scenario]
     *parents, last = draw(st.sampled_from(list(_paths(cfg))))
@@ -539,7 +533,8 @@ def mutated_configs(draw):
     if isinstance(last, str):
         edits += ["drop", "misspell", "add"]
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        edits += [float("nan"), float("inf"), float("-inf"), 0, -1]
+        edits += [float("nan"), float("inf"), float("-inf"), 0, -1,
+                  1e200, -1e200, 1e-300, -1e-300]
         edits += [1e308] if last in TOLERANCE_KEYS else []
     edit = draw(st.sampled_from(edits))
     if edit == "drop":
@@ -568,7 +563,7 @@ def test_mutated_config_never_raises(case):
             summary = json.loads((out / "summary.json").read_text())
             assert summary["checks"] and summary["passed"] == (code == cli.EXIT_PASS)
         else:
-            assert not (out / "summary.json").exists()
+            assert not out.exists() or not any(out.iterdir())
 
 
 def _workload_configs():
@@ -634,7 +629,7 @@ from volkovfp import cli
 with tempfile.TemporaryDirectory() as tmp:
     for path in sys.argv[2:]:
         cfg = json.loads(Path(path).read_text())
-        cli.run_scenario(cfg["scenario"], cfg, Path(tmp) / Path(path).stem, 1)
+        cli.run_scenario(cfg["scenario"], cfg, Path(tmp) / Path(path).stem)
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -679,9 +674,9 @@ def test_csv_row_format_matches_per_cell_formatting(tmp_path):
 def test_batched_pi_minus_projection_matches_rows():
     rng = np.random.default_rng(3)
     raw = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
-    batched = cli._pi_minus_rows(raw)
+    batched = cli._unit_pi_minus(raw)
     for row, out in zip(raw, batched):
-        assert np.array_equal(cli._pi_minus_rows(row[None, :])[0], out)
+        assert np.array_equal(cli._unit_pi_minus(row[None, :])[0], out)
 
 
 def _reference_draw_modes(rng, n):
@@ -696,7 +691,7 @@ def _reference_draw_modes(rng, n):
         raw = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         draws.append((u, k2, k3, m, point, raw[0]))
     *columns, raw = (np.array(column) for column in zip(*draws))
-    return [*columns, cli._pi_minus_rows(raw)]
+    return [*columns, cli._unit_pi_minus(raw)]
 
 
 def _reference_draw_pairs(rng, n):
@@ -713,7 +708,7 @@ def _reference_draw_pairs(rng, n):
         raw_b = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         draws.append((k2, k3, u, m, mp, s, raw_a[0], raw_b[0]))
     *columns, raw_a, raw_b = (np.array(column) for column in zip(*draws))
-    return [*columns, cli._pi_minus_rows(raw_a), cli._pi_minus_rows(raw_b)]
+    return [*columns, cli._unit_pi_minus(raw_a), cli._unit_pi_minus(raw_b)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 257])
@@ -764,7 +759,7 @@ def test_per_mode_scenarios_are_byte_identical_run_to_run(tmp_path):
         for scenario, cfg in configs.items():
             summary = cli.run_scenario(
                 scenario, {"schema_version": 1, "scenario": scenario, "potential": harmonic,
-                           **cfg}, tmp_path / run / scenario, 1)
+                           **cfg}, tmp_path / run / scenario)
             assert summary["passed"], (scenario, summary["checks"])
         trees.append(_tree_bytes(tmp_path / run))
     assert len(trees[0]) == 2 * len(configs)  # one CSV and summary.json each

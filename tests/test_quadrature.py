@@ -38,6 +38,40 @@ def test_checked_panels_refuse_what_they_cannot_resolve():
             checked_panels(lo, hi, rate, np.cos)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 1e308])
+def test_non_finite_rate_is_undersampled(rate):
+    with pytest.raises(UndersampledGridError, match="panel count is not finite"):
+        checked_panels(-1e10, 1e10, rate, np.cos)
+
+
+def _never_evaluated(s):
+    raise AssertionError(f"integrand evaluated on {np.size(s)} nodes")
+
+
+def test_rule_past_the_node_cap_is_refused_before_allocating():
+    """A rate that implies about 4x the node cap raises before any node
+    array is built or the integrand is evaluated."""
+    cap = quadrature._MAX_NODES
+    rate = 4 * cap / ORDER * 2.0 * np.pi * quadrature.WAVELENGTHS_PER_PANEL
+    with pytest.raises(UndersampledGridError, match=f"more than {cap}"):
+        checked_panels(0.0, 1.0, rate, _never_evaluated)
+
+
+def test_halved_rule_past_the_node_cap_is_refused(monkeypatch):
+    """The halving check stops at the cap too: a kink never converges,
+    and no rule of more than _MAX_NODES nodes is evaluated."""
+    monkeypatch.setattr(quadrature, "_MAX_NODES", 8 * ORDER)
+    sizes = []
+
+    def kink(s):
+        sizes.append(s.size)
+        return np.abs(s - 0.3)
+
+    with pytest.raises(UndersampledGridError, match=f"more than {8 * ORDER}"):
+        checked_panels(-1.0, 1.0, 1.0, kink)
+    assert sizes == [ORDER, 2 * ORDER, 4 * ORDER, 8 * ORDER]
+
+
 def test_reference_rule_is_computed_once_and_read_only():
     x, w = quadrature._gl_reference(ORDER)
     assert quadrature._gl_reference(ORDER)[0] is x
