@@ -270,17 +270,24 @@ def _as_node_array(values, shape: tuple, name: str, dtype=float) -> np.ndarray:
 _NODE_GRID = ("u", "k2", "k3", "quad_weights")
 
 
-def _node_grid(u, k2, k3, quad_weights) -> tuple[np.ndarray, ...]:
-    """Checked float arrays (u, k2, k3, quad_weights) of one momentum grid:
-    at least one node, all finite, every u nonzero, the nodes distinct."""
+def _node_grid(u, k2, k3, quad_weights, batch: bool = False) -> tuple[np.ndarray, ...]:
+    """Checked float arrays (u, k2, k3, quad_weights) of one momentum grid,
+    shape (N,), or with `batch` of one grid per entry of leading axes,
+    (..., N): at least one node, all finite, every u nonzero, the nodes of
+    each grid distinct."""
     u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size == 0:
+    if u.ndim == 0 or u.size == 0:
         raise ValueError("node grid needs at least one node")
+    if u.ndim > 1 and not batch:
+        raise ValueError(f"node grid must be one 1-D array of nodes, got shape {u.shape}")
     if not np.all(np.isfinite(u)) or np.any(u == 0):
         raise ValueError("u must be finite and nonzero")
     k2 = _as_node_array(k2, u.shape, "k2")
     k3 = _as_node_array(k3, u.shape, "k3")
-    if len(set(zip(u.tolist(), k2.tolist(), k3.tolist()))) != u.size:
+    # each grid's nodes in (u, k2, k3) order: a repeat sits next to its twin
+    order = np.lexsort((k3, k2, u), axis=-1)
+    nodes = np.take_along_axis(np.stack((u, k2, k3)), order[None], axis=-1)
+    if (nodes[..., 1:] == nodes[..., :-1]).all(axis=0).any():
         raise ValueError("(u, k2, k3) nodes must be distinct")
     return u, k2, k3, _as_node_array(quad_weights, u.shape, "quad_weights")
 
@@ -296,7 +303,9 @@ class WavePacket:
 
     chi0 holds one Pi_minus amplitude per node (rows), weights the complex
     superposition coefficients and quad_weights the quadrature weights of
-    the momentum grid.
+    the momentum grid.  Leading axes make a batch of packets of one mass:
+    u, k2, k3, weights and quad_weights of shape (..., N), chi0 of shape
+    (..., N, 4), each packet's nodes distinct.
     """
 
     m: float
@@ -310,27 +319,33 @@ class WavePacket:
     def __post_init__(self):
         if not 0 < self.m < np.inf:
             raise ValueError("packet mass must be positive and finite")
-        u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights)
+        u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights, batch=True)
         _set_fields(self, u=u, k2=k2, k3=k3, quad_weights=qw,
                     chi0=_pi_minus_rows(self.chi0, "chi0", u.shape),
                     weights=_as_node_array(self.weights, u.shape, "weights", complex))
 
     @property
     def n_nodes(self) -> int:
-        return self.u.shape[0]
+        return self.u.shape[-1]
 
     def same_grid(self, other: "WavePacket") -> bool:
         return self.m == other.m and _same_node_grid(self, other)
 
 
+def _surfaces(s, packet: WavePacket) -> np.ndarray:
+    """Surfaces s as an array that broadcasts against the packet's node axes."""
+    s = np.asarray(s, dtype=float)
+    return s.reshape(s.shape + (1,) * packet.u.ndim)
+
+
 def packet_pi_minus(packet: WavePacket, pot: PlaneWavePotential, s) -> np.ndarray:
     """Weighted, evolved Pi_minus values of all packet nodes at surface s.
 
-    Returns an (n_nodes, 4) array w_i exp(-i Phi_i(0,s)/4u_i) chi0_i; an
-    array of surfaces gives one such block per surface, (..., n_nodes, 4).
+    Returns an (n_nodes, 4) array w_i exp(-i Phi_i(0,s)/4u_i) chi0_i (with
+    the batch axes of a batch of packets in front); an array of surfaces
+    gives one such block per surface, s.shape + (..., n_nodes, 4).
     """
-    s = np.asarray(s, dtype=float)[..., None]
-    factors = packet.weights * phase_factor(packet, pot, 0.0, s)
+    factors = packet.weights * phase_factor(packet, pot, 0.0, _surfaces(s, packet))
     return factors[..., None] * packet.chi0
 
 
@@ -340,8 +355,10 @@ def packet_pi_minus_field(packet: WavePacket, pot: PlaneWavePotential,
 
     Returns an (n_l, 4) array sum_i qw_i w_i e^{-i u_i l} e^{-i Phi_i/4u_i} chi0_i;
     an array of surfaces gives one such block per surface, (..., n_l, 4),
-    from one (n_l, n_nodes) kernel e^{-i l u_i}.
+    from one (n_l, n_nodes) kernel e^{-i l u_i}.  Takes one packet, not a batch.
     """
+    if packet.u.ndim != 1:
+        raise ValueError(f"packet field takes one packet, not a batch {packet.u.shape[:-1]}")
     l_values = np.atleast_1d(np.asarray(l_values, dtype=float))
     values = packet.quad_weights[:, None] * packet_pi_minus(packet, pot, s)
     kernel = np.exp(-1j * np.outer(l_values, packet.u))
@@ -355,12 +372,13 @@ def null_scalar_product(psi: WavePacket, phi: WavePacket, pot: PlaneWavePotentia
     (2 pi)^4 sum_i qw_i <Pi- chi^psi_i(s) | gamma0 Pi- chi^phi_i(s)>.
     On the range of Pi_minus the gamma0 pairing is the Euclidean one, so
     the result is positive for psi = phi != 0 and independent of s.  A
-    complex for one surface, an array for an array of surfaces.
+    complex for one surface and one packet pair; otherwise an array of
+    shape s.shape + the packets' batch shape.
     """
     if not psi.same_grid(phi):
         raise GridMismatchError("packets must share mass and (u, k2, k3) grid")
     # one node phase serves both packets, which share mass and grid
-    phases = phase_factor(psi, pot, 0.0, np.asarray(s, dtype=float)[..., None])
+    phases = phase_factor(psi, pot, 0.0, _surfaces(s, psi))
     a, b = ((p.weights * phases)[..., None] * p.chi0 for p in (psi, phi))
     # <a | gamma0 b> = a^dag gamma0 gamma0 b: the gamma0 pairing on the
     # Pi_minus range is the plain Euclidean one.

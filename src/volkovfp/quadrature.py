@@ -124,7 +124,9 @@ def phase_rate(mode, pot, lo: float, hi: float) -> float:
     check of ``checked_panels``.
     """
     probe = np.linspace(lo, hi, _RATE_PROBE_POINTS)
-    q_max = float(np.max(phase_integrand(pot, mode.k2, mode.k3, mode.m, probe)))
+    # a q past the float range is an infinite rate, which checked_panels refuses
+    with np.errstate(over="ignore"):
+        q_max = float(np.max(phase_integrand(pot, mode.k2, mode.k3, mode.m, probe)))
     return q_max / (4.0 * abs(mode.u))
 
 

@@ -94,6 +94,8 @@ class GaussianWindow:
     def __post_init__(self):
         if not (np.isfinite(self.center) and 0 < self.width < np.inf):
             raise ValueError("window center must be finite and width positive")
+        if self.width < np.sqrt(np.finfo(float).tiny):  # sample divides by 2 width^2
+            raise ValueError(f"window width {self.width:g} is too small: its square underflows")
 
     def sample(self, s):
         s = np.asarray(s, dtype=float)

@@ -480,14 +480,28 @@ def test_workers_option_is_gone(tmp_path, capsys):
     ("sidebands", ("k2",), 1e200, cli.EXIT_DOMAIN),
     ("sidebands", ("frequency",), 1e200, cli.EXIT_CONFIG),
     ("decay-scan", ("weight", "sigma"), 1e-300, cli.EXIT_CONFIG),
+    ("decay-scan", ("weight", "center"), 1e200, cli.EXIT_CONFIG),
+    ("decay-scan", ("weight", "center"), -1e200, cli.EXIT_CONFIG),
+    ("wavefront-probe", ("k2",), 1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("k3",), -1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("potential", "amplitude"), 1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("asymmetry_report",), {"k2": -1e200}, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("window", "width"), 1e-300, cli.EXIT_CONFIG),
+    ("sidebands", ("frequency",), -1e200, cli.EXIT_CONFIG),
+    ("sidebands", ("frequency",), 1e-300, cli.EXIT_DOMAIN),
 ], ids=["wavefront-huge-m", "wavefront-tiny-u", "wavefront-huge-window", "wavefront-tiny-dv",
-        "sidebands-huge-k2", "sidebands-huge-frequency", "decay-tiny-sigma"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+        "sidebands-huge-k2", "sidebands-huge-frequency", "decay-tiny-sigma",
+        "decay-huge-center", "decay-huge-negative-center", "wavefront-huge-k2",
+        "wavefront-huge-negative-k3", "wavefront-huge-amplitude", "wavefront-asymmetry-huge-k2",
+        "wavefront-tiny-window", "sidebands-huge-negative-frequency", "sidebands-tiny-frequency"])
+@pytest.mark.filterwarnings("error")
 def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenario, path,
                                                         value, code):
     """A value the library refuses exits 2 and an overflow exits 3, with one
-    error line and nothing written: each case once ended in a traceback
-    (or, for the huge frequency, in a NaN window and exit 1)."""
+    error line, nothing written and, with warnings raised as errors, no
+    numpy warning: each case once ended in a traceback, in a NaN window and
+    exit 1, or printed a RuntimeWarning (an overflow, or 0/0 in the
+    Gaussian window) before its error line."""
     cfg = small_configs()[scenario]
     holder = cfg
     for key in path[:-1]:
@@ -500,6 +514,16 @@ def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenar
     prefix = "config error:" if code == cli.EXIT_CONFIG else "numerical domain error:"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflow_line_names_scenario_and_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(k2=1e200))
+    out = tmp_path / "out"
+    assert cli.main(["sidebands", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("numerical domain error: sidebands: OverflowError: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 TOLERANCE_KEYS = {"tolerance", "amplitude_tolerance", "sum_sq_tolerance", "null_tolerance"}
@@ -727,6 +751,66 @@ def test_draws_follow_the_per_number_stream(draw, reference, seed, n):
         assert column.shape == want.shape and np.array_equal(column, want)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def _reference_draw_packets(rng, n_packets, n_nodes):
+    """The null-product draws one Generator call per number, in the order
+    the per-packet loop first read them: psi's log |u|, k2, k3, spinors
+    (real then imaginary), weights (real then imaginary) and quadrature
+    weights, then phi's spinors and weights."""
+    def numbers(draw, *args, shape=(n_nodes,)):
+        return np.array([draw(*args) for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    def amplitudes():
+        re, im = (numbers(rng.normal, shape=(n_nodes, 4)) for _ in range(2))
+        weights = numbers(rng.normal)
+        return cli._unit_pi_minus(re + 1j * im), weights + 1j * numbers(rng.normal)
+
+    packets = []
+    for _ in range(n_packets):
+        u = -np.exp(numbers(rng.uniform, np.log(0.1), np.log(2.0)))
+        u += np.linspace(0.0, 1e-9, n_nodes)
+        k2, k3 = numbers(rng.normal, 0.0, 0.5), numbers(rng.normal, 0.0, 0.5)
+        chi_psi, w_psi = amplitudes()
+        qw = numbers(rng.uniform, 0.1, 1.0)
+        packets.append((u, k2, k3, qw, chi_psi, w_psi, *amplitudes()))
+    return [np.array(column) for column in zip(*packets)]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (150, 10)], ids=str)
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_packet_draws_follow_the_per_number_stream(seed, shape):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    columns, expected = cli._draw_packets(rng, *shape), _reference_draw_packets(ref_rng, *shape)
+    assert len(columns) == len(expected) == 8
+    for column, want in zip(columns, expected):
+        assert column.shape == want.shape and np.array_equal(column, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_packets", [1, 5, 40])
+def test_null_product_makes_one_product_call(tmp_path, monkeypatch, n_packets):
+    """All packets and surfaces go through one null_scalar_product call, on
+    one batch of psi and one of phi."""
+    calls = {"product": 0, "packet": 0}
+    product, post_init = cli.null_scalar_product, cli.WavePacket.__post_init__
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
+
+    def counted_post_init(self):
+        calls["packet"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cli, "null_scalar_product", counted_product)
+    monkeypatch.setattr(cli.WavePacket, "__post_init__", counted_post_init)
+    cfg = {**small_configs()["null-product-invariance"], "n_packets": n_packets}
+    summary = cli.run_scenario("null-product-invariance", cfg, tmp_path)
+    assert summary["passed"]
+    assert calls == {"product": 1, "packet": 2}
+    rows = (tmp_path / "null_product.csv").read_text().splitlines()[2:]
+    assert len(rows) == n_packets * len(cfg["s_values"])
 
 
 def _closed_form_configs():

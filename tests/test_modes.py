@@ -32,7 +32,8 @@ from volkovfp.modes import (
     reconstruct_full,
     smooth_bump,
 )
-from volkovfp.potential import HarmonicPotential, PulsePotential, ZeroPotential, transverse_phase
+from volkovfp.potential import (HarmonicPotential, PulsePotential, TabulatedPotential,
+                                ZeroPotential, transverse_phase)
 
 N_PLUS, N_MINUS, PI_PLUS, PI_MINUS = lightcone_operators()
 ID4 = np.eye(4)
@@ -518,6 +519,67 @@ def test_null_product_pairs_the_two_packets_evolutions(rng, pot):
     pairing = np.sum(np.conj(a) * b, axis=-1)
     expected = (2.0 * np.pi) ** 4 * np.sum(psi.quad_weights * pairing, axis=-1)
     assert np.array_equal(null_scalar_product(psi, phi, pot, surfaces), expected)
+
+
+_TAB_GRID = np.linspace(-12.0, 12.0, 49)
+BATCH_PROFILES = pytest.mark.parametrize("pot", [
+    HarmonicPotential(0.3, 1.0), PulsePotential(0.3, 1.0, 2.0),
+    TabulatedPotential(_TAB_GRID, 0.3 * np.cos(_TAB_GRID), 0.1 * np.sin(_TAB_GRID)),
+], ids=["harmonic", "pulse", "tabulated"])
+_PACKET_ARRAYS = ("u", "k2", "k3", "chi0", "weights", "quad_weights")
+
+
+def _batch(packets, shape):
+    """Packets of one mass as one batch with leading axes `shape`."""
+    return WavePacket(packets[0].m, *(
+        np.stack([getattr(p, name) for p in packets]).reshape(*shape, *getattr(packets[0], name).shape)
+        for name in _PACKET_ARRAYS))
+
+
+@BATCH_PROFILES
+@pytest.mark.parametrize("shape", [(5,), (2, 3)], ids=str)
+def test_null_product_of_a_batch_matches_the_packet_loop(rng, pot, shape):
+    n_packets = int(np.prod(shape))
+    psis = [random_packet(rng, n_nodes=6) for _ in range(n_packets)]
+    phis = [companion_packet(rng, psi) for psi in psis]
+    psi, phi = _batch(psis, shape), _batch(phis, shape)
+    assert psi.n_nodes == 6 and psi.chi0.shape == (*shape, 6, 4)
+    surfaces = np.array([0.0, -7.5, 2.5, 10.0])
+    expected = np.stack([null_scalar_product(a, b, pot, surfaces) for a, b in zip(psis, phis)],
+                        axis=-1).reshape(4, *shape)
+    assert np.array_equal(null_scalar_product(psi, phi, pot, surfaces), expected)
+    assert np.array_equal(null_scalar_product(psi, phi, pot, 2.5), expected[2])
+    values = packet_pi_minus(psi, pot, surfaces)
+    assert values.shape == (4, *shape, 6, 4)
+    assert np.array_equal(values.reshape(4, n_packets, 6, 4)[:, 1],
+                          packet_pi_minus(psis[1], pot, surfaces))
+
+
+def test_nodes_are_distinct_per_packet_of_a_batch(rng):
+    batch = _batch([random_packet(rng, n_nodes=4) for _ in range(3)], (3,))
+    # every packet on the first packet's nodes: the batch is fine
+    shared = {name: np.repeat(getattr(batch, name)[:1], 3, axis=0) for name in ("u", "k2", "k3")}
+    assert replace(batch, **shared).n_nodes == 4
+    # the last packet repeats its node 0 as node 2
+    for name in shared:
+        shared[name][2, 2] = shared[name][2, 0]
+    with pytest.raises(ValueError, match=r"\(u, k2, k3\) nodes must be distinct"):
+        replace(batch, **shared)
+    # twins apart in every one of u, k2 and k3 order alone
+    u, k2, k3 = (np.array([[-0.5, -0.5, -0.7, -0.5]]), np.array([[0.0, 1.0, 0.0, 0.0]]),
+                 np.array([[0.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match="nodes must be distinct"):
+        WavePacket(1.0, u, k2, k3, np.zeros((1, 4, 4)), np.ones((1, 4)), np.ones((1, 4)))
+
+
+def test_field_and_family_take_one_grid(rng):
+    batch = _batch([random_packet(rng, n_nodes=4) for _ in range(2)], (2,))
+    with pytest.raises(ValueError, match="not a batch"):
+        packet_pi_minus_field(batch, ZeroPotential(), 0.0, [20.0, 40.0])
+    family = grid_family(rng)
+    with pytest.raises(ValueError, match="one 1-D array of nodes"):
+        replace(family, **{name: getattr(family, name)[None]
+                           for name in ("u", "k2", "k3", "quad_weights")})
 
 
 @pytest.mark.parametrize("bad_u", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])

@@ -544,8 +544,10 @@ def test_smeared_profile_requires_negative_u(rng):
     ({"u": [-0.7, -0.7], "k2": [0.3, 0.3], "k3": [0.0, 0.0]}, "nodes must be distinct"),
     ({"spinors": np.full((2, 4), np.nan + 0j)}, "spinors must be finite"),
     ({"s_support": (-np.inf, 14.0)}, "s support must be a finite"),
+    ({"u": [[-0.7, -0.5]], "k2": [[0.3, -0.1]], "k3": [[0.0, 0.0]], "quad_weights": [[1.0, 1.0]]},
+     "one 1-D array of nodes"),
 ], ids=["long-k2", "short-k2", "short-quad-weights", "nan-k2", "nan-mass", "zero-mass",
-        "repeated-node", "nan-spinors", "infinite-support"])
+        "repeated-node", "nan-spinors", "infinite-support", "batched-grid"])
 def test_smeared_profile_checks_its_grid(rng, edits, match):
     phi, _ = _profiles(rng)
     with pytest.raises(ValueError, match=match):
