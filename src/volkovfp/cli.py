@@ -20,6 +20,13 @@ calls it, maps every library error to a config or a domain error, and
 only then writes the tables and summary.json, so a run that exits 2 or 3
 leaves no file.  This is the only module of the package that writes
 files, and every CSV goes through `_write_csv`.
+
+A table is column-wise: a header and equal-length 1-D arrays or lists.
+A column's dtype sets its cells' format: float %.17g, integer %d, text
+%s.  `volkovfp.csvformat` formats blocks of about 4096 cells with numpy,
+byte for byte as the per-cell % operator does; a cell whose rounding it
+cannot prove (non-finite, |x| outside [1e-280, 1e280], or within 1e-6
+of a tie) is formatted by Python's % itself.
 """
 
 from __future__ import annotations
@@ -32,19 +39,19 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .clifford import spin_adjoint
+from .csvformat import csv_lines
 from .modes import (
     MassFamily,
     ModeAmplitude,
     ModeParams,
     WavePacket,
+    _mode_and_dirac,
     mass_pairing_identity,
-    mode_wavefunction,
-    dirac_residual,
     null_decay_scan,
     null_scalar_product,
     phase_factor,
@@ -98,10 +105,10 @@ _bool = kind(lambda v: isinstance(v, bool), "true or false")
 
 
 def _grid(value, name: str) -> tuple[float, float, int]:
-    """[lo, hi, n]: finite ends and an integer count n."""
+    """[lo, hi, n]: finite ends and an integer count n that fits an index."""
     grid = numbers(value, name)
-    if len(grid) != 3 or not grid[2].is_integer():
-        raise ValueError(f"{name} must be [lo, hi, n] with an integer n")
+    if len(grid) != 3 or not grid[2].is_integer() or abs(grid[2]) > sys.maxsize:
+        raise ValueError(f"{name} must be [lo, hi, n] with an integer n of index size")
     return grid[0], grid[1], int(grid[2])
 
 
@@ -220,22 +227,16 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows, comment: str) -> None:
+def _write_csv(path: Path, header: list[str], columns, comment: str) -> None:
     """The artifact format: a `# comment` line, the header, one line per row.
 
-    rows is any iterable, read once as the file is written.  The rows share
-    their column types, so the first row sets the format of all: text as
-    is, integers in decimal, other numbers as %.17g (which round-trips a double).
+    columns are equal-length 1-D arrays or lists, one per header field,
+    formatted by their dtype: floats as %.17g (which round-trips a double),
+    integers as %d and text as %s (see volkovfp.csvformat).
     """
-    rows = iter(rows)
-    first = next(rows, None)
-    with open(path, "w") as fh:
-        fh.write(f"# {comment}\n{','.join(header)}\n")
-        if first is not None:
-            fmt = ",".join("%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer))
-                           else "%.17g" for c in first) + "\n"
-            fh.write(fmt % tuple(first))
-            fh.writelines(fmt % tuple(row) for row in rows)
+    with open(path, "wb") as fh:
+        fh.write(f"# {comment}\n{','.join(header)}\n".encode())
+        fh.writelines(csv_lines(columns))
 
 
 @dataclass
@@ -253,11 +254,11 @@ class Check:
 
 class ScenarioResult(NamedTuple):
     """What a runner returns: its checks, the tables run_scenario writes
-    (file name -> (header, rows), in artifact order) and any extra
+    (file name -> (header, columns), in artifact order) and any extra
     summary.json entries."""
 
     checks: list[Check]
-    tables: Mapping[str, tuple[list[str], Iterable]]
+    tables: Mapping[str, tuple[list[str], list]]
     extra: Mapping = MappingProxyType({})
 
 
@@ -411,14 +412,14 @@ def run_dirac_residual(cfg: Mapping) -> ScenarioResult:
     u, k2, k3, m, points, chi0 = _draw_modes(rng, cfg["n_modes"])
     mode = ModeParams(k2=k2, k3=k3, u=u, m=m)
     amp = ModeAmplitude(chi0)
-    resid = dirac_residual(amp, mode, pot, points.T)
-    norm = np.linalg.norm(mode_wavefunction(amp, mode, pot, points.T), axis=-1)
+    psi, dirac_psi = _mode_and_dirac(amp, mode, pot, points.T)
+    resid = np.linalg.norm(dirac_psi, axis=-1)
+    norm = np.linalg.norm(psi, axis=-1)
     relative = resid / norm
-    rows = [(i, *cols) for i, cols in
-            enumerate(zip(u, k2, k3, m, *points.T, resid, norm, relative))]
+    columns = [np.arange(u.size), u, k2, k3, m, *points.T, resid, norm, relative]
     header = ["idx", "u", "k2", "k3", "m", "s", "l", "y", "z", "residual", "norm", "relative"]
     return ScenarioResult([_leq("max_relative_dirac_residual", _worst(relative), cfg["tolerance"])],
-                          {"dirac_residual.csv": (header, rows)})
+                          {"dirac_residual.csv": (header, columns)})
 
 
 def run_null_product_invariance(cfg: Mapping) -> ScenarioResult:
@@ -432,11 +433,12 @@ def run_null_product_invariance(cfg: Mapping) -> ScenarioResult:
     values = np.array(values)
     # each scale is abs of one value, which can differ from np.abs in the last bit
     dev = np.abs(values - base) / [max(abs(b), 1e-300) for b in base]
-    per_packet = zip(values.real.T.tolist(), values.imag.T.tolist(), dev.T.tolist())
-    rows = [(p, *cols) for p, packet in enumerate(per_packet) for cols in zip(s_values, *packet)]
+    # packet-major rows: packet p's row for each surface in turn
+    columns = [np.repeat(np.arange(base.size), len(s_values)), np.tile(s_values, base.size),
+               values.real.T.ravel(), values.imag.T.ravel(), dev.T.ravel()]
     header = ["packet", "s", "re_value", "im_value", "relative_deviation"]
     return ScenarioResult([_leq("max_s_dependence", _worst(dev.ravel()), cfg["tolerance"])],
-                          {"null_product.csv": (header, rows)})
+                          {"null_product.csv": (header, columns)})
 
 
 def run_mass_pairing(cfg: Mapping) -> ScenarioResult:
@@ -447,12 +449,12 @@ def run_mass_pairing(cfg: Mapping) -> ScenarioResult:
         ModeAmplitude(chi_b), ModeParams(k2, k3, u, mp), cfg["potential"], s,
     )
     gap = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-    rows = [(i, *cols) for i, cols in enumerate(
-        zip(k2, k3, u, m, mp, s, lhs.real, lhs.imag, rhs.real, rhs.imag, gap))]
+    columns = [np.arange(k2.size), k2, k3, u, m, mp, s,
+               lhs.real, lhs.imag, rhs.real, rhs.imag, gap]
     header = ["draw", "k2", "k3", "u", "m", "m_prime", "s",
               "re_lhs", "im_lhs", "re_rhs", "im_rhs", "relative_gap"]
     return ScenarioResult([_leq("max_relative_gap", _worst(gap), cfg["tolerance"])],
-                          {"mass_pairing.csv": (header, rows)})
+                          {"mass_pairing.csv": (header, columns)})
 
 
 def _grid_family(cfg: Mapping) -> MassFamily:
@@ -482,11 +484,15 @@ def run_mass_oscillation(cfg: Mapping) -> ScenarioResult:
     fam = _grid_family(cfg)
     result = mass_oscillation_check(fam, fam, pot, epsilons)
     checks = [_leq("relative_gap", result.relative_gap, cfg["tolerance"])]
+    cases, eps, values = [], [], []
 
-    rows = [("diagonal", e, v.real, v.imag) for e, v in
-            zip(result.epsilons, result.lhs_by_epsilon)]
-    rows.append(("diagonal_extrapolated", 0.0, result.lhs.real, result.lhs.imag))
-    rows.append(("diagonal_rhs", 0.0, result.rhs.real, result.rhs.imag))
+    def add(case, res):
+        """Rows of one check: each epsilon, the extrapolation, the rhs."""
+        cases.extend([case] * len(res.epsilons) + [f"{case}_extrapolated", f"{case}_rhs"])
+        eps.extend([*res.epsilons, 0.0, 0.0])
+        values.extend([*res.lhs_by_epsilon, res.lhs, res.rhs])
+
+    add("diagonal", result)
 
     if cfg["disjoint_null_check"]:
         fam_lo, fam_hi = (replace(fam, eta=smooth_bump(fam.masses, *cfg[support]))
@@ -496,13 +502,12 @@ def run_mass_oscillation(cfg: Mapping) -> ScenarioResult:
         null_tol = cfg["null_tolerance"]
         checks.append(_leq("null_lhs_over_diagonal", abs(null.lhs) / scale, null_tol))
         checks.append(_leq("null_rhs_over_diagonal", abs(null.rhs) / scale, null_tol))
-        rows.extend(("disjoint", e, v.real, v.imag) for e, v in
-                    zip(null.epsilons, null.lhs_by_epsilon))
-        rows.append(("disjoint_extrapolated", 0.0, null.lhs.real, null.lhs.imag))
-        rows.append(("disjoint_rhs", 0.0, null.rhs.real, null.rhs.imag))
+        add("disjoint", null)
 
+    values = np.array(values)
     header = ["case", "epsilon", "re_value", "im_value"]
-    return ScenarioResult(checks, {"mass_oscillation.csv": (header, rows)})
+    return ScenarioResult(checks, {"mass_oscillation.csv": (
+        header, [cases, eps, values.real, values.imag])})
 
 
 def run_decay_scan(cfg: Mapping) -> ScenarioResult:
@@ -531,29 +536,31 @@ def run_decay_scan(cfg: Mapping) -> ScenarioResult:
     report = null_decay_scan(packet, pot, s_values, l_both)
     single_report = null_decay_scan(single, pot, s_values[:1], l_both)
 
-    rows = [(s, l, mag) for s, mags in zip(report.s_values, report.magnitudes)
-            for l, mag in zip(report.l_values, mags)]
+    n_s, n_l = report.magnitudes.shape
+    columns = [np.repeat(report.s_values, n_l), np.tile(report.l_values, n_s),
+               report.magnitudes.ravel()]
     checks = [
         _geq("min_fitted_decay_order", report.min_order, cfg["order_min"]),
         Check("single_mode_flagged_non_decaying",
               single_report.min_order, report.threshold, single_report.non_decaying),
     ]
-    return ScenarioResult(checks, {"decay_scan.csv": (["s", "l", "pi_minus_norm"], rows)})
+    return ScenarioResult(checks, {"decay_scan.csv": (["s", "l", "pi_minus_norm"], columns)})
 
 
 _KERNEL_HEADER = ["u", "k2", "k3", "s", "s_tilde"] + [
     f"{part}_{i}{j}" for i in range(4) for j in range(4) for part in ("re", "im")]
 
 
-def _kernel_rows(modes: ModeParams, s, s_tilde, kernel: np.ndarray) -> list[list]:
-    """One row (u, k2, k3, s, s~, re/im of each entry) per kernel value.
+def _kernel_columns(modes: ModeParams, s, s_tilde, kernel: np.ndarray) -> list[np.ndarray]:
+    """The columns u, k2, k3, s, s~ and re/im of each entry, one row per
+    kernel value.
 
     The mode fields, s and s~ broadcast to the leading axes of kernel,
     (..., 4, 4), and the rows follow those axes in C order (mode-major).
     """
     head = np.broadcast_arrays(modes.u, modes.k2, modes.k3, s, s_tilde, kernel[..., 0, 0].real)
     entries = np.stack([kernel.real, kernel.imag], axis=-1).reshape(-1, 32)
-    return np.column_stack([np.ravel(h) for h in head[:5]] + [entries]).tolist()
+    return [np.ravel(h) for h in head[:5]] + list(entries.T)
 
 
 def run_fp_kernel_export(cfg: Mapping) -> ScenarioResult:
@@ -582,7 +589,7 @@ def run_fp_kernel_export(cfg: Mapping) -> ScenarioResult:
         _leq("coincidence_scalar", _worst(coincidence_gaps), tol),
     ]
     return ScenarioResult(checks, {"fp_kernel.csv": (_KERNEL_HEADER,
-                                                     _kernel_rows(modes, s, st, kernel))})
+                                                     _kernel_columns(modes, s, st, kernel))})
 
 
 def run_sidebands(cfg: Mapping) -> ScenarioResult:
@@ -626,7 +633,8 @@ def run_sidebands(cfg: Mapping) -> ScenarioResult:
     for name, lines in (("sidebands_analytic.csv", lines_an), ("sidebands_fft.csv", lines_fft)):
         amps = [complex(line.amplitude) for line in lines]
         tables[name] = (["n", "v_n", "re_amp", "im_amp", "abs_amp"],
-                        [(line.n, line.v, a.real, a.imag, abs(a)) for line, a in zip(lines, amps)])
+                        [[line.n for line in lines], [line.v for line in lines],
+                         [a.real for a in amps], [a.imag for a in amps], [abs(a) for a in amps]])
     checks = [
         _leq("max_amplitude_relative_gap", _worst(amp_gaps), cfg["amplitude_tolerance"]),
         _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),
@@ -666,8 +674,7 @@ def run_wavefront_probe(cfg: Mapping) -> ScenarioResult:
         extra["asymmetry_report"] = tail_decay_orders(
             asym_mode, asym["potential"] or pot, asym["window"] or window, v_lo, v_hi)
 
-    # lazy zips: the dense grid's formatted lines are never all held at once
-    tables = {name: (["v", "re_F", "im_F"], zip(v.tolist(), f.real.tolist(), f.imag.tolist()))
+    tables = {name: (["v", "re_F", "im_F"], [v, f.real, f.imag])
               for name, v, f in (("wavefront_fit.csv", v_fit, f_fit),
                                  ("wavefront_dense.csv", v_dense, f_dense))}
     checks = [

@@ -235,6 +235,14 @@ def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential
     times unit-modulus phase factors.  A float for one mode, an array
     of norms for a batch (point coordinates as in mode_wavefunction).
     """
+    norms = np.linalg.norm(_mode_and_dirac(amp, mode, pot, point)[1], axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def _mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential, point):
+    """The mode at a point, as mode_wavefunction gives it, and the Dirac
+    operator applied to it there, from one evaluation of the phase, the
+    completion and the plane factor."""
     s, l, y, z = point
     u, m = mode.u, mode.m
     aslash = transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s))
@@ -250,8 +258,8 @@ def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential
         + _apply(aslash, chi) - _vec(m) * chi
     # The transverse/longitudinal plane-wave factors are unit modulus and
     # do not change the norm, but keep the evaluation at the requested point.
-    norms = np.linalg.norm(_vec(_plane_factor(mode, l, y, z)) * residual, axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
+    plane = _vec(_plane_factor(mode, l, y, z))
+    return plane * chi, plane * residual
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,8 @@ def mass_oscillation_check(
 
     lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])
     scale = max(abs(rhs), 1e-300)
-    gap = abs(lhs - rhs) / scale
+    with np.errstate(over="ignore"):  # a gap past the float range is inf and fails its check
+        gap = abs(lhs - rhs) / scale
     return MassOscillationResult(
         epsilons=epsilons,
         lhs_by_epsilon=tuple(complex(v) for v in lhs_by_eps),

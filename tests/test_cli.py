@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volkovfp import cli
-from volkovfp.modes import ModeParams
+from volkovfp.modes import ModeParams, smooth_bump
 from volkovfp.potential import (HarmonicPotential, PulsePotential, TabulatedPotential,
                                 ZeroPotential)
-from volkovfp.projector import fp_kernel_momentum
+from volkovfp.projector import fp_kernel_momentum, mass_oscillation_check
 from volkovfp.spectral import (GaussianWindow, HannWindow, harmonic_sidebands_analytic,
                                windowed_phase_transform)
 
@@ -516,6 +517,57 @@ def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenar
     assert not out.exists() or not any(out.iterdir())
 
 
+_GRID_KEYS = [("mass-oscillation", "u_grid"), ("mass-oscillation", "k2_grid"),
+              ("mass-oscillation", "k3_grid"), ("decay-scan", "u_grid"),
+              ("wavefront-probe", "v_fit")]
+
+
+def test_grid_keys_are_the_listed_ones():
+    parsed = [(scenario, name) for scenario, (keys, _) in cli.CONFIG_TABLES.items()
+              for name, key in keys.items() if key.kind is cli._grid]
+    assert sorted(parsed) == sorted(_GRID_KEYS)
+
+
+@pytest.mark.parametrize("count", [1e200, -1e200, 2.0 ** 63])
+@pytest.mark.parametrize("scenario, key", _GRID_KEYS, ids=lambda v: v)
+def test_grid_count_past_an_index_is_config_error(tmp_path, capsys, scenario, key, count):
+    """An integral grid count that fits no index exits 2 naming its key (a
+    count of 1e200 once overflowed the grid allocation and exited 3)."""
+    cfg = small_configs()[scenario]
+    cfg[key] = [*cfg[key][:2], count]
+    out = tmp_path / "out"
+    code = cli.main([scenario, "--config", write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: config.{key} must be [lo, hi, n] with an integer n of index size\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["k2_grid", "k3_grid"])
+@pytest.mark.parametrize("end", [1e200, -1e200])
+def test_overflowed_mass_oscillation_gap_is_inf_without_warning(tmp_path, key, end):
+    """A transverse grid out to 1e200 overflows the disjoint pairing's gap,
+    which no check reads: the run passes under -W error and the gap is inf."""
+    cfg = json.loads((ROOT / "configs" / "mass_oscillation.json").read_text())
+    lo, hi, n = cfg[key]
+    cfg[key] = [lo, end, n] if end > 0 else [end, hi, n]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "volkovfp.cli", "mass-oscillation",
+         "--config", write_config(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])})
+    assert (done.returncode, done.stderr) == (cli.EXIT_PASS, "")
+    valid = cli.validate_config("mass-oscillation", cfg)
+    fam = cli._grid_family(valid)
+    fam_lo, fam_hi = (dataclasses.replace(fam, eta=smooth_bump(fam.masses, *valid[support]))
+                      for support in ("disjoint_support_low", "disjoint_support_high"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        null = mass_oscillation_check(fam_lo, fam_hi, valid["potential"], valid["epsilons"])
+    assert null.relative_gap == np.inf
+
+
 def test_overflow_line_names_scenario_and_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, "cfg.json", sidebands_config(k2=1e200))
     out = tmp_path / "out"
@@ -674,12 +726,16 @@ def test_runs_without_sidebands_import_no_scipy_submodule():
 
 
 def _fmt_cell(x) -> str:
-    """Per-cell CSV formatting that _write_csv's row format must reproduce."""
+    """Per-cell CSV formatting that _write_csv's column formats must reproduce."""
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
+
+
+def _columns(rows) -> list[list]:
+    return [list(column) for column in zip(*rows)]
 
 
 def test_csv_row_format_matches_per_cell_formatting(tmp_path):
@@ -688,11 +744,37 @@ def test_csv_row_format_matches_per_cell_formatting(tmp_path):
     rows = [("case", i, np.int64(-i), bool(i % 2), x, np.float64(-x))
             for i, x in enumerate([*specials, *rng.normal(size=20) * 10.0 ** rng.integers(-9, 9, 20)])]
     path = tmp_path / "t.csv"
-    cli._write_csv(path, ["a", "b", "c", "d", "e", "f"], rows, "c")
+    cli._write_csv(path, ["a", "b", "c", "d", "e", "f"], _columns(rows), "c")
     expected = ["# c", "a,b,c,d,e,f", *(",".join(map(_fmt_cell, row)) for row in rows)]
     assert path.read_text() == "\n".join(expected) + "\n"
-    cli._write_csv(path, ["a"], [], "c")
+    cli._write_csv(path, ["a"], [[]], "c")
     assert path.read_text() == "# c\na\n"
+
+
+def _per_row_csv(header, columns, comment) -> bytes:
+    """The artifact as the per-row writer first wrote it: one % format per
+    row, set by the first row's cell types (text %s, integers %d, other
+    numbers %.17g)."""
+    rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
+    lines = [f"# {comment}\n{','.join(header)}\n"]
+    if rows:
+        fmt = ",".join("%s" if isinstance(c, str) else "%d" if isinstance(c, (int, np.integer))
+                       else "%.17g" for c in rows[0]) + "\n"
+        lines += [fmt % row for row in rows]
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_csvs_match_the_per_row_writer(tmp_path, config):
+    """Every CSV of every shipped config, byte for byte what the per-row %
+    writer makes of the same table."""
+    cfg = json.loads(config.read_text())
+    runner = cli._SCENARIOS[cfg["scenario"]][0]
+    tables = runner(cli.validate_config(cfg["scenario"], cfg)).tables
+    assert tables
+    for name, (header, columns) in tables.items():
+        cli._write_csv(tmp_path / name, header, columns, "c")
+        assert (tmp_path / name).read_bytes() == _per_row_csv(header, columns, "c"), name
 
 
 def test_batched_pi_minus_projection_matches_rows():
@@ -851,24 +933,24 @@ def test_per_mode_scenarios_are_byte_identical_run_to_run(tmp_path):
 
 
 def test_csv_writers_match_per_row_formatting(tmp_path):
-    """_write_csv streams any iterable of rows (the wavefront files pass a zip),
-    byte for byte what a per-row f-string writer produces."""
+    """_write_csv writes columns (the wavefront files pass v, re F and im F)
+    byte for byte as a per-row f-string writer does."""
     specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
     v = np.array(specials + list(np.random.default_rng(4).normal(size=12) * 1e5))
     f = np.empty(v.size, dtype=complex)
     f.real, f.imag = v[::-1], -v
     path = tmp_path / "t.csv"
     header = ["v", "re_F", "im_F"]
-    cli._write_csv(path, header, zip(v.tolist(), f.real.tolist(), f.imag.tolist()), "c")
+    cli._write_csv(path, header, [v, f.real, f.imag], "c")
     rows = ["# c", "v,re_F,im_F"] + [f"{a:.17g},{b.real:.17g},{b.imag:.17g}" for a, b in zip(v, f)]
     assert path.read_text() == "\n".join(rows) + "\n"
-    cli._write_csv(path, header, zip([], [], []), "c")
+    cli._write_csv(path, header, [[], [], []], "c")
     assert path.read_text() == "# c\nv,re_F,im_F\n"
 
     # spectral-line rows: the line index n is a %d column
     amps = [complex(1e-310, np.nan), complex(-0.0, np.inf), 0.5 - 0.25j]
     lines = [(n, -0.0 if n else 1e308, a.real, a.imag, abs(a)) for n, a in enumerate(amps, -1)]
-    cli._write_csv(path, ["n", "v_n", "re_amp", "im_amp", "abs_amp"], lines, "c")
+    cli._write_csv(path, ["n", "v_n", "re_amp", "im_amp", "abs_amp"], _columns(lines), "c")
     rows = ["# c", "n,v_n,re_amp,im_amp,abs_amp"] + [
         f"{n},{v:.17g},{re:.17g},{im:.17g},{mag:.17g}" for n, v, re, im, mag in lines]
     assert path.read_text() == "\n".join(rows) + "\n"
@@ -923,7 +1005,7 @@ def test_kernel_csv_export(tmp_path):
 
 
 def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
-    """One %-format per row prints exactly what a %.17g f-string per cell does."""
+    """The kernel columns print exactly what a %.17g f-string per cell does."""
     specials = [0.0, -0.0, 1e-310, -5e-324, 1e308, 0.1, np.nan, np.inf, -np.inf]
     value = np.empty((len(specials), 4, 4), dtype=complex)
     value.real = np.random.default_rng(5).normal(size=value.shape) * 1e3
@@ -932,11 +1014,13 @@ def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
     mode = ModeParams(k2=np.nan_to_num(specials, posinf=2.0, neginf=-2.0), k3=-0.0, u=-1e-310, m=1.0)
     one = ModeParams(k2=0.3, k3=-0.1, u=-0.5, m=1.0)
     pot = HarmonicPotential(0.2, 1.0)
-    rows = (cli._kernel_rows(mode, np.array(specials), np.inf, value)
-            + cli._kernel_rows(one, 0.1, -0.2, fp_kernel_momentum(one, pot, 0.1, -0.2)))
-    assert len(rows) == len(specials) + 1 and all(len(row) == 37 for row in rows)
+    columns = [np.concatenate(pair) for pair in zip(
+        cli._kernel_columns(mode, np.array(specials), np.inf, value),
+        cli._kernel_columns(one, 0.1, -0.2, fp_kernel_momentum(one, pot, 0.1, -0.2)))]
+    rows = list(zip(*columns))
+    assert len(rows) == len(specials) + 1 and len(columns) == 37
     path = tmp_path / "kernel.csv"
-    cli._write_csv(path, cli._KERNEL_HEADER, rows, "c")
+    cli._write_csv(path, cli._KERNEL_HEADER, columns, "c")
     expected = ["# c", ",".join(cli._KERNEL_HEADER)] + [
         ",".join(f"{cell:.17g}" for cell in row) for row in rows]
     assert path.read_text() == "\n".join(expected) + "\n"
@@ -969,7 +1053,7 @@ def test_only_cli_writes_files():
     write_bytes: every artifact is written by cli."""
     package = Path(cli.__file__).resolve().parent
     modules = sorted(p for p in package.glob("*.py") if p.name != "cli.py")
-    assert len(modules) == 8
+    assert len(modules) == 9
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
