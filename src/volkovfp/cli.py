@@ -112,6 +112,10 @@ def _grid(value, name: str) -> tuple[float, float, int]:
     return grid[0], grid[1], int(grid[2])
 
 
+# The most points a config may ask of one grid, as checked_panels caps a
+# panel rule's nodes: a larger grid is a config error, not a MemoryError.
+_MAX_GRID_POINTS = 2 ** 20
+
 _FINITE = Key(number)
 _POSITIVE = Key(number, lambda x: x > 0, "positive")
 _COUNT = Key(_integer, lambda n: n >= 1, "at least 1")
@@ -150,11 +154,19 @@ CONFIG_TABLES = {
                         _POSITIVE_INTERVAL._replace(default=None)),
     }, rules=((lambda c: not c["disjoint_null_check"] or None not in (
         c["null_tolerance"], c["disjoint_support_low"], c["disjoint_support_high"]),
-        "disjoint_null_check needs null_tolerance and both disjoint supports"),)),
+        "disjoint_null_check needs null_tolerance and both disjoint supports"),
+        (lambda c: c["n_masses"] * c["u_grid"][2] * c["k2_grid"][2] * c["k3_grid"][2]
+         <= _MAX_GRID_POINTS,
+         f"n_masses x u_grid x k2_grid x k3_grid, the mass family's size, "
+         f"must be at most {_MAX_GRID_POINTS}"),
+        (lambda c: c["u_grid"][2] * len(c["epsilons"]) * c["n_masses"] ** 2 <= _MAX_GRID_POINTS,
+         f"u_grid x epsilons x n_masses^2, the size of the (u, epsilon, m, m') table, "
+         f"must be at most {_MAX_GRID_POINTS}"))),
     "decay-scan": Table({
         **_DRAWN,
-        "u_grid": Key(_grid, lambda g: g[2] >= 2 and not np.any(np.linspace(*g) == 0),
-                      "[lo, hi, n] with n >= 2 whose points avoid u = 0"),
+        "u_grid": Key(_grid, lambda g: 2 <= g[2] <= _MAX_GRID_POINTS
+                      and not np.any(np.linspace(*g) == 0),
+                      f"[lo, hi, n] with 2 <= n <= {_MAX_GRID_POINTS} whose points avoid u = 0"),
         "weight": Key(partial(validate, Table({"center": _FINITE, "sigma": _POSITIVE}))),
         **dict.fromkeys(("k2", "k3", "m", "order_min"), _FINITE),
         "l_range": _POSITIVE_INTERVAL,
@@ -182,12 +194,15 @@ CONFIG_TABLES = {
         "potential": _POTENTIAL,
         **_MODE,
         "window": _WINDOW,
-        "v_fit": Key(_grid, lambda g: 0 < g[0] < g[1] and g[2] >= 8,
-                     "[lo, hi, n] with 0 < lo < hi, n >= 8"),
+        "v_fit": Key(_grid, lambda g: 0 < g[0] < g[1] and 8 <= g[2] <= _MAX_GRID_POINTS,
+                     f"[lo, hi, n] with 0 < lo < hi, 8 <= n <= {_MAX_GRID_POINTS}"),
         "order_min": _FINITE,
         "plancherel": Key(partial(validate, Table(
             {"v_max": _POSITIVE, "dv": _POSITIVE, "tolerance": _FINITE},
-            rules=((lambda p: p["dv"] < p["v_max"], "need dv < v_max"),)))),
+            rules=((lambda p: p["dv"] < p["v_max"], "need dv < v_max"),
+                   (lambda p: 2.0 * p["v_max"] / p["dv"] + 1.0 <= _MAX_GRID_POINTS,
+                    f"2 v_max / dv + 1, the dense v grid's size, "
+                    f"must be at most {_MAX_GRID_POINTS}"))))),
         # a field left out takes the probe's own value
         "asymmetry_report": Key(partial(validate, Table({
             **dict.fromkeys(_MODE, _FINITE._replace(default=None)),

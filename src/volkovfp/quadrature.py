@@ -32,6 +32,21 @@ product, for any v grid; the transform is I summed over the panels.  No
 (v, s) kernel is built.  The rounding of each node's sum mid_p + h x_q
 enters to first order, so the factored sum is taken on the rule's own
 nodes.
+
+The reference nodes are symmetric to the bit, x_{n-1-q} = -x_q
+(``leggauss`` symmetrises them), so the (v, order) table is computed for
+the upper half of the nodes only and its lower half is the conjugate.
+Each e^{i x} is cos x + i sin x of the real x.  ``PanelRule.fourier``
+works out the rule's factors once (the node roundings and the
+(order, panel x 2 x column) matrix of w f) and then takes v in blocks
+whose tables and products stay under about 1 MiB, so its memory does not
+grow with the v grid.  The bits are those of one full table: cos and
+sin are even and odd to the bit, numpy's exp of i x is cos x + i sin x,
+and each row of a matrix product is independent of the other rows.  The
+one exception is a one-row product, which goes through a BLAS
+matrix-vector kernel that rounds differently; no block is a single row
+unless v is a single value.  The tests pin the bits against the
+full-table form.
 """
 
 from __future__ import annotations
@@ -62,6 +77,7 @@ WAVELENGTHS_PER_PANEL = 4.0
 TOLERANCE = 1e-12
 MAX_HALVINGS = 6
 _MAX_NODES = 2 ** 20
+_BLOCK_BYTES = 2 ** 20
 _RATE_PROBE_POINTS = 128
 
 
@@ -85,10 +101,32 @@ class PanelRule:
 
     def fourier(self, v) -> np.ndarray:
         """sum_j w_j f(s_j) e^{i v s_j} at every v, factored over the panels,
-        of shape v.shape + the shape of one integrand value (values.shape[1:])."""
+        of shape v.shape + the shape of one integrand value (values.shape[1:]).
+
+        The v values are taken in nearly equal blocks of at most
+        _block_rows(self) values, whose temporaries stay under about
+        _BLOCK_BYTES (1 MiB); beyond them only the result and the rule's
+        (order, panel x 2 x column) matrix are held, whatever the size of v.
+        """
         v = np.asarray(v, dtype=float)
-        sums = _panel_integrals(self, v.reshape(-1)).sum(axis=1)
+        flat = v.reshape(-1)
+        factors = _factors(self)
+        sums = np.empty((flat.size, self.values.size // self.nodes.size), dtype=complex)
+        n_blocks = -(-flat.size // _block_rows(self))
+        bounds = [flat.size * i // n_blocks for i in range(n_blocks + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            sums[start:stop] = _panel_integrals(factors, flat[start:stop]).sum(axis=1)
         return sums.reshape(v.shape + self.values.shape[1:])
+
+
+def _block_rows(rule: PanelRule) -> int:
+    """Most v values per block of PanelRule.fourier: as many as keep the
+    block's tables and products, about 16 (2 order + panels (4 columns + 2))
+    bytes per v, under _BLOCK_BYTES, and at least 3, so that nearly equal
+    blocks of two or more values never hold a single one."""
+    order = rule.nodes.size // rule.n_panels
+    columns = rule.values.size // rule.nodes.size
+    return max(3, _BLOCK_BYTES // (16 * (2 * order + rule.n_panels * (4 * columns + 2))))
 
 
 @cache
@@ -130,14 +168,15 @@ def phase_rate(mode, pot, lo: float, hi: float) -> float:
     return q_max / (4.0 * abs(mode.u))
 
 
-def _panel_integrals(rule: PanelRule, v: np.ndarray) -> np.ndarray:
-    """(v, panel, column) integrals of f e^{i v s} over each panel of rule.
+def _factors(rule: PanelRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the Fourier sums over rule share at every v: the panel
+    midpoints mid_p, the reference nodes scaled to a panel, h x_q, and
+    the (order, panel x 2 x column) matrix of w f and r w f.
 
     Every node is s_pq = mid_p + h x_q + r_pq, where r_pq is the rounding
     of that sum, recovered exactly by a two-sum.  So on the rule's own
     nodes e^{i v s_pq} = e^{i v mid_p} e^{i v h x_q} (1 + i v r_pq), up to
-    (v r)^2 / 2: one (v, order) and one (v, panel) table of exponentials
-    and one product (v, order) @ (order, panel x 2 column).
+    (v r)^2 / 2.
     """
     mid, half = _panel_geometry(rule.lo, rule.hi, rule.n_panels)
     hx = half * _gl_reference(rule.nodes.size // rule.n_panels)[0]
@@ -146,10 +185,34 @@ def _panel_integrals(rule: PanelRule, v: np.ndarray) -> np.ndarray:
     r = ((s - hx_rounded) - mid[:, None]) + (hx_rounded - hx)
     wf = (rule.weights[:, None] * rule.values.reshape(s.size, -1)).reshape(*s.shape, -1)
     both = np.concatenate([wf, r[:, :, None] * wf], axis=2).transpose(1, 0, 2)
-    sums = (np.exp(1j * np.outer(v, hx)) @ both.reshape(hx.size, -1)).reshape(
-        v.size, rule.n_panels, 2, -1)
+    return mid, hx, both.reshape(hx.size, -1)
+
+
+def _unit_phases(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i x} of the real x, as cos x + i sin x, written into out."""
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _panel_integrals(factors, v: np.ndarray) -> np.ndarray:
+    """(v, panel, column) integrals of f e^{i v s} over each panel of the
+    rule whose _factors are given.
+
+    One (v, order) and one (v, panel) table of exponentials and one
+    product (v, order) @ (order, panel x 2 column).  The reference nodes
+    are symmetric, x_{n-1-q} = -x_q exactly, so the (v, order) table is
+    built from the upper half of them and its lower half is the conjugate.
+    """
+    mid, hx, both = factors
+    order, low = hx.size, hx.size // 2
+    table = np.empty((v.size, order), dtype=complex)
+    _unit_phases(np.outer(v, hx[low:]), table[:, low:])
+    np.conjugate(table[:, order - 1:order - low - 1:-1], out=table[:, :low])
+    sums = (table @ both).reshape(v.size, mid.size, 2, -1)
     per_panel = sums[:, :, 0] + 1j * v[:, None, None] * sums[:, :, 1]
-    return per_panel * np.exp(1j * np.outer(v, mid))[:, :, None]
+    mid_phases = _unit_phases(np.outer(v, mid), np.empty((v.size, mid.size), dtype=complex))
+    return per_panel * mid_phases[:, :, None]
 
 
 def _halving_estimate(rule: PanelRule, fine: PanelRule, v_check) -> float:
@@ -162,8 +225,9 @@ def _halving_estimate(rule: PanelRule, fine: PanelRule, v_check) -> float:
     bound = float(np.max(np.abs(rule.weights) @ np.abs(rule.values.reshape(rule.weights.size, -1))))
     if bound == 0.0:
         return 0.0
-    halved = _panel_integrals(fine, v_check).reshape(v_check.size, rule.n_panels, 2, -1).sum(axis=2)
-    diff = halved - _panel_integrals(rule, v_check)
+    halved = _panel_integrals(_factors(fine), v_check).reshape(
+        v_check.size, rule.n_panels, 2, -1).sum(axis=2)
+    diff = halved - _panel_integrals(_factors(rule), v_check)
     return float(np.max(np.sum(np.abs(diff), axis=1))) / bound
 
 

@@ -55,7 +55,21 @@ def literal(value, default=REQUIRED) -> Key:
 
 
 def is_number(value) -> bool:
-    """A finite real number, not a bool, that converts to a float without overflow."""
+    """A finite real number, not a bool, that converts to a float without overflow.
+
+    A float or an int, the types JSON numbers parse to, is judged directly;
+    every other value (a bool, a numpy scalar, a text) goes through the
+    numbers-ABC checks of _is_real_number, which agree on floats and ints.
+    """
+    if type(value) is float:
+        return math.isfinite(value)
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return _is_real_number(value)
+
+
+def _is_real_number(value) -> bool:
+    """is_number for any value, through the numbers ABCs."""
     if isinstance(value, _numbers.Integral):
         return not isinstance(value, bool) and abs(value) <= sys.float_info.max
     return isinstance(value, _numbers.Real) and math.isfinite(value)

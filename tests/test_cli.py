@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -542,6 +543,52 @@ def test_grid_count_past_an_index_is_config_error(tmp_path, capsys, scenario, ke
     err = capsys.readouterr().err
     assert err == f"config error: config.{key} must be [lo, hi, n] with an integer n of index size\n"
     assert not out.exists()
+
+
+_FAMILY = "n_masses x u_grid x k2_grid x k3_grid"
+_WEIGHT_TABLE = "u_grid x epsilons x n_masses^2"
+
+
+@pytest.mark.parametrize("scenario, override, named", [
+    ("mass-oscillation", {"n_masses": 2 ** 20}, _FAMILY),
+    ("mass-oscillation", {"u_grid": [-0.1, -0.05, 1e18]}, _FAMILY),
+    ("mass-oscillation", {"k2_grid": [-0.2, 0.2, 2 ** 18]}, _FAMILY),
+    ("mass-oscillation", {"k3_grid": [-0.2, 0.2, 2 ** 18]}, _FAMILY),
+    ("mass-oscillation", {"n_masses": 600}, _WEIGHT_TABLE),
+    ("mass-oscillation", {"n_masses": 300, "epsilons": [0.1 / 2 ** i for i in range(12)]},
+     _WEIGHT_TABLE),
+    ("wavefront-probe", {"plancherel": {"v_max": 60.0, "dv": 1e-4, "tolerance": 1e-6}},
+     "2 v_max / dv + 1"),
+    ("wavefront-probe", {"v_fit": [5.0, 50.0, 2 ** 20 + 1]}, "config.v_fit"),
+    ("decay-scan", {"u_grid": [-2.0, -0.2, 2 ** 20 + 1]}, "config.u_grid"),
+], ids=["n_masses", "u_grid", "k2_grid", "k3_grid", "weight-table-n_masses",
+        "weight-table-epsilons", "plancherel", "v_fit", "decay-u_grid"])
+def test_grid_past_the_point_cap_is_refused_before_allocating(tmp_path, capsys, monkeypatch,
+                                                              scenario, override, named):
+    """A config-sized grid of more than _MAX_GRID_POINTS points exits 2 naming
+    its keys, writes nothing and allocates nothing: the runner is never
+    reached (a mass-oscillation u_grid count of 1e18 once ended in a
+    MemoryError traceback)."""
+    def never_run(cfg):
+        raise AssertionError("the runner was reached")
+
+    monkeypatch.setitem(cli._SCENARIOS, scenario, (never_run, cli._SCENARIOS[scenario][1]))
+    cfg = small_configs()[scenario]
+    cfg.update(override)
+    cfg_path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main([scenario, "--config", cfg_path, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err and f"{cli._MAX_GRID_POINTS}" in err
+    assert not out.exists()
+    assert peak < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("key", ["k2_grid", "k3_grid"])

@@ -1,10 +1,16 @@
 """The shared Gauss-Legendre panel rule and its a-posteriori check."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from volkovfp import quadrature
+from volkovfp.modes import ModeParams
+from volkovfp.potential import HarmonicPotential
 from volkovfp.quadrature import ORDER, UndersampledGridError, checked_panels, gl_panels
+from volkovfp.spectral import GaussianWindow, HannWindow, transform_rule
 
 
 @pytest.mark.parametrize("lo, hi, n", [(-0.1, -0.05, 9), (-0.4, 0.4, 5), (0.3, 2.7, 1)])
@@ -111,7 +117,7 @@ def test_factored_fourier_matches_direct_kernel(v, lo, hi, n_panels, integrand):
     rule = quadrature.PanelRule(lo, hi, n_panels, s, w, values, 0.0)
     expected = _oracle(rule, v)
     bound = np.abs(w) @ np.abs(values.reshape(s.size, -1))
-    per_panel = quadrature._panel_integrals(rule, v)
+    per_panel = quadrature._panel_integrals(quadrature._factors(rule), v)
     assert per_panel.shape == expected.shape
     assert np.all(np.max(np.abs(per_panel - expected), axis=(0, 1)) <= 2e-15 * bound)
     got = rule.fourier(v)
@@ -127,3 +133,72 @@ def test_checked_rule_fourier_matches_direct_kernel_for_columns():
     bound = np.abs(rule.weights) @ np.abs(rule.values)
     assert rule.n_panels > 1 and rule.fourier(v).shape == (61, 3)
     assert np.all(np.max(np.abs(rule.fourier(v) - expected), axis=0) <= 2e-15 * bound)
+
+
+def _full_table_panel_integrals(rule, v):
+    """(v, panel, column) integrals from one (v, order) and one (v, panel)
+    table of np.exp over every v and node: the form PanelRule.fourier took
+    before it took v in blocks, kept as the oracle of its bits."""
+    mid, half = quadrature._panel_geometry(rule.lo, rule.hi, rule.n_panels)
+    hx = half * quadrature._gl_reference(rule.nodes.size // rule.n_panels)[0]
+    s = rule.nodes.reshape(rule.n_panels, hx.size)
+    hx_rounded = s - mid[:, None]
+    r = ((s - hx_rounded) - mid[:, None]) + (hx_rounded - hx)
+    wf = (rule.weights[:, None] * rule.values.reshape(s.size, -1)).reshape(*s.shape, -1)
+    both = np.concatenate([wf, r[:, :, None] * wf], axis=2).transpose(1, 0, 2)
+    sums = (np.exp(1j * np.outer(v, hx)) @ both.reshape(hx.size, -1)).reshape(
+        v.size, rule.n_panels, 2, -1)
+    per_panel = sums[:, :, 0] + 1j * v[:, None, None] * sums[:, :, 1]
+    return per_panel * np.exp(1j * np.outer(v, mid))[:, :, None]
+
+
+# The benchmark's Hann wavefront probe: its 8001-point Plancherel grid and mode.
+_DENSE_V = np.arange(-80.0, 80.0 + 0.01, 0.02)
+_PROBE = (ModeParams(0.3, 0.0, -0.5, 1.0), HarmonicPotential(0.2, 1.0))
+_WINDOWS = {"hann": HannWindow(-4.0, 4.0), "gaussian": GaussianWindow(0.0, 0.155)}
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+def test_blocked_fourier_has_the_bits_of_the_full_table(window, columns):
+    """Every v gets the same bits in a block as in one full table: sizes
+    around the block size B put a row alone in no block, and 8001 takes
+    many blocks.  (The one-table form is the oracle, so it passes this
+    trivially but has no B.)"""
+    rule = transform_rule(*_PROBE, _WINDOWS[window], _DENSE_V)
+    if columns == 3:
+        rule = replace(rule, values=rule.values[:, None] * _columns(rule.nodes))
+    block = quadrature._block_rows(rule)
+    assert _DENSE_V.size > 2 * block
+    for n in (1, 2, block - 1, block, block + 1, 2 * block + 1, _DENSE_V.size):
+        v = _DENSE_V[:n]
+        got = rule.fourier(v)
+        want = _full_table_panel_integrals(rule, v).sum(axis=1).reshape(got.shape)
+        assert got.tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 31, ORDER])
+def test_reference_nodes_are_antisymmetric_to_the_bit(order):
+    """_panel_integrals takes the lower half of its (v, order) table as the
+    conjugate of the upper half: a numpy whose leggauss stopped
+    symmetrising its nodes fails here instead of moving the transform's bits.
+    A guard rather than a regression test: it holds with or without the
+    half table."""
+    x = quadrature._gl_reference(order)[0]
+    assert np.array_equal(x[::-1], -x)
+
+
+def test_fourier_memory_does_not_grow_with_v():
+    """On the Hann probe's 8001 v values the one-table form peaked at
+    15.9 MiB of temporaries; the blocks stay under about 1 MiB beside the
+    125 KiB result."""
+    rule = transform_rule(*_PROBE, _WINDOWS["hann"], _DENSE_V)
+    rule.fourier(_DENSE_V[:3])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rule.fourier(_DENSE_V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 2 * 2 ** 20
