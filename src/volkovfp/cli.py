@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from functools import partial
@@ -116,6 +117,12 @@ def _grid(value, name: str) -> tuple[float, float, int]:
 # panel rule's nodes: a larger grid is a config error, not a MemoryError.
 _MAX_GRID_POINTS = 2 ** 20
 
+
+def _budget(size, what: str):
+    """Rule that size(config), the size `what` names, is at most _MAX_GRID_POINTS."""
+    return (lambda c: size(c) <= _MAX_GRID_POINTS, f"{what} must be at most {_MAX_GRID_POINTS}")
+
+
 _FINITE = Key(number)
 _POSITIVE = Key(number, lambda x: x > 0, "positive")
 _COUNT = Key(_integer, lambda n: n >= 1, "at least 1")
@@ -127,17 +134,21 @@ _GL_GRID = Key(_grid, lambda g: g[0] < g[1] and g[2] >= 1, "[lo, hi, n] with lo 
 _POTENTIAL = Key(potential_from_descriptor)
 _WINDOW = Key(window_from_descriptor)
 _MODE = dict.fromkeys(("k2", "k3", "u", "m"), _FINITE)
+_KERNEL_AXES = ("u_values", "k2_values", "k3_values", "s_values", "s_tilde_values")
 _DRAWN = {"seed": _NATURAL, "potential": _POTENTIAL}
 
 CONFIG_TABLES = {
-    "dirac-residual": Table({**_DRAWN, "n_modes": _COUNT, "tolerance": _FINITE}),
+    "dirac-residual": Table({**_DRAWN, "n_modes": _COUNT, "tolerance": _FINITE},
+                            rules=(_budget(lambda c: c["n_modes"], "n_modes, the number of modes"),)),
     "null-product-invariance": Table({
         **_DRAWN,
         **dict.fromkeys(("n_packets", "nodes_per_packet"), _COUNT),
         "s_values": _NUMBERS,
         "tolerance": _FINITE,
-    }),
-    "mass-pairing": Table({**_DRAWN, "n_draws": _COUNT, "tolerance": _FINITE}),
+    }, rules=(_budget(lambda c: c["n_packets"] * c["nodes_per_packet"],
+                      "n_packets x nodes_per_packet, the number of packet nodes"),)),
+    "mass-pairing": Table({**_DRAWN, "n_draws": _COUNT, "tolerance": _FINITE},
+                          rules=(_budget(lambda c: c["n_draws"], "n_draws, the number of pairs"),)),
     "mass-oscillation": Table({
         **_DRAWN,
         "mass_interval": _POSITIVE_INTERVAL,
@@ -155,13 +166,10 @@ CONFIG_TABLES = {
     }, rules=((lambda c: not c["disjoint_null_check"] or None not in (
         c["null_tolerance"], c["disjoint_support_low"], c["disjoint_support_high"]),
         "disjoint_null_check needs null_tolerance and both disjoint supports"),
-        (lambda c: c["n_masses"] * c["u_grid"][2] * c["k2_grid"][2] * c["k3_grid"][2]
-         <= _MAX_GRID_POINTS,
-         f"n_masses x u_grid x k2_grid x k3_grid, the mass family's size, "
-         f"must be at most {_MAX_GRID_POINTS}"),
-        (lambda c: c["u_grid"][2] * len(c["epsilons"]) * c["n_masses"] ** 2 <= _MAX_GRID_POINTS,
-         f"u_grid x epsilons x n_masses^2, the size of the (u, epsilon, m, m') table, "
-         f"must be at most {_MAX_GRID_POINTS}"))),
+        _budget(lambda c: c["n_masses"] * c["u_grid"][2] * c["k2_grid"][2] * c["k3_grid"][2],
+                "n_masses x u_grid x k2_grid x k3_grid, the mass family's size"),
+        _budget(lambda c: c["u_grid"][2] * len(c["epsilons"]) * c["n_masses"] ** 2,
+                "u_grid x epsilons x n_masses^2, the size of the (u, epsilon, m, m') table"))),
     "decay-scan": Table({
         **_DRAWN,
         "u_grid": Key(_grid, lambda g: 2 <= g[2] <= _MAX_GRID_POINTS
@@ -172,14 +180,18 @@ CONFIG_TABLES = {
         "l_range": _POSITIVE_INTERVAL,
         "n_l": Key(_integer, lambda n: n >= 8, "at least 8"),
         "s_values": _NUMBERS,
-    }),
+    }, rules=(_budget(lambda c: 2 * c["n_l"] * c["u_grid"][2],
+                      "2 n_l x u_grid, the size of the (l, u) kernel"),
+              _budget(lambda c: len(c["s_values"]) * c["u_grid"][2],
+                      "s_values x u_grid, the size of the (s, u) packet table"))),
     "fp-kernel-export": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,
         "u_values": Key(numbers, lambda v: len(v) > 0 and max(v) < 0, "negative numbers"),
-        **dict.fromkeys(("k2_values", "k3_values", "s_values", "s_tilde_values"), _NUMBERS),
+        **dict.fromkeys(_KERNEL_AXES[1:], _NUMBERS),
         **dict.fromkeys(("m", "tolerance"), _FINITE),
-    }),
+    }, rules=(_budget(lambda c: math.prod(len(c[key]) for key in _KERNEL_AXES),
+                      " x ".join(_KERNEL_AXES) + ", the number of kernels"),)),
     "sidebands": Table({
         **dict.fromkeys(("amplitude", "frequency", "amplitude_tolerance", "sum_sq_tolerance"),
                         _FINITE),
@@ -188,7 +200,9 @@ CONFIG_TABLES = {
         **dict.fromkeys(("periods", "samples_per_period"), _COUNT),
     }, rules=((lambda c: c["n_compare"] <= c["n_max"], "need n_compare <= n_max"),
               (lambda c: c["periods"] * c["samples_per_period"] >= 2,
-               "need periods * samples_per_period >= 2 samples"))),
+               "need periods * samples_per_period >= 2 samples"),
+              _budget(lambda c: c["periods"] * c["samples_per_period"],
+                      "periods x samples_per_period, the s grid's size"))),
     "wavefront-probe": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,
@@ -200,9 +214,8 @@ CONFIG_TABLES = {
         "plancherel": Key(partial(validate, Table(
             {"v_max": _POSITIVE, "dv": _POSITIVE, "tolerance": _FINITE},
             rules=((lambda p: p["dv"] < p["v_max"], "need dv < v_max"),
-                   (lambda p: 2.0 * p["v_max"] / p["dv"] + 1.0 <= _MAX_GRID_POINTS,
-                    f"2 v_max / dv + 1, the dense v grid's size, "
-                    f"must be at most {_MAX_GRID_POINTS}"))))),
+                   _budget(lambda p: 2.0 * p["v_max"] / p["dv"] + 1.0,
+                           "2 v_max / dv + 1, the dense v grid's size"))))),
         # a field left out takes the probe's own value
         "asymmetry_report": Key(partial(validate, Table({
             **dict.fromkeys(_MODE, _FINITE._replace(default=None)),

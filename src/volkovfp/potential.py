@@ -18,19 +18,20 @@ Profiles
 ZeroPotential       a2 = a3 = 0
 HarmonicPotential   a2 = amplitude * cos(frequency * s), a3 = 0
 PulsePotential      a2 = amplitude * exp(-s^2 / 2 width^2) * cos(frequency*s)
-TabulatedPotential  cubic interpolation of sampled (s, a2, a3); evaluation
-                    outside the sample range is a hard error, never an
-                    extrapolation
+TabulatedPotential  not-a-knot cubic splines through sampled (s, a2, a3);
+                    evaluation outside the sample range is a hard error,
+                    never an extrapolation
 
 q is quadratic in the momenta, so each profile enters only through its
 exact moments A2 = int a2, A3 = int a3, B = int (a2^2 + a3^2) (elementary,
 Gaussian, or spline antiderivatives), and the mass-free phase is
 (k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB.
 
-Only two profiles need scipy, and each imports it where it is called:
-TabulatedPotential builds its splines with scipy.interpolate, and the
-PulsePotential moments (_gaussian_cosine_integral) evaluate
-scipy.special.wofz.  Zero and harmonic profiles run on numpy alone.
+Only pulse profiles need scipy: their moments (_gaussian_cosine_integral)
+evaluate scipy.special.wofz, imported where it is called.  Zero,
+harmonic and tabulated profiles run on numpy alone; TabulatedPotential
+builds its splines, their derivatives and their moments as numpy
+coefficient tables.
 
 A descriptor {"kind": ..., field: value} is read by its kind's key table
 (volkovfp.schema): a malformed one raises ValueError naming the field.
@@ -185,21 +186,26 @@ class PulsePotential(PlaneWavePotential):
         return lam * _gaussian_cosine_integral(s, w, f), np.zeros_like(s), b
 
 
-class TabulatedPotential(PlaneWavePotential):
-    """Cubic interpolation of sampled transverse profiles.
+_OVERFLOW = "the tabulated splines through s overflow: s is too unevenly spaced or a2, a3 too large"
 
+
+class TabulatedPotential(PlaneWavePotential):
+    """Not-a-knot cubic splines through sampled transverse profiles.
+
+    The splines are scipy's CubicSpline(s, a2) and CubicSpline(s, a3),
+    built with numpy alone (_not_a_knot_cubics); their derivatives and
+    their moments are exact piecewise polynomials on the same knots.
     Queries outside [s[0], s[-1]] raise PotentialDomainError: silent
     extrapolation would corrupt every phase built on top of the profile.
+    Samples whose splines overflow the float range are a ValueError.
     """
 
     def __init__(self, s, a2, a3=None):
-        from scipy.interpolate import CubicSpline, PPoly
-
         s = np.asarray(s, dtype=float)
         a2 = np.asarray(a2, dtype=float)
         if s.ndim != 1 or len(s) < 4:
             raise ValueError("tabulated potential needs at least 4 samples")
-        if not np.all(np.diff(s) > 0):
+        if not np.all(s[1:] > s[:-1]):
             raise ValueError("tabulated s values must be strictly increasing")
         if a2.shape != s.shape:
             raise ValueError("a2 samples must match s samples")
@@ -209,18 +215,27 @@ class TabulatedPotential(PlaneWavePotential):
         if a3.shape != s.shape:
             raise ValueError("a3 samples must match s samples")
         _require_finite(s=s, a2=a2, a3=a3)
+        with np.errstate(all="ignore"):
+            if not np.isfinite(s[-1] - s[0]):
+                raise ValueError("tabulated s must span a finite range")
+            h = np.diff(s)
+            cubic = _not_a_knot_cubics(s, h, np.stack([a2, a3]))
+            # Square each interval's cubic exactly: degree-6 coefficients sum_{i+j=k} c_i c_j.
+            sq = np.zeros((7, h.size))
+            for i in range(4):
+                sq[i:i + 4] += (cubic[i] * cubic).sum(axis=1)
+            moments = np.zeros((8, 3, h.size))
+            moments[3:, :2] = _antiderivative(cubic, h)
+            moments[:, 2] = _antiderivative(sq, h)
+        if not (np.all(np.isfinite(cubic)) and np.all(np.isfinite(moments))):
+            raise ValueError(_OVERFLOW)
+        # Tables are (coefficient, ..., interval), highest degree first.
         self._s = s
-        self._a2 = CubicSpline(s, a2)
-        self._a3 = CubicSpline(s, a3)
-        self._da2 = self._a2.derivative()
-        self._da3 = self._a3.derivative()
-        self._int_a2 = self._a2.antiderivative()
-        self._int_a3 = self._a3.antiderivative()
-        # Square each interval's cubic exactly: degree-6 coefficients sum_{i+j=k} c_i c_j.
-        sq = np.zeros((7, s.size - 1))
-        for i in range(4):
-            sq[i:i + 4] += self._a2.c[i] * self._a2.c + self._a3.c[i] * self._a3.c
-        self._int_sq = PPoly(sq, s).antiderivative()
+        self._inner = s[1:-1]
+        self._a2, self._a3 = (np.ascontiguousarray(cubic[:, j]) for j in range(2))
+        deriv = cubic[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
+        self._da2, self._da3 = (np.ascontiguousarray(deriv[:, j]) for j in range(2))
+        self._moments = moments
 
     @property
     def s_min(self) -> float:
@@ -239,26 +254,104 @@ class TabulatedPotential(PlaneWavePotential):
                 f"s outside tabulated range [{self.s_min}, {self.s_max}]"
             )
 
-    def a2(self, s):
+    def _at(self, table, s):
+        """The piecewise polynomials `table` (coefficient, ..., interval) at s,
+        shaped (..., *s.shape).
+
+        Interval i covers [s_i, s_{i+1}), the last one [s_{n-2}, s_{n-1}].
+        """
         self.check_domain(s)
-        return self._a2(s)
+        s = np.asarray(s, dtype=float)
+        i = np.searchsorted(self._inner, s, side="right")
+        # take, unlike table[..., i], gathers each coefficient contiguously
+        return _horner(table.take(i, axis=-1), s - self._s[i])
+
+    def a2(self, s):
+        return self._at(self._a2, s)
 
     def a3(self, s):
-        self.check_domain(s)
-        return self._a3(s)
+        return self._at(self._a3, s)
 
     def da2(self, s):
-        self.check_domain(s)
-        return self._da2(s)
+        return self._at(self._da2, s)
 
     def da3(self, s):
-        self.check_domain(s)
-        return self._da3(s)
+        return self._at(self._da3, s)
 
     def moments(self, s):
         # The antiderivatives vanish at s_min; only differences enter a phase.
-        self.check_domain(s)
-        return self._int_a2(s), self._int_a3(s), self._int_sq(s)
+        return tuple(self._at(self._moments, s))
+
+
+def _horner(c, h):
+    """sum_k c[k] h^(K-1-k) for coefficients c[0], ..., c[K-1] (K >= 2),
+    highest degree first, each broadcasting against h."""
+    value = c[0] * h
+    for ck in c[1:-1]:
+        value += ck
+        value *= h
+    value += c[-1]
+    return value
+
+
+def _antiderivative(table, h):
+    """Continuous antiderivatives, 0 at the first knot, of the piecewise
+    polynomials `table` (coefficient, ..., interval) on intervals of widths h.
+
+    Each interval's constant is the sum of the earlier intervals' increments.
+    """
+    degree = table.shape[0]
+    anti = np.zeros((degree + 1,) + table.shape[1:])
+    for k in range(degree):
+        anti[k] = table[k] / (degree - k)
+    anti[-1, ..., 1:] = np.cumsum(_horner(anti[..., :-1], h[:-1]), axis=-1)
+    return anti
+
+
+def _not_a_knot_cubics(s, h, y):
+    """Per-interval coefficients (4, row, interval), highest degree first,
+    of the not-a-knot cubic splines through the rows of y (row, knot).
+
+    The knot slopes m solve the tridiagonal system CubicSpline assembles:
+    interior rows h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1}
+    = 3 (h_i d_{i-1} + h_{i-1} d_i) for the secants d, and end rows that
+    make the third derivative continuous at s_1 and s_{n-2}.  One
+    elimination without pivoting solves it: every pivot is positive.
+    Each interval is then the cubic Hermite interpolant of its end values
+    and slopes.
+    """
+    n = s.size
+    d = np.diff(y) / h
+    lower, diag, upper = np.empty(n), np.empty(n), np.empty(n)
+    rhs = np.empty_like(y)
+    lower[1:-1], diag[1:-1], upper[1:-1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    rhs[:, 1:-1] = 3.0 * (h[1:] * d[:, :-1] + h[:-1] * d[:, 1:])
+    span = s[2] - s[0]
+    diag[0], upper[0] = h[1], span
+    rhs[:, 0] = ((h[0] + 2.0 * span) * h[1] * d[:, 0] + h[0] ** 2 * d[:, 1]) / span
+    span = s[-1] - s[-3]
+    diag[-1], lower[-1] = h[-2], span
+    rhs[:, -1] = (h[-1] ** 2 * d[:, -2] + (2.0 * span + h[-1]) * h[-2] * d[:, -1]) / span
+    # Python floats: they neither warn nor raise on overflow, and each
+    # divisor is checked first, so nothing here raises ZeroDivisionError.
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    for i in range(1, n):
+        if not diag[i - 1] > 0.0:  # NaN, or a positive pivot lost to rounding
+            raise ValueError(_OVERFLOW)
+        lower[i] /= diag[i - 1]
+        diag[i] -= lower[i] * upper[i - 1]
+    if not diag[-1] > 0.0:
+        raise ValueError(_OVERFLOW)
+    m = rhs.tolist()
+    for row in m:
+        for i in range(1, n):
+            row[i] -= lower[i] * row[i - 1]
+        row[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            row[i] = (row[i] - upper[i] * row[i + 1]) / diag[i]
+    m = np.array(m)
+    t = (m[:, :-1] + m[:, 1:] - 2.0 * d) / h
+    return np.stack([t / h, (d - m[:, :-1]) / h - t, m[:, :-1], y[:, :-1]])
 
 
 def _gaussian_cosine_integral(s, width: float, frequency: float):

@@ -561,14 +561,25 @@ _WEIGHT_TABLE = "u_grid x epsilons x n_masses^2"
      "2 v_max / dv + 1"),
     ("wavefront-probe", {"v_fit": [5.0, 50.0, 2 ** 20 + 1]}, "config.v_fit"),
     ("decay-scan", {"u_grid": [-2.0, -0.2, 2 ** 20 + 1]}, "config.u_grid"),
+    ("dirac-residual", {"n_modes": 10 ** 12}, "n_modes"),
+    ("mass-pairing", {"n_draws": 10 ** 12}, "n_draws"),
+    ("null-product-invariance", {"n_packets": 2 ** 11, "nodes_per_packet": 2 ** 10},
+     "n_packets x nodes_per_packet"),
+    ("sidebands", {"periods": 10 ** 12}, "periods x samples_per_period"),
+    ("decay-scan", {"n_l": 2 ** 20 // 160 + 1}, "2 n_l x u_grid"),
+    ("decay-scan", {"s_values": [0.0] * (2 ** 20 // 80 + 1)}, "s_values x u_grid"),
+    ("fp-kernel-export", {"u_values": [-0.5] * 2 ** 10, "k2_values": [0.3] * 2 ** 10},
+     "u_values x k2_values x k3_values x s_values x s_tilde_values"),
 ], ids=["n_masses", "u_grid", "k2_grid", "k3_grid", "weight-table-n_masses",
-        "weight-table-epsilons", "plancherel", "v_fit", "decay-u_grid"])
+        "weight-table-epsilons", "plancherel", "v_fit", "decay-u_grid", "n_modes", "n_draws",
+        "packet-nodes", "sidebands-samples", "decay-l-kernel", "decay-s-table",
+        "kernel-export-product"])
 def test_grid_past_the_point_cap_is_refused_before_allocating(tmp_path, capsys, monkeypatch,
                                                               scenario, override, named):
-    """A config-sized grid of more than _MAX_GRID_POINTS points exits 2 naming
-    its keys, writes nothing and allocates nothing: the runner is never
-    reached (a mass-oscillation u_grid count of 1e18 once ended in a
-    MemoryError traceback)."""
+    """A config-sized grid or count of more than _MAX_GRID_POINTS points exits
+    2 naming its keys, writes nothing and allocates nothing: the runner is
+    never reached (a mass-oscillation u_grid count of 1e18 once ended in a
+    MemoryError traceback, an n_modes or periods of 1e12 in exit 1)."""
     def never_run(cfg):
         raise AssertionError("the runner was reached")
 
@@ -589,6 +600,23 @@ def test_grid_past_the_point_cap_is_refused_before_allocating(tmp_path, capsys, 
     assert named in err and f"{cli._MAX_GRID_POINTS}" in err
     assert not out.exists()
     assert peak < 2 ** 20, peak
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_tabulated_table_is_config_error_without_warning(tmp_path, capsys):
+    """A table whose spline arithmetic overflows exits 2 with one error line
+    naming s and writes nothing; its build once printed scipy's
+    RuntimeWarnings first."""
+    cfg = small_configs()["dirac-residual"]
+    cfg["potential"] = {"kind": "tabulated", "s": [-1e308, 0.0, 1e308, 1.7e308],
+                        "a2": [0.1, 0.2, 0.0, 0.3]}
+    out = tmp_path / "out"
+    code = cli.main(["dirac-residual", "--config", write_config(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.potential: tabulated s ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["k2_grid", "k3_grid"])
@@ -758,8 +786,8 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_runs_without_sidebands_import_no_scipy_submodule():
-    """Only sidebands and pulse/tabulated profiles need scipy; every other
-    shipped config runs through the CLI on numpy alone."""
+    """Only sidebands and pulse profiles need scipy; every other shipped
+    config runs through the CLI on numpy alone."""
     configs = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))
                if p.name != "sidebands.json"]
     assert len(configs) == 7
@@ -770,6 +798,50 @@ def test_runs_without_sidebands_import_no_scipy_submodule():
     assert "volkovfp.cli" in loaded
     heavy = ("scipy.special", "scipy.interpolate", "scipy.integrate")
     assert [m for m in loaded if m.startswith(heavy)] == []
+
+
+_PER_MODE = ("dirac-residual", "null-product-invariance", "mass-pairing", "decay-scan",
+             "fp-kernel-export")
+
+
+def test_tabulated_runs_import_no_scipy(tmp_path):
+    """The five per-mode scenarios on a tabulated profile (a3 != 0, uneven
+    knots) run through the CLI without loading any scipy module."""
+    s = np.sort(np.concatenate([[-6.0, 6.0], np.random.default_rng(2).uniform(-6.0, 6.0, 30)]))
+    tabulated = {"kind": "tabulated", "s": s.tolist(), "a2": (0.3 * np.cos(s)).tolist(),
+                 "a3": (0.1 * np.sin(2.0 * s)).tolist()}
+    configs = []
+    for scenario in _PER_MODE:
+        cfg = {**small_configs()[scenario], "scenario": scenario, "potential": tabulated}
+        configs.append(write_config(tmp_path, f"{scenario}.json", cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, src, *configs],
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert "volkovfp.potential" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def _scipy_imports(tree):
+    return {node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(name == "scipy" or name.startswith("scipy.") for name in (
+                [node.module or ""] if isinstance(node, ast.ImportFrom)
+                else [alias.name for alias in node.names]))}
+
+
+def test_library_imports_only_scipy_special_inside_functions():
+    """scipy stays optional at import time: the package imports it only
+    inside functions, and only scipy.special."""
+    package = Path(cli.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = _scipy_imports(tree)
+        in_functions = set().union(*(_scipy_imports(node) for node in ast.walk(tree)
+                                     if isinstance(node, (ast.FunctionDef,
+                                                          ast.AsyncFunctionDef))))
+        assert imports == in_functions, path.name
+        for node in imports:
+            assert isinstance(node, ast.ImportFrom) and node.module == "scipy.special", path.name
 
 
 def _fmt_cell(x) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from volkovfp.potential import (
     HarmonicPotential,
@@ -128,6 +129,89 @@ def test_pulse_moments_finite_where_gaussian_factor_underflows():
     a2, a3, b = pot.moments(np.array([-300.0, 0.0, 300.0]))
     assert np.all(np.isfinite(a2)) and np.all(np.isfinite(b)) and np.all(a3 == 0.0)
     assert b[2] - b[0] == pytest.approx(amp ** 2 * width * np.sqrt(np.pi) / 2.0, rel=1e-12)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def gl_integral(f, breaks):
+    """int f over [breaks[0], breaks[-1]] by a 20-point Gauss-Legendre rule on
+    each panel between consecutive breaks (increasing), f vectorised."""
+    half = 0.5 * np.diff(breaks)[:, None]
+    nodes = 0.5 * (breaks[1:] + breaks[:-1])[:, None] + half * _GL_NODES
+    return np.sum(half * _GL_WEIGHTS * f(nodes))
+
+
+def _panel_breaks(a, b, knots):
+    """a, the knots strictly between a and b, and b, in increasing order."""
+    lo, hi = min(a, b), max(a, b)
+    return np.concatenate([[lo], knots[(knots > lo) & (knots < hi)], [hi]])
+
+
+def _spline_reference(s, a2, a3, x):
+    """a2, a3, da2, da3, A2, A3 and B of scipy's not-a-knot splines through
+    the samples, at x; the moments vanish at s[0].
+
+    A2 and A3 are scipy's antiderivatives; B integrates a2^2 + a3^2 by
+    Gauss-Legendre over whole knot intervals plus the partial one, exact
+    for the degree-6 square.
+    """
+    c2, c3 = CubicSpline(s, a2), CubicSpline(s, a3)
+    sq = lambda t: c2(t) ** 2 + c3(t) ** 2
+    whole = np.concatenate([[0.0], np.cumsum([gl_integral(sq, s[i:i + 2])
+                                              for i in range(s.size - 1)])])
+    i = np.clip(np.searchsorted(s, x, side="right") - 1, 0, s.size - 2)
+    b = whole[i] + np.array([gl_integral(sq, np.array([s[j], t])) for j, t in zip(i, x)])
+    return {"a2": c2(x), "a3": c3(x), "da2": c2(x, 1), "da3": c3(x, 1),
+            "A2": c2.antiderivative()(x), "A3": c3.antiderivative()(x), "B": b}
+
+
+
+
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+@pytest.mark.parametrize("n", [4, 5, 33, 241, 10_000])
+def test_tabulated_spline_matches_scipy_cubic_spline(kind, n):
+    """Values, derivatives and moments agree with scipy's not-a-knot
+    CubicSpline to 1e-13 of max(1, max |reference|)."""
+    rng = np.random.default_rng(n + (kind == "random"))
+    s = np.linspace(-3.0, 5.0, n) if kind == "uniform" else np.sort(rng.uniform(-3.0, 5.0, n))
+    a2, a3 = rng.normal(size=(2, n))
+    tab = TabulatedPotential(s, a2, a3)
+    x = np.concatenate([s, rng.uniform(s[0], s[-1], 200), [s[0], s[-1]]])
+    if n > 1000:
+        x = x[rng.choice(x.size, 600, replace=False)]
+    ref = _spline_reference(s, a2, a3, x)
+    got = {"a2": tab.a2(x), "a3": tab.a3(x), "da2": tab.da2(x), "da3": tab.da3(x),
+           **dict(zip(("A2", "A3", "B"), tab.moments(x)))}
+    for name, want in ref.items():
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
+
+
+_UNEVEN = np.sort(np.concatenate([[-4.0, 4.0], np.random.default_rng(7).uniform(-4.0, 4.0, 38)]))
+
+
+@pytest.mark.parametrize("pot, knots", [
+    (ZeroPotential(), np.linspace(-4.0, 4.0, 33)),
+    (HarmonicPotential(0.3, 1.4), np.linspace(-4.0, 4.0, 33)),
+    (PulsePotential(0.5, 3.0, 1.2), np.linspace(-4.0, 4.0, 33)),
+    (TabulatedPotential(_UNEVEN, 0.4 * np.cos(1.3 * _UNEVEN) + 0.1 * _UNEVEN,
+                        0.3 * np.sin(0.9 * _UNEVEN) - 0.2), _UNEVEN),
+], ids=["zero", "harmonic", "pulse", "tabulated-a3"])
+def test_phase_matches_independent_gauss_legendre(pot, knots):
+    """|int q ds - Phi| <= 1e-12 |Phi| on random intervals, int q ds by a
+    Gauss-Legendre rule on phase_integrand with panels at the knots (exact
+    on a tabulated profile, whose q is a degree-6 polynomial per interval):
+    a wrong moment, A3 included, misses by O(1)."""
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        a, b = rng.uniform(-4.0, 4.0, 2)
+        k2, k3 = rng.normal(0.0, 0.7, 2)
+        m = rng.uniform(0.5, 1.5)
+        reference = np.sign(b - a) * gl_integral(
+            lambda x: phase_integrand(pot, k2, k3, m, x), _panel_breaks(a, b, knots))
+        value = phase(pot, k2, k3, m, a, b)
+        assert abs(reference - value) <= 1e-12 * abs(value), (a, b, k2, k3, m)
 
 
 def test_tabulated_moments_exact_for_the_spline():
