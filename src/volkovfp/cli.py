@@ -24,9 +24,11 @@ files, and every CSV goes through `_write_csv`.
 A table is column-wise: a header and equal-length 1-D arrays or lists.
 A column's dtype sets its cells' format: float %.17g, integer %d, text
 %s.  `volkovfp.csvformat` formats blocks of about 4096 cells with numpy,
-byte for byte as the per-cell % operator does; a cell whose rounding it
-cannot prove (non-finite, |x| outside [1e-280, 1e280], or within 1e-6
-of a tie) is formatted by Python's % itself.
+byte for byte as the per-cell % operator does: an integer column within
+[-2^53, 2^53] is written as its doubles, whose %.17g is the %d, and a
+cell it cannot prove (non-finite, |x| outside [1e-280, 1e280], within
+1e-6 of a tie, an integer beyond 2^53, or text) is formatted by Python's
+% itself, its one fallback.  A cell of more than 47 bytes is refused.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ CONFIG_TABLES = {
         **dict.fromkeys(("n_packets", "nodes_per_packet"), _COUNT),
         "s_values": _NUMBERS,
         "tolerance": _FINITE,
-    }, rules=(_budget(lambda c: c["n_packets"] * c["nodes_per_packet"],
-                      "n_packets x nodes_per_packet, the number of packet nodes"),)),
+    }, rules=(_budget(lambda c: (len(c["s_values"]) + 1) * c["n_packets"] * c["nodes_per_packet"],
+                      "(s_values + 1) x n_packets x nodes_per_packet, the number of "
+                      "(surface, packet node) pairs"),)),
     "mass-pairing": Table({**_DRAWN, "n_draws": _COUNT, "tolerance": _FINITE},
                           rules=(_budget(lambda c: c["n_draws"], "n_draws, the number of pairs"),)),
     "mass-oscillation": Table({
@@ -202,7 +205,9 @@ CONFIG_TABLES = {
               (lambda c: c["periods"] * c["samples_per_period"] >= 2,
                "need periods * samples_per_period >= 2 samples"),
               _budget(lambda c: c["periods"] * c["samples_per_period"],
-                      "periods x samples_per_period, the s grid's size"))),
+                      "periods x samples_per_period, the s grid's size"),
+              _budget(lambda c: (2 * c["n_max"] + 1) * (2 * c["n_max"] + 33),
+                      "(2 n_max + 1) x (2 n_max + 33), the (line, Bessel order) table"))),
     "wavefront-probe": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,

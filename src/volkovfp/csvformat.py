@@ -6,17 +6,22 @@ sets the format of its cells: a float is written as Python's
 ``'%.17g' % x`` writes it, an integer (or bool) as ``'%d'`` and a text as
 ``'%s'``; the bytes are the ones the per-cell % operator gives.
 
-A block's cells are written into fixed-width uint8 slots that hold every
-character a cell can need, and a keep-mask row per cell, taken from a
-small table, selects the characters of its format; one np.compress
-compacts the block.  A float cell's 17 significant digits are exact: the
-double is scaled by 10^(16 - e) as a double-double product against a
-table of exact (hi, lo) powers of ten, which leaves an error below 1e-14
-on a value of order 1e16, and the digits come out of the rounded int64
-mantissa by integer arithmetic.  A cell whose rounding this cannot prove
-goes to Python's own % operator: a non-finite value, |x| outside
-[1e-280, 1e280] (where the table's lo parts would lose bits), and a
-scaled value within 1e-6 of a rounding tie.
+Every cell goes through one path.  An integer column whose values all
+lie in [-2^53, 2^53] is converted to float64, whose '%.17g' is exactly
+the integer's '%d', so a block is one (rows, columns) float64 array.
+Each cell is written into a fixed-width uint8 slot that holds every
+character it can need, and a keep-mask row per cell, taken from a small
+table, selects the characters of its format; one np.compress compacts
+the block.  A float cell's 17 significant digits are exact: the double
+is scaled by 10^(16 - e) as a double-double product against a table of
+exact (hi, lo) powers of ten, which leaves an error below 1e-14 on a
+value of order 1e16, and the digits come out of the rounded int64
+mantissa by integer arithmetic.  A cell this cannot prove is written by
+Python's own % operator into the start of its slot: a non-finite value,
+|x| outside [1e-280, 1e280] (where the table's lo parts would lose
+bits), a scaled value within 1e-6 of a rounding tie, an integer column
+with a value beyond 2^53, and text.  A cell of more than 47 bytes (its
+slot less the separator) is refused.
 
 This module opens no file; `volkovfp.cli` writes the bytes.
 """
@@ -24,7 +29,6 @@ This module opens no file; `volkovfp.cli` writes the bytes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import groupby
 
 import numpy as np
 
@@ -38,12 +42,7 @@ _F_WIDTH = 48
 _FORMS = 23  # fixed notation for e = -4..16, then e+dd and e+ddd
 _ZERO_ROW = 2 * _FORMS * 17  # then "0" and "-0", then a kept prefix of n bytes
 _PREFIX_ROW = _ZERO_ROW + 2
-
-# An integer cell's slot, seven 4-byte words: the sign, 20 digits, the
-# separator.  Its keep-mask rows: n digits at n - 1, "-" and n digits at
-# 19 + n, then a kept prefix of n bytes at _I_PREFIX_ROW + n.
-_I_WIDTH = 28
-_I_PREFIX_ROW = 39
+_EXACT_INT = 2 ** 53  # every integer up to it in magnitude is a double
 
 _EXACT_RANGE = (1e-280, 1e280)
 # k = 16 - e over the exponents e of |x| in _EXACT_RANGE, one step either side
@@ -107,13 +106,6 @@ def _tables() -> dict:
     for n in range(_F_WIDTH):
         keep[_PREFIX_ROW + n, :n] = True
 
-    int_keep = np.zeros((_I_PREFIX_ROW + _I_WIDTH, _I_WIDTH), dtype=bool)
-    int_keep[:, -1] = True
-    for n in range(1, 20):
-        int_keep[n - 1, 24 - n:24] = int_keep[19 + n, 24 - n:24] = int_keep[19 + n, 0] = True
-    for n in range(_I_WIDTH):
-        int_keep[_I_PREFIX_ROW + n, :n] = True
-
     # the ASCII digits of every 4-digit chunk, and with a point after each
     places = np.array([1000, 100, 10, 1], dtype=np.int16)
     digits = (np.arange(10000, dtype=np.int16)[:, None] // places % 10 + ord("0")).astype(np.uint8)
@@ -129,10 +121,6 @@ def _tables() -> dict:
         "sig": [np.where(sig4 > 0, 4 * j - 3 + sig4, 1) for j in range(1, 5)],
         "form_row": form * 34 - 1,
         "keep": keep,
-        "digits4": digits.view(np.uint32).ravel(),
-        "int_keep": int_keep,
-        "int_ends": _words([b"-\0\0\0", b"\0\0\0,"], np.uint32),
-        "int_powers": 10 ** np.arange(1, 19, dtype=np.int64),
     }
 
 
@@ -199,7 +187,8 @@ def _chunks(n):
 
 
 def _float_slots(x: np.ndarray, tables):
-    """Slots and keep masks (n, _F_WIDTH) of the float cells x, as '%.17g'."""
+    """Slots (n, _F_WIDTH) of the float cells x and the keep-mask row of
+    each, as '%.17g'."""
     a = np.abs(x)
     exact = (a >= _EXACT_RANGE[0]) & (a <= _EXACT_RANGE[1])
     # a cell formatted otherwise is scaled as 3.0, away from a power of ten
@@ -223,65 +212,43 @@ def _float_slots(x: np.ndarray, tables):
     row[zero] = _ZERO_ROW + sign[zero]
     python = np.flatnonzero(tie | ~exact & (a != 0))
     if python.size:
-        row[python] = _PREFIX_ROW + _python_cells(x, python, b"%.17g", slots)
-    return slots, tables["keep"].take(row, axis=0)
+        row[python] = _PREFIX_ROW + _python_cells(x[python], "%.17g", python, slots)
+    return slots, row
 
 
-def _int_slots(v: np.ndarray, tables):
-    """Slots and keep masks (n, _I_WIDTH) of the integer cells v, as '%d'."""
-    a = np.abs(v)
-    q = a // 10 ** 16
-    words = np.empty((7, v.size), dtype=np.uint32)
-    words[0], words[6] = tables["int_ends"]
-    tables["digits4"].take(q, out=words[1], mode="clip")
-    for word, c in zip(words[2:6], _chunks(a - q * 10 ** 16)[1:]):
-        tables["digits4"].take(c, out=word, mode="clip")
-    slots = np.ascontiguousarray(words.T).view(np.uint8)
-    row = np.searchsorted(tables["int_powers"], a, side="right")
-    row += 20 * (v < 0)
-    python = np.flatnonzero(a < 0)  # -2^63 has no int64 magnitude
-    row[python] = _I_PREFIX_ROW + _python_cells(v, python, b"%d", slots)
-    return slots, tables["int_keep"].take(row, axis=0)
-
-
-def _python_cells(values: np.ndarray, cells: np.ndarray, fmt: bytes, slots) -> np.ndarray:
-    """Write Python's own `fmt % value` of the given cells into the start
-    of their slots; the lengths written."""
+def _python_cells(values: np.ndarray, fmt: str, cells: np.ndarray, slots) -> np.ndarray:
+    """Write Python's own `fmt % values[n]`, UTF-8, into the start of slot
+    cells[n]; the lengths written.  A cell must leave its slot's last
+    byte, the separator, free."""
     lengths = np.empty(cells.size, dtype=np.intp)
-    for n, j in enumerate(cells.tolist()):
-        text = fmt % values[j]
+    for n, (j, value) in enumerate(zip(cells.tolist(), values.tolist())):
+        text = (fmt % (value,)).encode()
+        if len(text) >= _F_WIDTH:
+            raise ValueError(f"a CSV cell is at most {_F_WIDTH - 1} bytes, got {len(text)}")
         slots[j, :len(text)] = np.frombuffer(text, dtype=np.uint8)
         lengths[n] = len(text)
     return lengths
 
 
-def _text_slots(texts: np.ndarray, tables):
-    """Slots and keep masks of text cells, as '%s' (UTF-8).  A text column
-    is a short label column, so its cells are encoded one by one (numpy's
-    char module would cost more to load than it saves)."""
-    encoded = np.array([str(t).encode() for t in texts.tolist()], dtype=bytes)
-    width = encoded.dtype.itemsize
-    slots = np.empty((texts.size, width + 1), dtype=np.uint8)
-    slots[:, :width] = encoded.view(np.uint8).reshape(-1, width)
-    slots[:, -1] = ord(",")
-    return slots, slots != 0
-
-
-_KINDS = {"f": ("float", np.float64), "i": ("int", np.int64), "u": ("int", np.int64),
-          "b": ("int", np.int64), "U": ("text", None), "O": ("text", None)}
-_SLOTS = {"float": _float_slots, "int": _int_slots, "text": _text_slots}
-
-
-def _column(values) -> tuple[str, np.ndarray]:
-    """A column's cell kind and its values as float64, int64 or text; a
-    dtype that does not cast safely (uint64, longdouble) is refused."""
+def _column(values) -> tuple[np.ndarray, tuple[np.ndarray, str] | None]:
+    """A column's cells as float64 and, for a column they cannot stand for
+    (text, or an integer beyond 2^53), its values and their Python format;
+    a dtype that does not cast safely (uint64, longdouble) is refused."""
     column = np.asarray(values)
     if column.ndim != 1:
         raise ValueError(f"a column must be 1-D, got shape {column.shape}")
-    kind, dtype = _KINDS.get(column.dtype.kind, (None, None))
-    if kind is None:
-        raise TypeError(f"no cell format for a column of dtype {column.dtype}")
-    return kind, column if dtype is None else column.astype(dtype, copy=False, casting="safe")
+    kind = column.dtype.kind
+    if kind == "f":
+        return column.astype(np.float64, copy=False, casting="safe"), None
+    if kind in "biu":
+        column = column.astype(np.int64, copy=False, casting="safe")
+        # bounds on the values, not on np.abs: -2^63 has no int64 magnitude
+        if np.all((column >= -_EXACT_INT) & (column <= _EXACT_INT)):
+            return column.astype(np.float64), None
+        return np.zeros(column.size), (column, "%d")
+    if kind in "UO":
+        return np.zeros(column.size), (column, "%s")
+    raise TypeError(f"no cell format for a column of dtype {column.dtype}")
 
 
 def csv_lines(columns):
@@ -289,24 +256,23 @@ def csv_lines(columns):
     of about BLOCK_CELLS cells: cells joined by ',', each line ending in
     a newline.  Nothing is yielded for columns of length 0."""
     typed = [_column(c) for c in columns]
-    n_rows = {c.size for _, c in typed}
+    n_rows = {x.size for x, _ in typed}
     if len(n_rows) > 1:
         raise ValueError(f"columns of unequal lengths {sorted(n_rows)}")
     n_rows = n_rows.pop() if n_rows else 0
     if not n_rows:
         return
     tables = _tables()
-    runs = [(kind, [c for _, c in run]) for kind, run in groupby(typed, key=lambda t: t[0])]
-    step = max(1, BLOCK_CELLS // len(typed))
+    width = len(typed)
+    step = max(1, BLOCK_CELLS // width)
     for start in range(0, n_rows, step):
-        rows = min(step, n_rows - start)
-        slots, keep = [], []
-        for kind, run in runs:
-            block = np.stack([c[start:start + rows] for c in run], axis=1).ravel()
-            s, k = _SLOTS[kind](block, tables)
-            slots.append(s.reshape(rows, -1))
-            keep.append(k.reshape(rows, -1))
-        slots = slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)
-        keep = keep[0] if len(keep) == 1 else np.concatenate(keep, axis=1)
-        slots[:, -1] = ord("\n")
-        yield np.compress(keep.ravel(), slots.ravel()).tobytes()
+        block = np.stack([x[start:start + step] for x, _ in typed], axis=1)
+        slots, row = _float_slots(block.ravel(), tables)
+        for j, (_, fallback) in enumerate(typed):
+            if fallback is not None:
+                values, fmt = fallback
+                cells = np.arange(j, block.size, width)
+                row[cells] = _PREFIX_ROW + _python_cells(values[start:start + step], fmt, cells,
+                                                         slots)
+        slots[width - 1::width, -1] = ord("\n")
+        yield np.compress(tables["keep"].take(row, axis=0).ravel(), slots.ravel()).tobytes()

@@ -94,7 +94,8 @@ class PlaneWavePotential:
             raise PotentialDomainError("potential queried at non-finite s")
 
     def moments(self, s):
-        """(A2, A3, B) at s: antiderivatives of a2, a3 and a2^2 + a3^2."""
+        """(A2, A3, B) at s: antiderivatives of a2, a3 and a2^2 + a3^2;
+        an s outside the domain raises PotentialDomainError."""
         raise NotImplementedError
 
 
@@ -109,6 +110,7 @@ class ZeroPotential(PlaneWavePotential):
     da3 = a2
 
     def moments(self, s):
+        self.check_domain(s)
         zero = np.zeros_like(np.asarray(s, dtype=float))
         return zero, zero, zero
 
@@ -137,6 +139,7 @@ class HarmonicPotential(PlaneWavePotential):
     da3 = a3
 
     def moments(self, s):
+        self.check_domain(s)
         lam, w = self.amplitude, self.frequency
         s = np.asarray(s, dtype=float)
         return ((lam / w) * np.sin(w * s), np.zeros_like(s),
@@ -179,6 +182,7 @@ class PulsePotential(PlaneWavePotential):
 
     def moments(self, s):
         # a2^2 is the envelope at width / sqrt(2) times (1 + cos(2 frequency s)) / 2
+        self.check_domain(s)
         lam, w, f = self.amplitude, self.width, self.frequency
         s = np.asarray(s, dtype=float)
         b = 0.5 * lam * lam * (_gaussian_cosine_integral(s, w / np.sqrt(2.0), 0.0)
@@ -404,10 +408,8 @@ def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
     at the two endpoints; momenta and endpoints broadcast against each
     other (array s_to, or arrays of k2 and k3 at one s).
     """
-    pot.check_domain(s_from)
-    pot.check_domain(s_to)
-    a2_to, a3_to, b_to = pot.moments(s_to)
     a2_from, a3_from, b_from = pot.moments(s_from)
+    a2_to, a3_to, b_to = pot.moments(s_to)
     return ((k2 * k2 + k3 * k3) * (np.asarray(s_to, dtype=float) - s_from)
             + 2.0 * k2 * (a2_to - a2_from) + 2.0 * k3 * (a3_to - a3_from) + (b_to - b_from))
 

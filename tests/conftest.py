@@ -1,10 +1,12 @@
-"""Shared builders for randomized packets, mass families and grids."""
+"""Shared builders for randomized packets, mass families and grids, and a
+spy on the CSV writer's Python fallback."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from volkovfp import csvformat
 from volkovfp.clifford import lightcone_operators
 from volkovfp.modes import MassFamily, WavePacket, smooth_bump
 from volkovfp.quadrature import gl_panels
@@ -63,3 +65,17 @@ def grid_family(rng, eta_support=(0.8, 1.2), *, n_masses=13,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def python_cells(monkeypatch):
+    """The cells each block sends to Python's own % operator."""
+    sent = []
+    original = csvformat._python_cells
+
+    def spy(values, fmt, cells, slots):
+        sent.extend(values.tolist())
+        return original(values, fmt, cells, slots)
+
+    monkeypatch.setattr(csvformat, "_python_cells", spy)
+    return sent

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -529,6 +530,29 @@ def test_grid_keys_are_the_listed_ones():
     assert sorted(parsed) == sorted(_GRID_KEYS)
 
 
+# Count and list keys that size no allocation of their own: the seed, the
+# two-number intervals, and n_compare, which the rules bound by n_max.
+_UNBUDGETED_KEYS = {"seed", "mass_interval", "l_range", "disjoint_support_low",
+                    "disjoint_support_high", "n_compare"}
+
+
+def test_every_count_and_list_key_has_a_size_budget():
+    """Every integer or list key of every scenario is named in a _budget
+    rule, has a key rule naming _MAX_GRID_POINTS or is one of the few
+    keys that size nothing."""
+    cap = f"at most {cli._MAX_GRID_POINTS}"
+    unbounded = []
+    for scenario, (keys, rules) in cli.CONFIG_TABLES.items():
+        budgets = " ".join(rule for _, rule in rules if rule.endswith(cap))
+        for name, key in keys.items():
+            if key.kind not in (cli._integer, cli.numbers, cli._grid) or name in _UNBUDGETED_KEYS:
+                continue
+            named = re.search(rf"\b{name}\b", budgets)
+            if not named and str(cli._MAX_GRID_POINTS) not in key.rule:
+                unbounded.append(f"{scenario}.{name}")
+    assert unbounded == []
+
+
 @pytest.mark.parametrize("count", [1e200, -1e200, 2.0 ** 63])
 @pytest.mark.parametrize("scenario, key", _GRID_KEYS, ids=lambda v: v)
 def test_grid_count_past_an_index_is_config_error(tmp_path, capsys, scenario, key, count):
@@ -565,6 +589,9 @@ _WEIGHT_TABLE = "u_grid x epsilons x n_masses^2"
     ("mass-pairing", {"n_draws": 10 ** 12}, "n_draws"),
     ("null-product-invariance", {"n_packets": 2 ** 11, "nodes_per_packet": 2 ** 10},
      "n_packets x nodes_per_packet"),
+    ("null-product-invariance", {"n_packets": 2 ** 10, "nodes_per_packet": 2 ** 7,
+                                 "s_values": [0.0] * 8}, "(s_values + 1) x n_packets"),
+    ("sidebands", {"n_max": 504}, "(2 n_max + 1) x (2 n_max + 33)"),
     ("sidebands", {"periods": 10 ** 12}, "periods x samples_per_period"),
     ("decay-scan", {"n_l": 2 ** 20 // 160 + 1}, "2 n_l x u_grid"),
     ("decay-scan", {"s_values": [0.0] * (2 ** 20 // 80 + 1)}, "s_values x u_grid"),
@@ -572,8 +599,8 @@ _WEIGHT_TABLE = "u_grid x epsilons x n_masses^2"
      "u_values x k2_values x k3_values x s_values x s_tilde_values"),
 ], ids=["n_masses", "u_grid", "k2_grid", "k3_grid", "weight-table-n_masses",
         "weight-table-epsilons", "plancherel", "v_fit", "decay-u_grid", "n_modes", "n_draws",
-        "packet-nodes", "sidebands-samples", "decay-l-kernel", "decay-s-table",
-        "kernel-export-product"])
+        "packet-nodes", "packet-surfaces", "sidebands-n_max", "sidebands-samples",
+        "decay-l-kernel", "decay-s-table", "kernel-export-product"])
 def test_grid_past_the_point_cap_is_refused_before_allocating(tmp_path, capsys, monkeypatch,
                                                               scenario, override, named):
     """A config-sized grid or count of more than _MAX_GRID_POINTS points exits
@@ -884,9 +911,9 @@ def _per_row_csv(header, columns, comment) -> bytes:
 
 
 @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
-def test_shipped_csvs_match_the_per_row_writer(tmp_path, config):
+def test_shipped_csvs_match_the_per_row_writer(tmp_path, python_cells, config):
     """Every CSV of every shipped config, byte for byte what the per-row %
-    writer makes of the same table."""
+    writer makes of the same table; only its text cells reach Python's %."""
     cfg = json.loads(config.read_text())
     runner = cli._SCENARIOS[cfg["scenario"]][0]
     tables = runner(cli.validate_config(cfg["scenario"], cfg)).tables
@@ -894,6 +921,9 @@ def test_shipped_csvs_match_the_per_row_writer(tmp_path, config):
     for name, (header, columns) in tables.items():
         cli._write_csv(tmp_path / name, header, columns, "c")
         assert (tmp_path / name).read_bytes() == _per_row_csv(header, columns, "c"), name
+        texts = [v for c in columns for v in np.asarray(c).tolist() if isinstance(v, str)]
+        assert python_cells == texts, name
+        python_cells.clear()
 
 
 def test_batched_pi_minus_projection_matches_rows():

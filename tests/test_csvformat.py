@@ -18,20 +18,6 @@ def _lines(*columns) -> list[str]:
     return text.splitlines()
 
 
-@pytest.fixture
-def python_cells(monkeypatch):
-    """The cells each block sends to Python's own % operator."""
-    sent = []
-    original = csvformat._python_cells
-
-    def spy(values, cells, fmt, slots):
-        sent.extend(values[cells].tolist())
-        return original(values, cells, fmt, slots)
-
-    monkeypatch.setattr(csvformat, "_python_cells", spy)
-    return sent
-
-
 def _edge_doubles() -> np.ndarray:
     """+-0, subnormals, the float extremes, every power of 2 and every
     power of 10 with both neighbours, inf and nan, with both signs."""
@@ -75,9 +61,37 @@ def test_integers_match_percent_d(python_cells):
                  dtype=np.int64)
     v = np.concatenate([v, np.random.default_rng(4).integers(-2 ** 63, 2 ** 63 - 1, 100_000)])
     assert _lines(v) == ["%d" % n for n in v.tolist()]
-    assert python_cells == [-2 ** 63]
+    assert python_cells == v.tolist()  # values beyond 2^53: the column goes to Python
     flags = np.array([True, False, True])
     assert _lines(flags, flags.astype(np.uint8), [1, 2, 3]) == ["1,1,1", "0,0,2", "1,1,3"]
+
+
+def test_integers_up_to_2_53_take_the_float_path(python_cells):
+    """An integer column within [-2^53, 2^53] is written as its doubles,
+    whose '%.17g' is its '%d', with no cell sent to Python; one value
+    beyond, or -2^63 (whose np.abs is -2^63 itself), sends the column to
+    Python's '%d'."""
+    exact = np.array([2 ** 53, -2 ** 53, 2 ** 53 - 1, 1 - 2 ** 53, 10 ** 15, -10 ** 15,
+                      *range(-300, 300)], dtype=np.int64)
+    flags = np.arange(exact.size) % 3 == 0
+    small = (np.arange(exact.size) % 256).astype(np.uint8)
+    expected = ["%d,%d,%d" % row for row in zip(exact.tolist(), flags.tolist(), small.tolist())]
+    assert _lines(exact, flags, small) == expected
+    assert python_cells == []
+    for beyond in ([2 ** 53 + 1], [-2 ** 53 - 1], [-2 ** 63], [2 ** 63 - 1], [7, -2 ** 63]):
+        v = np.array(beyond, dtype=np.int64)
+        assert _lines(v) == ["%d" % n for n in beyond]
+    assert python_cells == [2 ** 53 + 1, -2 ** 53 - 1, -2 ** 63, 2 ** 63 - 1, 7, -2 ** 63]
+
+
+def test_a_cell_fills_at_most_its_slot_less_the_separator():
+    """Text is written by Python's '%s' as UTF-8; 47 bytes fit a slot,
+    48 bytes are refused."""
+    fits = "x" + "é" * 23
+    assert len(fits.encode()) == 47
+    assert _lines([fits, "a"], [1.5, -2.0]) == [f"{fits},1.5", "a,-2"]
+    with pytest.raises(ValueError, match="at most 47 bytes, got 48"):
+        _lines(["é" * 24])
 
 
 def test_rows_join_every_column_kind_across_blocks():

@@ -243,6 +243,30 @@ def test_transverse_phase_broadcasts_over_momenta(pot):
     assert np.array_equal(vec, scalar)
 
 
+@pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
+    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25))),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+def test_transverse_phase_checks_each_endpoint_once(monkeypatch, pot):
+    """The profile's moments check their own argument, once per endpoint;
+    a NaN endpoint, or one outside a table, is still a domain error."""
+    checked = []
+    original = type(pot).check_domain
+
+    def spy(self, s):
+        checked.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(type(pot), "check_domain", spy)
+    transverse_phase(pot, 0.3, -0.2, -0.5, np.array([0.5, 2.2]))
+    assert len(checked) == 2
+    outside = [np.nan] if not isinstance(pot, TabulatedPotential) else [np.nan, 3.5, -3.01]
+    for bad in outside:
+        for ends in ((bad, 1.0), (0.0, np.array([1.0, bad]))):
+            with pytest.raises(PotentialDomainError):
+                transverse_phase(pot, 0.3, -0.2, *ends)
+
+
 def test_phase_vectorised_endpoints():
     pot = HarmonicPotential(0.2, 1.0)
     q = (0.3, 0.0, 1.0)
