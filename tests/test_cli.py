@@ -813,8 +813,8 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def test_runs_without_sidebands_import_no_scipy_submodule():
-    """Only sidebands and pulse profiles need scipy; every other shipped
-    config runs through the CLI on numpy alone."""
+    """Only sidebands needs scipy; every other shipped config runs through
+    the CLI on numpy alone."""
     configs = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))
                if p.name != "sidebands.json"]
     assert len(configs) == 7
@@ -831,15 +831,20 @@ _PER_MODE = ("dirac-residual", "null-product-invariance", "mass-pairing", "decay
              "fp-kernel-export")
 
 
-def test_tabulated_runs_import_no_scipy(tmp_path):
+_UNEVEN_S = np.sort(np.concatenate([[-6.0, 6.0], np.random.default_rng(2).uniform(-6.0, 6.0, 30)]))
+
+
+@pytest.mark.parametrize("profile", [
+    {"kind": "tabulated", "s": _UNEVEN_S.tolist(), "a2": (0.3 * np.cos(_UNEVEN_S)).tolist(),
+     "a3": (0.1 * np.sin(2.0 * _UNEVEN_S)).tolist()},
+    {"kind": "pulse", "amplitude": 0.5, "frequency": 1.0, "width": 3.0},
+], ids=["tabulated", "pulse"])
+def test_per_mode_runs_import_no_scipy(tmp_path, profile):
     """The five per-mode scenarios on a tabulated profile (a3 != 0, uneven
-    knots) run through the CLI without loading any scipy module."""
-    s = np.sort(np.concatenate([[-6.0, 6.0], np.random.default_rng(2).uniform(-6.0, 6.0, 30)]))
-    tabulated = {"kind": "tabulated", "s": s.tolist(), "a2": (0.3 * np.cos(s)).tolist(),
-                 "a3": (0.1 * np.sin(2.0 * s)).tolist()}
+    knots) or a pulse run through the CLI without loading any scipy module."""
     configs = []
     for scenario in _PER_MODE:
-        cfg = {**small_configs()[scenario], "scenario": scenario, "potential": tabulated}
+        cfg = {**small_configs()[scenario], "scenario": scenario, "potential": profile}
         configs.append(write_config(tmp_path, f"{scenario}.json", cfg))
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, src, *configs],
@@ -858,17 +863,21 @@ def _scipy_imports(tree):
 
 def test_library_imports_only_scipy_special_inside_functions():
     """scipy stays optional at import time: the package imports it only
-    inside functions, and only scipy.special."""
+    inside functions, only scipy.special, and only in spectral.py."""
     package = Path(cli.__file__).resolve().parent
+    importers = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         imports = _scipy_imports(tree)
+        if imports:
+            importers.add(path.name)
         in_functions = set().union(*(_scipy_imports(node) for node in ast.walk(tree)
                                      if isinstance(node, (ast.FunctionDef,
                                                           ast.AsyncFunctionDef))))
         assert imports == in_functions, path.name
         for node in imports:
             assert isinstance(node, ast.ImportFrom) and node.module == "scipy.special", path.name
+    assert importers == {"spectral.py"}
 
 
 def _fmt_cell(x) -> str:

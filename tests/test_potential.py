@@ -1,5 +1,10 @@
 """Phase integrals: closed forms vs quadrature, additivity, monotonicity."""
 
+import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -8,7 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import wofz
 
+from volkovfp import potential
 from volkovfp.potential import (
     HarmonicPotential,
     PlaneWavePotential,
@@ -129,6 +136,85 @@ def test_pulse_moments_finite_where_gaussian_factor_underflows():
     a2, a3, b = pot.moments(np.array([-300.0, 0.0, 300.0]))
     assert np.all(np.isfinite(a2)) and np.all(np.isfinite(b)) and np.all(a3 == 0.0)
     assert b[2] - b[0] == pytest.approx(amp ** 2 * width * np.sqrt(np.pi) / 2.0, rel=1e-12)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    """Weideman's w(b + iz) within 1e-13 of wofz, relative, over
+    b in +-[1e-6, 1e4] and 0, z in [0, 1e4], the near-real axis included."""
+    b = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 301)])
+    b = np.concatenate([-b[1:], b])
+    z = np.concatenate([[0.0, 1e-300, 1e-15, 1e-12, 1e-9], np.geomspace(1e-6, 1e4, 301)])
+    arg = b[:, None] + 1j * z
+    ref = wofz(arg)
+    assert np.max(np.abs(potential._faddeeva(arg) - ref) / np.abs(ref)) <= 1e-13
+
+
+def _wofz_moments(pot, s):
+    """A2 and B of a pulse from the Faddeeva formula on scipy's wofz."""
+    def integral(width, frequency):
+        z = np.abs(s) / (np.sqrt(2.0) * width)
+        b = frequency * width / np.sqrt(2.0)
+        tail = np.exp(-z * z + 1j * frequency * np.abs(s)) * wofz(b + 1j * z)
+        return np.sign(s) * width * np.sqrt(0.5 * np.pi) * (np.exp(-b * b) - tail.real)
+
+    lam, w, f = pot.amplitude, pot.width, pot.frequency
+    narrow = w / np.sqrt(2.0)
+    return lam * integral(w, f), 0.5 * lam * lam * (integral(narrow, 0.0)
+                                                    + integral(narrow, 2.0 * f))
+
+
+def test_pulse_moments_match_wofz_formula():
+    """A2 and B within 4e-15 width sqrt(pi/2) (times the amplitude's power)
+    of the same formula on scipy's wofz, over random widths, frequencies
+    (zero and negative included) and s."""
+    rng = np.random.default_rng(11)
+    for j in range(300):
+        width = 10.0 ** rng.uniform(-2.0, 1.5)
+        frequency = (0.0 if j % 10 == 0 else rng.choice([-1.0, 1.0])
+                     * 10.0 ** rng.uniform(-2.0, 2.0))
+        pot = PulsePotential(rng.uniform(-2.0, 2.0), frequency, width)
+        s = rng.normal(0.0, width * rng.uniform(0.1, 10.0), 200)
+        a2, a3, b = pot.moments(s)
+        ref_a2, ref_b = _wofz_moments(pot, s)
+        unit = width * np.sqrt(0.5 * np.pi)
+        assert np.max(np.abs(a2 - ref_a2)) <= 4e-15 * unit * abs(pot.amplitude)
+        assert np.max(np.abs(b - ref_b)) <= 4e-15 * unit * pot.amplitude ** 2
+        assert np.all(a3 == 0.0)
+
+
+def test_pulse_moments_silent_and_finite_at_extreme_inputs():
+    """s = +-1e200, frequency +-1e200 and width 1e-300 neither warn nor
+    leave a non-finite moment: past z = 28 and |b| = 28 every term is 0."""
+    s = np.array([-1e200, -1.0, 0.0, 1e-300, 2.5, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frequency in (0.0, 1.0, 1e200, -1e200):
+            for width in (3.0, 1e-300):
+                pot = PulsePotential(0.5, frequency, width)
+                for moment in (*pot.moments(s), pot.moments(1e200)[0]):
+                    assert np.all(np.isfinite(moment)), (frequency, width)
+                assert np.all(np.isfinite(phase(pot, 0.3, -0.2, 1.0, -1e200, s)))
+    # at |s| = 1e200 the moments are their limits, reached at s = +-130 (z > 28)
+    pot = PulsePotential(0.5, 1.0, 3.0)
+    a2, _, b = pot.moments(np.array([-1e200, 1e200]))
+    ref_a2, ref_b = _wofz_moments(pot, np.array([-130.0, 130.0]))
+    assert np.array_equal(a2, ref_a2) and np.array_equal(b, ref_b)
+
+
+# Run in a fresh interpreter: this process has built the series already.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from volkovfp import potential
+print(json.dumps([potential._faddeeva_series.cache_info().currsize, "numpy.fft" in sys.modules]))
+"""
+
+
+def test_import_builds_no_faddeeva_series():
+    src = str(Path(potential.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(done.stdout) == [0, False]
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -265,6 +351,38 @@ def test_transverse_phase_checks_each_endpoint_once(monkeypatch, pot):
         for ends in ((bad, 1.0), (0.0, np.array([1.0, bad]))):
             with pytest.raises(PotentialDomainError):
                 transverse_phase(pot, 0.3, -0.2, *ends)
+
+
+@pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
+    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25)),
+                       0.1 * np.linspace(-3.0, 3.0, 25)),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+def test_phase_integrand_checks_the_domain_once(monkeypatch, pot):
+    """One domain check per phase_integrand call, the same values as from
+    a2 and a3; a NaN s, or one outside a table, is still a domain error
+    with check_domain's message."""
+    s = np.array([-2.5, 0.5, 2.2])
+    t2, t3 = 0.3 + pot.a2(s), -0.2 + pot.a3(s)
+    expected = t2 * t2 + t3 * t3 + 1.5 * 1.5
+    checked = []
+    original = type(pot).check_domain
+
+    def spy(self, s):
+        checked.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(type(pot), "check_domain", spy)
+    assert np.array_equal(phase_integrand(pot, 0.3, -0.2, 1.5, s), expected)
+    assert len(checked) == 1
+    outside = [np.nan] if not isinstance(pot, TabulatedPotential) else [np.nan, 3.5, -3.01]
+    for bad in outside:
+        for where in (bad, np.array([1.0, bad])):
+            with pytest.raises(PotentialDomainError) as direct:
+                original(pot, where)
+            with pytest.raises(PotentialDomainError) as raised:
+                phase_integrand(pot, 0.3, -0.2, 1.5, where)
+            assert str(raised.value) == str(direct.value)
 
 
 def test_phase_vectorised_endpoints():
