@@ -207,7 +207,8 @@ CONFIG_TABLES = {
               _budget(lambda c: c["periods"] * c["samples_per_period"],
                       "periods x samples_per_period, the s grid's size"),
               _budget(lambda c: (2 * c["n_max"] + 1) * (2 * c["n_max"] + 33),
-                      "(2 n_max + 1) x (2 n_max + 33), the (line, Bessel order) table"))),
+                      "(2 n_max + 1) x (2 n_max + 33), the (line, z2 order) products "
+                      "of the Bessel convolution"))),
     "wavefront-probe": Table({
         "seed": _NATURAL._replace(default=None),  # unused; the shipped config sets it
         "potential": _POTENTIAL,

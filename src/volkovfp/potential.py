@@ -152,12 +152,17 @@ class HarmonicPotential(PlaneWavePotential):
                 0.5 * lam * lam * (s + np.sin(2.0 * w * s) / (2.0 * w)))
 
 
+_MAX_PULSE_PHASE = 1e300
+
+
 @dataclass(frozen=True)
 class PulsePotential(PlaneWavePotential):
     """Gaussian-enveloped harmonic pulse, a3 = 0.
 
     a2(s) = amplitude * exp(-s^2 / (2 width^2)) * cos(frequency * s).
-    Smooth and rapidly decaying; its moments are Gaussian integrals.
+    Smooth and rapidly decaying; its moments are Gaussian integrals.  A
+    |frequency| or |frequency| x width past _MAX_PULSE_PHASE is refused:
+    the moments form phases up to 56 |frequency| width and 2 frequency.
     """
 
     amplitude: float
@@ -168,6 +173,9 @@ class PulsePotential(PlaneWavePotential):
         _require_finite(amplitude=self.amplitude, frequency=self.frequency, width=self.width)
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
+        if not abs(self.frequency) * max(self.width, 1.0) <= _MAX_PULSE_PHASE:
+            raise ValueError(f"pulse |frequency| and |frequency| x width must be at most "
+                             f"{_MAX_PULSE_PHASE:g}: the phases of its moments overflow")
 
     def _envelope(self, s):
         return self.amplitude * np.exp(-np.square(s) / (2.0 * self.width ** 2))

@@ -39,14 +39,15 @@ vanishes once v > m^2/(8u), so F decays rapidly towards positive v while
 Plancherel, int |F|^2 dv = 2 pi int |f|^2 ds, rules out any spurious
 global smallness.
 
-Only ``harmonic_sidebands_analytic`` needs scipy (the Bessel functions
-scipy.special.jv) and it imports it when called; everything else here
-runs on numpy alone.  The lines and transforms are returned, not
+Everything here runs on numpy alone: the Bessel functions J_k(z) of the
+sidebands come from one Miller downward recurrence per argument
+(``_bessel_orders``).  The lines and transforms are returned, not
 written: ``volkovfp.cli`` writes every artifact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -149,6 +150,8 @@ def window_from_descriptor(desc: Mapping, name: str = "window"):
 # ---------------------------------------------------------------------------
 # analytic sidebands
 
+_MAX_ORDERS = 2 ** 20
+
 
 def harmonic_carrier(mode: ModeParams, amplitude: float, frequency: float) -> float:
     """Carrier frequency (k2^2 + k3^2 + amplitude^2/2 + m^2) / 4u."""
@@ -157,15 +160,58 @@ def harmonic_carrier(mode: ModeParams, amplitude: float, frequency: float) -> fl
     return (mode.k2 ** 2 + mode.k3 ** 2 + 0.5 * amplitude ** 2 + mode.m ** 2) / (4.0 * mode.u)
 
 
+def _bessel_orders(z: float, n: int) -> np.ndarray:
+    """J_k(z) for k = -n..n and real z, by Miller's downward recurrence.
+
+    The recurrence J_{k-1} = (2k/z) J_k - J_{k+1} starts at an even order
+    above n + |z| with J_{top+1} = 0 and is normalised by
+    J_0 + 2 sum_k J_2k = 1.  Above |z|, where the J_k fall, it runs on
+    the ratios r_k = J_k / J_{k-1} = z / (2k - z r_{k+1}), so no value
+    can overflow however small z is; at and below |z| it runs on the
+    values, whose steps 2k/|z| <= 2 stay bounded.  J_{-k} = (-1)^k J_k.
+    A recurrence of more than _MAX_ORDERS orders is refused before it runs.
+    """
+    z = float(z)
+    # past |z| the J_k fall roughly like e^{-(k - |z|)^{3/2} / |z|^{1/2}}, and the
+    # start's relative error at order k scales as (J_top / J_k)^2: this margin
+    # puts it below double precision
+    start = n + abs(z) + 16.0 + 8.0 * abs(z) ** (1.0 / 3.0)
+    if not start <= _MAX_ORDERS:
+        raise UndersampledGridError(
+            f"Bessel recurrence for J_k({z:.3g}), |k| <= {n}, would start at order "
+            f"{start:.3g}, more than {_MAX_ORDERS}")
+    top = 2 * math.ceil(start / 2)
+    mid = int(abs(z))
+    ratios = []
+    r = 0.0
+    for k in range(top, mid, -1):
+        r = z / (2 * k - z * r)
+        ratios.append(r)
+    values = [1.0]
+    above, here = r, 1.0
+    for k in range(mid, 0, -1):
+        above, here = here, (2 * k / z) * here - above
+        values.append(here)
+    j = np.empty(top + 1)
+    j[mid::-1] = values
+    j[mid + 1:] = np.cumprod(ratios[::-1])
+    j /= j[0] + 2.0 * np.sum(j[2::2])
+    j = j[:n + 1]
+    flipped = j[:0:-1].copy()
+    flipped[n - 1::-2] *= -1.0
+    return np.concatenate((flipped, j))
+
+
 def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: float,
                                 n_max: int) -> list[SpectrumLine]:
     """Bessel-product sideband amplitudes c_n for |n| <= n_max.
 
     c_n = sum over n1 + 2 n2 = n of J_{n1}(z1) J_{n2}(z2); the two
-    arguments come from the first and second harmonic of the phase.
+    arguments come from the first and second harmonic of the phase.  The
+    sum runs over |n2| <= n_max + 16, so |n1| <= 3 n_max + 32, and is one
+    valid-mode convolution of the z1 orders with the z2 orders spread onto
+    even indices: (2 n_max + 1) x (2 n_max + 33) nonzero products.
     """
-    from scipy.special import jv
-
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if frequency == 0:
@@ -175,14 +221,12 @@ def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: f
     z2 = amplitude ** 2 / (16.0 * frequency * mode.u)
 
     n2_cap = n_max + 16
-    n2_range = np.arange(-n2_cap, n2_cap + 1)
-    j2 = jv(n2_range, z2)
-    lines = []
-    for n in range(-n_max, n_max + 1):
-        n1_orders = n - 2 * n2_range
-        c_n = complex(np.sum(jv(n1_orders, z1) * j2))
-        lines.append(SpectrumLine(n=n, v=v0 + n * frequency, amplitude=c_n))
-    return lines
+    j1 = _bessel_orders(z1, n_max + 2 * n2_cap)
+    j2 = np.zeros(4 * n2_cap + 1)
+    j2[::2] = _bessel_orders(z2, n2_cap)
+    amplitudes = np.convolve(j1, j2, mode="valid")
+    return [SpectrumLine(n=n, v=v0 + n * frequency, amplitude=complex(c))
+            for n, c in zip(range(-n_max, n_max + 1), amplitudes.tolist())]
 
 
 # ---------------------------------------------------------------------------

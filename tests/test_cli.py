@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -492,19 +493,32 @@ def test_workers_option_is_gone(tmp_path, capsys):
     ("wavefront-probe", ("window", "width"), 1e-300, cli.EXIT_CONFIG),
     ("sidebands", ("frequency",), -1e200, cli.EXIT_CONFIG),
     ("sidebands", ("frequency",), 1e-300, cli.EXIT_DOMAIN),
+    ("sidebands", ("k2",), 1e6, cli.EXIT_DOMAIN),
+    ("sidebands", ("k2",), 1e9, cli.EXIT_DOMAIN),
+    ("sidebands", ("k2",), 1e12, cli.EXIT_DOMAIN),
+    ("sidebands", ("u",), -1e-300, cli.EXIT_DOMAIN),
+    ("sidebands", ("amplitude",), 1e200, cli.EXIT_DOMAIN),
+    ("wavefront-probe", ("potential",),
+     {"kind": "pulse", "amplitude": 0.5, "frequency": 1e308, "width": 1.0}, cli.EXIT_CONFIG),
+    ("wavefront-probe", ("potential",),
+     {"kind": "pulse", "amplitude": 0.5, "frequency": 1e200, "width": 1e200}, cli.EXIT_CONFIG),
 ], ids=["wavefront-huge-m", "wavefront-tiny-u", "wavefront-huge-window", "wavefront-tiny-dv",
         "sidebands-huge-k2", "sidebands-huge-frequency", "decay-tiny-sigma",
         "decay-huge-center", "decay-huge-negative-center", "wavefront-huge-k2",
         "wavefront-huge-negative-k3", "wavefront-huge-amplitude", "wavefront-asymmetry-huge-k2",
-        "wavefront-tiny-window", "sidebands-huge-negative-frequency", "sidebands-tiny-frequency"])
+        "wavefront-tiny-window", "sidebands-huge-negative-frequency", "sidebands-tiny-frequency",
+        "sidebands-k2-1e6", "sidebands-k2-1e9", "sidebands-k2-1e12", "sidebands-tiny-u",
+        "sidebands-huge-amplitude", "wavefront-pulse-huge-frequency",
+        "wavefront-pulse-huge-frequency-width"])
 @pytest.mark.filterwarnings("error")
 def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenario, path,
                                                         value, code):
     """A value the library refuses exits 2 and an overflow exits 3, with one
     error line, nothing written and, with warnings raised as errors, no
-    numpy warning: each case once ended in a traceback, in a NaN window and
-    exit 1, or printed a RuntimeWarning (an overflow, or 0/0 in the
-    Gaussian window) before its error line."""
+    numpy warning, within seconds: each case once ended in a traceback, in
+    a NaN window and exit 1, printed a RuntimeWarning (an overflow, or 0/0
+    in the Gaussian window) before its error line, or (a sideband k2 of
+    1e9 or 1e12) ran a Bessel recurrence for minutes or out of memory."""
     cfg = small_configs()[scenario]
     holder = cfg
     for key in path[:-1]:
@@ -512,7 +526,9 @@ def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenar
     holder[path[-1]] = value
     cfg_path = write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert cli.main([scenario, "--config", cfg_path, "--out", str(out)]) == code
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
     prefix = "config error:" if code == cli.EXIT_CONFIG else "numerical domain error:"
     assert err.startswith(prefix) and err.count("\n") == 1
@@ -798,33 +814,62 @@ def test_library_descriptors_are_config_descriptors(key, desc, value):
         assert np.array_equal(built.a3(_TAB_S), value.a3(_TAB_S))
 
 
-# Run in a fresh interpreter: this process has already imported scipy.
-_LAZY_SCIPY_PROBE = """
+# Run in a fresh interpreter: this process has already imported scipy.  With
+# "block", a meta-path finder makes every scipy import raise ImportError, as
+# on an install of the runtime dependencies alone.
+_SCIPY_PROBE = """
 import json, sys, tempfile
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "block":
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is not installed")
+    sys.meta_path.insert(0, NoScipy())
 from volkovfp import cli
+codes = []
 with tempfile.TemporaryDirectory() as tmp:
-    for path in sys.argv[2:]:
-        cfg = json.loads(Path(path).read_text())
-        cli.run_scenario(cfg["scenario"], cfg, Path(tmp) / Path(path).stem)
-print(json.dumps(sorted(sys.modules)))
+    for path in sys.argv[3:]:
+        scenario = json.loads(Path(path).read_text())["scenario"]
+        codes.append(cli.main([scenario, "--config", path, "--out", str(Path(tmp) / Path(path).stem)]))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
 
 
-def test_runs_without_sidebands_import_no_scipy_submodule():
-    """Only sidebands needs scipy; every other shipped config runs through
-    the CLI on numpy alone."""
-    configs = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))
-               if p.name != "sidebands.json"]
-    assert len(configs) == 7
+def _probe(configs, mode="allow"):
+    """Exit codes of the configs run through cli.main in a fresh
+    interpreter, and the modules it had loaded at the end."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, src, *configs],
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, src, mode, *configs],
                           capture_output=True, text=True, timeout=120, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
-    assert "volkovfp.cli" in loaded
-    heavy = ("scipy.special", "scipy.interpolate", "scipy.integrate")
-    assert [m for m in loaded if m.startswith(heavy)] == []
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["codes"], result["modules"]
+
+
+_SHIPPED = [str(p) for p in sorted((ROOT / "configs").glob("*.json"))]
+
+
+def _scipy_modules(loaded):
+    return [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_shipped_runs_import_no_scipy():
+    """Every shipped config, sidebands included, passes through the CLI
+    without loading any scipy module."""
+    assert len(_SHIPPED) == 8
+    codes, loaded = _probe(_SHIPPED)
+    assert codes == [cli.EXIT_PASS] * 8
+    assert "volkovfp.cli" in loaded and "volkovfp.spectral" in loaded
+    assert _scipy_modules(loaded) == []
+
+
+def test_shipped_runs_pass_where_scipy_cannot_be_imported():
+    """The runtime dependencies are numpy alone: with every scipy import
+    made to fail, all 8 shipped configs still exit 0."""
+    codes, loaded = _probe(_SHIPPED, "block")
+    assert codes == [cli.EXIT_PASS] * 8
+    assert _scipy_modules(loaded) == []
 
 
 _PER_MODE = ("dirac-residual", "null-product-invariance", "mass-pairing", "decay-scan",
@@ -846,38 +891,27 @@ def test_per_mode_runs_import_no_scipy(tmp_path, profile):
     for scenario in _PER_MODE:
         cfg = {**small_configs()[scenario], "scenario": scenario, "potential": profile}
         configs.append(write_config(tmp_path, f"{scenario}.json", cfg))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, src, *configs],
-                          capture_output=True, text=True, timeout=120, check=True)
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    codes, loaded = _probe(configs)
+    assert codes == [cli.EXIT_PASS] * len(_PER_MODE)
     assert "volkovfp.potential" in loaded
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert _scipy_modules(loaded) == []
 
 
-def _scipy_imports(tree):
-    return {node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-            and any(name == "scipy" or name.startswith("scipy.") for name in (
-                [node.module or ""] if isinstance(node, ast.ImportFrom)
-                else [alias.name for alias in node.names]))}
-
-
-def test_library_imports_only_scipy_special_inside_functions():
-    """scipy stays optional at import time: the package imports it only
-    inside functions, only scipy.special, and only in spectral.py."""
+def test_library_imports_no_scipy():
+    """No module of the package imports scipy, at module level or inside a
+    function: numpy is its one runtime dependency."""
     package = Path(cli.__file__).resolve().parent
-    importers = set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        imports = _scipy_imports(tree)
-        if imports:
-            importers.add(path.name)
-        in_functions = set().union(*(_scipy_imports(node) for node in ast.walk(tree)
-                                     if isinstance(node, (ast.FunctionDef,
-                                                          ast.AsyncFunctionDef))))
-        assert imports == in_functions, path.name
-        for node in imports:
-            assert isinstance(node, ast.ImportFrom) and node.module == "scipy.special", path.name
-    assert importers == {"spectral.py"}
+    modules = sorted(package.glob("*.py"))
+    assert "spectral.py" in {path.name for path in modules}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
 
 
 def _fmt_cell(x) -> str:

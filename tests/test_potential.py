@@ -201,6 +201,32 @@ def test_pulse_moments_silent_and_finite_at_extreme_inputs():
     assert np.array_equal(a2, ref_a2) and np.array_equal(b, ref_b)
 
 
+@pytest.mark.parametrize("frequency, width", [(1e200, 1e200), (1e308, 1.0), (-1e308, 1e-300),
+                                              (1e301, 1e-10), (-1e160, 1e150)])
+def test_pulse_whose_moment_phases_overflow_is_refused_without_warning(frequency, width):
+    """A pulse with |frequency| or |frequency| x width past 1e300 is a
+    ValueError at construction: (1e200, 1e200) and (1e308, 1) once warned
+    "invalid value encountered in divide" in _faddeeva and gave NaN moments."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequency"):
+            PulsePotential(0.5, frequency, width)
+        with pytest.raises(ValueError, match="frequency"):
+            potential_from_descriptor({"kind": "pulse", "amplitude": 0.5,
+                                       "frequency": frequency, "width": width})
+
+
+@pytest.mark.parametrize("frequency, width", [(1e300, 1.0), (-1e300, 1e-300), (1e150, 1e150),
+                                              (-1e100, 1e200), (1.0, 1e300)])
+def test_pulse_at_the_phase_cap_has_finite_moments_without_warning(frequency, width):
+    s = np.array([-1e250, -1.0, 0.0, 1e-300, 1.0, 1e250])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pot = PulsePotential(0.5, frequency, width)
+        for moment in pot.moments(s):
+            assert np.all(np.isfinite(moment)), (frequency, width)
+
+
 # Run in a fresh interpreter: this process has built the series already.
 _IMPORT_PROBE = """
 import json, sys

@@ -2,13 +2,17 @@
 
 from types import MappingProxyType
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
+from scipy.special import jv
 
 from volkovfp.modes import ModeParams
 from volkovfp.potential import HarmonicPotential, transverse_phase
-from volkovfp import quadrature
+from volkovfp import quadrature, spectral
 from volkovfp.spectral import (
     GaussianWindow,
     HannWindow,
@@ -74,6 +78,68 @@ def test_sidebands_invalid_arguments():
         harmonic_sidebands_analytic(MODE, LAM, OMEGA, -1)
     with pytest.raises(ValueError):
         harmonic_sidebands_analytic(MODE, LAM, 0.0, 3)
+
+
+_BESSEL_ARGS = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e-20, -1e-8, 0.06, -0.005, 0.999, 1.0,
+                -2.404825557695773, 7.0, -7.0, 17.2, -29.9]
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 80])
+def test_bessel_orders_match_scipy_jv(n):
+    """J_k(z), k = -n..n, from the downward recurrence agree with scipy's jv:
+    1e-12 relative on the falling tail |k| > |z| + 1, 1e-14 absolute
+    everywhere, for z of both signs, zero, tiny and up to 30."""
+    rng = np.random.default_rng(n)
+    k = np.arange(-n, n + 1)
+    for z in [*_BESSEL_ARGS, *rng.uniform(-30.0, 30.0, 40)]:
+        got = spectral._bessel_orders(z, n)
+        ref = jv(k, z)
+        assert got.shape == ref.shape and np.all(np.isfinite(got)), z
+        assert np.max(np.abs(got - ref)) <= 1e-14, z
+        tail = (np.abs(k) > abs(z) + 1.0) & (np.abs(ref) > 1e-290)
+        assert np.all(np.abs(got[tail] - ref[tail]) <= 1e-12 * np.abs(ref[tail])), z
+
+
+@pytest.mark.parametrize("z", [2e11, -6e298, np.inf, np.nan])
+def test_bessel_recurrence_past_the_order_cap_is_refused_before_it_runs(z):
+    """An argument whose recurrence would start past _MAX_ORDERS is a domain
+    error raised before any order is computed: a naive recurrence at
+    |z| = 2e8 ran for over a minute and at 2e11 ran out of memory."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(UndersampledGridError, match="Bessel recurrence"):
+            spectral._bessel_orders(z, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0 and peak < 2 ** 16
+
+
+def _jv_sidebands(mode, amplitude, frequency, n_max):
+    """The Bessel-product sum c_n over |n2| <= n_max + 16 on scipy's jv."""
+    z1 = mode.k2 * amplitude / (2.0 * frequency * mode.u)
+    z2 = amplitude ** 2 / (16.0 * frequency * mode.u)
+    n2 = np.arange(-n_max - 16, n_max + 17)
+    return np.array([np.sum(jv(n - 2 * n2, z1) * jv(n2, z2)) for n in range(-n_max, n_max + 1)])
+
+
+def test_sidebands_match_jv_product_sum():
+    """On the shipped sidebands config every c_n is within 1e-13 of the jv
+    product sum, relative, and every amplitude is real; over random modes
+    and waves (|z1| up to 17, |z2| up to 2.8), within 1e-14 absolute."""
+    lines = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 12)
+    amplitudes = np.array([line.amplitude for line in lines])
+    ref = _jv_sidebands(MODE, LAM, OMEGA, 12)
+    assert [line.n for line in lines] == list(range(-12, 13))
+    assert np.all(amplitudes.imag == 0.0)
+    assert np.max(np.abs(amplitudes.real - ref) / np.abs(ref)) <= 1e-13
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        mode = ModeParams(rng.uniform(-3.0, 3.0), 0.0, -rng.uniform(0.05, 2.0), 1.0)
+        lam, omega, n_max = rng.uniform(0.0, 3.0), rng.uniform(0.3, 2.0), int(rng.integers(0, 30))
+        got = [line.amplitude for line in harmonic_sidebands_analytic(mode, lam, omega, n_max)]
+        assert np.max(np.abs(np.array(got) - _jv_sidebands(mode, lam, omega, n_max))) <= 1e-14
 
 
 def test_fft_matches_analytic_lines():
