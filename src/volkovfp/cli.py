@@ -773,7 +773,7 @@ def run_scenario(scenario: str, cfg: dict, outdir: Path, _ignored=None) -> dict:
     PotentialDomainError and UndersampledGridError pass through as they
     are.  Nothing is written unless the runner returns.
     The fourth parameter is ignored; the benchmark harness still passes
-    it, and ROADMAP item 6 drops it.
+    it, and ROADMAP item 7 drops it.
     """
     runner, identity = _SCENARIOS[scenario]
     valid = validate_config(scenario, cfg)

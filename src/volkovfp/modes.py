@@ -202,7 +202,7 @@ def reconstruct_full(pi_minus_chi, mode: ModeParams, pot: PlaneWavePotential,
     The Pi_plus component is fixed by the algebraic constraint
     2u N_minus chi = -(Aslash(s) - m) Pi_minus chi.
     """
-    aslash = transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s))
+    aslash = transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2])
     return _apply(_completion(mode, aslash), np.asarray(pi_minus_chi, dtype=complex))
 
 
@@ -245,8 +245,9 @@ def _mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotentia
     completion and the plane factor."""
     s, l, y, z = point
     u, m = mode.u, mode.m
-    aslash = transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s))
-    aslash_prime = transverse_slash(0.0, 0.0, pot.da2(s), pot.da3(s))
+    a2, a3, da2, da3 = pot.field(s)
+    aslash = transverse_slash(mode.k2, mode.k3, a2, a3)
+    aslash_prime = transverse_slash(0.0, 0.0, da2, da3)
 
     v = evolve_pi_minus(amp, mode, pot, s)
     v_prime = _vec((-1j / (4.0 * u)) * phase_integrand(pot, mode.k2, mode.k3, m, s)) * v

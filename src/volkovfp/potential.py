@@ -22,16 +22,19 @@ TabulatedPotential  not-a-knot cubic splines through sampled (s, a2, a3);
                     evaluation outside the sample range is a hard error,
                     never an extrapolation
 
-q is quadratic in the momenta, so each profile enters only through its
-exact moments A2 = int a2, A3 = int a3, B = int (a2^2 + a3^2) (elementary,
-Gaussian, or spline antiderivatives), and the mass-free phase is
+A profile is evaluated by two calls, each of which checks its s against
+the domain once (check_domain): field(s) = (a2, a3, a2', a3') and
+moments(s) = (A2, A3, B), each entry shaped like s.  q is quadratic in
+the momenta, so the phase needs only the exact moments A2 = int a2,
+A3 = int a3, B = int (a2^2 + a3^2) (elementary, Gaussian, or spline
+antiderivatives): the mass-free phase is
 (k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB.
 
 Every profile runs on numpy alone.  Pulse moments
 (_gaussian_cosine_integral) evaluate the Faddeeva function w by
-Weideman's rational approximation (_faddeeva); TabulatedPotential builds
-its splines, their derivatives and their moments as numpy coefficient
-tables.
+Weideman's rational approximation (_faddeeva); TabulatedPotential keeps
+its splines with their derivatives, and their moments, as two numpy
+coefficient tables.
 
 A descriptor {"kind": ..., field: value} is read by its kind's key table
 (volkovfp.schema): a malformed one raises ValueError naming the field.
@@ -75,45 +78,30 @@ def _require_finite(**fields) -> None:
 class PlaneWavePotential:
     """Base class for transverse plane-wave profiles (a2(s), a3(s))."""
 
-    def a2(self, s):
-        raise NotImplementedError
-
-    def a3(self, s):
-        raise NotImplementedError
-
-    def da2(self, s):
-        """Analytic derivative a2'(s)."""
-        raise NotImplementedError
-
-    def da3(self, s):
-        raise NotImplementedError
-
     def check_domain(self, s) -> None:
         """Raise PotentialDomainError if any s lies outside the domain."""
         # Profiles defined on the whole line accept everything finite.
         if not np.all(np.isfinite(s)):
             raise PotentialDomainError("potential queried at non-finite s")
 
+    def field(self, s):
+        """(a2, a3, a2', a3') at s, each shaped like s, after one domain
+        check: an s outside the domain raises PotentialDomainError."""
+        raise NotImplementedError
+
     def moments(self, s):
         """(A2, A3, B) at s: antiderivatives of a2, a3 and a2^2 + a3^2;
         an s outside the domain raises PotentialDomainError."""
         raise NotImplementedError
 
-    def _transverse(self, s):
-        """(a2(s), a3(s)) after one domain check."""
-        self.check_domain(s)
-        return self.a2(s), self.a3(s)
-
 
 class ZeroPotential(PlaneWavePotential):
     """Vacuum profile a2 = a3 = 0."""
 
-    def a2(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    a3 = a2
-    da2 = a2
-    da3 = a2
+    def field(self, s):
+        self.check_domain(s)
+        zero = np.zeros_like(np.asarray(s, dtype=float))
+        return zero, zero, zero, zero
 
     def moments(self, s):
         self.check_domain(s)
@@ -133,16 +121,12 @@ class HarmonicPotential(PlaneWavePotential):
         if self.frequency == 0:
             raise ValueError("harmonic frequency must be nonzero")
 
-    def a2(self, s):
-        return self.amplitude * np.cos(self.frequency * np.asarray(s, dtype=float))
-
-    def a3(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def da2(self, s):
-        return -self.amplitude * self.frequency * np.sin(self.frequency * np.asarray(s, dtype=float))
-
-    da3 = a3
+    def field(self, s):
+        self.check_domain(s)
+        lam, w = self.amplitude, self.frequency
+        s = np.asarray(s, dtype=float)
+        zero = np.zeros_like(s)
+        return lam * np.cos(w * s), zero, -lam * w * np.sin(w * s), zero
 
     def moments(self, s):
         self.check_domain(s)
@@ -177,22 +161,19 @@ class PulsePotential(PlaneWavePotential):
             raise ValueError(f"pulse |frequency| and |frequency| x width must be at most "
                              f"{_MAX_PULSE_PHASE:g}: the phases of its moments overflow")
 
-    def _envelope(self, s):
-        return self.amplitude * np.exp(-np.square(s) / (2.0 * self.width ** 2))
+    def field(self, s):
+        self.check_domain(s)
+        f = self.frequency
+        s = np.asarray(s, dtype=float)
+        envelope = self.amplitude * np.exp(-np.square(s) / (2.0 * self.width ** 2))
+        cos, zero = np.cos(f * s), np.zeros_like(s)
+        return (envelope * cos, zero,
+                envelope * (-(s / self.width ** 2) * cos - f * np.sin(f * s)), zero)
 
     def a2(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._envelope(s) * np.cos(self.frequency * s)
-
-    def a3(self, s):
-        return np.zeros_like(np.asarray(s, dtype=float))
-
-    def da2(self, s):
-        s = np.asarray(s, dtype=float)
-        w = self.frequency
-        return self._envelope(s) * (-(s / self.width ** 2) * np.cos(w * s) - w * np.sin(w * s))
-
-    da3 = a3
+        # The one per-component view: perfbench's tracer self-test checks
+        # that it wraps PulsePotential.a2 (ROADMAP item 7 drops both).
+        return self.field(s)[0]
 
     def moments(self, s):
         # a2^2 is the envelope at width / sqrt(2) times (1 + cos(2 frequency s)) / 2
@@ -212,7 +193,8 @@ class TabulatedPotential(PlaneWavePotential):
 
     The splines are scipy's CubicSpline(s, a2) and CubicSpline(s, a3),
     built with numpy alone (_not_a_knot_cubics); their derivatives and
-    their moments are exact piecewise polynomials on the same knots.
+    their moments are exact piecewise polynomials on the same knots, kept
+    as two tables: (a2, a3, a2', a3') and (A2, A3, B).
     Queries outside [s[0], s[-1]] raise PotentialDomainError: silent
     extrapolation would corrupt every phase built on top of the profile.
     Samples whose splines overflow the float range are a ValueError.
@@ -250,10 +232,11 @@ class TabulatedPotential(PlaneWavePotential):
         # Tables are (coefficient, ..., interval), highest degree first.
         self._s = s
         self._inner = s[1:-1]
-        self._a23 = cubic
-        self._a2, self._a3 = (np.ascontiguousarray(cubic[:, j]) for j in range(2))
-        deriv = cubic[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
-        self._da2, self._da3 = (np.ascontiguousarray(deriv[:, j]) for j in range(2))
+        # The derivative quadratics lead with a zero coefficient: Horner's
+        # 0 * h + c is c exactly, so they keep the bits of a degree-2 table.
+        self._field = np.zeros((4, 4, h.size))
+        self._field[:, :2] = cubic
+        self._field[1:, 2:] = cubic[:3] * np.array([3.0, 2.0, 1.0])[:, None, None]
         self._moments = moments
 
     @property
@@ -285,20 +268,8 @@ class TabulatedPotential(PlaneWavePotential):
         # take, unlike table[..., i], gathers each coefficient contiguously
         return _horner(table.take(i, axis=-1), s - self._s[i])
 
-    def a2(self, s):
-        return self._at(self._a2, s)
-
-    def a3(self, s):
-        return self._at(self._a3, s)
-
-    def da2(self, s):
-        return self._at(self._da2, s)
-
-    def da3(self, s):
-        return self._at(self._da3, s)
-
-    def _transverse(self, s):
-        return tuple(self._at(self._a23, s))
+    def field(self, s):
+        return tuple(self._at(self._field, s))
 
     def moments(self, s):
         # The antiderivatives vanish at s_min; only differences enter a phase.
@@ -452,7 +423,7 @@ def potential_from_descriptor(desc: Mapping, name: str = "potential") -> PlaneWa
 
 def phase_integrand(pot: PlaneWavePotential, k2, k3, m, s):
     """(k2 + a2(s))^2 + (k3 + a3(s))^2 + m^2; always >= m^2."""
-    a2, a3 = pot._transverse(s)
+    a2, a3 = pot.field(s)[:2]
     t2 = k2 + a2
     t3 = k3 + a3
     return t2 * t2 + t3 * t3 + m * m
@@ -463,11 +434,15 @@ def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):
 
     (k2^2 + k3^2) ds + 2 k2 dA2 + 2 k3 dA3 + dB over the profile moments
     at the two endpoints; momenta and endpoints broadcast against each
-    other (array s_to, or arrays of k2 and k3 at one s).
+    other (array s_to, or arrays of k2 and k3 at one s).  One moments
+    call takes both endpoints.
     """
-    a2_from, a3_from, b_from = pot.moments(s_from)
-    a2_to, a3_to, b_to = pot.moments(s_to)
-    return ((k2 * k2 + k3 * k3) * (np.asarray(s_to, dtype=float) - s_from)
+    s_from, s_to = np.asarray(s_from, dtype=float), np.asarray(s_to, dtype=float)
+    n = s_from.size
+    (a2_from, a2_to), (a3_from, a3_to), (b_from, b_to) = (
+        (value[:n].reshape(s_from.shape), value[n:].reshape(s_to.shape))
+        for value in pot.moments(np.concatenate([s_from.ravel(), s_to.ravel()])))
+    return ((k2 * k2 + k3 * k3) * (s_to - s_from)
             + 2.0 * k2 * (a2_to - a2_from) + 2.0 * k3 * (a3_to - a3_from) + (b_to - b_from))
 
 

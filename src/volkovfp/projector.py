@@ -116,7 +116,7 @@ class GreenAB:
 
 def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, s) -> np.ndarray:
     """Aslash(s) + m, the matrix factor of every b coefficient and completion."""
-    return transverse_slash(mode.k2, mode.k3, pot.a2(s), pot.a3(s)) + _mat(mode.m) * _ID4
+    return transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2]) + _mat(mode.m) * _ID4
 
 
 def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde,

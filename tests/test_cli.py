@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from volkovfp import cli
 from volkovfp.modes import ModeParams, smooth_bump
-from volkovfp.potential import (HarmonicPotential, PulsePotential, TabulatedPotential,
-                                ZeroPotential)
+from volkovfp.potential import (HarmonicPotential, PlaneWavePotential, PulsePotential,
+                                TabulatedPotential, ZeroPotential)
 from volkovfp.projector import fp_kernel_momentum, mass_oscillation_check
 from volkovfp.spectral import (GaussianWindow, HannWindow, harmonic_sidebands_analytic,
                                windowed_phase_transform)
@@ -786,6 +786,29 @@ def test_shipped_and_benchmark_configs_validate():
         assert valid["scenario"] == scenario, label
 
 
+# Domain checks per run: one per field or moments call, on every profile kind.
+_DOMAIN_CHECKS = {"dirac-residual": 3, "null-product-invariance": 1, "mass-pairing": 4,
+                  "decay-scan": 2, "fp-kernel-export": 13}
+
+
+def test_domain_checks_per_run_are_the_same_for_every_profile_kind(monkeypatch, tmp_path):
+    """Each per-mode benchmark run, on a harmonic, a pulse or a tabulated
+    profile, checks the profile's domain the same number of times."""
+    checked = []
+    for cls in (PlaneWavePotential, TabulatedPotential):
+        def spy(self, s, original=vars(cls)["check_domain"]):
+            checked.append(s)
+            return original(self, s)
+
+        monkeypatch.setattr(cls, "check_domain", spy)
+    runs = [run for run in _workload_configs() if "/smoke/" in run[0] and run[1] in _DOMAIN_CHECKS]
+    assert len(runs) == 3 * len(_DOMAIN_CHECKS)
+    for label, scenario, cfg in runs:
+        checked.clear()
+        cli.run_scenario(scenario, cfg, tmp_path / label)
+        assert len(checked) == _DOMAIN_CHECKS[scenario], label
+
+
 _TAB_S = np.linspace(-2.0, 2.0, 9)
 _TAB_A2 = np.linspace(0.0, 0.8, 9)
 
@@ -810,8 +833,7 @@ def test_library_descriptors_are_config_descriptors(key, desc, value):
     if dataclasses.is_dataclass(value):
         assert built == value
     else:
-        assert np.array_equal(built.a2(_TAB_S), value.a2(_TAB_S))
-        assert np.array_equal(built.a3(_TAB_S), value.a3(_TAB_S))
+        assert all(map(np.array_equal, built.field(_TAB_S), value.field(_TAB_S)))
 
 
 # Run in a fresh interpreter: this process has already imported scipy.  With

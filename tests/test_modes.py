@@ -122,7 +122,7 @@ def test_reconstruct_satisfies_algebraic_constraint(rng):
         s = float(rng.uniform(-5, 5))
         chi_minus = evolve_pi_minus(amp, mode, pot, s)
         chi = reconstruct_full(chi_minus, mode, pot, s)
-        aslash = transverse_slash(mode.k2, mode.k3, float(pot.a2(s)), float(pot.a3(s)))
+        aslash = transverse_slash(mode.k2, mode.k3, *map(float, pot.field(s)[:2]))
         resid = 2.0 * mode.u * (N_MINUS @ chi) + (aslash - mode.m * ID4) @ (PI_MINUS @ chi)
         worst = max(worst, np.linalg.norm(resid) / np.linalg.norm(chi))
         assert np.max(np.abs(PI_MINUS @ chi - chi_minus)) < 1e-13
@@ -181,7 +181,7 @@ def test_dirac_residual_finite_difference_oracle(rng):
     def fd_residual(h):
         dchi = (chi_of_s(s0 + h) - chi_of_s(s0 - h)) / (2.0 * h)
         chi = chi_of_s(s0)
-        aslash = transverse_slash(mode.k2, mode.k3, float(pot.a2(s0)), float(pot.a3(s0)))
+        aslash = transverse_slash(mode.k2, mode.k3, *map(float, pot.field(s0)[:2]))
         resid = 2j * (N_PLUS @ dchi) + 2.0 * mode.u * (N_MINUS @ chi) \
             + (aslash - mode.m * ID4) @ chi
         return np.linalg.norm(resid)

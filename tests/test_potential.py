@@ -293,8 +293,7 @@ def test_tabulated_spline_matches_scipy_cubic_spline(kind, n):
     if n > 1000:
         x = x[rng.choice(x.size, 600, replace=False)]
     ref = _spline_reference(s, a2, a3, x)
-    got = {"a2": tab.a2(x), "a3": tab.a3(x), "da2": tab.da2(x), "da3": tab.da3(x),
-           **dict(zip(("A2", "A3", "B"), tab.moments(x)))}
+    got = dict(zip(("a2", "a3", "da2", "da3", "A2", "A3", "B"), tab.field(x) + tab.moments(x)))
     for name, want in ref.items():
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got[name] - want)) <= 1e-13 * scale, name
@@ -355,13 +354,9 @@ def test_transverse_phase_broadcasts_over_momenta(pot):
     assert np.array_equal(vec, scalar)
 
 
-@pytest.mark.parametrize("pot", [
-    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
-    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25))),
-], ids=["zero", "harmonic", "pulse", "tabulated"])
-def test_transverse_phase_checks_each_endpoint_once(monkeypatch, pot):
-    """The profile's moments check their own argument, once per endpoint;
-    a NaN endpoint, or one outside a table, is still a domain error."""
+def _spy_on_check_domain(monkeypatch, pot):
+    """The list that collects the s of every check_domain call on pot's
+    class from now on, and the unpatched method."""
     checked = []
     original = type(pot).check_domain
 
@@ -370,8 +365,20 @@ def test_transverse_phase_checks_each_endpoint_once(monkeypatch, pot):
         return original(self, s)
 
     monkeypatch.setattr(type(pot), "check_domain", spy)
+    return checked, original
+
+
+@pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
+    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25))),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+def test_transverse_phase_checks_both_endpoints_in_one_call(monkeypatch, pot):
+    """One moments call, and so one domain check, takes both endpoints;
+    a NaN endpoint, or one outside a table, is still a domain error."""
+    checked, _ = _spy_on_check_domain(monkeypatch, pot)
     transverse_phase(pot, 0.3, -0.2, -0.5, np.array([0.5, 2.2]))
-    assert len(checked) == 2
+    assert len(checked) == 1
+    assert np.array_equal(checked[0], [-0.5, 0.5, 2.2])
     outside = [np.nan] if not isinstance(pot, TabulatedPotential) else [np.nan, 3.5, -3.01]
     for bad in outside:
         for ends in ((bad, 1.0), (0.0, np.array([1.0, bad]))):
@@ -389,16 +396,10 @@ def test_phase_integrand_checks_the_domain_once(monkeypatch, pot):
     a2 and a3; a NaN s, or one outside a table, is still a domain error
     with check_domain's message."""
     s = np.array([-2.5, 0.5, 2.2])
-    t2, t3 = 0.3 + pot.a2(s), -0.2 + pot.a3(s)
+    a2, a3 = pot.field(s)[:2]
+    t2, t3 = 0.3 + a2, -0.2 + a3
     expected = t2 * t2 + t3 * t3 + 1.5 * 1.5
-    checked = []
-    original = type(pot).check_domain
-
-    def spy(self, s):
-        checked.append(s)
-        return original(self, s)
-
-    monkeypatch.setattr(type(pot), "check_domain", spy)
+    checked, original = _spy_on_check_domain(monkeypatch, pot)
     assert np.array_equal(phase_integrand(pot, 0.3, -0.2, 1.5, s), expected)
     assert len(checked) == 1
     outside = [np.nan] if not isinstance(pot, TabulatedPotential) else [np.nan, 3.5, -3.01]
@@ -409,6 +410,45 @@ def test_phase_integrand_checks_the_domain_once(monkeypatch, pot):
             with pytest.raises(PotentialDomainError) as raised:
                 phase_integrand(pot, 0.3, -0.2, 1.5, where)
             assert str(raised.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.4), PulsePotential(0.5, 3.0, 1.2),
+    TabulatedPotential(np.linspace(-3.0, 3.0, 25), 0.2 * np.cos(np.linspace(-3.0, 3.0, 25)),
+                       0.1 * np.linspace(-3.0, 3.0, 25)),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+def test_field_checks_the_domain_once(monkeypatch, pot):
+    """field gives (a2, a3, a2', a3'), each shaped like s, after one domain
+    check; a NaN s, or one outside a table, raises check_domain's error."""
+    checked, original = _spy_on_check_domain(monkeypatch, pot)
+    for s in (0.7, np.array([[-2.5, 0.5, 2.2], [0.0, 1.0, -1.0]])):
+        checked.clear()
+        values = pot.field(s)
+        assert len(checked) == 1 and len(values) == 4
+        assert all(np.shape(v) == np.shape(s) and np.all(np.isfinite(v)) for v in values)
+    outside = [np.nan] if not isinstance(pot, TabulatedPotential) else [np.nan, 3.5, -3.01]
+    for bad in outside:
+        for where in (bad, np.array([1.0, bad])):
+            with pytest.raises(PotentialDomainError) as direct:
+                original(pot, where)
+            with pytest.raises(PotentialDomainError) as raised:
+                pot.field(where)
+            assert str(raised.value) == str(direct.value)
+
+
+def test_profile_interface_is_field_and_moments():
+    """Every profile is evaluated through field and moments alone: no class
+    of the module keeps per-component methods, apart from the one a2 view
+    on PulsePotential that the benchmark's tracer self-test wraps."""
+    classes = [c for c in vars(potential).values()
+               if isinstance(c, type) and c.__module__ == potential.__name__]
+    profiles = {c for c in classes if issubclass(c, PlaneWavePotential)} - {PlaneWavePotential}
+    assert profiles == {ZeroPotential, HarmonicPotential, PulsePotential, TabulatedPotential}
+    for cls in profiles:
+        assert {"field", "moments"} <= vars(cls).keys(), cls.__name__
+    for cls in classes:
+        assert not {"a3", "da2", "da3", "_transverse"} & vars(cls).keys(), cls.__name__
+        assert ("a2" in vars(cls)) == (cls is PulsePotential), cls.__name__
 
 
 def test_phase_vectorised_endpoints():
@@ -428,13 +468,13 @@ def test_phase_vectorised_endpoints():
 def test_tabulated_domain_and_interpolation():
     s = np.linspace(-5.0, 5.0, 201)
     base = HarmonicPotential(0.3, 1.2)
-    tab = TabulatedPotential(s, base.a2(s), base.a3(s))
+    tab = TabulatedPotential(s, *base.field(s)[:2])
     probe = np.linspace(-4.9, 4.9, 57)
-    assert np.max(np.abs(tab.a2(probe) - base.a2(probe))) < 1e-5
+    assert np.max(np.abs(tab.field(probe)[0] - base.field(probe)[0])) < 1e-5
     q = (0.1, 0.0, 1.0)
     assert phase(tab, *q, -2.0, 2.0) == pytest.approx(phase(base, *q, -2.0, 2.0), rel=1e-6)
     with pytest.raises(PotentialDomainError):
-        tab.a2(5.1)
+        tab.field(5.1)
     with pytest.raises(PotentialDomainError):
         phase(tab, *q, 0.0, 6.0)
     with pytest.raises(PotentialDomainError):
@@ -453,8 +493,7 @@ def test_descriptor_roundtrip():
     tab = potential_from_descriptor({"kind": "tabulated", "s": s.tolist(), "a2": a2.tolist()})
     expected = TabulatedPotential(s, a2)
     assert isinstance(tab, TabulatedPotential)
-    assert np.array_equal(tab.a2(s), expected.a2(s))
-    assert np.array_equal(tab.a3(s), expected.a3(s))
+    assert all(map(np.array_equal, tab.field(s), expected.field(s)))
 
 
 def test_bad_inputs_rejected():
@@ -519,7 +558,6 @@ def test_descriptor_accepts_integers_and_mappings(desc, expected):
     built = potential_from_descriptor(desc)
     if isinstance(expected, TabulatedPotential):
         s = np.array(_SAMPLES)
-        assert np.array_equal(built.a2(s), expected.a2(s))
-        assert np.array_equal(built.a3(s), expected.a3(s))
+        assert all(map(np.array_equal, built.field(s), expected.field(s)))
     else:
         assert built == expected

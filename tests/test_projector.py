@@ -12,6 +12,7 @@ from volkovfp.modes import GridMismatchError, MassFamily, ModeParams, smooth_bum
 from volkovfp.potential import (
     HarmonicPotential,
     PulsePotential,
+    TabulatedPotential,
     ZeroPotential,
     phase_integrand,
     transverse_phase,
@@ -115,7 +116,7 @@ def test_causal_kernel_solves_source_free_system():
         return causal_fundamental_momentum(MODE, POT, x, s_tilde)
 
     dk = (kernel(s + h) - kernel(s - h)) / (2.0 * h)
-    aslash = transverse_slash(MODE.k2, MODE.k3, float(POT.a2(s)), float(POT.a3(s)))
+    aslash = transverse_slash(MODE.k2, MODE.k3, *map(float, POT.field(s)[:2]))
     resid = 2j * (N_PLUS @ dk) + 2.0 * MODE.u * (N_MINUS @ kernel(s)) \
         + (aslash - MODE.m * ID4) @ kernel(s)
     assert np.max(np.abs(resid)) / np.max(np.abs(kernel(s))) < 1e-9
@@ -285,7 +286,7 @@ def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc
         s_grid = ds * np.arange(-n_half, n_half + 1)
         base = transverse_phase(pot, k2, k3, 0.0, s_grid)
         osc = np.exp(-1j * (base[None, :] + np.square(masses)[:, None] * s_grid) / (4.0 * u))
-        slash = np.array([transverse_slash(k2, k3, pot.a2(s), pot.a3(s)) for s in s_grid])
+        slash = np.array([transverse_slash(k2, k3, *pot.field(s)[:2]) for s in s_grid])
 
         def completed(family):
             chi0 = family.chi0[:, i]
@@ -414,10 +415,12 @@ def test_mass_oscillation_never_evaluates_the_potential(rng, monkeypatch):
         raise AssertionError("the potential was evaluated")
 
     monkeypatch.setattr(potential, "transverse_phase", refuse)
-    monkeypatch.setattr(HarmonicPotential, "a2", refuse)
-    monkeypatch.setattr(HarmonicPotential, "a3", refuse)
-    with pytest.raises(AssertionError, match="evaluated"):
-        POT.a2(0.0)
+    for cls in (ZeroPotential, HarmonicPotential, PulsePotential, TabulatedPotential):
+        for name in ("field", "moments"):
+            monkeypatch.setattr(cls, name, refuse)
+    for name in ("field", "moments"):
+        with pytest.raises(AssertionError, match="evaluated"):
+            getattr(POT, name)(0.0)
     assert [mass_oscillation_check(fam, fam, POT), mass_oscillation_check(fam, fam_hi, POT)] == base
 
 

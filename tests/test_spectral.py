@@ -262,7 +262,8 @@ def reference_transform(mode, pot, window, v_grid):
     the support, with no a-posteriori check."""
     lo, hi = window.support()
     probe = np.linspace(lo, hi, 128)
-    q_max = np.max((mode.k2 + pot.a2(probe)) ** 2 + (mode.k3 + pot.a3(probe)) ** 2) + mode.m ** 2
+    a2, a3 = pot.field(probe)[:2]
+    q_max = np.max((mode.k2 + a2) ** 2 + (mode.k3 + a3) ** 2) + mode.m ** 2
     fastest = max(q_max / (4.0 * abs(mode.u)), np.max(np.abs(v_grid)))
     width = min((hi - lo) / 8.0, 2.0 * np.pi / (8.0 * fastest))
     n_panels = int(np.ceil((hi - lo) / width))
