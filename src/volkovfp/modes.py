@@ -47,7 +47,7 @@ import numpy as np
 from .clifford import dirac_gamma, lightcone_operators, spin_inner, transverse_slash
 # transverse_phase is not called here; it stays bound because perfbench's
 # tracer self-test checks that a name imported into another module is wrapped.
-from .potential import PlaneWavePotential, phase, phase_integrand, transverse_phase  # noqa: F401
+from .potential import PlaneWavePotential, _integrand, phase, transverse_phase  # noqa: F401
 
 __all__ = [
     "GridMismatchError",
@@ -250,7 +250,7 @@ def _mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotentia
     aslash_prime = transverse_slash(0.0, 0.0, da2, da3)
 
     v = evolve_pi_minus(amp, mode, pot, s)
-    v_prime = _vec((-1j / (4.0 * u)) * phase_integrand(pot, mode.k2, mode.k3, m, s)) * v
+    v_prime = _vec((-1j / (4.0 * u)) * _integrand(mode.k2, mode.k3, m, a2, a3)) * v
     completion = _completion(mode, aslash)
     chi = _apply(completion, v)
     chi_prime = _apply(completion, v_prime) - _apply(_N_PLUS @ aslash_prime, v) / _vec(2.0 * u)
@@ -410,8 +410,9 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
     if not all(np.array_equal(getattr(mode_a, f), getattr(mode_b, f)) for f in ("k2", "k3", "u")):
         raise ValueError("modes must share (k2, k3, u)")
     u = mode_a.u
-    chi_a = reconstruct_full(evolve_pi_minus(amp_a, mode_a, pot, s), mode_a, pot, s)
-    chi_b = reconstruct_full(evolve_pi_minus(amp_b, mode_b, pot, s), mode_b, pot, s)
+    aslash = transverse_slash(mode_a.k2, mode_a.k3, *pot.field(s)[:2])  # shared by both
+    chi_a, chi_b = (_apply(_completion(mode, aslash), evolve_pi_minus(amp, mode, pot, s))
+                    for amp, mode in ((amp_a, mode_a), (amp_b, mode_b)))
     lhs = 2.0 * u * spin_inner(chi_a, chi_b)
 
     m, mp = mode_a.m, mode_b.m

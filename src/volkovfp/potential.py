@@ -421,12 +421,16 @@ def potential_from_descriptor(desc: Mapping, name: str = "potential") -> PlaneWa
     return described(desc, _PROFILES, name)
 
 
-def phase_integrand(pot: PlaneWavePotential, k2, k3, m, s):
-    """(k2 + a2(s))^2 + (k3 + a3(s))^2 + m^2; always >= m^2."""
-    a2, a3 = pot.field(s)[:2]
+def _integrand(k2, k3, m, a2, a3):
+    """(k2 + a2)^2 + (k3 + a3)^2 + m^2 at given field values."""
     t2 = k2 + a2
     t3 = k3 + a3
     return t2 * t2 + t3 * t3 + m * m
+
+
+def phase_integrand(pot: PlaneWavePotential, k2, k3, m, s):
+    """(k2 + a2(s))^2 + (k3 + a3(s))^2 + m^2; always >= m^2."""
+    return _integrand(k2, k3, m, *pot.field(s)[:2])
 
 
 def transverse_phase(pot: PlaneWavePotential, k2, k3, s_from, s_to):

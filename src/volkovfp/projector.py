@@ -8,10 +8,11 @@ retarded pair is
     a(s,s~) = -(i/(2 pi)^3) Theta(s-s~) E,
     b(s,s~) = -(i/4u) (2/(2 pi)^3) Theta(s-s~) (Aslash(s~) + m) E,
 
-the advanced pair carries Theta(s~-s) and the opposite sign.  Away from
-the diagonal both satisfy  4iu d/ds = ((k2+a2)^2+(k3+a3)^2+m^2) * (.)
-and the retarded a jumps by -i/(2 pi)^3 across s = s~.  The full kernel
-is assembled as
+the advanced pair carries Theta(s~-s) and the opposite sign; ``green_ab``
+returns both.  Away from the diagonal both satisfy
+4iu d/ds = ((k2+a2)^2+(k3+a3)^2+m^2) * (.) and the retarded a jumps by
+-i/(2 pi)^3 across s = s~.  ``assemble_kernel`` completes (a, b) with
+the matrix Aslash(s) + m to the full kernel
 
     K = N_minus a + Pi_minus b
         + (1/2u) (Aslash(s) + m) (N_plus b + Pi_plus a),
@@ -29,7 +30,8 @@ The signature operator acts by the sign of u, and the projector kernel
     b_P(s,s~) = (Aslash(s~) + m) E / (2u (2 pi)^4),
 
 assembled with the same completion.  The kernel is symmetric under the
-spin adjoint, gamma0 P(s,s~)^dag gamma0 = P(s~,s).
+spin adjoint, gamma0 P(s,s~)^dag gamma0 = P(s~,s).  Every kernel needs
+only E and Aslash + m at s and s~: one ``moments`` and one ``field`` call.
 
 Prefactor conventions used throughout (powers of 2 pi):
 
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,57 +101,51 @@ _GAMMA0 = dirac_gamma(0)
 _ID4 = np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
-class GreenAB:
-    """Scalar and matrix coefficients of one Green's function.
-
-    delta_n_plus is the coefficient of the symbolic N_plus delta(s-s~)
-    term of the full kernel; it is reported for completeness but never
-    sampled (point values of a delta are meaningless), and it drops out
-    of every assembled difference kernel.  For a batch of modes or
-    points each field carries the batch shape as leading axes.
-    """
+class GreenAB(NamedTuple):
+    """Scalar and matrix coefficients of one Green's function, each with
+    the batch shape of the modes and points as leading axes."""
 
     a: complex | np.ndarray
     b: np.ndarray
-    delta_n_plus: float | np.ndarray
 
 
-def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, s) -> np.ndarray:
-    """Aslash(s) + m, the matrix factor of every b coefficient and completion."""
-    return transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2]) + _mat(mode.m) * _ID4
+def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, *points) -> list:
+    """Aslash + m, the matrix factor of every b coefficient and completion,
+    at each array of s in `points`, from one field call on all of them."""
+    points = [np.asarray(s, dtype=float) for s in points]
+    a2, a3 = pot.field(np.concatenate([s.ravel() for s in points]))[:2]
+    ends = np.cumsum([s.size for s in points])[:-1]
+    return [transverse_slash(mode.k2, mode.k3, c2.reshape(s.shape), c3.reshape(s.shape))
+            + _mat(mode.m) * _ID4
+            for s, c2, c3 in zip(points, np.split(a2, ends), np.split(a3, ends))]
 
 
-def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde,
-             which: str) -> GreenAB:
-    """Retarded or advanced Green's coefficients (a, b) at (s, s~).
+def _green_pair(mode: ModeParams, s, s_tilde, env, slash_m_tilde) -> tuple[GreenAB, GreenAB]:
+    """Retarded and advanced coefficients from E(s~,s) and Aslash(s~) + m."""
+    pair = []
+    for supported, sign in ((np.asarray(s) >= s_tilde, 1.0), (np.asarray(s) <= s_tilde, -1.0)):
+        env_k = np.where(supported, env, 0.0)
+        a = sign * (-1j) * env_k / _TWO_PI_3
+        b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env_k) * slash_m_tilde
+        pair.append(GreenAB(complex(a) if a.ndim == 0 else a, b))
+    return tuple(pair)
+
+
+def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde) -> tuple[GreenAB, GreenAB]:
+    """Retarded and advanced Green's coefficients (a, b) at (s, s~).
 
     The support convention at coincidence is the one-sided limit: both
     kinds report their limiting value at s = s~.  Modes, s and s~
     broadcast against each other.
     """
-    if np.any(np.asarray(mode.u) == 0):
-        raise ValueError("u = 0 has no separated Green's function")
-    if which == "retarded":
-        supported = np.asarray(s) >= s_tilde
-        sign = 1.0
-    elif which == "advanced":
-        supported = np.asarray(s) <= s_tilde
-        sign = -1.0
-    else:
-        raise ValueError(f"which must be 'retarded' or 'advanced', got {which!r}")
-    delta_coeff = 2.0 / (_TWO_PI_3 * 2.0 * mode.u)
-    env = np.where(supported, phase_factor(mode, pot, s_tilde, s), 0.0)
-    a = sign * (-1j) * env / _TWO_PI_3
-    b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env) \
-        * _slash_plus_m(mode, pot, s_tilde)
-    return GreenAB(complex(a) if a.ndim == 0 else a, b, delta_coeff)
+    slash_m_tilde, = _slash_plus_m(mode, pot, s_tilde)
+    return _green_pair(mode, s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m_tilde)
 
 
-def assemble_kernel(a, b: np.ndarray, mode: ModeParams,
-                    pot: PlaneWavePotential, s) -> np.ndarray:
-    """Algebraic completion N- a + Pi- b + (Aslash(s)+m)(N+ b + Pi+ a)/2u."""
-    front = _slash_plus_m(mode, pot, s) / _mat(2.0 * mode.u)
+def assemble_kernel(a, b: np.ndarray, mode: ModeParams, slash_m: np.ndarray) -> np.ndarray:
+    """Algebraic completion N- a + Pi- b + (Aslash(s)+m)(N+ b + Pi+ a)/2u,
+    given slash_m = Aslash(s) + m."""
+    front = slash_m / _mat(2.0 * mode.u)
     a = _mat(a)
     return _N_MINUS * a + _PI_MINUS @ b + front @ (_N_PLUS @ b + _PI_PLUS * a)
 
@@ -162,15 +159,13 @@ def causal_fundamental_momentum(mode: ModeParams, pot: PlaneWavePotential,
     exact coincidence the two step functions sum to one, which is the
     continuous value E/(2 pi)^4 used directly.
     """
-    if np.any(np.asarray(mode.u) == 0):
-        raise ValueError("u = 0 has no separated kernel")
     coincident = np.asarray(s) == s_tilde
-    adv = green_ab(mode, pot, s, s_tilde, "advanced")
-    ret = green_ab(mode, pot, s, s_tilde, "retarded")
+    slash_m, slash_m_tilde = _slash_plus_m(mode, pot, s, s_tilde)
+    ret, adv = _green_pair(mode, s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m_tilde)
     a = np.where(coincident, 1.0 / _TWO_PI_4, (adv.a - ret.a) / (2j * np.pi))
-    b_coincident = _slash_plus_m(mode, pot, s_tilde) / _mat(2.0 * mode.u * _TWO_PI_4)
+    b_coincident = slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
     b = np.where(_mat(coincident), b_coincident, (adv.b - ret.b) / (2j * np.pi))
-    return assemble_kernel(a, b, mode, pot, s)
+    return assemble_kernel(a, b, mode, slash_m)
 
 
 def signature_sign(u):
@@ -179,8 +174,8 @@ def signature_sign(u):
     An int for one u, an integer array for an array of them.
     """
     u = np.asarray(u)
-    if np.any(u == 0):
-        raise ValueError("u = 0 is excluded (measure zero, no separated mode)")
+    if not np.all(np.isfinite(u)) or np.any(u == 0):
+        raise ValueError("u must be finite; u = 0 is excluded (measure zero, no separated mode)")
     sign = np.where(u > 0, 1, -1)
     return int(sign) if sign.ndim == 0 else sign
 
@@ -199,12 +194,10 @@ def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
 def fp_kernel_momentum(mode: ModeParams, pot: PlaneWavePotential,
                        s, s_tilde) -> np.ndarray:
     """Momentum-space kernel of the fermionic projector (u < 0 only)."""
-    if not np.all(np.asarray(mode.u) < 0):
-        raise ValueError("projector kernel requires u < 0")
     a = fp_scalar_a(mode, pot, s, s_tilde)
-    env = a * _TWO_PI_4
-    b = _mat(env) * _slash_plus_m(mode, pot, s_tilde) / _mat(2.0 * mode.u * _TWO_PI_4)
-    return assemble_kernel(a, b, mode, pot, s)
+    slash_m, slash_m_tilde = _slash_plus_m(mode, pot, s, s_tilde)
+    b = _mat(a * _TWO_PI_4) * slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
+    return assemble_kernel(a, b, mode, slash_m)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +413,7 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
         def integrands(s):
             """(s, 13) integrands of i_u (4), i_v (4), j_0 (1) and j_a (4)."""
             e_vals = phase_factor(mode, pot, 0.0, s)
-            slash_m = _slash_plus_m(mode, pot, s)
+            slash_m, = _slash_plus_m(mode, pot, s)
             front = slash_m / (2.0 * u)
             left = np.conj(np.asarray(env_phi(s), dtype=complex)) * e_vals
             right = np.asarray(env_psi(s), dtype=complex) * np.conj(e_vals)

@@ -787,8 +787,8 @@ def test_shipped_and_benchmark_configs_validate():
 
 
 # Domain checks per run: one per field or moments call, on every profile kind.
-_DOMAIN_CHECKS = {"dirac-residual": 3, "null-product-invariance": 1, "mass-pairing": 4,
-                  "decay-scan": 2, "fp-kernel-export": 13}
+_DOMAIN_CHECKS = {"dirac-residual": 2, "null-product-invariance": 1, "mass-pairing": 3,
+                  "decay-scan": 2, "fp-kernel-export": 7}
 
 
 def test_domain_checks_per_run_are_the_same_for_every_profile_kind(monkeypatch, tmp_path):

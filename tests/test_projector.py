@@ -1,6 +1,6 @@
 """Green's functions, causal kernel, projector kernel, mass oscillation."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,9 +8,18 @@ import pytest
 from conftest import grid_family, random_pi_minus
 from volkovfp.clifford import dirac_gamma, lightcone_operators, spin_adjoint, transverse_slash
 from volkovfp import potential, projector
-from volkovfp.modes import GridMismatchError, MassFamily, ModeParams, smooth_bump
+from volkovfp.modes import (
+    GridMismatchError,
+    MassFamily,
+    ModeAmplitude,
+    ModeParams,
+    dirac_residual,
+    mass_pairing_identity,
+    smooth_bump,
+)
 from volkovfp.potential import (
     HarmonicPotential,
+    PlaneWavePotential,
     PulsePotential,
     TabulatedPotential,
     ZeroPotential,
@@ -39,31 +48,35 @@ POT = HarmonicPotential(0.2, 1.0)
 MODE = ModeParams(k2=0.3, k3=-0.1, u=-0.5, m=1.0)
 
 
+RETARDED, ADVANCED = 0, 1  # positions in the pair green_ab returns
+
+
+def _slash_plus_m(mode, pot, s):
+    """Aslash(s) + m, one matrix per mode."""
+    return transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2]) \
+        + np.asarray(mode.m)[..., None, None] * ID4
+
+
 def test_green_supports():
-    ret = green_ab(MODE, POT, 1.0, 2.0, "retarded")
-    assert ret.a == 0.0 and np.max(np.abs(ret.b)) == 0.0
-    adv = green_ab(MODE, POT, 3.0, 2.0, "advanced")
-    assert adv.a == 0.0 and np.max(np.abs(adv.b)) == 0.0
-    with pytest.raises(ValueError):
-        green_ab(MODE, POT, 0.0, 0.0, "sideways")
+    ret, adv = green_ab(MODE, POT, 1.0, 2.0)
+    assert ret.a == 0.0 and np.max(np.abs(ret.b)) == 0.0 and adv.a != 0.0
+    ret, adv = green_ab(MODE, POT, 3.0, 2.0)
+    assert adv.a == 0.0 and np.max(np.abs(adv.b)) == 0.0 and ret.a != 0.0
 
 
 def test_green_value_at_source():
-    g = green_ab(MODE, ZeroPotential(), 2.0, 2.0, "retarded")
-    assert g.a == pytest.approx(-1j / TWO_PI_3)
+    ret, adv = green_ab(MODE, ZeroPotential(), 2.0, 2.0)
+    assert ret.a == pytest.approx(-1j / TWO_PI_3)
+    assert adv.a == pytest.approx(1j / TWO_PI_3)
     # jump of the retarded scalar across the diagonal
-    below = green_ab(MODE, POT, 0.5 - 1e-12, 0.5, "retarded").a
-    at = green_ab(MODE, POT, 0.5, 0.5, "retarded").a
+    below = green_ab(MODE, POT, 0.5 - 1e-12, 0.5)[RETARDED].a
+    at = green_ab(MODE, POT, 0.5, 0.5)[RETARDED].a
     assert at - below == pytest.approx(-1j / TWO_PI_3, rel=1e-9)
-    # the symbolic delta coefficient is reported, identically for both kinds
-    adv = green_ab(MODE, POT, 0.5, 0.5, "advanced")
-    assert g.delta_n_plus == pytest.approx(2.0 / (TWO_PI_3 * 2.0 * MODE.u))
-    assert adv.delta_n_plus == green_ab(MODE, POT, 0.5, 0.5, "retarded").delta_n_plus
 
 
 def _scalar_ode_residual(which, s, s_tilde, h=1e-5):
     def a_at(x):
-        return green_ab(MODE, POT, x, s_tilde, which).a
+        return green_ab(MODE, POT, x, s_tilde)[which].a
 
     da = (a_at(s + h) - a_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * da
@@ -72,15 +85,15 @@ def _scalar_ode_residual(which, s, s_tilde, h=1e-5):
 
 
 def test_green_scalar_ode_off_diagonal():
-    assert _scalar_ode_residual("retarded", 1.7, 0.5) < 1e-9
-    assert _scalar_ode_residual("advanced", -0.7, 0.5) < 1e-9
+    assert _scalar_ode_residual(RETARDED, 1.7, 0.5) < 1e-9
+    assert _scalar_ode_residual(ADVANCED, -0.7, 0.5) < 1e-9
 
 
 def test_green_scalar_ode_analytic_derivative():
     # d/ds of the closed form is -(i/4u) q(s) a(s), so the residual of
     # 4iu a' = q a built from the analytic derivative vanishes identically
     s, s_tilde = 1.7, 0.5
-    a = green_ab(MODE, POT, s, s_tilde, "retarded").a
+    a = green_ab(MODE, POT, s, s_tilde)[RETARDED].a
     q = phase_integrand(POT, MODE.k2, MODE.k3, MODE.m, s)
     da = (-1j / (4.0 * MODE.u)) * q * a
     assert abs(4j * MODE.u * da - q * a) <= 1e-10 * abs(q * a)
@@ -90,7 +103,7 @@ def test_green_matrix_ode_off_diagonal():
     s_tilde, s, h = 0.5, 1.9, 1e-5
 
     def b_at(x):
-        return green_ab(MODE, POT, x, s_tilde, "retarded").b
+        return green_ab(MODE, POT, x, s_tilde)[RETARDED].b
 
     db = (b_at(s + h) - b_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * db
@@ -129,9 +142,8 @@ def test_causal_kernel_scaling_against_green_difference():
 
     for s, s_tilde in ((1.3, -0.4), (-2.0, 0.7)):
         k = causal_fundamental_momentum(MODE, POT, s, s_tilde)
-        adv = green_ab(MODE, POT, s, s_tilde, "advanced")
-        ret = green_ab(MODE, POT, s, s_tilde, "retarded")
-        bare = assemble_kernel(adv.a - ret.a, adv.b - ret.b, MODE, POT, s)
+        ret, adv = green_ab(MODE, POT, s, s_tilde)
+        bare = assemble_kernel(adv.a - ret.a, adv.b - ret.b, MODE, _slash_plus_m(MODE, POT, s))
         assert np.max(np.abs(2j * np.pi * k - bare)) <= 1e-15
 
 
@@ -570,8 +582,9 @@ def test_batched_kernels_match_scalar_calls(rng):
     kernel = fp_kernel_momentum(mode, POT, s, s_tilde)
     causal = causal_fundamental_momentum(mode, POT, s, s_tilde)
     scalar_a = fp_scalar_a(mode, POT, s, s_tilde)
-    greens = {which: green_ab(mode, POT, s, s_tilde, which) for which in ("retarded", "advanced")}
-    assembled = assemble_kernel(greens["advanced"].a, greens["advanced"].b, mode, POT, s)
+    greens = green_ab(mode, POT, s, s_tilde)
+    slash_m = _slash_plus_m(mode, POT, s)
+    assembled = assemble_kernel(greens[ADVANCED].a, greens[ADVANCED].b, mode, slash_m)
     assert kernel.shape == causal.shape == assembled.shape == (n, 4, 4)
     for i in range(n):
         mode_i = ModeParams(float(mode.k2[i]), float(mode.k3[i]), float(mode.u[i]),
@@ -581,15 +594,13 @@ def test_batched_kernels_match_scalar_calls(rng):
         assert np.max(np.abs(causal[i] - causal_fundamental_momentum(mode_i, POT, si, sti))) \
             <= 1e-13
         assert abs(scalar_a[i] - fp_scalar_a(mode_i, POT, si, sti)) <= 1e-13
-        for which, batch in greens.items():
-            single = green_ab(mode_i, POT, si, sti, which)
+        for batch, single in zip(greens, green_ab(mode_i, POT, si, sti)):
             assert isinstance(single.a, complex)
             assert abs(batch.a[i] - single.a) <= 1e-13
             assert np.max(np.abs(batch.b[i] - single.b)) <= 1e-13
-            assert batch.delta_n_plus[i] == single.delta_n_plus
-        adv_i = greens["advanced"]
+        adv = greens[ADVANCED]
         assert np.max(np.abs(assembled[i] - assemble_kernel(
-            complex(adv_i.a[i]), adv_i.b[i], mode_i, POT, si))) <= 1e-13
+            complex(adv.a[i]), adv.b[i], mode_i, slash_m[i]))) <= 1e-13
     coincident = causal[::4]
     expected = fp_kernel_momentum(ModeParams(mode.k2[::4], mode.k3[::4], mode.u[::4],
                                              mode.m[::4]), POT, s[::4], s[::4])
@@ -600,3 +611,102 @@ def test_signature_sign_broadcasts():
     assert np.array_equal(signature_sign(np.array([-0.5, 2.0])), [-1, 1])
     with pytest.raises(ValueError):
         signature_sign(np.array([-0.5, 0.0]))
+
+
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf, np.array([np.nan, -1.0, np.inf])],
+                         ids=["nan", "inf", "-inf", "array"])
+def test_signature_sign_refuses_non_finite_u(u):
+    with pytest.raises(ValueError, match="finite"):
+        signature_sign(u)
+
+
+_TAB_S = np.linspace(-4.0, 4.0, 33)
+KERNEL_PROFILES = pytest.mark.parametrize("pot", [
+    ZeroPotential(), HarmonicPotential(0.3, 1.0), PulsePotential(0.4, 1.3, 2.0),
+    TabulatedPotential(_TAB_S, 0.3 * np.cos(_TAB_S), 0.2 * np.sin(0.7 * _TAB_S)),
+], ids=["zero", "harmonic", "pulse", "tabulated"])
+
+
+def _kernel_grid(rng, n=4):
+    """n modes with u < 0 on axis 0, three s on axis 1 and three s~ on
+    axis 2, one of them equal to the first s."""
+    shape = (n, 1, 1)
+    mode = ModeParams(rng.normal(0.0, 0.5, shape), rng.normal(0.0, 0.5, shape),
+                      -np.exp(rng.uniform(np.log(0.2), np.log(2.0), shape)),
+                      rng.uniform(0.5, 1.5, shape))
+    s = rng.uniform(-3.0, 3.0, (3, 1))
+    return mode, s, np.append(rng.uniform(-3.0, 3.0, 2), s[0, 0])
+
+
+@KERNEL_PROFILES
+def test_each_kernel_call_evaluates_the_profile_once(rng, monkeypatch, pot):
+    """At most one field and one moments call per public call, on batched
+    modes and (s, s~) grids; mass_pairing_identity evolves each of its two
+    masses by its own phase, one moments call each."""
+    calls = []
+    for cls in (ZeroPotential, HarmonicPotential, PulsePotential, TabulatedPotential):
+        for name in ("field", "moments"):
+            def spy(self, s, original=vars(cls)[name], name=name):
+                calls.append(name)
+                return original(self, s)
+
+            monkeypatch.setattr(cls, name, spy)
+    mode, s, s_tilde = _kernel_grid(rng)
+    n = 5
+    flat = ModeParams(rng.normal(0.0, 0.5, n), rng.normal(0.0, 0.5, n),
+                      -np.exp(rng.uniform(np.log(0.2), np.log(2.0), n)), rng.uniform(0.5, 1.5, n))
+    amp_a, amp_b = (ModeAmplitude(random_pi_minus(rng, n)) for _ in range(2))
+    point = rng.uniform(-3.0, 3.0, (4, n))
+    runs = {  # name: (call, most moments calls)
+        "green_ab": (lambda: green_ab(mode, pot, s, s_tilde), 1),
+        "causal_fundamental_momentum": (
+            lambda: causal_fundamental_momentum(mode, pot, s, s_tilde), 1),
+        "fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, pot, s, s_tilde), 1),
+        "fp_scalar_a": (lambda: fp_scalar_a(mode, pot, s, s_tilde), 1),
+        "mass_pairing_identity": (lambda: mass_pairing_identity(
+            amp_a, flat, amp_b, replace(flat, m=flat.m[::-1]), pot, point[0]), 2),
+        "dirac_residual": (lambda: dirac_residual(amp_a, flat, pot, point), 1),
+    }
+    for name, (run, most_moments) in runs.items():
+        calls.clear()
+        run()
+        assert calls.count("field") <= 1 and calls.count("moments") <= most_moments, (name, calls)
+
+
+@dataclass(frozen=True)
+class ShiftedPotential(PlaneWavePotential):
+    """`base` with its field shifted by the constant (c2, c3)."""
+
+    base: PlaneWavePotential
+    c2: float
+    c3: float
+
+    def field(self, s):
+        a2, a3, da2, da3 = self.base.field(s)
+        return a2 + self.c2, a3 + self.c3, da2, da3
+
+    def moments(self, s):
+        a2, a3, b = self.base.moments(s)
+        s = np.asarray(s, dtype=float)
+        c2, c3 = self.c2, self.c3
+        return (a2 + c2 * s, a3 + c3 * s,
+                b + 2.0 * c2 * a2 + 2.0 * c3 * a3 + (c2 * c2 + c3 * c3) * s)
+
+
+@KERNEL_PROFILES
+def test_gauge_shift_is_a_momentum_shift(rng, pot):
+    """P_{a+c}(k - c) = P_a(k): a constant shift c of the field moves every
+    kernel to the momentum k - c, in both Green's functions too."""
+    mode, s, s_tilde = _kernel_grid(rng)
+    shifted = ShiftedPotential(pot, 0.37, -0.21)
+    moved = replace(mode, k2=mode.k2 - shifted.c2, k3=mode.k3 - shifted.c3)
+
+    def gap(value, reference):
+        return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+    for kernel in (fp_kernel_momentum, causal_fundamental_momentum):
+        assert gap(kernel(moved, shifted, s, s_tilde), kernel(mode, pot, s, s_tilde)) <= 1e-13
+    for green_shifted, green in zip(green_ab(moved, shifted, s, s_tilde),
+                                    green_ab(mode, pot, s, s_tilde)):
+        assert gap(green_shifted.a, green.a) <= 1e-13
+        assert gap(green_shifted.b, green.b) <= 1e-13
