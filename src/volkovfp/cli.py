@@ -72,6 +72,7 @@ from .projector import (
     fp_scalar_a,
     mass_oscillation_check,
     signature_sign,
+    wave_slice,
 )
 from .quadrature import gl_panels
 from .schema import Key, Table, kind, literal, numbers, number, validate
@@ -609,9 +610,10 @@ def run_fp_kernel_export(cfg: Mapping) -> ScenarioResult:
 
     scale = 1.0 / (2.0 * np.pi) ** 4
     coincidence_gaps = np.abs(fp_scalar_a(modes, pot, s, s) - scale) / scale
-    kernel = fp_kernel_momentum(modes, pot, s, st)
-    mirrored = fp_kernel_momentum(modes, pot, st, s)
-    causal = causal_fundamental_momentum(modes, pot, s, st)
+    wave = wave_slice(modes, pot, s, st)
+    kernel = fp_kernel_momentum(modes, wave)
+    mirrored = fp_kernel_momentum(modes, wave.mirrored())
+    causal = causal_fundamental_momentum(modes, wave)
     sign = signature_sign(modes.u)[..., None, None]
     norm = np.maximum(np.max(np.abs(kernel), axis=(-2, -1)), 1e-300)
     sym_gaps = np.max(np.abs(spin_adjoint(kernel) - mirrored), axis=(-2, -1)) / norm

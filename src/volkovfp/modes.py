@@ -410,9 +410,13 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
     if not all(np.array_equal(getattr(mode_a, f), getattr(mode_b, f)) for f in ("k2", "k3", "u")):
         raise ValueError("modes must share (k2, k3, u)")
     u = mode_a.u
-    aslash = transverse_slash(mode_a.k2, mode_a.k3, *pot.field(s)[:2])  # shared by both
-    chi_a, chi_b = (_apply(_completion(mode, aslash), evolve_pi_minus(amp, mode, pot, s))
-                    for amp, mode in ((amp_a, mode_a), (amp_b, mode_b)))
+    shape = np.broadcast_shapes(np.shape(s), np.shape(u), amp_a.chi0.shape[:-1],
+                                amp_b.chi0.shape[:-1])  # one batch, the two masses first
+    both = ModeParams(mode_a.k2, mode_a.k3, u,
+                      np.stack([np.broadcast_to(mode.m, shape) for mode in (mode_a, mode_b)]))
+    amps = ModeAmplitude(np.stack([np.broadcast_to(a.chi0, (*shape, 4)) for a in (amp_a, amp_b)]))
+    aslash = transverse_slash(mode_a.k2, mode_a.k3, *pot.field(s)[:2])
+    chi_a, chi_b = _apply(_completion(both, aslash), evolve_pi_minus(amps, both, pot, s))
     lhs = 2.0 * u * spin_inner(chi_a, chi_b)
 
     m, mp = mode_a.m, mode_b.m

@@ -145,8 +145,8 @@ class PulsePotential(PlaneWavePotential):
 
     a2(s) = amplitude * exp(-s^2 / (2 width^2)) * cos(frequency * s).
     Smooth and rapidly decaying; its moments are Gaussian integrals.  A
-    |frequency| or |frequency| x width past _MAX_PULSE_PHASE is refused:
-    the moments form phases up to 56 |frequency| width and 2 frequency.
+    |frequency|, width or |frequency| x width past _MAX_PULSE_PHASE is
+    refused: the moments grow with the width and 56 |frequency| width.
     """
 
     amplitude: float
@@ -157,18 +157,18 @@ class PulsePotential(PlaneWavePotential):
         _require_finite(amplitude=self.amplitude, frequency=self.frequency, width=self.width)
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
-        if not abs(self.frequency) * max(self.width, 1.0) <= _MAX_PULSE_PHASE:
-            raise ValueError(f"pulse |frequency| and |frequency| x width must be at most "
-                             f"{_MAX_PULSE_PHASE:g}: the phases of its moments overflow")
+        if not max(abs(self.frequency), 1.0) * max(self.width, 1.0) <= _MAX_PULSE_PHASE:
+            raise ValueError(f"pulse |frequency|, width and |frequency| x width must be at "
+                             f"most {_MAX_PULSE_PHASE:g}: its moments overflow")
 
     def field(self, s):
         self.check_domain(s)
         f = self.frequency
         s = np.asarray(s, dtype=float)
-        envelope = self.amplitude * np.exp(-np.square(s) / (2.0 * self.width ** 2))
+        w2 = self.width * self.width  # inf past about 1.3e154, where width ** 2 raises
+        envelope = self.amplitude * np.exp(-np.square(s) / (2.0 * w2))
         cos, zero = np.cos(f * s), np.zeros_like(s)
-        return (envelope * cos, zero,
-                envelope * (-(s / self.width ** 2) * cos - f * np.sin(f * s)), zero)
+        return envelope * cos, zero, envelope * (-(s / w2) * cos - f * np.sin(f * s)), zero
 
     def a2(self, s):
         # The one per-component view: perfbench's tracer self-test checks

@@ -30,8 +30,9 @@ The signature operator acts by the sign of u, and the projector kernel
     b_P(s,s~) = (Aslash(s~) + m) E / (2u (2 pi)^4),
 
 assembled with the same completion.  The kernel is symmetric under the
-spin adjoint, gamma0 P(s,s~)^dag gamma0 = P(s~,s).  Every kernel needs
-only E and Aslash + m at s and s~: one ``moments`` and one ``field`` call.
+spin adjoint, gamma0 P(s,s~)^dag gamma0 = P(s~,s).  Every kernel is
+algebra on E(s~,s) and Aslash + m at s and s~, which ``wave_slice``
+evaluates once (one ``moments`` and one ``field`` call) into a ``WaveSlice``.
 
 Prefactor conventions used throughout (powers of 2 pi):
 
@@ -79,6 +80,8 @@ from .potential import PlaneWavePotential
 from .quadrature import checked_panels, phase_rate
 
 __all__ = [
+    "WaveSlice",
+    "wave_slice",
     "GreenAB",
     "green_ab",
     "assemble_kernel",
@@ -109,37 +112,41 @@ class GreenAB(NamedTuple):
     b: np.ndarray
 
 
-def _slash_plus_m(mode: ModeParams, pot: PlaneWavePotential, *points) -> list:
-    """Aslash + m, the matrix factor of every b coefficient and completion,
-    at each array of s in `points`, from one field call on all of them."""
-    points = [np.asarray(s, dtype=float) for s in points]
-    a2, a3 = pot.field(np.concatenate([s.ravel() for s in points]))[:2]
-    ends = np.cumsum([s.size for s in points])[:-1]
-    return [transverse_slash(mode.k2, mode.k3, c2.reshape(s.shape), c3.reshape(s.shape))
-            + _mat(mode.m) * _ID4
-            for s, c2, c3 in zip(points, np.split(a2, ends), np.split(a3, ends))]
+class WaveSlice(NamedTuple):
+    """E(s~,s), Aslash(s) + m and Aslash(s~) + m, batch axes leading."""
+
+    s: np.ndarray
+    s_tilde: np.ndarray
+    env: np.ndarray
+    slash_m: np.ndarray
+    slash_m_tilde: np.ndarray
+
+    def mirrored(self) -> "WaveSlice":
+        """The slice at (s~,s), exact: each term of Phi is an endpoint difference."""
+        return WaveSlice(self.s_tilde, self.s, np.conj(self.env), self.slash_m_tilde, self.slash_m)
 
 
-def _green_pair(mode: ModeParams, s, s_tilde, env, slash_m_tilde) -> tuple[GreenAB, GreenAB]:
-    """Retarded and advanced coefficients from E(s~,s) and Aslash(s~) + m."""
+def wave_slice(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde) -> WaveSlice:
+    """The modes' wave at (s, s~) from one moments and one field call; all broadcast."""
+    s, s_tilde = np.asarray(s, dtype=float), np.asarray(s_tilde, dtype=float)
+    a2, a3 = pot.field(np.concatenate([s.ravel(), s_tilde.ravel()]))[:2]
+    slash_m, slash_m_tilde = (
+        transverse_slash(mode.k2, mode.k3, c2.reshape(x.shape), c3.reshape(x.shape))
+        + _mat(mode.m) * _ID4
+        for x, c2, c3 in zip((s, s_tilde), np.split(a2, [s.size]), np.split(a3, [s.size])))
+    return WaveSlice(s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m, slash_m_tilde)
+
+
+def green_ab(mode: ModeParams, wave: WaveSlice) -> tuple[GreenAB, GreenAB]:
+    """Retarded and advanced Green's coefficients (a, b) on a wave slice;
+    at s = s~ both kinds report their one-sided limit."""
     pair = []
-    for supported, sign in ((np.asarray(s) >= s_tilde, 1.0), (np.asarray(s) <= s_tilde, -1.0)):
-        env_k = np.where(supported, env, 0.0)
+    for supported, sign in ((wave.s >= wave.s_tilde, 1.0), (wave.s <= wave.s_tilde, -1.0)):
+        env_k = np.where(supported, wave.env, 0.0)
         a = sign * (-1j) * env_k / _TWO_PI_3
-        b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env_k) * slash_m_tilde
+        b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env_k) * wave.slash_m_tilde
         pair.append(GreenAB(complex(a) if a.ndim == 0 else a, b))
     return tuple(pair)
-
-
-def green_ab(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde) -> tuple[GreenAB, GreenAB]:
-    """Retarded and advanced Green's coefficients (a, b) at (s, s~).
-
-    The support convention at coincidence is the one-sided limit: both
-    kinds report their limiting value at s = s~.  Modes, s and s~
-    broadcast against each other.
-    """
-    slash_m_tilde, = _slash_plus_m(mode, pot, s_tilde)
-    return _green_pair(mode, s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m_tilde)
 
 
 def assemble_kernel(a, b: np.ndarray, mode: ModeParams, slash_m: np.ndarray) -> np.ndarray:
@@ -150,8 +157,7 @@ def assemble_kernel(a, b: np.ndarray, mode: ModeParams, slash_m: np.ndarray) -> 
     return _N_MINUS * a + _PI_MINUS @ b + front @ (_N_PLUS @ b + _PI_PLUS * a)
 
 
-def causal_fundamental_momentum(mode: ModeParams, pot: PlaneWavePotential,
-                                s, s_tilde) -> np.ndarray:
+def causal_fundamental_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray:
     """Momentum-space causal fundamental kernel (advanced - retarded)/(2 pi i).
 
     Off the diagonal this samples both Green's functions and subtracts;
@@ -159,13 +165,12 @@ def causal_fundamental_momentum(mode: ModeParams, pot: PlaneWavePotential,
     exact coincidence the two step functions sum to one, which is the
     continuous value E/(2 pi)^4 used directly.
     """
-    coincident = np.asarray(s) == s_tilde
-    slash_m, slash_m_tilde = _slash_plus_m(mode, pot, s, s_tilde)
-    ret, adv = _green_pair(mode, s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m_tilde)
+    coincident = wave.s == wave.s_tilde
+    ret, adv = green_ab(mode, wave)
     a = np.where(coincident, 1.0 / _TWO_PI_4, (adv.a - ret.a) / (2j * np.pi))
-    b_coincident = slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
+    b_coincident = wave.slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
     b = np.where(_mat(coincident), b_coincident, (adv.b - ret.b) / (2j * np.pi))
-    return assemble_kernel(a, b, mode, slash_m)
+    return assemble_kernel(a, b, mode, wave.slash_m)
 
 
 def signature_sign(u):
@@ -184,20 +189,20 @@ def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
     """Scalar coefficient a(s, s~) = E(s~,s)/(2 pi)^4 of the projector kernel.
 
     Modes, s and s~ broadcast; this is the scalar channel analysed by
-    the spectral diagnostics.
+    the spectral diagnostics, and it needs only the phase.
     """
     if not np.all(np.asarray(mode.u) < 0):
         raise ValueError("projector kernel requires u < 0")
     return phase_factor(mode, pot, s_tilde, s) / _TWO_PI_4
 
 
-def fp_kernel_momentum(mode: ModeParams, pot: PlaneWavePotential,
-                       s, s_tilde) -> np.ndarray:
+def fp_kernel_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray:
     """Momentum-space kernel of the fermionic projector (u < 0 only)."""
-    a = fp_scalar_a(mode, pot, s, s_tilde)
-    slash_m, slash_m_tilde = _slash_plus_m(mode, pot, s, s_tilde)
-    b = _mat(a * _TWO_PI_4) * slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
-    return assemble_kernel(a, b, mode, slash_m)
+    if not np.all(np.asarray(mode.u) < 0):
+        raise ValueError("projector kernel requires u < 0")
+    a = wave.env / _TWO_PI_4
+    b = _mat(a * _TWO_PI_4) * wave.slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
+    return assemble_kernel(a, b, mode, wave.slash_m)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +417,7 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
 
         def integrands(s):
             """(s, 13) integrands of i_u (4), i_v (4), j_0 (1) and j_a (4)."""
-            e_vals = phase_factor(mode, pot, 0.0, s)
-            slash_m, = _slash_plus_m(mode, pot, s)
+            _, _, e_vals, slash_m, _ = wave_slice(mode, pot, s, 0.0)  # e_vals is E(0, s)
             front = slash_m / (2.0 * u)
             left = np.conj(np.asarray(env_phi(s), dtype=complex)) * e_vals
             right = np.asarray(env_psi(s), dtype=complex) * np.conj(e_vals)

@@ -38,6 +38,7 @@ from volkovfp.projector import (
     fp_scalar_a,
     mass_oscillation_check,
     signature_sign,
+    wave_slice,
 )
 from volkovfp.spectral import (
     GaussianWindow,
@@ -192,13 +193,14 @@ def test_criterion_6_kernel_consistency():
                           -float(np.exp(rng.uniform(np.log(0.1), np.log(2.0)))),
                           float(rng.uniform(0.5, 1.5)))
         s, s_tilde = (float(x) for x in rng.uniform(-3.0, 3.0, size=2))
-        p = fp_kernel_momentum(mode, pot, s, s_tilde)
-        k = causal_fundamental_momentum(mode, pot, s, s_tilde)
+        wave = wave_slice(mode, pot, s, s_tilde)
+        p = fp_kernel_momentum(mode, wave)
+        k = causal_fundamental_momentum(mode, wave)
         scale = np.max(np.abs(p))
         worst_consistency = max(
             worst_consistency,
             np.max(np.abs(p - (-signature_sign(mode.u)) * k)) / scale)
-        q = fp_kernel_momentum(mode, pot, s_tilde, s)
+        q = fp_kernel_momentum(mode, wave_slice(mode, pot, s_tilde, s))  # fresh, not mirrored
         worst_adjoint = max(worst_adjoint, np.max(np.abs(spin_adjoint(p) - q)) / scale)
         if complex(fp_scalar_a(mode, pot, s, s)) != 1.0 / (2.0 * np.pi) ** 4 + 0.0j:
             coincidence_exact = False

@@ -23,7 +23,7 @@ from volkovfp import cli
 from volkovfp.modes import ModeParams, smooth_bump
 from volkovfp.potential import (HarmonicPotential, PlaneWavePotential, PulsePotential,
                                 TabulatedPotential, ZeroPotential)
-from volkovfp.projector import fp_kernel_momentum, mass_oscillation_check
+from volkovfp.projector import fp_kernel_momentum, mass_oscillation_check, wave_slice
 from volkovfp.spectral import (GaussianWindow, HannWindow, harmonic_sidebands_analytic,
                                windowed_phase_transform)
 
@@ -502,6 +502,10 @@ def test_workers_option_is_gone(tmp_path, capsys):
      {"kind": "pulse", "amplitude": 0.5, "frequency": 1e308, "width": 1.0}, cli.EXIT_CONFIG),
     ("wavefront-probe", ("potential",),
      {"kind": "pulse", "amplitude": 0.5, "frequency": 1e200, "width": 1e200}, cli.EXIT_CONFIG),
+    ("dirac-residual", ("potential",),
+     {"kind": "pulse", "amplitude": 0.5, "frequency": 1e-10, "width": 1e301}, cli.EXIT_CONFIG),
+    ("dirac-residual", ("potential",),
+     {"kind": "pulse", "amplitude": 0.5, "frequency": 0.0, "width": 1.7e308}, cli.EXIT_CONFIG),
 ], ids=["wavefront-huge-m", "wavefront-tiny-u", "wavefront-huge-window", "wavefront-tiny-dv",
         "sidebands-huge-k2", "sidebands-huge-frequency", "decay-tiny-sigma",
         "decay-huge-center", "decay-huge-negative-center", "wavefront-huge-k2",
@@ -509,7 +513,8 @@ def test_workers_option_is_gone(tmp_path, capsys):
         "wavefront-tiny-window", "sidebands-huge-negative-frequency", "sidebands-tiny-frequency",
         "sidebands-k2-1e6", "sidebands-k2-1e9", "sidebands-k2-1e12", "sidebands-tiny-u",
         "sidebands-huge-amplitude", "wavefront-pulse-huge-frequency",
-        "wavefront-pulse-huge-frequency-width"])
+        "wavefront-pulse-huge-frequency-width", "dirac-pulse-huge-width",
+        "dirac-pulse-huge-width-zero-frequency"])
 @pytest.mark.filterwarnings("error")
 def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenario, path,
                                                         value, code):
@@ -533,6 +538,22 @@ def test_extreme_value_exits_without_traceback_or_files(tmp_path, capsys, scenar
     prefix = "config error:" if code == cli.EXIT_CONFIG else "numerical domain error:"
     assert err.startswith(prefix) and err.count("\n") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("width", [1e200, 1e300])
+@pytest.mark.filterwarnings("error")
+def test_wide_pulse_runs_every_per_mode_scenario(tmp_path, width):
+    """A pulse wider than about 1.34e154 is accepted, and every per-mode
+    scenario runs on it: each once exited 3, as the pulse field raised
+    OverflowError on width ** 2."""
+    for scenario in ("dirac-residual", "null-product-invariance", "mass-pairing", "decay-scan",
+                     "fp-kernel-export"):
+        cfg = small_configs()[scenario]
+        cfg["potential"] = {"kind": "pulse", "amplitude": 0.5, "frequency": 1.0, "width": width}
+        out = tmp_path / scenario
+        cfg_path = write_config(tmp_path, f"{scenario}.json", cfg)
+        assert cli.main([scenario, "--config", cfg_path, "--out", str(out)]) == cli.EXIT_PASS
+        assert (out / "summary.json").exists()
 
 
 _GRID_KEYS = [("mass-oscillation", "u_grid"), ("mass-oscillation", "k2_grid"),
@@ -787,8 +808,8 @@ def test_shipped_and_benchmark_configs_validate():
 
 
 # Domain checks per run: one per field or moments call, on every profile kind.
-_DOMAIN_CHECKS = {"dirac-residual": 2, "null-product-invariance": 1, "mass-pairing": 3,
-                  "decay-scan": 2, "fp-kernel-export": 7}
+_DOMAIN_CHECKS = {"dirac-residual": 2, "null-product-invariance": 1, "mass-pairing": 2,
+                  "decay-scan": 2, "fp-kernel-export": 3}
 
 
 def test_domain_checks_per_run_are_the_same_for_every_profile_kind(monkeypatch, tmp_path):
@@ -1230,7 +1251,8 @@ def test_kernel_csv_rows_match_per_cell_formatting(tmp_path):
     pot = HarmonicPotential(0.2, 1.0)
     columns = [np.concatenate(pair) for pair in zip(
         cli._kernel_columns(mode, np.array(specials), np.inf, value),
-        cli._kernel_columns(one, 0.1, -0.2, fp_kernel_momentum(one, pot, 0.1, -0.2)))]
+        cli._kernel_columns(one, 0.1, -0.2,
+                            fp_kernel_momentum(one, wave_slice(one, pot, 0.1, -0.2))))]
     rows = list(zip(*columns))
     assert len(rows) == len(specials) + 1 and len(columns) == 37
     path = tmp_path / "kernel.csv"
@@ -1254,7 +1276,8 @@ def test_batched_kernel_csv_rows_follow_the_batch(tmp_path):
     pot = HarmonicPotential(0.2, 1.0)
     for row, (u, k2, k3, s, st) in zip(rows, order):
         assert row[:5] == [u, k2, k3, s, st]
-        single = fp_kernel_momentum(ModeParams(k2, k3, u, cfg["m"]), pot, s, st)
+        mode = ModeParams(k2, k3, u, cfg["m"])
+        single = fp_kernel_momentum(mode, wave_slice(mode, pot, s, st))
         assert np.max(np.abs(np.array(row[5::2]) + 1j * np.array(row[6::2])
                              - single.ravel())) <= 1e-13
 

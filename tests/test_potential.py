@@ -202,11 +202,13 @@ def test_pulse_moments_silent_and_finite_at_extreme_inputs():
 
 
 @pytest.mark.parametrize("frequency, width", [(1e200, 1e200), (1e308, 1.0), (-1e308, 1e-300),
-                                              (1e301, 1e-10), (-1e160, 1e150)])
+                                              (1e301, 1e-10), (-1e160, 1e150), (1e-10, 1e301),
+                                              (0.0, 1.7e308), (0.5, 1.5e300)])
 def test_pulse_whose_moment_phases_overflow_is_refused_without_warning(frequency, width):
-    """A pulse with |frequency| or |frequency| x width past 1e300 is a
-    ValueError at construction: (1e200, 1e200) and (1e308, 1) once warned
-    "invalid value encountered in divide" in _faddeeva and gave NaN moments."""
+    """A pulse with |frequency|, width or |frequency| x width past 1e300 is
+    a ValueError at construction: (1e200, 1e200) and (1e308, 1) once warned
+    "invalid value encountered in divide" in _faddeeva and gave NaN moments,
+    and (0, 1.7e308) warned of an overflow in multiply."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="frequency"):
@@ -225,6 +227,23 @@ def test_pulse_at_the_phase_cap_has_finite_moments_without_warning(frequency, wi
         pot = PulsePotential(0.5, frequency, width)
         for moment in pot.moments(s):
             assert np.all(np.isfinite(moment)), (frequency, width)
+
+
+@pytest.mark.parametrize("frequency, width", [(1.0, 1e300), (0.0, 1e300), (-1e-10, 1e300),
+                                              (1.0, 1e200), (1.0, 1.4e154)])
+def test_widest_pulse_has_finite_field_and_moments_without_warning(frequency, width):
+    """The widest pulse the constructor accepts has a finite field and
+    finite moments.  width ** 2 raised OverflowError past about 1.34e154,
+    so a run of such a pulse exited 3; its square is now inf there, and the
+    envelope is exactly 1 wherever s^2 is finite."""
+    s = np.array([-1e150, -1.0, 0.0, 1e-300, 1.0, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pot = PulsePotential(0.5, frequency, width)
+        values = (*pot.field(s), *pot.moments(s))
+    for value in values:
+        assert np.all(np.isfinite(value)), (frequency, width)
+    assert np.array_equal(values[0], 0.5 * np.cos(frequency * s))
 
 
 # Run in a fresh interpreter: this process has built the series already.

@@ -36,6 +36,7 @@ from volkovfp.projector import (
     green_ab,
     mass_oscillation_check,
     signature_sign,
+    wave_slice,
 )
 from volkovfp.quadrature import UndersampledGridError
 
@@ -58,25 +59,25 @@ def _slash_plus_m(mode, pot, s):
 
 
 def test_green_supports():
-    ret, adv = green_ab(MODE, POT, 1.0, 2.0)
+    ret, adv = green_ab(MODE, wave_slice(MODE, POT, 1.0, 2.0))
     assert ret.a == 0.0 and np.max(np.abs(ret.b)) == 0.0 and adv.a != 0.0
-    ret, adv = green_ab(MODE, POT, 3.0, 2.0)
+    ret, adv = green_ab(MODE, wave_slice(MODE, POT, 3.0, 2.0))
     assert adv.a == 0.0 and np.max(np.abs(adv.b)) == 0.0 and ret.a != 0.0
 
 
 def test_green_value_at_source():
-    ret, adv = green_ab(MODE, ZeroPotential(), 2.0, 2.0)
+    ret, adv = green_ab(MODE, wave_slice(MODE, ZeroPotential(), 2.0, 2.0))
     assert ret.a == pytest.approx(-1j / TWO_PI_3)
     assert adv.a == pytest.approx(1j / TWO_PI_3)
     # jump of the retarded scalar across the diagonal
-    below = green_ab(MODE, POT, 0.5 - 1e-12, 0.5)[RETARDED].a
-    at = green_ab(MODE, POT, 0.5, 0.5)[RETARDED].a
+    below = green_ab(MODE, wave_slice(MODE, POT, 0.5 - 1e-12, 0.5))[RETARDED].a
+    at = green_ab(MODE, wave_slice(MODE, POT, 0.5, 0.5))[RETARDED].a
     assert at - below == pytest.approx(-1j / TWO_PI_3, rel=1e-9)
 
 
 def _scalar_ode_residual(which, s, s_tilde, h=1e-5):
     def a_at(x):
-        return green_ab(MODE, POT, x, s_tilde)[which].a
+        return green_ab(MODE, wave_slice(MODE, POT, x, s_tilde))[which].a
 
     da = (a_at(s + h) - a_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * da
@@ -93,7 +94,7 @@ def test_green_scalar_ode_analytic_derivative():
     # d/ds of the closed form is -(i/4u) q(s) a(s), so the residual of
     # 4iu a' = q a built from the analytic derivative vanishes identically
     s, s_tilde = 1.7, 0.5
-    a = green_ab(MODE, POT, s, s_tilde)[RETARDED].a
+    a = green_ab(MODE, wave_slice(MODE, POT, s, s_tilde))[RETARDED].a
     q = phase_integrand(POT, MODE.k2, MODE.k3, MODE.m, s)
     da = (-1j / (4.0 * MODE.u)) * q * a
     assert abs(4j * MODE.u * da - q * a) <= 1e-10 * abs(q * a)
@@ -103,7 +104,7 @@ def test_green_matrix_ode_off_diagonal():
     s_tilde, s, h = 0.5, 1.9, 1e-5
 
     def b_at(x):
-        return green_ab(MODE, POT, x, s_tilde)[RETARDED].b
+        return green_ab(MODE, wave_slice(MODE, POT, x, s_tilde))[RETARDED].b
 
     db = (b_at(s + h) - b_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * db
@@ -113,9 +114,9 @@ def test_green_matrix_ode_off_diagonal():
 
 def test_causal_kernel_continuous_across_diagonal():
     s_tilde = 0.5
-    at = causal_fundamental_momentum(MODE, POT, s_tilde, s_tilde)
-    lo = causal_fundamental_momentum(MODE, POT, s_tilde - 1e-10, s_tilde)
-    hi = causal_fundamental_momentum(MODE, POT, s_tilde + 1e-10, s_tilde)
+    at = causal_fundamental_momentum(MODE, wave_slice(MODE, POT, s_tilde, s_tilde))
+    lo = causal_fundamental_momentum(MODE, wave_slice(MODE, POT, s_tilde - 1e-10, s_tilde))
+    hi = causal_fundamental_momentum(MODE, wave_slice(MODE, POT, s_tilde + 1e-10, s_tilde))
     assert np.max(np.abs(hi - lo)) <= 1e-12
     assert np.max(np.abs(hi - at)) <= 1e-12
     assert np.max(np.abs(lo - at)) <= 1e-12
@@ -126,7 +127,7 @@ def test_causal_kernel_solves_source_free_system():
     s_tilde, s, h = -0.3, 1.1, 1e-5
 
     def kernel(x):
-        return causal_fundamental_momentum(MODE, POT, x, s_tilde)
+        return causal_fundamental_momentum(MODE, wave_slice(MODE, POT, x, s_tilde))
 
     dk = (kernel(s + h) - kernel(s - h)) / (2.0 * h)
     aslash = transverse_slash(MODE.k2, MODE.k3, *map(float, POT.field(s)[:2]))
@@ -141,8 +142,8 @@ def test_causal_kernel_scaling_against_green_difference():
     from volkovfp.projector import assemble_kernel
 
     for s, s_tilde in ((1.3, -0.4), (-2.0, 0.7)):
-        k = causal_fundamental_momentum(MODE, POT, s, s_tilde)
-        ret, adv = green_ab(MODE, POT, s, s_tilde)
+        k = causal_fundamental_momentum(MODE, wave_slice(MODE, POT, s, s_tilde))
+        ret, adv = green_ab(MODE, wave_slice(MODE, POT, s, s_tilde))
         bare = assemble_kernel(adv.a - ret.a, adv.b - ret.b, MODE, _slash_plus_m(MODE, POT, s))
         assert np.max(np.abs(2j * np.pi * k - bare)) <= 1e-15
 
@@ -158,10 +159,11 @@ def test_signature_sign():
 
 
 def test_fp_kernel_requires_negative_u():
+    positive = ModeParams(0.0, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
-        fp_kernel_momentum(ModeParams(0.0, 0.0, 0.5, 1.0), POT, 0.0, 0.0)
+        fp_kernel_momentum(positive, wave_slice(positive, POT, 0.0, 0.0))
     with pytest.raises(ValueError):
-        fp_scalar_a(ModeParams(0.0, 0.0, 0.5, 1.0), POT, 0.0, 0.0)
+        fp_scalar_a(positive, POT, 0.0, 0.0)
 
 
 def test_fp_scalar_at_coincidence_exact():
@@ -175,8 +177,8 @@ def test_fp_equals_minus_sign_times_causal(rng):
                           -float(np.exp(rng.uniform(np.log(0.1), np.log(2.0)))),
                           float(rng.uniform(0.5, 1.5)))
         s, s_tilde = rng.uniform(-3, 3, size=2)
-        p = fp_kernel_momentum(mode, POT, float(s), float(s_tilde))
-        k = causal_fundamental_momentum(mode, POT, float(s), float(s_tilde))
+        p = fp_kernel_momentum(mode, wave_slice(mode, POT, float(s), float(s_tilde)))
+        k = causal_fundamental_momentum(mode, wave_slice(mode, POT, float(s), float(s_tilde)))
         gap = np.max(np.abs(p - (-signature_sign(mode.u)) * k))
         worst = max(worst, gap / np.max(np.abs(p)))
     assert worst < 1e-12
@@ -189,8 +191,8 @@ def test_fp_spin_adjoint_symmetry(rng):
                           -float(np.exp(rng.uniform(np.log(0.1), np.log(2.0)))),
                           float(rng.uniform(0.5, 1.5)))
         s, s_tilde = rng.uniform(-3, 3, size=2)
-        p = fp_kernel_momentum(mode, POT, float(s), float(s_tilde))
-        q = fp_kernel_momentum(mode, POT, float(s_tilde), float(s))
+        p = fp_kernel_momentum(mode, wave_slice(mode, POT, float(s), float(s_tilde)))
+        q = fp_kernel_momentum(mode, wave_slice(mode, POT, float(s_tilde), float(s)))
         gap = np.max(np.abs(spin_adjoint(p) - q)) / np.max(np.abs(p))
         worst = max(worst, gap)
     assert worst < 1e-12
@@ -579,10 +581,11 @@ def test_batched_kernels_match_scalar_calls(rng):
                       -np.exp(rng.uniform(np.log(0.1), np.log(2.0), n)), rng.uniform(0.5, 1.5, n))
     s, s_tilde = rng.uniform(-3, 3, size=(2, n))
     s_tilde[::4] = s[::4]
-    kernel = fp_kernel_momentum(mode, POT, s, s_tilde)
-    causal = causal_fundamental_momentum(mode, POT, s, s_tilde)
+    wave = wave_slice(mode, POT, s, s_tilde)
+    kernel = fp_kernel_momentum(mode, wave)
+    causal = causal_fundamental_momentum(mode, wave)
     scalar_a = fp_scalar_a(mode, POT, s, s_tilde)
-    greens = green_ab(mode, POT, s, s_tilde)
+    greens = green_ab(mode, wave)
     slash_m = _slash_plus_m(mode, POT, s)
     assembled = assemble_kernel(greens[ADVANCED].a, greens[ADVANCED].b, mode, slash_m)
     assert kernel.shape == causal.shape == assembled.shape == (n, 4, 4)
@@ -590,11 +593,11 @@ def test_batched_kernels_match_scalar_calls(rng):
         mode_i = ModeParams(float(mode.k2[i]), float(mode.k3[i]), float(mode.u[i]),
                             float(mode.m[i]))
         si, sti = float(s[i]), float(s_tilde[i])
-        assert np.max(np.abs(kernel[i] - fp_kernel_momentum(mode_i, POT, si, sti))) <= 1e-13
-        assert np.max(np.abs(causal[i] - causal_fundamental_momentum(mode_i, POT, si, sti))) \
-            <= 1e-13
+        wave_i = wave_slice(mode_i, POT, si, sti)
+        assert np.max(np.abs(kernel[i] - fp_kernel_momentum(mode_i, wave_i))) <= 1e-13
+        assert np.max(np.abs(causal[i] - causal_fundamental_momentum(mode_i, wave_i))) <= 1e-13
         assert abs(scalar_a[i] - fp_scalar_a(mode_i, POT, si, sti)) <= 1e-13
-        for batch, single in zip(greens, green_ab(mode_i, POT, si, sti)):
+        for batch, single in zip(greens, green_ab(mode_i, wave_i)):
             assert isinstance(single.a, complex)
             assert abs(batch.a[i] - single.a) <= 1e-13
             assert np.max(np.abs(batch.b[i] - single.b)) <= 1e-13
@@ -602,8 +605,8 @@ def test_batched_kernels_match_scalar_calls(rng):
         assert np.max(np.abs(assembled[i] - assemble_kernel(
             complex(adv.a[i]), adv.b[i], mode_i, slash_m[i]))) <= 1e-13
     coincident = causal[::4]
-    expected = fp_kernel_momentum(ModeParams(mode.k2[::4], mode.k3[::4], mode.u[::4],
-                                             mode.m[::4]), POT, s[::4], s[::4])
+    every_fourth = ModeParams(mode.k2[::4], mode.k3[::4], mode.u[::4], mode.m[::4])
+    expected = fp_kernel_momentum(every_fourth, wave_slice(every_fourth, POT, s[::4], s[::4]))
     assert np.max(np.abs(coincident - expected)) <= 1e-13  # P = -sign(u) K = K for u < 0
 
 
@@ -640,9 +643,10 @@ def _kernel_grid(rng, n=4):
 
 @KERNEL_PROFILES
 def test_each_kernel_call_evaluates_the_profile_once(rng, monkeypatch, pot):
-    """At most one field and one moments call per public call, on batched
-    modes and (s, s~) grids; mass_pairing_identity evolves each of its two
-    masses by its own phase, one moments call each."""
+    """wave_slice makes at most one field and one moments call on batched
+    modes and (s, s~) grids, and a kernel given the slice makes none; every
+    other public call makes at most one of each.  mass_pairing_identity
+    evolves both of its masses by one phase."""
     calls = []
     for cls in (ZeroPotential, HarmonicPotential, PulsePotential, TabulatedPotential):
         for name in ("field", "moments"):
@@ -657,20 +661,38 @@ def test_each_kernel_call_evaluates_the_profile_once(rng, monkeypatch, pot):
                       -np.exp(rng.uniform(np.log(0.2), np.log(2.0), n)), rng.uniform(0.5, 1.5, n))
     amp_a, amp_b = (ModeAmplitude(random_pi_minus(rng, n)) for _ in range(2))
     point = rng.uniform(-3.0, 3.0, (4, n))
-    runs = {  # name: (call, most moments calls)
-        "green_ab": (lambda: green_ab(mode, pot, s, s_tilde), 1),
-        "causal_fundamental_momentum": (
-            lambda: causal_fundamental_momentum(mode, pot, s, s_tilde), 1),
-        "fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, pot, s, s_tilde), 1),
+    calls.clear()
+    wave = wave_slice(mode, pot, s, s_tilde)
+    assert calls.count("field") <= 1 and calls.count("moments") <= 1, ("wave_slice", calls)
+    runs = {  # name: (call, most calls of each)
+        "green_ab": (lambda: green_ab(mode, wave), 0),
+        "causal_fundamental_momentum": (lambda: causal_fundamental_momentum(mode, wave), 0),
+        "fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, wave), 0),
+        "mirrored fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, wave.mirrored()), 0),
         "fp_scalar_a": (lambda: fp_scalar_a(mode, pot, s, s_tilde), 1),
         "mass_pairing_identity": (lambda: mass_pairing_identity(
-            amp_a, flat, amp_b, replace(flat, m=flat.m[::-1]), pot, point[0]), 2),
+            amp_a, flat, amp_b, replace(flat, m=flat.m[::-1]), pot, point[0]), 1),
         "dirac_residual": (lambda: dirac_residual(amp_a, flat, pot, point), 1),
     }
-    for name, (run, most_moments) in runs.items():
+    for name, (run, most) in runs.items():
         calls.clear()
         run()
-        assert calls.count("field") <= 1 and calls.count("moments") <= most_moments, (name, calls)
+        assert calls.count("field") <= most and calls.count("moments") <= most, (name, calls)
+
+
+@KERNEL_PROFILES
+def test_mirrored_slice_is_a_fresh_slice(rng, pot):
+    """Every kernel on wave.mirrored() equals, bit for bit, the kernel on a
+    slice evaluated afresh at (s~, s), on batched modes and with s = s~ at
+    one point: Phi(s, s~) = -Phi(s~, s) exactly, so E(s, s~) = conj E(s~, s)."""
+    mode, s, s_tilde = _kernel_grid(rng)
+    mirrored = wave_slice(mode, pot, s, s_tilde).mirrored()
+    fresh = wave_slice(mode, pot, s_tilde, s)
+    for kernel in (fp_kernel_momentum, causal_fundamental_momentum):
+        assert np.array_equal(kernel(mode, mirrored), kernel(mode, fresh)), kernel.__name__
+    for green_mirrored, green_fresh in zip(green_ab(mode, mirrored), green_ab(mode, fresh)):
+        assert np.array_equal(green_mirrored.a, green_fresh.a)
+        assert np.array_equal(green_mirrored.b, green_fresh.b)
 
 
 @dataclass(frozen=True)
@@ -704,9 +726,9 @@ def test_gauge_shift_is_a_momentum_shift(rng, pot):
     def gap(value, reference):
         return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
 
+    wave, wave_shifted = wave_slice(mode, pot, s, s_tilde), wave_slice(moved, shifted, s, s_tilde)
     for kernel in (fp_kernel_momentum, causal_fundamental_momentum):
-        assert gap(kernel(moved, shifted, s, s_tilde), kernel(mode, pot, s, s_tilde)) <= 1e-13
-    for green_shifted, green in zip(green_ab(moved, shifted, s, s_tilde),
-                                    green_ab(mode, pot, s, s_tilde)):
+        assert gap(kernel(moved, wave_shifted), kernel(mode, wave)) <= 1e-13
+    for green_shifted, green in zip(green_ab(moved, wave_shifted), green_ab(mode, wave)):
         assert gap(green_shifted.a, green.a) <= 1e-13
         assert gap(green_shifted.b, green.b) <= 1e-13
