@@ -22,6 +22,12 @@ Pi_minus + Pi_plus = 1.  The range of Pi_minus carries the dynamical
 degrees of freedom of a mode propagating along constant-s null surfaces,
 and gamma0 Pi_minus = N_plus Pi_minus.
 
+Spin matrices of the form N_minus, Pi_minus G_j, G_i N_plus G_j and
+G_i Pi_plus, with G = (gamma2, gamma3, 1), span every projector kernel
+(``kernel_basis``): a kernel is a table of scalar coefficients on them.
+Because gamma0 is diagonal, the spin adjoint and the spin inner product
+are sign masks, not matrix products.
+
 Matrices returned by the module are read-only; copy before mutating.
 """
 
@@ -34,6 +40,7 @@ __all__ = [
     "Spinor",
     "dirac_gamma",
     "lightcone_operators",
+    "kernel_basis",
     "spin_inner",
     "spin_adjoint",
     "transverse_slash",
@@ -95,6 +102,41 @@ def lightcone_operators() -> tuple[SpinMatrix, SpinMatrix, SpinMatrix, SpinMatri
     return _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS
 
 
+def _build_kernel_basis() -> np.ndarray:
+    g = (_GAMMA[2], _GAMMA[3], np.eye(4, dtype=complex))
+    basis = np.empty((4, 4, 4, 4), dtype=complex)
+    basis[0, 0] = _N_MINUS
+    for j, g_j in enumerate(g, 1):
+        basis[0, j] = _PI_MINUS @ g_j
+        basis[j, 0] = g_j @ _PI_PLUS
+        for i, g_i in enumerate(g, 1):
+            basis[i, j] = g_i @ _N_PLUS @ g_j
+    basis.setflags(write=False)
+    return basis
+
+
+_KERNEL_BASIS = _build_kernel_basis()
+
+
+def kernel_basis() -> np.ndarray:
+    """The (4, 4, 4, 4) table B[a, b] of kernel basis matrices.
+
+    With G = (gamma2, gamma3, 1) and index 0 standing for no factor,
+    B[0, 0] = N_minus, B[0, j] = Pi_minus G_j, B[i, j] = G_i N_plus G_j
+    and B[i, 0] = G_i Pi_plus (i, j = 1..3).  For S = sum_i g_i G_i and
+    S~ = sum_j g~_j G_j,
+
+        alpha N_minus + beta Pi_minus S~ + (S/2u) (beta N_plus S~ + alpha Pi_plus)
+
+    is sum_ab p_a q_b B[a, b] with p = (1, g / 2u) and q = (alpha, beta g~).
+    """
+    return _KERNEL_BASIS
+
+
+_GAMMA0_SIGNS = _GAMMA[0].diagonal().real.copy()
+_ADJOINT_SIGNS = np.outer(_GAMMA0_SIGNS, _GAMMA0_SIGNS)
+
+
 def spin_inner(psi: Spinor, phi: Spinor):
     """Indefinite spin inner product psi^dag gamma0 phi (signature (2, 2)).
 
@@ -104,16 +146,17 @@ def spin_inner(psi: Spinor, phi: Spinor):
     """
     psi = np.asarray(psi)
     phi = np.asarray(phi)
-    value = np.sum(np.conj(psi) * (phi @ _GAMMA[0].T), axis=-1)
+    value = np.sum(np.conj(psi) * (phi * _GAMMA0_SIGNS), axis=-1)
     return complex(value) if value.ndim == 0 else value
 
 
 def spin_adjoint(mat: SpinMatrix) -> SpinMatrix:
     """Adjoint gamma0 M^dag gamma0 with respect to the spin inner product.
 
-    A (..., 4, 4) stack gives the adjoint of each matrix.
+    A (..., 4, 4) stack gives the adjoint of each matrix.  gamma0 is
+    diagonal, so the product is a sign mask on the conjugate transpose.
     """
-    return _GAMMA[0] @ np.conj(np.swapaxes(np.asarray(mat), -1, -2)) @ _GAMMA[0]
+    return np.conj(np.swapaxes(np.asarray(mat), -1, -2)) * _ADJOINT_SIGNS
 
 
 def transverse_slash(k2, k3, a2=0.0, a3=0.0) -> SpinMatrix:

@@ -75,6 +75,7 @@ _TWO_PI_4 = (2.0 * np.pi) ** 4
 _N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS = lightcone_operators()
 _GAMMA0 = dirac_gamma(0)
 _ID4 = np.eye(4, dtype=complex)
+_N_PLUS_G2, _N_PLUS_G3 = _N_PLUS @ dirac_gamma(2), _N_PLUS @ dirac_gamma(3)
 
 
 class GridMismatchError(ValueError):
@@ -190,9 +191,25 @@ def evolve_pi_minus(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotentia
     return _vec(phase_factor(mode, pot, s_from, s)) * amp.chi0
 
 
-def _completion(mode: ModeParams, aslash) -> np.ndarray:
-    """1 - N_plus (Aslash - m) / 2u, mapping Pi_minus chi to the full spinor."""
-    return _ID4 - (_N_PLUS @ (aslash - _mat(mode.m) * _ID4)) / _mat(2.0 * mode.u)
+def _n_plus_slash(t2, t3) -> np.ndarray:
+    """N_plus (gamma2 t2 + gamma3 t3) from the constant products N_plus gamma2
+    and N_plus gamma3.  t2 and t3 never meet in one real or imaginary part
+    of an entry, so each part is one product with +-1/2, bit for bit the
+    matrix product's."""
+    return _mat(t2) * _N_PLUS_G2 + _mat(t3) * _N_PLUS_G3
+
+
+def _completion(mode: ModeParams, t2, t3) -> np.ndarray:
+    """1 - N_plus (Aslash - m) / 2u for Aslash = gamma2 t2 + gamma3 t3, mapping
+    Pi_minus chi to the full spinor; bit for bit the matrix-product form, as
+    m N_plus shares no entry part with N_plus Aslash."""
+    return _ID4 - (_n_plus_slash(t2, t3) - _mat(mode.m) * _N_PLUS) / _mat(2.0 * mode.u)
+
+
+def _transverse_momenta(mode: ModeParams, pot: PlaneWavePotential, s):
+    """t = (k2 + a2(s), k3 + a3(s)) from one field call."""
+    a2, a3 = pot.field(s)[:2]
+    return mode.k2 + a2, mode.k3 + a3
 
 
 def reconstruct_full(pi_minus_chi, mode: ModeParams, pot: PlaneWavePotential,
@@ -202,8 +219,8 @@ def reconstruct_full(pi_minus_chi, mode: ModeParams, pot: PlaneWavePotential,
     The Pi_plus component is fixed by the algebraic constraint
     2u N_minus chi = -(Aslash(s) - m) Pi_minus chi.
     """
-    aslash = transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2])
-    return _apply(_completion(mode, aslash), np.asarray(pi_minus_chi, dtype=complex))
+    return _apply(_completion(mode, *_transverse_momenta(mode, pot, s)),
+                  np.asarray(pi_minus_chi, dtype=complex))
 
 
 def _plane_factor(mode: ModeParams, l, y, z) -> np.ndarray:
@@ -246,14 +263,14 @@ def _mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotentia
     s, l, y, z = point
     u, m = mode.u, mode.m
     a2, a3, da2, da3 = pot.field(s)
-    aslash = transverse_slash(mode.k2, mode.k3, a2, a3)
-    aslash_prime = transverse_slash(0.0, 0.0, da2, da3)
+    t2, t3 = mode.k2 + a2, mode.k3 + a3
+    aslash = transverse_slash(t2, t3)
 
     v = evolve_pi_minus(amp, mode, pot, s)
     v_prime = _vec((-1j / (4.0 * u)) * _integrand(mode.k2, mode.k3, m, a2, a3)) * v
-    completion = _completion(mode, aslash)
+    completion = _completion(mode, t2, t3)
     chi = _apply(completion, v)
-    chi_prime = _apply(completion, v_prime) - _apply(_N_PLUS @ aslash_prime, v) / _vec(2.0 * u)
+    chi_prime = _apply(completion, v_prime) - _apply(_n_plus_slash(da2, da3), v) / _vec(2.0 * u)
 
     residual = 2j * _apply(_N_PLUS, chi_prime) + _vec(2.0 * u) * _apply(_N_MINUS, chi) \
         + _apply(aslash, chi) - _vec(m) * chi
@@ -415,8 +432,8 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
     both = ModeParams(mode_a.k2, mode_a.k3, u,
                       np.stack([np.broadcast_to(mode.m, shape) for mode in (mode_a, mode_b)]))
     amps = ModeAmplitude(np.stack([np.broadcast_to(a.chi0, (*shape, 4)) for a in (amp_a, amp_b)]))
-    aslash = transverse_slash(mode_a.k2, mode_a.k3, *pot.field(s)[:2])
-    chi_a, chi_b = _apply(_completion(both, aslash), evolve_pi_minus(amps, both, pot, s))
+    completion = _completion(both, *_transverse_momenta(mode_a, pot, s))
+    chi_a, chi_b = _apply(completion, evolve_pi_minus(amps, both, pot, s))
     lhs = 2.0 * u * spin_inner(chi_a, chi_b)
 
     m, mp = mode_a.m, mode_b.m

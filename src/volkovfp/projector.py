@@ -2,20 +2,19 @@
 
 For a separated mode (k2, k3, u) of mass m in a plane-wave potential the
 retarded/advanced Green's functions reduce to scalar first-order ODEs in
-s.  With E(s~,s) = exp(-i Phi(s~,s)/4u) (``modes.phase_factor``) the
-retarded pair is
+s.  With E(s~,s) = exp(-i Phi(s~,s)/4u) (``modes.phase_factor``),
+S = Aslash(s) + m and S~ = Aslash(s~) + m, the retarded pair is
 
     a(s,s~) = -(i/(2 pi)^3) Theta(s-s~) E,
-    b(s,s~) = -(i/4u) (2/(2 pi)^3) Theta(s-s~) (Aslash(s~) + m) E,
+    b(s,s~) = beta S~,    beta(s,s~) = -(i/4u) (2/(2 pi)^3) Theta(s-s~) E,
 
 the advanced pair carries Theta(s~-s) and the opposite sign; ``green_ab``
-returns both.  Away from the diagonal both satisfy
-4iu d/ds = ((k2+a2)^2+(k3+a3)^2+m^2) * (.) and the retarded a jumps by
--i/(2 pi)^3 across s = s~.  ``assemble_kernel`` completes (a, b) with
-the matrix Aslash(s) + m to the full kernel
+returns both, each as its scalars (a, beta).  Away from the diagonal
+both satisfy 4iu d/ds = ((k2+a2)^2+(k3+a3)^2+m^2) * (.) and the retarded
+a jumps by -i/(2 pi)^3 across s = s~.  The algebraic completion with S
+gives the full kernel
 
-    K = N_minus a + Pi_minus b
-        + (1/2u) (Aslash(s) + m) (N_plus b + Pi_plus a),
+    K = N_minus a + Pi_minus b + (S/2u) (N_plus b + Pi_plus a),
 
 plus, for the single Green's functions only, a symbolic
 (1/u) (2 pi)^-3 N_plus delta(s-s~) / 2 term that is never sampled
@@ -27,17 +26,25 @@ The signature operator acts by the sign of u, and the projector kernel
 (u < 0) equals minus that sign times the causal kernel:
 
     a_P(s,s~) = E / (2 pi)^4,
-    b_P(s,s~) = (Aslash(s~) + m) E / (2u (2 pi)^4),
+    beta_P(s,s~) = E / (2u (2 pi)^4),
 
-assembled with the same completion.  The kernel is symmetric under the
-spin adjoint, gamma0 P(s,s~)^dag gamma0 = P(s~,s).  Every kernel is
-algebra on E(s~,s) and Aslash + m at s and s~, which ``wave_slice``
-evaluates once (one ``moments`` and one ``field`` call) into a ``WaveSlice``.
+completed the same way.  The kernel is symmetric under the spin adjoint,
+gamma0 P(s,s~)^dag gamma0 = P(s~,s).
+
+Every kernel is a matrix polynomial of degree <= 2 in the transverse
+momenta t = (k2 + a2(s), k3 + a3(s)) and t~ at s~.  With G = (gamma2,
+gamma3, 1), S = sum_i g_i G_i for g = (t2, t3, m) and S~ likewise for
+g~ = (t~2, t~3, m), so the kernel is the rank-one coefficient table
+p_a q_b, p = (1, g/2u) and q = (a, beta g~), on the 16 constant
+matrices of ``clifford.kernel_basis``: one (..., 16) @ (16, 16)
+product, no 4x4 product per kernel.  ``wave_slice``
+evaluates E(s~,s), t and t~ once (one ``moments`` and one ``field``
+call) into a ``WaveSlice``; every kernel is algebra on it.
 
 Prefactor conventions used throughout (powers of 2 pi):
 
     retarded/advanced a      -+ i / (2 pi)^3
-    retarded/advanced b      -+ (i/4u) * 2 / (2 pi)^3
+    retarded/advanced beta   -+ (i/4u) * 2 / (2 pi)^3
     symbolic delta term      (1/2u) * 2 / (2 pi)^3
     causal difference        divide by 2 pi i  ->  1 / (2 pi)^4
     projector kernel a       1 / (2 pi)^4
@@ -65,12 +72,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import dirac_gamma, lightcone_operators, transverse_slash
+from .clifford import dirac_gamma, kernel_basis
 from .modes import (
     GridMismatchError,
     MassFamily,
     ModeParams,
-    _mat,
     _node_grid,
     _same_node_grid,
     _set_fields,
@@ -84,7 +90,6 @@ __all__ = [
     "wave_slice",
     "GreenAB",
     "green_ab",
-    "assemble_kernel",
     "causal_fundamental_momentum",
     "signature_sign",
     "fp_scalar_a",
@@ -99,62 +104,77 @@ __all__ = [
 _TWO_PI_3 = (2.0 * np.pi) ** 3
 _TWO_PI_4 = (2.0 * np.pi) ** 4
 
-_N_PLUS, _N_MINUS, _PI_PLUS, _PI_MINUS = lightcone_operators()
 _GAMMA0 = dirac_gamma(0)
-_ID4 = np.eye(4, dtype=complex)
+_KERNEL_BASIS = kernel_basis()
+_BASIS_ROWS = _KERNEL_BASIS.reshape(16, 16)
 
 
 class GreenAB(NamedTuple):
-    """Scalar and matrix coefficients of one Green's function, each with
-    the batch shape of the modes and points as leading axes."""
+    """Scalar coefficients of one Green's function, with b = beta (Aslash(s~) + m);
+    each has the batch shape of the modes and points as leading axes."""
 
     a: complex | np.ndarray
-    b: np.ndarray
+    beta: complex | np.ndarray
 
 
 class WaveSlice(NamedTuple):
-    """E(s~,s), Aslash(s) + m and Aslash(s~) + m, batch axes leading."""
+    """E(s~,s) and the transverse momenta t = (k2 + a2(s), k3 + a3(s)) and
+    t~ = (k2 + a2(s~), k3 + a3(s~)), batch axes leading."""
 
     s: np.ndarray
     s_tilde: np.ndarray
     env: np.ndarray
-    slash_m: np.ndarray
-    slash_m_tilde: np.ndarray
+    t: tuple[np.ndarray, np.ndarray]
+    t_tilde: tuple[np.ndarray, np.ndarray]
 
     def mirrored(self) -> "WaveSlice":
         """The slice at (s~,s), exact: each term of Phi is an endpoint difference."""
-        return WaveSlice(self.s_tilde, self.s, np.conj(self.env), self.slash_m_tilde, self.slash_m)
+        return WaveSlice(self.s_tilde, self.s, np.conj(self.env), self.t_tilde, self.t)
 
 
 def wave_slice(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde) -> WaveSlice:
     """The modes' wave at (s, s~) from one moments and one field call; all broadcast."""
     s, s_tilde = np.asarray(s, dtype=float), np.asarray(s_tilde, dtype=float)
     a2, a3 = pot.field(np.concatenate([s.ravel(), s_tilde.ravel()]))[:2]
-    slash_m, slash_m_tilde = (
-        transverse_slash(mode.k2, mode.k3, c2.reshape(x.shape), c3.reshape(x.shape))
-        + _mat(mode.m) * _ID4
+    t, t_tilde = (
+        (mode.k2 + c2.reshape(x.shape), mode.k3 + c3.reshape(x.shape))
         for x, c2, c3 in zip((s, s_tilde), np.split(a2, [s.size]), np.split(a3, [s.size])))
-    return WaveSlice(s, s_tilde, phase_factor(mode, pot, s_tilde, s), slash_m, slash_m_tilde)
+    return WaveSlice(s, s_tilde, phase_factor(mode, pot, s_tilde, s), t, t_tilde)
 
 
 def green_ab(mode: ModeParams, wave: WaveSlice) -> tuple[GreenAB, GreenAB]:
-    """Retarded and advanced Green's coefficients (a, b) on a wave slice;
+    """Retarded and advanced Green's coefficients (a, beta) on a wave slice;
     at s = s~ both kinds report their one-sided limit."""
     pair = []
     for supported, sign in ((wave.s >= wave.s_tilde, 1.0), (wave.s <= wave.s_tilde, -1.0)):
         env_k = np.where(supported, wave.env, 0.0)
         a = sign * (-1j) * env_k / _TWO_PI_3
-        b = _mat(sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env_k) * wave.slash_m_tilde
-        pair.append(GreenAB(complex(a) if a.ndim == 0 else a, b))
+        beta = sign * (-1j / (4.0 * mode.u)) * (2.0 / _TWO_PI_3) * env_k
+        pair.append(GreenAB(*(complex(x) if x.ndim == 0 else x for x in (a, beta))))
     return tuple(pair)
 
 
-def assemble_kernel(a, b: np.ndarray, mode: ModeParams, slash_m: np.ndarray) -> np.ndarray:
-    """Algebraic completion N- a + Pi- b + (Aslash(s)+m)(N+ b + Pi+ a)/2u,
-    given slash_m = Aslash(s) + m."""
-    front = slash_m / _mat(2.0 * mode.u)
-    a = _mat(a)
-    return _N_MINUS * a + _PI_MINUS @ b + front @ (_N_PLUS @ b + _PI_PLUS * a)
+def _front(mode: ModeParams, t) -> np.ndarray:
+    """p = (1, (t2, t3, m)/2u), the coefficients of 1 and S/2u on (1, G),
+    along a last axis of 4."""
+    two_u = 2.0 * mode.u
+    p = np.ones(np.shape(t[0]) + (4,))  # t broadcasts the modes against the points
+    p[..., 1], p[..., 2], p[..., 3] = t[0] / two_u, t[1] / two_u, mode.m / two_u
+    return p
+
+
+def _kernel(mode: ModeParams, wave: WaveSlice, a, beta) -> np.ndarray:
+    """a N- + beta Pi- S~ + (S/2u)(beta N+ S~ + a Pi+) for S = Aslash(s) + m
+    and S~ = Aslash(s~) + m: the coefficients p_a q_b on the kernel basis,
+    p = (1, (t2, t3, m)/2u) and q = (a, beta (t~2, t~3, m)), times the basis
+    in one product.  a and beta broadcast to the batch shape of wave.env."""
+    shape = np.shape(wave.env)
+    q = np.empty(shape + (4,), dtype=complex)
+    q[..., 0] = a
+    for j, g_tilde in enumerate((*wave.t_tilde, mode.m), 1):
+        q[..., j] = beta * g_tilde
+    coef = _front(mode, wave.t)[..., :, None] * q[..., None, :]
+    return (coef.reshape(-1, 16) @ _BASIS_ROWS).reshape(shape + (4, 4))
 
 
 def causal_fundamental_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray:
@@ -168,9 +188,9 @@ def causal_fundamental_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray
     coincident = wave.s == wave.s_tilde
     ret, adv = green_ab(mode, wave)
     a = np.where(coincident, 1.0 / _TWO_PI_4, (adv.a - ret.a) / (2j * np.pi))
-    b_coincident = wave.slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
-    b = np.where(_mat(coincident), b_coincident, (adv.b - ret.b) / (2j * np.pi))
-    return assemble_kernel(a, b, mode, wave.slash_m)
+    beta = np.where(coincident, 1.0 / (2.0 * mode.u * _TWO_PI_4),
+                    (adv.beta - ret.beta) / (2j * np.pi))
+    return _kernel(mode, wave, a, beta)
 
 
 def signature_sign(u):
@@ -200,9 +220,7 @@ def fp_kernel_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray:
     """Momentum-space kernel of the fermionic projector (u < 0 only)."""
     if not np.all(np.asarray(mode.u) < 0):
         raise ValueError("projector kernel requires u < 0")
-    a = wave.env / _TWO_PI_4
-    b = _mat(a * _TWO_PI_4) * wave.slash_m_tilde / _mat(2.0 * mode.u * _TWO_PI_4)
-    return assemble_kernel(a, b, mode, wave.slash_m)
+    return _kernel(mode, wave, wave.env / _TWO_PI_4, wave.env / (2.0 * mode.u * _TWO_PI_4))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +416,12 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
 
     Computes sum_i qw_i  double-integral  conj(f_phi(s)) f_psi(s~)
     <chi_phi | P_i(s,s~) chi_psi>  ds ds~.  The kernel phase factorises
-    as E(s~,s) = e(s) conj(e(s~)), so the double integral splits into
-    products of single s-integrals, all evaluated on one checked
-    Gauss-Legendre panel rule per node (``volkovfp.quadrature``).
+    as E(s~,s) = e(s) conj(e(s~)), and the kernel's coefficients on the
+    kernel basis as E(s~,s)/(2 pi)^4 p_a(s) p_b(s~), p = (1, (t2, t3, m)/2u),
+    so the double integral is L^T W R / (2 pi)^4 with L = int conj(f_phi) e p,
+    R = int f_psi conj(e) p and W_ab = <chi_phi | B[a, b] chi_psi>.  L and
+    R come from one checked Gauss-Legendre panel rule per node
+    (``volkovfp.quadrature``).
     """
     if profile_phi.m != profile_psi.m or not _same_node_grid(profile_phi, profile_psi):
         raise GridMismatchError("profiles must share the momentum grid")
@@ -410,26 +431,19 @@ def fp_pair_smeared(profile_phi: SmearedProfile, profile_psi: SmearedProfile,
     total = 0.0 + 0.0j
     for i in range(profile_phi.u.shape[0]):
         mode = profile_phi.node_mode(i)
-        u = mode.u
         bra = np.conj(profile_phi.spinors[i]) @ _GAMMA0
-        chi_psi = profile_psi.spinors[i]
+        spin = np.einsum("i,abij,j->ab", bra, _KERNEL_BASIS, profile_psi.spinors[i])
         env_phi, env_psi = profile_phi.envelopes[i], profile_psi.envelopes[i]
 
         def integrands(s):
-            """(s, 13) integrands of i_u (4), i_v (4), j_0 (1) and j_a (4)."""
-            _, _, e_vals, slash_m, _ = wave_slice(mode, pot, s, 0.0)  # e_vals is E(0, s)
-            front = slash_m / (2.0 * u)
-            left = np.conj(np.asarray(env_phi(s), dtype=complex)) * e_vals
-            right = np.asarray(env_psi(s), dtype=complex) * np.conj(e_vals)
-            return np.concatenate([
-                left[:, None] * (bra @ (_N_MINUS + front @ _PI_PLUS)),
-                left[:, None] * (bra @ (_PI_MINUS + front @ _N_PLUS)),
-                right[:, None],
-                right[:, None] * (slash_m @ chi_psi),
-            ], axis=1)
+            """(s, 8) integrands, L's four and R's four."""
+            wave = wave_slice(mode, pot, s, 0.0)  # wave.env is E(0, s) = e(s)
+            p = _front(mode, wave.t)
+            left = np.conj(np.asarray(env_phi(s), dtype=complex)) * wave.env
+            right = np.asarray(env_psi(s), dtype=complex) * np.conj(wave.env)
+            return np.concatenate([left[:, None] * p, right[:, None] * p], axis=1)
 
         rule = checked_panels(lo, hi, phase_rate(mode, pot, lo, hi), integrands)
-        i_u, i_v, j_0, j_a = np.split(rule.weights @ rule.values, [4, 8, 9])
-        node_val = (i_u @ chi_psi) * j_0[0] + (i_v @ j_a) / (2.0 * u)
-        total += profile_phi.quad_weights[i] * node_val / _TWO_PI_4
+        left, right = np.split(rule.weights @ rule.values, 2)
+        total += profile_phi.quad_weights[i] * (left @ spin @ right) / _TWO_PI_4
     return complex(total)

@@ -6,6 +6,7 @@ import pytest
 from volkovfp.clifford import (
     MINKOWSKI_ETA,
     dirac_gamma,
+    kernel_basis,
     lightcone_operators,
     spin_adjoint,
     spin_inner,
@@ -97,3 +98,41 @@ def test_slash_difference_product():
     a = transverse_slash(1.0, 0.0)
     product = (a - ID4) @ (a + ID4)
     assert np.allclose(product, -2.0 * ID4, atol=1e-15)
+
+
+def _wide_complex(rng, shape):
+    """Random complex entries over 200 decades, some of them exactly zero."""
+    values = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) \
+        * 10.0 ** rng.uniform(-100.0, 100.0, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
+def test_spin_adjoint_is_the_gamma0_product_bit_for_bit(rng):
+    """The sign mask gives gamma0 M^dag gamma0 exactly, so every artifact
+    built on the adjoint keeps its bytes."""
+    g0 = dirac_gamma(0)
+    mats = _wide_complex(rng, (200, 4, 4))
+    assert np.array_equal(spin_adjoint(mats), g0 @ np.conj(np.swapaxes(mats, -1, -2)) @ g0)
+    assert np.array_equal(spin_adjoint(mats[0]), g0 @ np.conj(mats[0].T) @ g0)
+
+
+def test_spin_inner_is_the_gamma0_product_bit_for_bit(rng):
+    g0 = dirac_gamma(0)
+    psi, phi = _wide_complex(rng, (2, 200, 4))
+    assert np.array_equal(spin_inner(psi, phi), np.sum(np.conj(psi) * (phi @ g0.T), axis=-1))
+    assert spin_inner(psi[0], phi[0]) == complex(np.sum(np.conj(psi[0]) * (g0 @ phi[0])))
+
+
+def test_kernel_basis_layout():
+    """B[a, b] as kernel_basis documents it."""
+    n_plus, n_minus, pi_plus, pi_minus = lightcone_operators()
+    g = (dirac_gamma(2), dirac_gamma(3), ID4)
+    basis = kernel_basis()
+    assert basis.shape == (4, 4, 4, 4) and not basis.flags.writeable
+    assert np.array_equal(basis[0, 0], n_minus)
+    for j in range(3):
+        assert np.array_equal(basis[0, j + 1], pi_minus @ g[j])
+        assert np.array_equal(basis[j + 1, 0], g[j] @ pi_plus)
+        for i in range(3):
+            assert np.array_equal(basis[i + 1, j + 1], g[i] @ n_plus @ g[j])

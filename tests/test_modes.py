@@ -612,3 +612,21 @@ def test_tabulated_batch_with_one_point_out_of_range_raises(rng):
     points[0, 4] = 2.5
     with pytest.raises(PotentialDomainError):
         dirac_residual(amp, mode, pot, points)
+
+
+def test_completion_is_the_matrix_product_bit_for_bit(rng):
+    """The completion and its s-derivative come from constant products
+    N_plus gamma2 and N_plus gamma3; on finite stacks they equal the matrix
+    products exactly, so the dirac-residual, mass-pairing and null-product
+    artifacts keep their bytes."""
+    from volkovfp.modes import _completion, _n_plus_slash
+
+    n = 400
+    t2, t3 = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-100.0, 100.0, (2, n))
+    t2[::7] = 0.0
+    mode = ModeParams(0.0, 0.0, rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n),
+                      10.0 ** rng.uniform(-3.0, 3.0, n))
+    slash = transverse_slash(t2, t3)
+    assert np.array_equal(_n_plus_slash(t2, t3), N_PLUS @ slash)
+    m, two_u = (np.asarray(x)[:, None, None] for x in (mode.m, 2.0 * mode.u))
+    assert np.array_equal(_completion(mode, t2, t3), ID4 - (N_PLUS @ (slash - m * ID4)) / two_u)

@@ -58,11 +58,19 @@ def _slash_plus_m(mode, pot, s):
         + np.asarray(mode.m)[..., None, None] * ID4
 
 
+def _assembled(a, b, mode, slash_m):
+    """The matrix oracle of every kernel, N- a + Pi- b + (S/2u)(N+ b + Pi+ a)
+    with S = slash_m = Aslash(s) + m, in explicit 4x4 products."""
+    a = np.asarray(a)[..., None, None]
+    front = slash_m / np.asarray(2.0 * mode.u)[..., None, None]
+    return N_MINUS * a + PI_MINUS @ b + front @ (N_PLUS @ b + PI_PLUS * a)
+
+
 def test_green_supports():
     ret, adv = green_ab(MODE, wave_slice(MODE, POT, 1.0, 2.0))
-    assert ret.a == 0.0 and np.max(np.abs(ret.b)) == 0.0 and adv.a != 0.0
+    assert ret.a == 0.0 and ret.beta == 0.0 and adv.a != 0.0 and adv.beta != 0.0
     ret, adv = green_ab(MODE, wave_slice(MODE, POT, 3.0, 2.0))
-    assert adv.a == 0.0 and np.max(np.abs(adv.b)) == 0.0 and ret.a != 0.0
+    assert adv.a == 0.0 and adv.beta == 0.0 and ret.a != 0.0 and ret.beta != 0.0
 
 
 def test_green_value_at_source():
@@ -104,7 +112,8 @@ def test_green_matrix_ode_off_diagonal():
     s_tilde, s, h = 0.5, 1.9, 1e-5
 
     def b_at(x):
-        return green_ab(MODE, wave_slice(MODE, POT, x, s_tilde))[RETARDED].b
+        beta = green_ab(MODE, wave_slice(MODE, POT, x, s_tilde))[RETARDED].beta
+        return beta * _slash_plus_m(MODE, POT, s_tilde)
 
     db = (b_at(s + h) - b_at(s - h)) / (2.0 * h)
     lhs = 4j * MODE.u * db
@@ -139,12 +148,11 @@ def test_causal_kernel_solves_source_free_system():
 def test_causal_kernel_scaling_against_green_difference():
     # multiplying the kernel by 2 pi i reproduces the assembled bare
     # Green's-function difference
-    from volkovfp.projector import assemble_kernel
-
     for s, s_tilde in ((1.3, -0.4), (-2.0, 0.7)):
         k = causal_fundamental_momentum(MODE, wave_slice(MODE, POT, s, s_tilde))
         ret, adv = green_ab(MODE, wave_slice(MODE, POT, s, s_tilde))
-        bare = assemble_kernel(adv.a - ret.a, adv.b - ret.b, MODE, _slash_plus_m(MODE, POT, s))
+        b = (adv.beta - ret.beta) * _slash_plus_m(MODE, POT, s_tilde)
+        bare = _assembled(adv.a - ret.a, b, MODE, _slash_plus_m(MODE, POT, s))
         assert np.max(np.abs(2j * np.pi * k - bare)) <= 1e-15
 
 
@@ -574,8 +582,6 @@ def test_smeared_profile_checks_its_grid(rng, edits, match):
 def test_batched_kernels_match_scalar_calls(rng):
     """One call over modes and (s, s~) pairs equals the per-sample calls,
     including s == s~ entries (the coincidence branch) inside the batch."""
-    from volkovfp.projector import assemble_kernel
-
     n = 30
     mode = ModeParams(rng.normal(0, 0.7, n), rng.normal(0, 0.7, n),
                       -np.exp(rng.uniform(np.log(0.1), np.log(2.0), n)), rng.uniform(0.5, 1.5, n))
@@ -587,7 +593,9 @@ def test_batched_kernels_match_scalar_calls(rng):
     scalar_a = fp_scalar_a(mode, POT, s, s_tilde)
     greens = green_ab(mode, wave)
     slash_m = _slash_plus_m(mode, POT, s)
-    assembled = assemble_kernel(greens[ADVANCED].a, greens[ADVANCED].b, mode, slash_m)
+    adv = greens[ADVANCED]
+    assembled = _assembled(adv.a, adv.beta[:, None, None] * _slash_plus_m(mode, POT, s_tilde),
+                           mode, slash_m)
     assert kernel.shape == causal.shape == assembled.shape == (n, 4, 4)
     for i in range(n):
         mode_i = ModeParams(float(mode.k2[i]), float(mode.k3[i]), float(mode.u[i]),
@@ -600,10 +608,11 @@ def test_batched_kernels_match_scalar_calls(rng):
         for batch, single in zip(greens, green_ab(mode_i, wave_i)):
             assert isinstance(single.a, complex)
             assert abs(batch.a[i] - single.a) <= 1e-13
-            assert np.max(np.abs(batch.b[i] - single.b)) <= 1e-13
-        adv = greens[ADVANCED]
-        assert np.max(np.abs(assembled[i] - assemble_kernel(
-            complex(adv.a[i]), adv.b[i], mode_i, slash_m[i]))) <= 1e-13
+            assert isinstance(single.beta, complex)
+            assert abs(batch.beta[i] - single.beta) <= 1e-13
+        single_b = adv.beta[i] * _slash_plus_m(mode_i, POT, sti)
+        assert np.max(np.abs(assembled[i] - _assembled(
+            complex(adv.a[i]), single_b, mode_i, slash_m[i]))) <= 1e-13
     coincident = causal[::4]
     every_fourth = ModeParams(mode.k2[::4], mode.k3[::4], mode.u[::4], mode.m[::4])
     expected = fp_kernel_momentum(every_fourth, wave_slice(every_fourth, POT, s[::4], s[::4]))
@@ -692,7 +701,7 @@ def test_mirrored_slice_is_a_fresh_slice(rng, pot):
         assert np.array_equal(kernel(mode, mirrored), kernel(mode, fresh)), kernel.__name__
     for green_mirrored, green_fresh in zip(green_ab(mode, mirrored), green_ab(mode, fresh)):
         assert np.array_equal(green_mirrored.a, green_fresh.a)
-        assert np.array_equal(green_mirrored.b, green_fresh.b)
+        assert np.array_equal(green_mirrored.beta, green_fresh.beta)
 
 
 @dataclass(frozen=True)
@@ -731,4 +740,82 @@ def test_gauge_shift_is_a_momentum_shift(rng, pot):
         assert gap(kernel(moved, wave_shifted), kernel(mode, wave)) <= 1e-13
     for green_shifted, green in zip(green_ab(moved, wave_shifted), green_ab(mode, wave)):
         assert gap(green_shifted.a, green.a) <= 1e-13
-        assert gap(green_shifted.b, green.b) <= 1e-13
+        assert gap(green_shifted.beta, green.beta) <= 1e-13
+
+
+@KERNEL_PROFILES
+def test_kernels_match_the_matrix_oracle(rng, pot):
+    """Every kernel built on the coefficient basis equals the explicit 4x4
+    products of the completion, N- a + Pi- b + (S/2u)(N+ b + Pi+ a), to
+    1e-15 of its largest entry: the projector and causal kernels, and the
+    kernel of each Green's function."""
+    mode, s, s_tilde = _kernel_grid(rng, n=12)
+    wave = wave_slice(mode, pot, s, s_tilde)
+    slash_m, slash_m_tilde = _slash_plus_m(mode, pot, s), _slash_plus_m(mode, pot, s_tilde)
+    two_u = 2.0 * mode.u
+
+    def gap(kernel, a, beta):
+        oracle = _assembled(a, np.asarray(beta)[..., None, None] * slash_m_tilde, mode, slash_m)
+        assert kernel.shape == oracle.shape == wave.env.shape + (4, 4)
+        scale = np.maximum(np.max(np.abs(oracle), axis=(-2, -1)), 1e-300)
+        return np.max(np.max(np.abs(kernel - oracle), axis=(-2, -1)) / scale)
+
+    env = wave.env
+    assert gap(fp_kernel_momentum(mode, wave), env / TWO_PI_4, env / (two_u * TWO_PI_4)) <= 1e-15
+    ret, adv = green_ab(mode, wave)
+    coincident = s == s_tilde
+    a = np.where(coincident, 1.0 / TWO_PI_4, (adv.a - ret.a) / (2j * np.pi))
+    beta = np.where(coincident, 1.0 / (two_u * TWO_PI_4), (adv.beta - ret.beta) / (2j * np.pi))
+    assert gap(causal_fundamental_momentum(mode, wave), a, beta) <= 1e-15
+    for green in (ret, adv):
+        assert gap(projector._kernel(mode, wave, green.a, green.beta), green.a, green.beta) <= 1e-15
+
+
+@dataclass(frozen=True)
+class RotatedPotential(PlaneWavePotential):
+    """`base` with its field turned by the angle theta in the (y, z) plane."""
+
+    base: PlaneWavePotential
+    theta: float
+
+    def turn(self, x2, x3):
+        c, s = np.cos(self.theta), np.sin(self.theta)
+        return c * x2 - s * x3, s * x2 + c * x3
+
+    def field(self, s):
+        a2, a3, da2, da3 = self.base.field(s)
+        return (*self.turn(a2, a3), *self.turn(da2, da3))
+
+    def moments(self, s):
+        a2, a3, b = self.base.moments(s)
+        return (*self.turn(a2, a3), b)
+
+
+@KERNEL_PROFILES
+def test_rotation_conjugates_every_kernel(rng, pot):
+    """K_{Ra}(Rk) = U K_a(k) U^-1 with U = cos(theta/2) + sin(theta/2) gamma2 gamma3:
+    turning the field and the momentum by theta turns every kernel by the
+    spin rotation U, in both Green's functions too, whose scalars a and
+    beta do not change."""
+    mode, s, s_tilde = _kernel_grid(rng)
+    turned_pot = RotatedPotential(pot, 0.7)
+    turned = replace(mode, **dict(zip(("k2", "k3"), turned_pot.turn(mode.k2, mode.k3))))
+    g23 = dirac_gamma(2) @ dirac_gamma(3)
+    half = turned_pot.theta / 2.0
+    spin, spin_inv = np.cos(half) * ID4 + np.sin(half) * g23, np.cos(half) * ID4 - np.sin(half) * g23
+    assert np.allclose(spin @ spin_inv, ID4, rtol=0.0, atol=1e-15)
+
+    def gap(value, reference):
+        return np.max(np.abs(value - reference)) / np.max(np.abs(reference))
+
+    wave, wave_turned = wave_slice(mode, pot, s, s_tilde), wave_slice(turned, turned_pot, s, s_tilde)
+    for kernel in (fp_kernel_momentum, causal_fundamental_momentum):
+        assert gap(kernel(turned, wave_turned), spin @ kernel(mode, wave) @ spin_inv) <= 1e-13
+    slash_m_tilde = _slash_plus_m(mode, pot, s_tilde)
+    turned_slash_m_tilde = _slash_plus_m(turned, turned_pot, s_tilde)
+    for green_turned, green in zip(green_ab(turned, wave_turned), green_ab(mode, wave)):
+        assert gap(green_turned.a, green.a) <= 1e-13
+        assert gap(green_turned.beta, green.beta) <= 1e-13
+        b = green.beta[..., None, None] * slash_m_tilde
+        b_turned = green_turned.beta[..., None, None] * turned_slash_m_tilde
+        assert gap(b_turned, spin @ b @ spin_inv) <= 1e-13
