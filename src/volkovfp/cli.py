@@ -507,7 +507,7 @@ def _grid_family(cfg: Mapping) -> MassFamily:
     qw = np.einsum("i,j,k->ijk", u_w, k2_w, k3_w).ravel()
     u, k2, k3 = uu.ravel(), kk2.ravel(), kk3.ravel()
     chi0 = _random_pi_minus(np.random.default_rng(cfg["seed"]), u.size)
-    return MassFamily(interval=interval, masses=masses, eta=smooth_bump(masses, *interval),
+    return MassFamily(masses=masses, eta=smooth_bump(masses, *interval),
                       mass_quad_weights=mass_w, u=u, k2=k2, k3=k3, quad_weights=qw,
                       chi0=np.repeat(chi0[None], n_masses, axis=0),
                       weights=np.ones((n_masses, u.size), dtype=complex))
@@ -571,8 +571,7 @@ def run_decay_scan(cfg: Mapping) -> ScenarioResult:
     report = null_decay_scan(packet, pot, s_values, l_both)
     single_report = null_decay_scan(single, pot, s_values[:1], l_both)
 
-    n_s, n_l = report.magnitudes.shape
-    columns = [np.repeat(report.s_values, n_l), np.tile(report.l_values, n_s),
+    columns = [np.repeat(s_values, l_both.size), np.tile(l_both, len(s_values)),
                report.magnitudes.ravel()]
     checks = [
         _geq("min_fitted_decay_order", report.min_order, cfg["order_min"]),
@@ -636,7 +635,8 @@ def run_sidebands(cfg: Mapping) -> ScenarioResult:
     pot = HarmonicPotential(lam, omega)
     v0 = harmonic_carrier(mode, lam, omega)
     lines_an = harmonic_sidebands_analytic(mode, lam, omega, n_max)
-    total_sq = sum(abs(l.amplitude) ** 2 for l in lines_an)
+    _, v_an, c_an = lines_an
+    total_sq = sum(abs(c) ** 2 for c in c_an.tolist())
 
     ds = (2.0 * np.pi / abs(omega)) / per
     n_samp = cfg["periods"] * per
@@ -649,28 +649,27 @@ def run_sidebands(cfg: Mapping) -> ScenarioResult:
     # A line whose analytic amplitude is exactly 0 (J_n(0) = 0, e.g. the odd
     # lines at k2 = k3 = 0) has no scale for a relative gap and no position
     # to compare: its gap is absolute and it has no position offset.
-    an_by_n = {l.n: l for l in lines_an}
+    n_fft, v_fft, c_fft = lines_fft
+    at = n_fft + n_max  # each FFT line's index in the analytic arrays
     bin_width = 2.0 * np.pi / span
-    amp_gaps = [abs(lf.amplitude - an_by_n[lf.n].amplitude)
-                / (abs(an_by_n[lf.n].amplitude) or 1.0) for lf in lines_fft]
-    pos_offsets = [abs(lf.v - an_by_n[lf.n].v) / bin_width for lf in lines_fft
-                   if an_by_n[lf.n].amplitude != 0]
+    amp_gaps = [abs(cf - ca) / (abs(ca) or 1.0)
+                for cf, ca in zip(c_fft.tolist(), c_an[at].tolist())]
+    has_scale = c_an[at] != 0
+    pos_offsets = np.abs(v_fft[has_scale] - v_an[at][has_scale]) / bin_width
 
     # amplitude off: spectrum collapses to the single dispersion line
-    lines_zero = harmonic_sidebands_analytic(mode, 0.0, omega, n_max)
-    zero_carrier = [l for l in lines_zero if l.n == 0][0]
+    _, v_zero, c_zero = harmonic_sidebands_analytic(mode, 0.0, omega, n_max)
+    c_zero = c_zero.tolist()
     v_disp = (mode.k2 ** 2 + mode.k3 ** 2 + mode.m ** 2) / (4.0 * mode.u)
     collapse_err = _worst(
-        [abs(zero_carrier.amplitude - 1.0), abs(zero_carrier.v - v_disp)]
-        + [abs(l.amplitude) for l in lines_zero if l.n != 0]
+        [abs(c_zero[n_max] - 1.0), abs(v_zero[n_max] - v_disp)]
+        + [abs(c) for c in c_zero[:n_max] + c_zero[n_max + 1:]]
     )
 
-    tables = {}
-    for name, lines in (("sidebands_analytic.csv", lines_an), ("sidebands_fft.csv", lines_fft)):
-        amps = [complex(line.amplitude) for line in lines]
-        tables[name] = (["n", "v_n", "re_amp", "im_amp", "abs_amp"],
-                        [[line.n for line in lines], [line.v for line in lines],
-                         [a.real for a in amps], [a.imag for a in amps], [abs(a) for a in amps]])
+    tables = {name: (["n", "v_n", "re_amp", "im_amp", "abs_amp"],
+                     [n, v, c.real, c.imag, [abs(a) for a in c.tolist()]])
+              for name, (n, v, c) in (("sidebands_analytic.csv", lines_an),
+                                      ("sidebands_fft.csv", lines_fft))}
     checks = [
         _leq("max_amplitude_relative_gap", _worst(amp_gaps), cfg["amplitude_tolerance"]),
         _leq("max_position_offset_bins", _worst(pos_offsets), 1.0),

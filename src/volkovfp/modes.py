@@ -450,17 +450,13 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
 class DecayReport:
     """Result of a null-direction decay scan.
 
-    fitted_orders maps each scanned s to the smallest tail exponent seen
-    across the l branches; min_order is the minimum over s.  A packet is
-    flagged non-decaying when min_order falls below the threshold.
-    magnitudes[j, i] is ||Pi_minus psi(s_j, l_i)||, the fitted data.
+    magnitudes[j, i] is ||Pi_minus psi(s_j, l_i)||, the fitted data;
+    min_order is the smallest tail exponent fitted on any surface and l
+    branch.  A packet is flagged non-decaying when min_order falls below
+    the threshold.
     """
 
-    s_values: np.ndarray
-    l_values: np.ndarray
     magnitudes: np.ndarray
-    fitted_orders: np.ndarray
-    fit_residuals: np.ndarray
     min_order: float
     threshold: float
     non_decaying: bool
@@ -474,9 +470,10 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
     """Fit the |l|^-N tail of ||Pi_minus psi(s, l)|| over an l window.
 
     The magnitudes at every s come from one packet_pi_minus_field call over
-    all surfaces.  l_values are grouped by sign and each branch is fitted
-    separately against |l|; the reported order per s is the weaker branch.
-    A single-mode (delta-weight) packet shows no decay and is flagged.
+    all surfaces.  l_values are grouped by sign and each branch of at least
+    8 samples is fitted separately against |l| on every surface; the
+    reported order is the weakest of all these fits.  A single-mode
+    (delta-weight) packet shows no decay and is flagged.
     """
     from .spectral import decay_order_fit
 
@@ -484,33 +481,14 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
     if np.any(l_values == 0):
         raise ValueError("decay scan needs l != 0 for a log-log fit")
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    orders = np.empty(s_values.shape)
-    residuals = np.empty(s_values.shape)
     magnitudes = np.linalg.norm(packet_pi_minus_field(packet, pot, s_values, l_values), axis=-1)
-    for j, mags in enumerate(magnitudes):
-        branch_orders = []
-        branch_residuals = []
-        for branch in (l_values > 0, l_values < 0):
-            if np.count_nonzero(branch) >= 8:
-                order, resid = decay_order_fit(np.abs(l_values[branch]), mags[branch])
-                branch_orders.append(order)
-                branch_residuals.append(resid)
-        if not branch_orders:
-            raise ValueError("decay scan needs at least 8 samples per l branch")
-        pick = int(np.argmin(branch_orders))
-        orders[j] = branch_orders[pick]
-        residuals[j] = branch_residuals[pick]
-    min_order = float(np.min(orders))
-    return DecayReport(
-        s_values=s_values,
-        l_values=l_values,
-        magnitudes=magnitudes,
-        fitted_orders=orders,
-        fit_residuals=residuals,
-        min_order=min_order,
-        threshold=_DECAY_THRESHOLD,
-        non_decaying=bool(min_order < _DECAY_THRESHOLD),
-    )
+    branches = [b for b in (l_values > 0, l_values < 0) if np.count_nonzero(b) >= 8]
+    if not branches:
+        raise ValueError("decay scan needs at least 8 samples per l branch")
+    min_order = float(np.min([decay_order_fit(np.abs(l_values[b]), mags[b])[0]
+                              for mags in magnitudes for b in branches]))
+    return DecayReport(magnitudes, min_order, _DECAY_THRESHOLD,
+                       bool(min_order < _DECAY_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +510,14 @@ def smooth_bump(x, lo: float, hi: float) -> np.ndarray:
 class MassFamily:
     """Packets over a mass grid on one node grid, with a smooth mass profile.
 
-    masses sample the closed interval [interval[0], interval[1]]; eta holds
-    the smooth profile values (vanishing at the interval ends) and
+    masses are positive and strictly increasing; eta holds the smooth
+    profile values (vanishing at the first and last mass) and
     mass_quad_weights the quadrature weights of the mass grid.  The
     (u, k2, k3, quad_weights) node grid is stored once; chi0 (mass, node, 4)
     and weights (mass, node) hold each mass's Pi_minus amplitudes and
     complex weights.
     """
 
-    interval: tuple[float, float]
     masses: np.ndarray
     eta: np.ndarray
     mass_quad_weights: np.ndarray
@@ -552,16 +529,11 @@ class MassFamily:
     weights: np.ndarray
 
     def __post_init__(self):
-        lo, hi = self.interval
-        if not (0 < lo < hi):
-            raise ValueError("mass interval must satisfy 0 < lo < hi")
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size < 2:
             raise ValueError("mass family needs at least two masses")
-        if np.any(masses < lo) or np.any(masses > hi):
-            raise ValueError("masses must lie in the closed mass interval")
-        if not np.all(np.diff(masses) > 0):
-            raise ValueError("masses must be strictly increasing")
+        if not (masses[0] > 0 and np.all(np.diff(masses) > 0)):
+            raise ValueError("masses must be positive and strictly increasing")
         u, k2, k3, qw = _node_grid(self.u, self.k2, self.k3, self.quad_weights)
         shape = (masses.size, u.size)
         _set_fields(self, masses=masses,

@@ -354,7 +354,7 @@ def mass_oscillation_check(
     paired = gram * np.add.outer(masses, masses) / (2.0 * u_col)
     lhs_by_eps = 4.0 * np.pi ** 3 * np.einsum("gemp,gmp->e", gauss, paired)
 
-    lhs = extrapolate_to_zero(epsilons, lhs_by_eps) if len(epsilons) > 1 else complex(lhs_by_eps[0])
+    lhs = extrapolate_to_zero(epsilons, lhs_by_eps)
     scale = max(abs(rhs), 1e-300)
     with np.errstate(over="ignore"):  # a gap past the float range is inf and fails its check
         gap = abs(lhs - rhs) / scale

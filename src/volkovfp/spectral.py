@@ -41,8 +41,9 @@ global smallness.
 
 Everything here runs on numpy alone: the Bessel functions J_k(z) of the
 sidebands come from one Miller downward recurrence per argument
-(``_bessel_orders``).  The lines and transforms are returned, not
-written: ``volkovfp.cli`` writes every artifact.
+(``_bessel_orders``).  Both line spectra come back as three arrays
+(n, v_n, c_n), the columns of the sideband tables; lines and transforms
+are returned, not written: ``volkovfp.cli`` writes every artifact.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .quadrature import PanelRule, UndersampledGridError, checked_panels, phase_
 from .schema import Key, Table, described, number
 
 __all__ = [
-    "SpectrumLine",
     "GaussianWindow",
     "HannWindow",
     "window_from_descriptor",
@@ -73,15 +73,6 @@ __all__ = [
     "decay_order_fit",
     "tail_decay_orders",
 ]
-
-
-@dataclass(frozen=True)
-class SpectrumLine:
-    """One spectral line: index n, frequency v_n, complex amplitude."""
-
-    n: int
-    v: float
-    amplitude: complex
 
 
 @dataclass(frozen=True)
@@ -203,9 +194,11 @@ def _bessel_orders(z: float, n: int) -> np.ndarray:
 
 
 def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: float,
-                                n_max: int) -> list[SpectrumLine]:
-    """Bessel-product sideband amplitudes c_n for |n| <= n_max.
+                                n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bessel-product sideband lines (n, v_n, c_n) for |n| <= n_max.
 
+    Three arrays over n = -n_max..n_max: the index n, the frequency
+    v_n = v0 + n frequency and the complex amplitude
     c_n = sum over n1 + 2 n2 = n of J_{n1}(z1) J_{n2}(z2); the two
     arguments come from the first and second harmonic of the phase.  The
     sum runs over |n2| <= n_max + 16, so |n1| <= 3 n_max + 32, and is one
@@ -224,9 +217,8 @@ def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: f
     j1 = _bessel_orders(z1, n_max + 2 * n2_cap)
     j2 = np.zeros(4 * n2_cap + 1)
     j2[::2] = _bessel_orders(z2, n2_cap)
-    amplitudes = np.convolve(j1, j2, mode="valid")
-    return [SpectrumLine(n=n, v=v0 + n * frequency, amplitude=complex(c))
-            for n, c in zip(range(-n_max, n_max + 1), amplitudes.tolist())]
+    n = np.arange(-n_max, n_max + 1)
+    return n, v0 + n * frequency, np.convolve(j1, j2, mode="valid").astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +226,16 @@ def harmonic_sidebands_analytic(mode: ModeParams, amplitude: float, frequency: f
 
 
 def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
-                 n_max: int) -> list[SpectrumLine]:
-    """Extract lines at carrier + n * base_frequency from uniform samples.
+                 n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extract lines (n, v_n, c_n) at carrier + n * base_frequency from uniform samples.
 
     values are samples of a function sum_n c_n e^{-i v_n s}.  The grid
     must span at least 16 base periods and its Nyquist frequency must
     exceed the largest requested line.  Peak positions come from a 3-bin
-    parabolic fit of log|FFT| (exact for Gaussian windows); amplitudes
-    are the windowed projections at the refined positions, normalised by
-    the window's coherent gain.
+    parabolic fit of log|FFT| (exact for Gaussian windows), done for all
+    2 n_max + 1 lines at once; amplitudes are the windowed projections at
+    the refined positions, one per line, normalised by the window's
+    coherent gain.  Returns three arrays over n = -n_max..n_max.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -274,35 +267,27 @@ def spectrum_fft(s_grid, values, window, base_frequency: float, carrier: float,
     gain = float(np.sum(w))
     if not 0 < gain < np.inf:
         raise ValueError(f"window sums to {gain:.3g} on the sampling grid, not a positive number")
-    spectrum = np.fft.fft(values * w)
-    mag = np.abs(spectrum)
+    windowed = values * w
+    mag = np.abs(np.fft.fft(windowed))
     dv = 2.0 * np.pi / (n_samples * ds)
 
-    lines = []
-    for n in range(-n_max, n_max + 1):
-        v_expect = carrier + n * base_frequency
-        # component e^{-i v s} lands in bin k with 2 pi k / (N ds) = -v mod 2 pi/ds
-        k_float = (-v_expect / dv) % n_samples
-        k0 = int(np.round(k_float)) % n_samples
-        half = max(2, int(0.35 * abs(base_frequency) / dv))
-        offsets = np.arange(-half, half + 1)
-        cand = (k0 + offsets) % n_samples
-        k_peak = int(cand[np.argmax(mag[cand])])
-        km = (k_peak - 1) % n_samples
-        kp = (k_peak + 1) % n_samples
-        with np.errstate(divide="ignore"):
-            lm, lc, lp = np.log(mag[km]), np.log(mag[k_peak]), np.log(mag[kp])
+    n = np.arange(-n_max, n_max + 1)
+    v_expect = carrier + n * base_frequency
+    # component e^{-i v s} lands in bin k with 2 pi k / (N ds) = -v mod 2 pi/ds
+    k0 = np.round((-v_expect / dv) % n_samples).astype(int) % n_samples
+    half = max(2, int(0.35 * abs(base_frequency) / dv))
+    cand = (k0[:, None] + np.arange(-half, half + 1)) % n_samples
+    k_peak = cand[n + n_max, np.argmax(mag[cand], axis=1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lm, lc, lp = np.log(mag[(k_peak + np.array([[-1], [0], [1]])) % n_samples])
         denom = lm - 2.0 * lc + lp
-        delta = 0.5 * (lm - lp) / denom if np.isfinite(denom) and denom != 0 else 0.0
-        delta = float(np.clip(delta, -0.5, 0.5))
-        # unwrap the refined bin to the v-representative nearest v_expect
-        k_ref = k_peak + delta
-        v_raw = -k_ref * dv
-        wrap = 2.0 * np.pi / ds
-        v_hat = v_raw - wrap * np.round((v_raw - v_expect) / wrap)
-        amp = complex(np.sum(values * w * np.exp(1j * v_hat * s_grid)) / gain)
-        lines.append(SpectrumLine(n=n, v=float(v_hat), amplitude=amp))
-    return lines
+        delta = np.where(np.isfinite(denom) & (denom != 0), 0.5 * (lm - lp) / denom, 0.0)
+    # unwrap the refined bin to the v-representative nearest v_expect
+    v_raw = -(k_peak + np.clip(delta, -0.5, 0.5)) * dv
+    wrap = 2.0 * np.pi / ds
+    v_hat = v_raw - wrap * np.round((v_raw - v_expect) / wrap)
+    amps = [np.sum(windowed * np.exp(1j * v * s_grid)) / gain for v in v_hat]
+    return n, v_hat, np.array(amps, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

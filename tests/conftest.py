@@ -48,14 +48,13 @@ def grid_family(rng, eta_support=(0.8, 1.2), *, n_masses=13,
     """Family over masses 0.8 ... 1.2 on a Gauss-Legendre (u, k2, k3) grid
     (k2 and k3 share k_grid): one random Pi_minus amplitude per node shared
     by every mass, unit weights, and eta a bump on eta_support."""
-    interval = (0.8, 1.2)
-    masses = np.linspace(*interval, n_masses)
+    masses = np.linspace(0.8, 1.2, n_masses)
     u, uw = gl_panels(*u_grid)
     k, kw = gl_panels(*k_grid)
     uu, kk2, kk3 = np.meshgrid(u, k, k, indexing="ij")
     qw = np.einsum("i,j,k->ijk", uw, kw, kw).ravel()
     chi0 = random_pi_minus(rng, uu.size)
-    return MassFamily(interval=interval, masses=masses, eta=smooth_bump(masses, *eta_support),
+    return MassFamily(masses=masses, eta=smooth_bump(masses, *eta_support),
                       mass_quad_weights=np.full(n_masses, 0.4 / (n_masses - 1)),  # spacing
                       u=uu.ravel(), k2=kk2.ravel(), k3=kk3.ravel(), quad_weights=qw,
                       chi0=np.repeat(chi0[None], n_masses, axis=0),

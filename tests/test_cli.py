@@ -807,6 +807,18 @@ def test_shipped_and_benchmark_configs_validate():
         assert valid["scenario"] == scenario, label
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shipped_and_smoke_benchmark_runs_raise_no_runtime_warning(tmp_path):
+    """Every shipped config and every smoke-size benchmark scenario config
+    runs and passes with each RuntimeWarning raised as an error."""
+    shipped = [(p.stem, json.loads(p.read_text())) for p in sorted((ROOT / "configs").glob("*.json"))]
+    runs = [(name, cfg["scenario"], cfg) for name, cfg in shipped]
+    runs += [run for run in _workload_configs() if "/smoke/" in run[0]]
+    assert len(runs) == 8 + 19
+    for label, scenario, cfg in runs:
+        assert cli.run_scenario(scenario, cfg, tmp_path / label)["passed"], label
+
+
 # Domain checks per run: one per field or moments call, on every profile kind.
 _DOMAIN_CHECKS = {"dirac-residual": 2, "null-product-invariance": 1, "mass-pairing": 2,
                   "decay-scan": 2, "fp-kernel-export": 3}
@@ -1206,10 +1218,9 @@ def test_csv_exports(tmp_path):
     comment = f"# config_sha256={cli._config_hash(cfg)}"
     mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
     expected = [comment, "n,v_n,re_amp,im_amp,abs_amp"]
-    for line in harmonic_sidebands_analytic(mode, cfg["amplitude"], cfg["frequency"],
-                                            cfg["n_max"]):
-        amp = complex(line.amplitude)
-        expected.append(f"{line.n},{line.v:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}")
+    for n, v, amp in zip(*(column.tolist() for column in harmonic_sidebands_analytic(
+            mode, cfg["amplitude"], cfg["frequency"], cfg["n_max"]))):
+        expected.append(f"{n},{v:.17g},{amp.real:.17g},{amp.imag:.17g},{abs(amp):.17g}")
     assert (out / "sidebands_analytic.csv").read_text() == "\n".join(expected) + "\n"
     fft = (out / "sidebands_fft.csv").read_text().splitlines()
     assert fft[:2] == expected[:2] and len(fft) == 2 + 2 * cfg["n_compare"] + 1

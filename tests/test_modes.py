@@ -313,10 +313,33 @@ def test_decay_scan_smooth_weights(rng):
     assert report_harm.min_order >= 4.0
     assert abs(report_harm.min_order - report_zero.min_order) <= 0.1 * report_zero.min_order
     # the report carries the magnitudes it fitted, for its CSV
-    assert np.array_equal(report_harm.l_values, l_both)
-    for s, mags in zip(report_harm.s_values, report_harm.magnitudes):
+    assert report_harm.magnitudes.shape == (3, l_both.size)
+    for s, mags in zip([-5.0, 0.0, 5.0], report_harm.magnitudes):
         field = packet_pi_minus_field(packet, HarmonicPotential(0.2, 1.0), s, l_both)
         assert np.array_equal(mags, np.linalg.norm(field, axis=1))
+
+
+def test_decay_scan_min_order_is_the_weakest_fit(rng):
+    """min_order is the minimum of decay_order_fit over every surface and
+    every l branch of at least 8 samples, computed here one fit at a time:
+    two branches of different windows, and a branch of 7 samples skipped."""
+    from volkovfp.spectral import decay_order_fit
+
+    packet = _gaussian_u_packet(rng)
+    pot = HarmonicPotential(0.2, 1.0)
+    surfaces = [-5.0, 0.0, 2.5, 5.0]
+    for l_values, n_fits in ((np.concatenate([np.geomspace(20.0, 200.0, 40),
+                                              -np.geomspace(8.0, 60.0, 30)]), 8),
+                             (np.concatenate([np.geomspace(10.0, 90.0, 12),
+                                              -np.geomspace(20.0, 200.0, 7)]), 4)):
+        orders = []
+        for s in surfaces:
+            mags = np.linalg.norm(packet_pi_minus_field(packet, pot, s, l_values), axis=1)
+            for branch in (l_values > 0, l_values < 0):
+                if np.count_nonzero(branch) >= 8:
+                    orders.append(decay_order_fit(np.abs(l_values[branch]), mags[branch])[0])
+        assert len(orders) == n_fits
+        assert null_decay_scan(packet, pot, surfaces, l_values).min_order == min(orders)
 
 
 def test_decay_scan_flags_single_mode(rng):
@@ -334,6 +357,9 @@ def test_decay_scan_needs_enough_samples(rng):
     packet = _gaussian_u_packet(rng, n=40)
     with pytest.raises(ValueError):
         null_decay_scan(packet, ZeroPotential(), [0.0], np.geomspace(20, 200, 5))
+    seven = np.geomspace(20, 200, 7)
+    with pytest.raises(ValueError, match="at least 8 samples"):
+        null_decay_scan(packet, ZeroPotential(), [0.0], np.concatenate([seven, -seven]))
     with pytest.raises(ValueError):
         null_decay_scan(packet, ZeroPotential(), [0.0], np.array([0.0, 1.0, 2.0]))
 
@@ -343,8 +369,6 @@ def test_family_validation_and_roundtrip(rng):
     assert family.weights_smooth()
     # the node-count contract of the first-mass packet view
     assert family.node_packet.n_nodes == family.n_nodes == 20
-    with pytest.raises(ValueError, match="0 < lo < hi"):
-        replace(family, interval=(0.0, 1.2))
 
 
 def _off_range_at_last_mass(chi0):
@@ -370,9 +394,10 @@ def _nan_weight(weights):
     ("weights", lambda w: w[0], r"weights must have shape \(13, 20\)"),
     ("weights", _nan_weight, "weights must be finite"),
     ("k3", _repeated_node, r"\(u, k2, k3\) nodes must be distinct"),
-    ("masses", lambda m: m + 0.05, "masses must lie in the closed mass interval"),
+    ("masses", lambda m: m - 1.0, "masses must be positive and strictly increasing"),
+    ("masses", lambda m: m[::-1].copy(), "masses must be positive and strictly increasing"),
 ], ids=["chi0-off-range-at-last-mass", "weights-per-node-only", "nan-weight",
-        "repeated-node", "mass-outside-interval"])
+        "repeated-node", "non-positive-mass", "decreasing-masses"])
 def test_family_rejects_malformed_field(rng, field, edit, match):
     family = grid_family(rng)
     with pytest.raises(ValueError, match=match):

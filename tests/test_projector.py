@@ -339,7 +339,7 @@ def test_mass_oscillation_matches_brute_force_contraction(rng):
         draws = [(random_pi_minus(rng, n), rng.normal(size=n) + 1j * rng.normal(size=n))
                  for _ in masses]
         chi0, weights = (np.array(column) for column in zip(*draws))
-        return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+        return MassFamily(masses=masses, eta=eta,
                           mass_quad_weights=np.full(masses.size, 0.4 / 6),
                           u=u, k2=k2, k3=k3, quad_weights=qw, chi0=chi0, weights=weights)
 
@@ -376,7 +376,7 @@ def test_mass_oscillation_shared_u_matches_brute_force(rng):
     def family(eta):
         chi0 = np.stack([random_pi_minus(rng, n) for _ in masses])
         weights = rng.normal(size=(masses.size, n)) + 1j * rng.normal(size=(masses.size, n))
-        return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+        return MassFamily(masses=masses, eta=eta,
                           mass_quad_weights=np.full(masses.size, 0.4 / 6),
                           u=u, k2=k2, k3=k3, quad_weights=qw, chi0=chi0, weights=weights)
 
@@ -406,7 +406,7 @@ def _random_family(rng, masses, u, eta):
     n = u.size
     chi0 = np.stack([random_pi_minus(rng, n) for _ in masses])
     weights = rng.normal(size=(masses.size, n)) + 1j * rng.normal(size=(masses.size, n))
-    return MassFamily(interval=(0.8, 1.2), masses=masses, eta=eta,
+    return MassFamily(masses=masses, eta=eta,
                       mass_quad_weights=np.full(masses.size, 0.4 / (masses.size - 1)),
                       u=u, k2=rng.normal(0.0, 0.3, n), k3=rng.normal(0.0, 0.3, n),
                       quad_weights=rng.uniform(0.1, 1.0, n), chi0=chi0, weights=weights)

@@ -46,17 +46,17 @@ def test_carrier_value():
 
 
 def test_sidebands_zero_amplitude_single_line():
-    lines = harmonic_sidebands_analytic(MODE, 0.0, OMEGA, 5)
-    by_n = {l.n: l for l in lines}
-    assert by_n[0].amplitude == pytest.approx(1.0)
-    assert all(abs(by_n[n].amplitude) == 0.0 for n in by_n if n != 0)
+    n, v, c = harmonic_sidebands_analytic(MODE, 0.0, OMEGA, 5)
+    assert n.tolist() == list(range(-5, 6))
+    assert c[5] == pytest.approx(1.0)
+    assert np.all(np.abs(c[n != 0]) == 0.0)
     v_dispersion = (MODE.k2 ** 2 + MODE.k3 ** 2 + MODE.m ** 2) / (4.0 * MODE.u)
-    assert by_n[0].v == pytest.approx(v_dispersion)
+    assert v[5] == pytest.approx(v_dispersion)
 
 
 def test_sidebands_unit_power():
-    lines = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 12)
-    total = sum(abs(l.amplitude) ** 2 for l in lines)
+    _, _, c = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 12)
+    total = sum(abs(a) ** 2 for a in c)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -67,7 +67,8 @@ def test_sidebands_against_periodic_quadrature_oracle():
     s = np.linspace(0.0, period, 4096, endpoint=False)
     zeta = transverse_phase(POT, MODE.k2, MODE.k3, 0.0, s) + MODE.m ** 2 * s
     f = np.exp(-1j * zeta / (4.0 * MODE.u))
-    lines = {l.n: l.amplitude for l in harmonic_sidebands_analytic(MODE, LAM, OMEGA, 3)}
+    n, _, c = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 3)
+    lines = dict(zip(n.tolist(), c))
     for n in range(-3, 4):
         oracle = np.mean(f * np.exp(1j * (v0 + n * OMEGA) * s))
         assert lines[n] == pytest.approx(oracle, abs=1e-10 * abs(oracle) + 1e-14)
@@ -128,18 +129,17 @@ def test_sidebands_match_jv_product_sum():
     """On the shipped sidebands config every c_n is within 1e-13 of the jv
     product sum, relative, and every amplitude is real; over random modes
     and waves (|z1| up to 17, |z2| up to 2.8), within 1e-14 absolute."""
-    lines = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 12)
-    amplitudes = np.array([line.amplitude for line in lines])
+    n, _, amplitudes = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 12)
     ref = _jv_sidebands(MODE, LAM, OMEGA, 12)
-    assert [line.n for line in lines] == list(range(-12, 13))
+    assert n.tolist() == list(range(-12, 13))
     assert np.all(amplitudes.imag == 0.0)
     assert np.max(np.abs(amplitudes.real - ref) / np.abs(ref)) <= 1e-13
     rng = np.random.default_rng(3)
     for _ in range(20):
         mode = ModeParams(rng.uniform(-3.0, 3.0), 0.0, -rng.uniform(0.05, 2.0), 1.0)
         lam, omega, n_max = rng.uniform(0.0, 3.0), rng.uniform(0.3, 2.0), int(rng.integers(0, 30))
-        got = [line.amplitude for line in harmonic_sidebands_analytic(mode, lam, omega, n_max)]
-        assert np.max(np.abs(np.array(got) - _jv_sidebands(mode, lam, omega, n_max))) <= 1e-14
+        got = harmonic_sidebands_analytic(mode, lam, omega, n_max)[2]
+        assert np.max(np.abs(got - _jv_sidebands(mode, lam, omega, n_max))) <= 1e-14
 
 
 def test_fft_matches_analytic_lines():
@@ -147,13 +147,12 @@ def test_fft_matches_analytic_lines():
     span = s[-1] - s[0]
     window = GaussianWindow(center=0.5 * span, width=span / 14.0)
     v0 = harmonic_carrier(MODE, LAM, OMEGA)
-    got = spectrum_fft(s, values, window, OMEGA, v0, 3)
-    expect = {l.n: l for l in harmonic_sidebands_analytic(MODE, LAM, OMEGA, 3)}
+    n, v, c = spectrum_fft(s, values, window, OMEGA, v0, 3)
+    n_ref, v_ref, c_ref = harmonic_sidebands_analytic(MODE, LAM, OMEGA, 3)
+    assert np.array_equal(n, n_ref)
     bin_width = 2.0 * np.pi / span
-    for line in got:
-        ref = expect[line.n]
-        assert abs(line.v - ref.v) < bin_width
-        assert abs(line.amplitude - ref.amplitude) <= 1e-4 * abs(ref.amplitude)
+    assert np.all(np.abs(v - v_ref) < bin_width)
+    assert np.all(np.abs(c - c_ref) <= 1e-4 * np.abs(c_ref))
 
 
 def test_fft_parameter_sweep_agreement(rng):
@@ -175,13 +174,79 @@ def test_fft_parameter_sweep_agreement(rng):
         span = s[-1] - s[0]
         window = GaussianWindow(center=0.5 * span, width=span / 14.0)
         v0 = harmonic_carrier(mode, lam, omega)
-        got = spectrum_fft(s, values, window, omega, v0, 2)
-        expect = {l.n: l for l in harmonic_sidebands_analytic(mode, lam, omega, 2)}
-        for line in got:
-            ref = expect[line.n]
-            if abs(ref.amplitude) < 1e-9:  # below leakage floor, not resolvable
-                continue
-            assert abs(line.amplitude - ref.amplitude) <= 1e-4 * abs(ref.amplitude)
+        n, _, c = spectrum_fft(s, values, window, omega, v0, 2)
+        n_ref, _, c_ref = harmonic_sidebands_analytic(mode, lam, omega, 2)
+        assert np.array_equal(n, n_ref)
+        resolvable = np.abs(c_ref) >= 1e-9  # below the leakage floor a line is not
+        assert np.all(np.abs(c - c_ref)[resolvable] <= 1e-4 * np.abs(c_ref)[resolvable])
+
+
+def _spectrum_fft_per_line(s_grid, values, window, base_frequency, carrier, n_max):
+    """The line fit of spectrum_fft written as one pass per line, the
+    reference its array form must match bit for bit (inputs unchecked)."""
+    n_samples = s_grid.shape[0]
+    ds = np.diff(s_grid)[0]
+    w = np.asarray(window.sample(s_grid), dtype=float)
+    gain = float(np.sum(w))
+    mag = np.abs(np.fft.fft(values * w))
+    dv = 2.0 * np.pi / (n_samples * ds)
+    lines = []
+    for n in range(-n_max, n_max + 1):
+        v_expect = carrier + n * base_frequency
+        k0 = int(np.round((-v_expect / dv) % n_samples)) % n_samples
+        half = max(2, int(0.35 * abs(base_frequency) / dv))
+        cand = (k0 + np.arange(-half, half + 1)) % n_samples
+        k_peak = int(cand[np.argmax(mag[cand])])
+        km = (k_peak - 1) % n_samples
+        kp = (k_peak + 1) % n_samples
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lm, lc, lp = np.log(mag[km]), np.log(mag[k_peak]), np.log(mag[kp])
+            denom = lm - 2.0 * lc + lp
+        delta = 0.5 * (lm - lp) / denom if np.isfinite(denom) and denom != 0 else 0.0
+        delta = float(np.clip(delta, -0.5, 0.5))
+        v_raw = -(k_peak + delta) * dv
+        wrap = 2.0 * np.pi / ds
+        v_hat = v_raw - wrap * np.round((v_raw - v_expect) / wrap)
+        amp = complex(np.sum(values * w * np.exp(1j * v_hat * s_grid)) / gain)
+        lines.append((n, float(v_hat), amp))
+    n, v, c = zip(*lines)
+    return np.array(n), np.array(v), np.array(c)
+
+
+def test_fft_lines_match_the_per_line_fit_bit_for_bit(rng):
+    """spectrum_fft equals the per-line reference exactly (np.array_equal on
+    n, v and c) over random line spectra with either window: carriers of
+    both signs, one just inside the Nyquist bound (lines past v = 0 need
+    the unwrap), one at v = 0 (the candidate window wraps past bin 0),
+    noise (peaks at the window's edge, offsets clipped), all-zero samples
+    (log 0 and the delta = 0 fallback) and a single sample (a flat
+    spectrum, denominator exactly 0)."""
+    n_samples, ds = 1024, 0.05
+    s = ds * np.arange(n_samples)
+    span = s[-1]
+    nyquist = np.pi / ds
+    windows = [GaussianWindow(0.5 * span, span / 14.0), HannWindow(0.0, span)]
+    cases = []
+    for k in range(24):
+        omega = float(rng.uniform(16.0, 40.0) * 2.0 * np.pi / span)
+        n_max = int(rng.integers(0, 4))
+        carrier = [float(rng.uniform(-0.5, 0.5) * nyquist),
+                   0.799 * nyquist - n_max * omega, 0.0][k % 3]
+        v_lines = carrier + omega * np.arange(-n_max - 1, n_max + 2)
+        c_lines = rng.normal(size=v_lines.size) + 1j * rng.normal(size=v_lines.size)
+        values = np.exp(-1j * np.outer(s, v_lines)) @ c_lines
+        if k % 4 == 3:
+            values = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+        cases.append((values, windows[k % 2], omega, carrier, n_max))
+    single = np.zeros(n_samples, complex)
+    single[0] = 1.0
+    for values in (np.zeros(n_samples, complex), single):
+        cases += [(values, window, 40.0 * np.pi / span, -3.0, 2) for window in windows]
+    for values, window, omega, carrier, n_max in cases:
+        got = spectrum_fft(s, values, window, omega, carrier, n_max)
+        want = _spectrum_fft_per_line(s, values, window, omega, carrier, n_max)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_fft_rejects_bad_grids():
@@ -222,11 +287,10 @@ def test_zero_amplitude_fft_single_peak():
     span = s[-1] - s[0]
     window = GaussianWindow(center=0.5 * span, width=span / 14.0)
     v0 = (MODE.k2 ** 2 + MODE.k3 ** 2 + MODE.m ** 2) / (4.0 * MODE.u)
-    lines = spectrum_fft(s, values, window, OMEGA, v0, 3)
-    by_n = {l.n: l for l in lines}
-    assert abs(by_n[0].amplitude) == pytest.approx(1.0, rel=1e-10)
-    for n in (-3, -2, -1, 1, 2, 3):
-        assert abs(by_n[n].amplitude) < 1e-6
+    n, _, c = spectrum_fft(s, values, window, OMEGA, v0, 3)
+    assert n.tolist() == list(range(-3, 4))
+    assert abs(c[3]) == pytest.approx(1.0, rel=1e-10)
+    assert np.all(np.abs(c[n != 0]) < 1e-6)
 
 
 def test_windowed_transform_positive_tail_decay():
