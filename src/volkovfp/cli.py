@@ -338,107 +338,41 @@ def _random_pi_minus(rng, n: int = 1) -> np.ndarray:
 
 
 # Drawn modes and packet nodes have log |u| uniform on [log 0.1, log 2].
-# The draw loops read the stream draw by draw in a fixed order.  Uniform
-# and normal numbers are read through random and standard_normal and
-# scaled as uniform and normal scale them, which gives the same values;
-# adjacent numbers share a Generator call whatever their ranges, which
-# reads the same bits as one call per number.  The sign of u is the top
-# bit of one 32-bit draw, as choice([-1.0, 1.0]) and integers(2) read it:
-# a float32 random() of at least 0.5, at about half the cost of integers(2).
 _LOG_U_RANGE = (np.log(0.1), np.log(2.0))
 
 
-def _uniform(unit, lo, hi):
-    """rng.uniform(lo, hi) of the numbers `unit` that rng.random drew."""
-    return lo + (hi - lo) * unit
-
-
-def _normal(std, loc=0.0, scale=1.0):
-    """rng.normal(loc, scale) of the numbers `std` that rng.standard_normal drew."""
-    return loc + scale * std
-
-
-def _signed_u(sign_draw, log_u) -> np.ndarray:
-    """u = -exp(log_u), or +exp(log_u) where the float32 sign draw is >= 0.5."""
-    return np.where(sign_draw >= 0.5, 1.0, -1.0) * np.exp(log_u)
+def _signed_u(rng, n: int) -> np.ndarray:
+    """n values of u with log |u| uniform on _LOG_U_RANGE and either sign equally likely."""
+    return rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(*_LOG_U_RANGE, n))
 
 
 def _draw_modes(rng, n: int):
-    """n modes drawn one after another, returned as columns:
-    u, k2, k3, m (n,), points (n, 4) and chi0 (n, 4).
-
-    Each mode reads the sign of u, log |u|, (k2, k3), m, the point
-    (s, l, y, z) and a raw spinor's 4 real then 4 imaginary parts.
-    """
-    sign_draw = np.empty(n, dtype=np.float32)
-    unit = np.empty((n, 6))  # log |u|, m, the point
-    std = np.empty((n, 10))  # k2, k3, the raw spinor
-    for i in range(n):
-        sign_draw[i] = rng.random(dtype=np.float32)
-        unit[i, 0] = rng.random()
-        rng.standard_normal(out=std[i, :2])
-        rng.random(out=unit[i, 1:])
-        rng.standard_normal(out=std[i, 2:])
-    k2, k3 = np.ascontiguousarray(_normal(std[:, :2], 0.0, 0.7).T)
-    raw = _normal(std[:, 2:])
-    return [_signed_u(sign_draw, _uniform(unit[:, 0], *_LOG_U_RANGE)), k2, k3,
-            _uniform(unit[:, 1], 0.5, 1.5), _uniform(unit[:, 2:], -3.0, 3.0),
-            _unit_pi_minus(raw[:, :4] + 1j * raw[:, 4:])]
+    """n modes as columns: u, k2, k3, m (n,), points (s, l, y, z) (n, 4) and chi0 (n, 4)."""
+    return [_signed_u(rng, n), *rng.normal(0.0, 0.7, (2, n)), rng.uniform(0.5, 1.5, n),
+            rng.uniform(-3.0, 3.0, (n, 4)), _random_pi_minus(rng, n)]
 
 
 def _draw_pairs(rng, n: int):
-    """n mode pairs drawn one after another, returned as columns:
-    k2, k3, u, m, m_prime, s (n,) and the two amplitudes chi_a, chi_b (n, 4).
-
-    Each pair reads (k2, k3), the sign of u, log |u|, (m, m_prime), s and
-    the raw spinors' 16 parts (real then imaginary of a, then of b).
-    """
-    sign_draw = np.empty(n, dtype=np.float32)
-    unit = np.empty((n, 4))  # log |u|, m, m_prime, s
-    std = np.empty((n, 18))  # k2, k3, the raw spinors
-    for i in range(n):
-        rng.standard_normal(out=std[i, :2])
-        sign_draw[i] = rng.random(dtype=np.float32)
-        rng.random(out=unit[i])
-        rng.standard_normal(out=std[i, 2:])
-    k2, k3 = np.ascontiguousarray(_normal(std[:, :2], 0.0, 0.7).T)
-    m, m_prime = np.ascontiguousarray(_uniform(unit[:, 1:3], 0.6, 1.4).T)
-    re_a, im_a, re_b, im_b = _normal(std[:, 2:]).reshape(n, 4, 4).transpose(1, 0, 2)
-    return [k2, k3, _signed_u(sign_draw, _uniform(unit[:, 0], *_LOG_U_RANGE)), m, m_prime,
-            _uniform(unit[:, 3], -5.0, 5.0),
-            _unit_pi_minus(re_a + 1j * im_a), _unit_pi_minus(re_b + 1j * im_b)]
+    """n mode pairs as columns: k2, k3, u, m, m_prime, s (n,) and the two
+    amplitudes chi_a, chi_b (n, 4)."""
+    return [*rng.normal(0.0, 0.7, (2, n)), _signed_u(rng, n), *rng.uniform(0.6, 1.4, (2, n)),
+            rng.uniform(-5.0, 5.0, n), _random_pi_minus(rng, n), _random_pi_minus(rng, n)]
 
 
 def _draw_packets(rng, n_packets: int, n_nodes: int):
-    """n_packets packet pairs (psi, phi) drawn one after another, each pair
-    on one node grid, returned as columns: u, k2, k3, quad_weights (P, N),
-    then chi0 (P, N, 4) and weights (P, N) of psi, then of phi.
+    """n_packets packet pairs (psi, phi), each pair on one node grid with u < 0,
+    as columns: u, k2, k3, quad_weights (P, N), then chi0 (P, N, 4) and
+    weights (P, N) of psi, then of phi."""
+    shape = (n_packets, n_nodes)
+    u = -np.exp(rng.uniform(*_LOG_U_RANGE, shape))
+    u += np.linspace(0.0, 1e-9, n_nodes)  # distinct nodes
 
-    Each pair reads N values of log |u|, 12N normals (k2, k3, then psi's
-    raw spinors' 4N real and 4N imaginary parts and its weights' N real
-    and N imaginary parts), N quadrature weights and 10N normals (phi's
-    spinors and weights, laid out as psi's).
-    """
-    p, n = n_packets, n_nodes
-    unit = np.empty((2, p, n))  # log |u|, quadrature weights
-    std = np.empty((p, 22 * n))
-    for i in range(p):
-        rng.random(out=unit[0, i])
-        rng.standard_normal(out=std[i, :12 * n])
-        rng.random(out=unit[1, i])
-        rng.standard_normal(out=std[i, 12 * n:])
-    u = -np.exp(_uniform(unit[0], *_LOG_U_RANGE))
-    u += np.linspace(0.0, 1e-9, n)  # distinct nodes
-    k = _normal(std[:, :2 * n], 0.0, 0.5)
+    def amplitudes():
+        return (_random_pi_minus(rng, n_packets * n_nodes).reshape(*shape, 4),
+                rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
-    def amplitudes(raw):
-        """chi0 (P, N, 4) and weights (P, N) from (P, 10N) standard normals."""
-        raw = _normal(raw)
-        spinors = raw[:, :4 * n].reshape(-1, 4) + 1j * raw[:, 4 * n:8 * n].reshape(-1, 4)
-        return _unit_pi_minus(spinors).reshape(p, n, 4), raw[:, 8 * n:9 * n] + 1j * raw[:, 9 * n:]
-
-    return [u, k[:, :n], k[:, n:], _uniform(unit[1], 0.1, 1.0),
-            *amplitudes(std[:, 2 * n:12 * n]), *amplitudes(std[:, 12 * n:])]
+    return [u, *rng.normal(0.0, 0.5, (2, *shape)), rng.uniform(0.1, 1.0, shape),
+            *amplitudes(), *amplitudes()]
 
 
 def run_dirac_residual(cfg: Mapping) -> ScenarioResult:
@@ -466,8 +400,7 @@ def run_null_product_invariance(cfg: Mapping) -> ScenarioResult:
     # one (surface, packet) table; the s = 0 row is each packet's reference
     base, *values = null_scalar_product(psi, phi, cfg["potential"], np.array([0.0, *s_values]))
     values = np.array(values)
-    # each scale is abs of one value, which can differ from np.abs in the last bit
-    dev = np.abs(values - base) / [max(abs(b), 1e-300) for b in base]
+    dev = np.abs(values - base) / np.maximum(np.abs(base), 1e-300)
     # packet-major rows: packet p's row for each surface in turn
     columns = [np.repeat(np.arange(base.size), len(s_values)), np.tile(s_values, base.size),
                values.real.T.ravel(), values.imag.T.ravel(), dev.T.ravel()]
