@@ -53,8 +53,8 @@ from .modes import (
     ModeAmplitude,
     ModeParams,
     WavePacket,
-    _mode_and_dirac,
     mass_pairing_identity,
+    mode_and_dirac,
     null_decay_scan,
     null_scalar_product,
     phase_factor,
@@ -69,7 +69,6 @@ from .potential import (
 from .projector import (
     causal_fundamental_momentum,
     fp_kernel_momentum,
-    fp_scalar_a,
     mass_oscillation_check,
     signature_sign,
     wave_slice,
@@ -80,7 +79,6 @@ from .spectral import (
     GaussianWindow,
     UndersampledGridError,
     decay_order_fit,
-    harmonic_carrier,
     harmonic_sidebands_analytic,
     plancherel_reference,
     spectrum_fft,
@@ -150,7 +148,9 @@ CONFIG_TABLES = {
         "tolerance": _FINITE,
     }, rules=(_budget(lambda c: (len(c["s_values"]) + 1) * c["n_packets"] * c["nodes_per_packet"],
                       "(s_values + 1) x n_packets x nodes_per_packet, the number of "
-                      "(surface, packet node) pairs"),)),
+                      "(surface, packet node) pairs"),
+              (lambda c: any(s != 0 for s in c["s_values"]),
+               "s_values must hold a surface other than the reference s = 0"))),
     "mass-pairing": Table({**_DRAWN, "n_draws": _COUNT, "tolerance": _FINITE},
                           rules=(_budget(lambda c: c["n_draws"], "n_draws, the number of pairs"),)),
     "mass-oscillation": Table({
@@ -170,6 +170,9 @@ CONFIG_TABLES = {
     }, rules=((lambda c: not c["disjoint_null_check"] or None not in (
         c["null_tolerance"], c["disjoint_support_low"], c["disjoint_support_high"]),
         "disjoint_null_check needs null_tolerance and both disjoint supports"),
+        (lambda c: None in (c["disjoint_support_low"], c["disjoint_support_high"])
+         or c["disjoint_support_low"][1] <= c["disjoint_support_high"][0],
+         "disjoint_support_low must end at or below the start of disjoint_support_high"),
         _budget(lambda c: c["n_masses"] * c["u_grid"][2] * c["k2_grid"][2] * c["k3_grid"][2],
                 "n_masses x u_grid x k2_grid x k3_grid, the mass family's size"),
         _budget(lambda c: c["u_grid"][2] * len(c["epsilons"]) * c["n_masses"] ** 2,
@@ -381,7 +384,7 @@ def run_dirac_residual(cfg: Mapping) -> ScenarioResult:
     u, k2, k3, m, points, chi0 = _draw_modes(rng, cfg["n_modes"])
     mode = ModeParams(k2=k2, k3=k3, u=u, m=m)
     amp = ModeAmplitude(chi0)
-    psi, dirac_psi = _mode_and_dirac(amp, mode, pot, points.T)
+    psi, dirac_psi = mode_and_dirac(amp, mode, pot, points.T)
     resid = np.linalg.norm(dirac_psi, axis=-1)
     norm = np.linalg.norm(psi, axis=-1)
     relative = resid / norm
@@ -501,15 +504,16 @@ def run_decay_scan(cfg: Mapping) -> ScenarioResult:
                         weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
     l_grid = np.geomspace(*cfg["l_range"], cfg["n_l"])
     l_both = np.concatenate([l_grid, -l_grid])
-    report = null_decay_scan(packet, pot, s_values, l_both)
-    single_report = null_decay_scan(single, pot, s_values[:1], l_both)
+    magnitudes, min_order = null_decay_scan(packet, pot, s_values, l_both)
+    _, single_order = null_decay_scan(single, pot, s_values[:1], l_both)
 
     columns = [np.repeat(s_values, l_both.size), np.tile(l_both, len(s_values)),
-               report.magnitudes.ravel()]
+               magnitudes.ravel()]
+    threshold = 0.5  # a fitted order below this flags a packet non-decaying
     checks = [
-        _geq("min_fitted_decay_order", report.min_order, cfg["order_min"]),
+        _geq("min_fitted_decay_order", min_order, cfg["order_min"]),
         Check("single_mode_flagged_non_decaying",
-              single_report.min_order, report.threshold, single_report.non_decaying),
+              single_order, threshold, single_order < threshold),
     ]
     return ScenarioResult(checks, {"decay_scan.csv": (["s", "l", "pi_minus_norm"], columns)})
 
@@ -540,8 +544,8 @@ def run_fp_kernel_export(cfg: Mapping) -> ScenarioResult:
     s = np.array(cfg["s_values"])[:, None]
     st = np.array(cfg["s_tilde_values"])
 
-    scale = 1.0 / (2.0 * np.pi) ** 4
-    coincidence_gaps = np.abs(fp_scalar_a(modes, pot, s, s) - scale) / scale
+    # a(s, s) = E(s, s) / (2 pi)^4 is (2 pi)^-4 exactly when E(s, s) = 1
+    coincidence_gaps = np.abs(phase_factor(modes, pot, s, s) - 1.0)
     wave = wave_slice(modes, pot, s, st)
     kernel = fp_kernel_momentum(modes, wave)
     mirrored = fp_kernel_momentum(modes, wave.mirrored())
@@ -566,9 +570,9 @@ def run_sidebands(cfg: Mapping) -> ScenarioResult:
     per = cfg["samples_per_period"]
     mode = ModeParams(cfg["k2"], cfg["k3"], cfg["u"], cfg["m"])
     pot = HarmonicPotential(lam, omega)
-    v0 = harmonic_carrier(mode, lam, omega)
     lines_an = harmonic_sidebands_analytic(mode, lam, omega, n_max)
     _, v_an, c_an = lines_an
+    v0 = float(v_an[n_max])  # the n = 0 line is the carrier
     total_sq = sum(abs(c) ** 2 for c in c_an.tolist())
 
     ds = (2.0 * np.pi / abs(omega)) / per

@@ -159,13 +159,11 @@ def spin_adjoint(mat: SpinMatrix) -> SpinMatrix:
     return np.conj(np.swapaxes(np.asarray(mat), -1, -2)) * _ADJOINT_SIGNS
 
 
-def transverse_slash(k2, k3, a2=0.0, a3=0.0) -> SpinMatrix:
-    """Transverse slash gamma2 (k2 + a2) + gamma3 (k3 + a3).
+def transverse_slash(t2, t3) -> SpinMatrix:
+    """Transverse slash gamma2 t2 + gamma3 t3 of a transverse momentum t = k + a(s).
 
-    Squares to -((k2+a2)^2 + (k3+a3)^2) times the identity and
-    anticommutes with gamma0, gamma1 (hence with N_pm, commutes with Pi_pm).
-    Array arguments broadcast and give a (..., 4, 4) stack of matrices.
+    Squares to -(t2^2 + t3^2) times the identity and anticommutes with
+    gamma0, gamma1 (hence with N_pm, commutes with Pi_pm).  Array arguments
+    broadcast and give a (..., 4, 4) stack of matrices.
     """
-    t2 = np.asarray(k2 + a2)[..., None, None]
-    t3 = np.asarray(k3 + a3)[..., None, None]
-    return t2 * _GAMMA[2] + t3 * _GAMMA[3]
+    return np.asarray(t2)[..., None, None] * _GAMMA[2] + np.asarray(t3)[..., None, None] * _GAMMA[3]

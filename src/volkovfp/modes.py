@@ -14,15 +14,15 @@ with Phi the cumulative phase integral of (k2+a2)^2 + (k3+a3)^2 + m^2
 factor exp(-i Phi(s_from, s) / 4u) is computed: the Pi_minus evolution,
 the packets, the Green's functions, projector kernel and smeared
 pairings of ``projector`` and the transforms of ``spectral`` all call
-it.  Only the mass-oscillation check splits it, into a transverse and a
-mass factor (see ``projector``).
+it.  The mass-oscillation check evaluates no phase: its s integral is in
+closed form (see ``projector``).
 The complementary projection is fixed algebraically,
 
     Pi_plus chi(s) = -(1 / 2u) N_plus (Aslash(s) - m) Pi_minus chi(s),
 
 equivalently 2u N_minus chi + (Aslash - m) Pi_minus chi = 0, so the full
-spinor solves the Dirac equation exactly; ``dirac_residual`` verifies
-this with analytic derivatives.
+spinor solves the Dirac equation exactly; ``mode_and_dirac`` returns the
+mode with the Dirac operator applied to it, from analytic derivatives.
 
 Wavepackets are finite superpositions over a grid of (u, k2, k3) nodes
 with a shared mass: each node carries a Pi_minus amplitude chi0, a
@@ -56,15 +56,12 @@ __all__ = [
     "phase_factor",
     "project_pi_minus",
     "evolve_pi_minus",
-    "reconstruct_full",
-    "mode_wavefunction",
-    "dirac_residual",
+    "mode_and_dirac",
     "WavePacket",
     "packet_pi_minus",
     "packet_pi_minus_field",
     "null_scalar_product",
     "mass_pairing_identity",
-    "DecayReport",
     "null_decay_scan",
     "MassFamily",
     "smooth_bump",
@@ -185,10 +182,9 @@ def _apply(mat, spinor) -> np.ndarray:
     return (mat @ spinor[..., None])[..., 0]
 
 
-def evolve_pi_minus(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
-                    s, s_from=0.0) -> np.ndarray:
-    """Propagate the Pi_minus amplitude from s_from to s (a pure phase)."""
-    return _vec(phase_factor(mode, pot, s_from, s)) * amp.chi0
+def evolve_pi_minus(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential, s) -> np.ndarray:
+    """Propagate the Pi_minus amplitude from the reference surface s = 0 to s (a pure phase)."""
+    return _vec(phase_factor(mode, pot, 0.0, s)) * amp.chi0
 
 
 def _n_plus_slash(t2, t3) -> np.ndarray:
@@ -206,60 +202,26 @@ def _completion(mode: ModeParams, t2, t3) -> np.ndarray:
     return _ID4 - (_n_plus_slash(t2, t3) - _mat(mode.m) * _N_PLUS) / _mat(2.0 * mode.u)
 
 
-def _transverse_momenta(mode: ModeParams, pot: PlaneWavePotential, s):
-    """t = (k2 + a2(s), k3 + a3(s)) from one field call."""
-    a2, a3 = pot.field(s)[:2]
-    return mode.k2 + a2, mode.k3 + a3
-
-
-def reconstruct_full(pi_minus_chi, mode: ModeParams, pot: PlaneWavePotential,
-                     s) -> np.ndarray:
-    """Complete a Pi_minus value to the full solution spinor at s.
-
-    The Pi_plus component is fixed by the algebraic constraint
-    2u N_minus chi = -(Aslash(s) - m) Pi_minus chi.
-    """
-    return _apply(_completion(mode, *_transverse_momenta(mode, pot, s)),
-                  np.asarray(pi_minus_chi, dtype=complex))
-
-
 def _plane_factor(mode: ModeParams, l, y, z) -> np.ndarray:
     """exp(-i (k2 y + k3 z + u l)), the unit-modulus transverse/longitudinal factor."""
     return np.exp(-1j * (mode.k2 * y + mode.k3 * z + mode.u * l))
 
 
-def mode_wavefunction(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
-                      point) -> np.ndarray:
-    """Evaluate the full mode at a point (s, l, y, z) in null coordinates.
+def mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential, point):
+    """The full mode at a point (s, l, y, z) in null coordinates, psi, and
+    the Dirac operator applied to it there, D psi, as two (..., 4) arrays.
 
     Each coordinate is a scalar or an array over the modes of a batch.
-    """
-    s, l, y, z = point
-    chi = reconstruct_full(evolve_pi_minus(amp, mode, pot, s), mode, pot, s)
-    return _vec(_plane_factor(mode, l, y, z)) * chi
-
-
-def dirac_residual(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential,
-                   point):
-    """Euclidean norm of the Dirac operator applied to the mode at a point.
-
-    Uses the analytic s-derivative of the closed-form solution; in null
-    coordinates (d_t = d_s + d_l, d_x = d_s - d_l) the plane-wave Dirac
-    operator acting on the separated mode reduces to
+    D psi uses the analytic s-derivative of the closed-form solution; in
+    null coordinates (d_t = d_s + d_l, d_x = d_s - d_l) the plane-wave
+    Dirac operator acting on the separated mode reduces to
 
         [2i N_plus d_s + 2u N_minus + Aslash(s) - m] chi(s)
 
-    times unit-modulus phase factors.  A float for one mode, an array
-    of norms for a batch (point coordinates as in mode_wavefunction).
+    times unit-modulus phase factors.  Both come from one evaluation of
+    the phase, the completion and the plane factor; the norm of D psi is
+    the mode's Dirac residual.
     """
-    norms = np.linalg.norm(_mode_and_dirac(amp, mode, pot, point)[1], axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
-
-
-def _mode_and_dirac(amp: ModeAmplitude, mode: ModeParams, pot: PlaneWavePotential, point):
-    """The mode at a point, as mode_wavefunction gives it, and the Dirac
-    operator applied to it there, from one evaluation of the phase, the
-    completion and the plane factor."""
     s, l, y, z = point
     u, m = mode.u, mode.m
     a2, a3, da2, da3 = pot.field(s)
@@ -432,7 +394,8 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
     both = ModeParams(mode_a.k2, mode_a.k3, u,
                       np.stack([np.broadcast_to(mode.m, shape) for mode in (mode_a, mode_b)]))
     amps = ModeAmplitude(np.stack([np.broadcast_to(a.chi0, (*shape, 4)) for a in (amp_a, amp_b)]))
-    completion = _completion(both, *_transverse_momenta(mode_a, pot, s))
+    a2, a3 = pot.field(s)[:2]
+    completion = _completion(both, mode_a.k2 + a2, mode_a.k3 + a3)
     chi_a, chi_b = _apply(completion, evolve_pi_minus(amps, both, pot, s))
     lhs = 2.0 * u * spin_inner(chi_a, chi_b)
 
@@ -446,34 +409,16 @@ def mass_pairing_identity(amp_a: ModeAmplitude, mode_a: ModeParams,
 # null-direction decay scan
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Result of a null-direction decay scan.
-
-    magnitudes[j, i] is ||Pi_minus psi(s_j, l_i)||, the fitted data;
-    min_order is the smallest tail exponent fitted on any surface and l
-    branch.  A packet is flagged non-decaying when min_order falls below
-    the threshold.
-    """
-
-    magnitudes: np.ndarray
-    min_order: float
-    threshold: float
-    non_decaying: bool
-
-
-_DECAY_THRESHOLD = 0.5  # a fitted order below this flags a packet non-decaying
-
-
 def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
-                    l_values) -> DecayReport:
+                    l_values) -> tuple[np.ndarray, float]:
     """Fit the |l|^-N tail of ||Pi_minus psi(s, l)|| over an l window.
 
-    The magnitudes at every s come from one packet_pi_minus_field call over
-    all surfaces.  l_values are grouped by sign and each branch of at least
-    8 samples is fitted separately against |l| on every surface; the
-    reported order is the weakest of all these fits.  A single-mode
-    (delta-weight) packet shows no decay and is flagged.
+    Returns (magnitudes, min_order): magnitudes[j, i] is
+    ||Pi_minus psi(s_j, l_i)||, the fitted data, from one
+    packet_pi_minus_field call over all surfaces.  l_values are grouped by
+    sign and each branch of at least 8 samples is fitted separately
+    against |l| on every surface; min_order is the weakest of all these
+    fits.  A single-mode (delta-weight) packet shows no decay.
     """
     from .spectral import decay_order_fit
 
@@ -487,8 +432,7 @@ def null_decay_scan(packet: WavePacket, pot: PlaneWavePotential, s_values,
         raise ValueError("decay scan needs at least 8 samples per l branch")
     min_order = float(np.min([decay_order_fit(np.abs(l_values[b]), mags[b])[0]
                               for mags in magnitudes for b in branches]))
-    return DecayReport(magnitudes, min_order, _DECAY_THRESHOLD,
-                       bool(min_order < _DECAY_THRESHOLD))
+    return magnitudes, min_order
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ __all__ = [
     "green_ab",
     "causal_fundamental_momentum",
     "signature_sign",
-    "fp_scalar_a",
     "fp_kernel_momentum",
     "MassOscillationResult",
     "mass_oscillation_check",
@@ -205,17 +204,6 @@ def signature_sign(u):
     return int(sign) if sign.ndim == 0 else sign
 
 
-def fp_scalar_a(mode: ModeParams, pot: PlaneWavePotential, s, s_tilde):
-    """Scalar coefficient a(s, s~) = E(s~,s)/(2 pi)^4 of the projector kernel.
-
-    Modes, s and s~ broadcast; this is the scalar channel analysed by
-    the spectral diagnostics, and it needs only the phase.
-    """
-    if not np.all(np.asarray(mode.u) < 0):
-        raise ValueError("projector kernel requires u < 0")
-    return phase_factor(mode, pot, s_tilde, s) / _TWO_PI_4
-
-
 def fp_kernel_momentum(mode: ModeParams, wave: WaveSlice) -> np.ndarray:
     """Momentum-space kernel of the fermionic projector (u < 0 only)."""
     if not np.all(np.asarray(mode.u) < 0):
@@ -262,6 +250,9 @@ def _check_family_pair(fam_psi: MassFamily, fam_phi: MassFamily) -> None:
     if not _same_node_grid(fam_psi, fam_phi):
         raise GridMismatchError("families must share the (u, k2, k3) node grid")
     for fam in (fam_psi, fam_phi):
+        if not fam.eta.any():
+            raise ValueError("mass profile eta vanishes at every mass; "
+                             "both sides of the check would be 0")
         if not fam.weights_smooth():
             raise ValueError(
                 "mass profile must vanish at the interval ends "

@@ -24,18 +24,17 @@ from volkovfp.modes import (
     ModeAmplitude,
     ModeParams,
     WavePacket,
-    dirac_residual,
     mass_pairing_identity,
-    mode_wavefunction,
+    mode_and_dirac,
     null_decay_scan,
     null_scalar_product,
+    phase_factor,
     smooth_bump,
 )
 from volkovfp.potential import HarmonicPotential, PulsePotential, ZeroPotential, transverse_phase
 from volkovfp.projector import (
     causal_fundamental_momentum,
     fp_kernel_momentum,
-    fp_scalar_a,
     mass_oscillation_check,
     signature_sign,
     wave_slice,
@@ -104,8 +103,9 @@ def test_criterion_2_exact_solution_suite():
                             for field in ("k2", "k3", "u", "m")))
         amp = ModeAmplitude(np.array(chi0))
         point = tuple(np.array(points).T)
-        resid = dirac_residual(amp, mode, pot, point)
-        norm = np.linalg.norm(mode_wavefunction(amp, mode, pot, point), axis=-1)
+        psi, dirac_psi = mode_and_dirac(amp, mode, pot, point)
+        resid = np.linalg.norm(dirac_psi, axis=-1)
+        norm = np.linalg.norm(psi, axis=-1)
         results[name] = (float(np.max(resid / norm)), tol)
     elapsed = time.time() - start
     ok = all(worst <= tol for worst, tol in results.values())
@@ -202,7 +202,8 @@ def test_criterion_6_kernel_consistency():
             np.max(np.abs(p - (-signature_sign(mode.u)) * k)) / scale)
         q = fp_kernel_momentum(mode, wave_slice(mode, pot, s_tilde, s))  # fresh, not mirrored
         worst_adjoint = max(worst_adjoint, np.max(np.abs(spin_adjoint(p) - q)) / scale)
-        if complex(fp_scalar_a(mode, pot, s, s)) != 1.0 / (2.0 * np.pi) ** 4 + 0.0j:
+        if complex(phase_factor(mode, pot, s, s) / (2.0 * np.pi) ** 4) \
+                != 1.0 / (2.0 * np.pi) ** 4 + 0.0j:
             coincidence_exact = False
     elapsed = time.time() - start
     ok = worst_consistency <= 1e-12 and worst_adjoint <= 1e-12 and coincidence_exact
@@ -288,14 +289,14 @@ def test_criterion_9_null_decay_scan():
     l_both = np.concatenate([l_grid, -l_grid])
     orders = {}
     for name, pot in (("zero", ZeroPotential()), ("harmonic", HarmonicPotential(0.2, 1.0))):
-        orders[name] = null_decay_scan(packet, pot, [-5.0, 0.0, 5.0], l_both)
+        orders[name] = null_decay_scan(packet, pot, [-5.0, 0.0, 5.0], l_both)[1]
 
     single = WavePacket(m=1.0, u=np.array([-0.5]), k2=np.array([0.3]),
                         k3=np.array([0.0]), chi0=chi0[:1],
                         weights=np.array([1.0 + 0j]), quad_weights=np.array([1.0]))
-    flagged = null_decay_scan(single, ZeroPotential(), [0.0], l_both).non_decaying
+    flagged = null_decay_scan(single, ZeroPotential(), [0.0], l_both)[1] < 0.5
     elapsed = time.time() - start
-    min_order = min(r.min_order for r in orders.values())
+    min_order = min(orders.values())
     ok = min_order >= 4.0 and flagged
     report(9, "null-decay-scan", ok,
            f"min fitted order {min_order:.1f} >= 4 over s in {{-5,0,5}}, "

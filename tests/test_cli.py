@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
 import json
 import os
@@ -284,10 +285,18 @@ DISJOINT_NULL = {"null_tolerance": 1e-3, "disjoint_support_low": [0.8, 0.88],
     {"disjoint_null_check": True},
     {"epsilons": [1e-300, 2e-300]},
     {"disjoint_null_check": True, **DISJOINT_NULL, "disjoint_support_low": [0.7, 0.9]},
+    # an eta that is 0 at every mass would compare 0 with 0
+    {"n_masses": 2, "mass_interval": [1.0, 1.001], "epsilons": [1.0, 0.5]},
+    {"disjoint_null_check": True, **DISJOINT_NULL, "disjoint_support_low": [0.1, 0.2]},
+    {"disjoint_null_check": True, **DISJOINT_NULL, "disjoint_support_low": [0.81, 0.84]},
+    {"disjoint_null_check": True, **DISJOINT_NULL, "disjoint_support_low": [0.8, 1.1],
+     "disjoint_support_high": [0.9, 1.2]},
 ], ids=["one-mass", "repeated-epsilon", "no-epsilons", "zero-epsilon",
         "negative-epsilon", "reversed-interval", "one-number-disjoint-support",
         "misspelled-null-check", "text-null-check", "null-check-without-supports",
-        "vanishing-epsilons", "disjoint-support-past-interval"])
+        "vanishing-epsilons", "disjoint-support-past-interval", "two-masses-zero-eta",
+        "disjoint-support-outside-interval", "disjoint-support-between-masses",
+        "overlapping-disjoint-supports"])
 def test_bad_mass_oscillation_config_is_config_error(tmp_path, capsys, override):
     cfg = small_configs()["mass-oscillation"]
     cfg.update(override)
@@ -354,6 +363,10 @@ def test_zero_draws_is_config_error(tmp_path, scenario, key):
     ("null-product-invariance", {"potential": {"kind": "harmonic", "amplitude": True,
                                                "frequency": 1.0}}),
     ("fp-kernel-export", {"schema_version": True}),
+    # only the reference surface s = 0: the product compared with itself
+    ("null-product-invariance", {"s_values": [0.0]}),
+    ("null-product-invariance", {"s_values": [0.0, 0.0]}),
+    ("null-product-invariance", {"s_values": [-0.0]}),
 ], ids=["decay-nan-k2", "decay-zero-m", "decay-fractional-u-count", "decay-text-u-count",
         "decay-zero-l", "decay-one-number-l-range", "decay-few-l", "decay-zero-sigma",
         "kernel-zero-m", "kernel-nan-k2", "kernel-text-s-tilde", "kernel-huge-s",
@@ -361,7 +374,8 @@ def test_zero_draws_is_config_error(tmp_path, scenario, key):
         "pairing-negative-seed", "null-product-negative-seed", "decay-negative-seed",
         "oscillation-negative-seed", "decay-unknown-weight-key", "dirac-stray-potential-width",
         "pairing-text-amplitude", "null-product-boolean-amplitude",
-        "kernel-boolean-schema-version"])
+        "kernel-boolean-schema-version", "null-product-only-reference-s",
+        "null-product-repeated-reference-s", "null-product-negative-zero-s"])
 def test_bad_grid_or_mode_is_config_error(tmp_path, capsys, scenario, override):
     cfg = small_configs()[scenario]
     cfg.update(override)
@@ -967,6 +981,27 @@ def test_library_imports_no_scipy():
             else:
                 continue
             assert not any(n == "scipy" or n.startswith("scipy.") for n in names), path.name
+
+
+def test_cli_imports_only_public_names():
+    """cli imports from the package only public names, each listed in its
+    module's __all__ where the module has one, and every __all__ entry of
+    every module resolves."""
+    package = Path(cli.__file__).resolve().parent
+    imported = 0
+    for node in ast.walk(ast.parse((package / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"volkovfp.{node.module}")
+            for alias in node.names:
+                imported += 1
+                assert not alias.name.startswith("_"), f"{node.module}.{alias.name}"
+                assert alias.name in getattr(module, "__all__", [alias.name]), \
+                    f"{node.module}.{alias.name} is not in its __all__"
+    assert imported > 0
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"volkovfp.{path.stem}".removesuffix(".__init__"))
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def _fmt_cell(x) -> str:

@@ -85,7 +85,7 @@ def test_transverse_slash_properties(rng):
     assert np.array_equal(a @ a, -ID4)
 
     k2, k3, a2, a3 = rng.normal(size=4)
-    slash = transverse_slash(k2, k3, a2, a3)
+    slash = transverse_slash(k2 + a2, k3 + a3)
     expected = -((k2 + a2) ** 2 + (k3 + a3) ** 2) * ID4
     assert np.allclose(slash @ slash, expected, atol=1e-14)
     for j in (0, 1):

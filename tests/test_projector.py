@@ -13,8 +13,9 @@ from volkovfp.modes import (
     MassFamily,
     ModeAmplitude,
     ModeParams,
-    dirac_residual,
     mass_pairing_identity,
+    mode_and_dirac,
+    phase_factor,
     smooth_bump,
 )
 from volkovfp.potential import (
@@ -32,7 +33,6 @@ from volkovfp.projector import (
     extrapolate_to_zero,
     fp_kernel_momentum,
     fp_pair_smeared,
-    fp_scalar_a,
     green_ab,
     mass_oscillation_check,
     signature_sign,
@@ -54,8 +54,8 @@ RETARDED, ADVANCED = 0, 1  # positions in the pair green_ab returns
 
 def _slash_plus_m(mode, pot, s):
     """Aslash(s) + m, one matrix per mode."""
-    return transverse_slash(mode.k2, mode.k3, *pot.field(s)[:2]) \
-        + np.asarray(mode.m)[..., None, None] * ID4
+    a2, a3 = pot.field(s)[:2]
+    return transverse_slash(mode.k2 + a2, mode.k3 + a3) + np.asarray(mode.m)[..., None, None] * ID4
 
 
 def _assembled(a, b, mode, slash_m):
@@ -139,7 +139,8 @@ def test_causal_kernel_solves_source_free_system():
         return causal_fundamental_momentum(MODE, wave_slice(MODE, POT, x, s_tilde))
 
     dk = (kernel(s + h) - kernel(s - h)) / (2.0 * h)
-    aslash = transverse_slash(MODE.k2, MODE.k3, *map(float, POT.field(s)[:2]))
+    a2, a3 = map(float, POT.field(s)[:2])
+    aslash = transverse_slash(MODE.k2 + a2, MODE.k3 + a3)
     resid = 2j * (N_PLUS @ dk) + 2.0 * MODE.u * (N_MINUS @ kernel(s)) \
         + (aslash - MODE.m * ID4) @ kernel(s)
     assert np.max(np.abs(resid)) / np.max(np.abs(kernel(s))) < 1e-9
@@ -170,12 +171,10 @@ def test_fp_kernel_requires_negative_u():
     positive = ModeParams(0.0, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         fp_kernel_momentum(positive, wave_slice(positive, POT, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        fp_scalar_a(positive, POT, 0.0, 0.0)
 
 
 def test_fp_scalar_at_coincidence_exact():
-    assert complex(fp_scalar_a(MODE, POT, 0.7, 0.7)) == (1.0 / TWO_PI_4) + 0.0j
+    assert complex(phase_factor(MODE, POT, 0.7, 0.7) / TWO_PI_4) == (1.0 / TWO_PI_4) + 0.0j
 
 
 def test_fp_equals_minus_sign_times_causal(rng):
@@ -210,7 +209,7 @@ def test_fp_zero_potential_single_frequency():
     mode = ModeParams(0.3, 0.0, -0.5, 1.0)
     v0 = (mode.k2 ** 2 + mode.k3 ** 2 + mode.m ** 2) / (4.0 * mode.u)
     for s in (0.5, 2.0, -3.3):
-        a_val = complex(fp_scalar_a(mode, ZeroPotential(), s, 0.0))
+        a_val = complex(phase_factor(mode, ZeroPotential(), 0.0, s) / TWO_PI_4)
         assert a_val == pytest.approx(np.exp(-1j * v0 * s) / TWO_PI_4, rel=1e-13)
 
 
@@ -308,7 +307,7 @@ def _brute_force_lhs(fam_psi, fam_phi, pot, epsilons, tail=1e-14, points_per_osc
         s_grid = ds * np.arange(-n_half, n_half + 1)
         base = transverse_phase(pot, k2, k3, 0.0, s_grid)
         osc = np.exp(-1j * (base[None, :] + np.square(masses)[:, None] * s_grid) / (4.0 * u))
-        slash = np.array([transverse_slash(k2, k3, *pot.field(s)[:2]) for s in s_grid])
+        slash = np.array([transverse_slash(k2 + f[0], k3 + f[1]) for f in map(pot.field, s_grid)])
 
         def completed(family):
             chi0 = family.chi0[:, i]
@@ -590,7 +589,7 @@ def test_batched_kernels_match_scalar_calls(rng):
     wave = wave_slice(mode, POT, s, s_tilde)
     kernel = fp_kernel_momentum(mode, wave)
     causal = causal_fundamental_momentum(mode, wave)
-    scalar_a = fp_scalar_a(mode, POT, s, s_tilde)
+    scalar_a = phase_factor(mode, POT, s_tilde, s) / TWO_PI_4
     greens = green_ab(mode, wave)
     slash_m = _slash_plus_m(mode, POT, s)
     adv = greens[ADVANCED]
@@ -604,7 +603,7 @@ def test_batched_kernels_match_scalar_calls(rng):
         wave_i = wave_slice(mode_i, POT, si, sti)
         assert np.max(np.abs(kernel[i] - fp_kernel_momentum(mode_i, wave_i))) <= 1e-13
         assert np.max(np.abs(causal[i] - causal_fundamental_momentum(mode_i, wave_i))) <= 1e-13
-        assert abs(scalar_a[i] - fp_scalar_a(mode_i, POT, si, sti)) <= 1e-13
+        assert abs(scalar_a[i] - phase_factor(mode_i, POT, sti, si) / TWO_PI_4) <= 1e-13
         for batch, single in zip(greens, green_ab(mode_i, wave_i)):
             assert isinstance(single.a, complex)
             assert abs(batch.a[i] - single.a) <= 1e-13
@@ -678,10 +677,10 @@ def test_each_kernel_call_evaluates_the_profile_once(rng, monkeypatch, pot):
         "causal_fundamental_momentum": (lambda: causal_fundamental_momentum(mode, wave), 0),
         "fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, wave), 0),
         "mirrored fp_kernel_momentum": (lambda: fp_kernel_momentum(mode, wave.mirrored()), 0),
-        "fp_scalar_a": (lambda: fp_scalar_a(mode, pot, s, s_tilde), 1),
+        "phase_factor": (lambda: phase_factor(mode, pot, s_tilde, s), 1),
         "mass_pairing_identity": (lambda: mass_pairing_identity(
             amp_a, flat, amp_b, replace(flat, m=flat.m[::-1]), pot, point[0]), 1),
-        "dirac_residual": (lambda: dirac_residual(amp_a, flat, pot, point), 1),
+        "mode_and_dirac": (lambda: mode_and_dirac(amp_a, flat, pot, point), 1),
     }
     for name, (run, most) in runs.items():
         calls.clear()
